@@ -83,12 +83,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="advisory worker count, recorded in the manifest",
-    )
-    common.add_argument(
         "--out", default=".", help="output directory, created if missing"
     )
     common.add_argument(
@@ -677,7 +671,7 @@ def cmd_lag_scan(args) -> dict:
     return {"inputs": [series_path], "outputs": [out_path]}
 
 
-_PIPELINE_KEYS = {"stages", "seed", "out", "threads"}
+_PIPELINE_KEYS = {"stages", "seed", "out"}
 _STAGE_KEYS = {"run", "args"}
 
 
@@ -699,7 +693,6 @@ def cmd_pipeline(args) -> dict | None:
 
     seed = cfg.get("seed", args.seed)
     out_dir = cfg.get("out", args.out)
-    threads = cfg.get("threads", args.threads)
     args.out = str(out_dir)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     ran = []
@@ -713,8 +706,6 @@ def cmd_pipeline(args) -> dict | None:
         if not isinstance(run, str) or run == "pipeline" or run not in _HANDLERS:
             raise DataError(f"stage {i}: no such stage command {run!r}")
         argv = [run, "--seed", str(seed), "--out", str(out_dir)]
-        if threads is not None:
-            argv += ["--threads", str(threads)]
         stage_args = stage.get("args", {})
         if not isinstance(stage_args, dict):
             raise DataError(f"stage {i}: 'args' must be a JSON object")

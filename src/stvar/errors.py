@@ -63,10 +63,6 @@ class DegenerateDistances(NumericalError):
     """A target distance matrix has a zero or negative off-diagonal entry."""
 
 
-class NonConvergence(NumericalError):
-    """An iteration limit was reached without meeting tolerance."""
-
-
 # design matrices and kriging
 
 class UnlabeledDate(DataError):

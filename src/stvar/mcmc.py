@@ -721,14 +721,31 @@ def load_chain(path) -> Chain:
         meta = json.loads(lines[1])
     except json.JSONDecodeError as exc:
         raise MalformedHeader(f"bad metadata line: {exc}") from None
-    spec = spec_from_dict(meta["spec"])
-    config = McmcConfig(**meta["config"])
-    a_keys = _tuple_keys(meta["a_keys"])
-    eta_keys = _tuple_keys(meta["eta_keys"])
-    n_draws = int(meta["n_draws"])
+    try:
+        spec = spec_from_dict(meta["spec"])
+        config = McmcConfig(**meta["config"])
+        a_keys = _tuple_keys(meta["a_keys"])
+        eta_keys = _tuple_keys(meta["eta_keys"])
+        n_draws = int(meta["n_draws"])
+        n_obs = int(meta["n_obs"])
+        knots = None if meta["knots"] is None else np.asarray(meta["knots"], dtype=float)
+        tess_sites = (
+            None if meta["tess_sites"] is None
+            else np.asarray(meta["tess_sites"], dtype=float)
+        )
+        acceptance = dict(meta["acceptance"])
+        rhat_max = float(meta["rhat_max"])
+        converged = bool(meta["converged"])
+    except KeyError as exc:
+        raise MalformedHeader(f"chain metadata lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedHeader(f"bad chain metadata: {exc}") from None
+    if n_draws < 0:
+        raise MalformedHeader(f"negative draw count {n_draws}")
+    if knots is not None and (knots.ndim != 2 or knots.shape[1] != 2):
+        raise MalformedHeader(f"knots must be (m, 2), got shape {knots.shape}")
     p = 2 * len(a_keys) + len(eta_keys)
     spatial = spec.eta_structure == "spatial"
-    knots = None if meta["knots"] is None else np.asarray(meta["knots"], dtype=float)
     m = 0 if knots is None else knots.shape[0]
     want = p * 2 + 4 + (2 + 4 + 2 * m if spatial else 0)
 
@@ -750,6 +767,8 @@ def load_chain(path) -> Chain:
             raise DimensionMismatch(
                 f"draw line {i + 1}: expected {want} numbers, found {vals.size}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise DataError(f"draw line {i + 1}: non-finite value")
         pos = p * 2
         phi[i] = vals[:pos].reshape(p, 2)
         sigma[i] = vals[pos : pos + 4].reshape(2, 2)
@@ -759,9 +778,6 @@ def load_chain(path) -> Chain:
             q[i] = vals[pos + 2 : pos + 6].reshape(2, 2)
             wstar[i] = vals[pos + 6 :].reshape(2, m)
 
-    tess_sites = (
-        None if meta["tess_sites"] is None else np.asarray(meta["tess_sites"], dtype=float)
-    )
     return Chain(
         spec=spec,
         a_keys=a_keys,
@@ -773,9 +789,9 @@ def load_chain(path) -> Chain:
         wstar=wstar,
         knots=knots,
         tess_sites=tess_sites,
-        n_obs=int(meta["n_obs"]),
+        n_obs=n_obs,
         config=config,
-        acceptance=dict(meta["acceptance"]),
-        rhat_max=float(meta["rhat_max"]),
-        converged=bool(meta["converged"]),
+        acceptance=acceptance,
+        rhat_max=rhat_max,
+        converged=converged,
     )

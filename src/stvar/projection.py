@@ -18,6 +18,17 @@ agrees at position k when its k-th nearest node belongs to the day's tie
 group for that position. By construction the projected point always agrees
 with the day's data-space winner at rank one, so it falls inside the winner's
 planar tessellation cell.
+
+A candidate's score depends only on its node ordering, and the C grid
+candidates share far fewer distinct orderings U: they are the cells of the
+ordered Voronoi diagram of the planar nodes (Okabe, Boots, Sugihara & Chiu,
+*Spatial Tessellations*), so U grows with the node count M and not with the
+grid resolution. The projector finds the distinct orderings once. It then
+scores days in blocks against each distinct ordering, one rank position at a
+time, for O(U * M) comparisons per day instead of O(C * M). The top-scoring
+orderings are expanded back to their candidates, which are averaged in
+candidate order, so the result is bit for bit that of scoring every
+candidate.
 """
 
 from __future__ import annotations
@@ -315,17 +326,21 @@ def load_planar(path) -> PlanarSeries:
         parts = line.split()
         if len(parts) not in (3, 4):
             raise MalformedHeader(f"row {t} has {len(parts)} fields")
-        points[t, 0] = float(parts[0])
-        points[t, 1] = float(parts[1])
-        nodes[t] = int(parts[2])
         if len(parts) == 4:
             if t == 0:
                 dates = []
             if dates is None:
                 raise DataError("some rows carry dates and some do not")
-            dates.append(_dt.date.fromisoformat(parts[3]))
         elif dates is not None:
             raise DataError("some rows carry dates and some do not")
+        try:
+            points[t, 0] = float(parts[0])
+            points[t, 1] = float(parts[1])
+            nodes[t] = int(parts[2])
+            if dates is not None:
+                dates.append(_dt.date.fromisoformat(parts[3]))
+        except ValueError as exc:
+            raise MalformedHeader(f"row {t}: {exc}") from None
     return PlanarSeries(
         points=points,
         node_assignment=nodes,
@@ -337,8 +352,13 @@ def load_planar(path) -> PlanarSeries:
 # Greedy rank-agreement projection
 
 
+# Days are scored against the distinct orderings this many at a time, which
+# keeps the (days, orderings) work arrays to a few hundred kilobytes.
+_DAY_BLOCK = 64
+
+
 class GreedyProjector:
-    """Caches the candidate grid and its node rankings for one model."""
+    """Caches the candidate grid and its distinct node orderings for one model."""
 
     def __init__(self, model: SomModel, padding: float = 0.25, resolution: int = 201):
         if resolution < 2:
@@ -360,17 +380,20 @@ class GreedyProjector:
         d2 = cdist(self.candidates, self.planar, "sqeuclidean")
         self.cand_order = np.argsort(d2, axis=1, kind="stable")
 
-    def _prefix_lengths(self, x: np.ndarray) -> np.ndarray:
-        d2 = ((self.nodes - x) ** 2).sum(axis=1)
-        order = np.argsort(d2, kind="stable")
-        sorted_d2 = d2[order]
-        # group ids advance on strict increase, so exact ties share a group
-        group_at_pos = np.concatenate([[0], np.cumsum(sorted_d2[1:] > sorted_d2[:-1])])
-        group_of_node = np.empty(len(order), dtype=int)
-        group_of_node[order] = group_at_pos
-        cand_groups = group_of_node[self.cand_order]
-        match = cand_groups == group_at_pos[None, :]
-        return np.cumprod(match, axis=1).sum(axis=1)
+        M = self.planar.shape[0]
+        # holds group ids and prefix lengths, which never exceed M
+        self._small_int = np.min_scalar_type(M)
+        # rows as opaque byte strings: np.unique sorts those far faster than
+        # it sorts with axis=0
+        rows = self.cand_order.astype(self._small_int)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * M))).ravel()
+        _, first, ordering_of = np.unique(keys, return_index=True, return_inverse=True)
+        # (M, U): the node at each rank, one column per distinct ordering
+        self._orderings = np.ascontiguousarray(self.cand_order[first].T)
+        # candidates grouped by ordering, in candidate order within a group
+        self._members = np.argsort(ordering_of, kind="stable")
+        self._n_members = np.bincount(ordering_of)
+        self._first_member = np.cumsum(self._n_members) - self._n_members
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -378,9 +401,7 @@ class GreedyProjector:
             raise DimensionMismatch(
                 f"point has shape {x.shape}, model dimension is {self.nodes.shape[1]}"
             )
-        plen = self._prefix_lengths(x)
-        sel = plen == plen.max()
-        return self.candidates[sel].mean(axis=0)
+        return self.project_many(x[None])[0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
         X = as_matrix(X)
@@ -389,11 +410,47 @@ class GreedyProjector:
                 f"data dim {X.shape[1]} does not match model dim {self.nodes.shape[1]}"
             )
         out = np.empty((X.shape[0], 2))
-        for t in range(X.shape[0]):
-            plen = self._prefix_lengths(X[t])
-            sel = plen == plen.max()
-            out[t] = self.candidates[sel].mean(axis=0)
+        for start in range(0, X.shape[0], _DAY_BLOCK):
+            block = X[start : start + _DAY_BLOCK]
+            out[start : start + block.shape[0]] = self._project_block(block)
         return out
+
+    def _project_block(self, X: np.ndarray) -> np.ndarray:
+        n = X.shape[0]
+        M, U = self._orderings.shape
+        # one node at a time keeps the temporary at (block, d); each entry is
+        # the same sum, in the same order, as ((nodes - x) ** 2).sum(axis=1)
+        d2 = np.empty((n, M))
+        for m, node in enumerate(self.nodes):
+            d2[:, m] = ((node - X) ** 2).sum(axis=1)
+        order = np.argsort(d2, axis=1, kind="stable")
+        sorted_d2 = np.take_along_axis(d2, order, axis=1)
+        # group ids advance on strict increase, so exact ties share a group
+        group_at_pos = np.zeros((n, M), dtype=self._small_int)
+        np.cumsum(sorted_d2[:, 1:] > sorted_d2[:, :-1], axis=1, out=group_at_pos[:, 1:])
+        group_of_node = np.empty_like(group_at_pos)
+        np.put_along_axis(group_of_node, order, group_at_pos, axis=1)
+
+        agree = np.ones((n, U), dtype=bool)
+        plen = np.zeros((n, U), dtype=self._small_int)
+        for pos in range(M):
+            agree &= group_of_node[:, self._orderings[pos]] == group_at_pos[:, pos, None]
+            plen += agree
+        day, best = np.nonzero(plen == plen.max(axis=1, keepdims=True))
+
+        # every candidate of every top-scoring ordering, sorted by day and then
+        # by candidate index
+        sizes = self._n_members[best]
+        ends = np.cumsum(sizes)
+        slots = np.arange(ends[-1]) + np.repeat(self._first_member[best] - ends + sizes, sizes)
+        C = self.candidates.shape[0]
+        keys = np.sort(np.repeat(day, sizes) * C + self._members[slots])
+        day, cand = np.divmod(keys, C)
+        # bincount adds each day's points one by one in candidate order, as
+        # candidates[sel].mean(axis=0) does. Its sums start from +0.0, which
+        # changes no bits because linspace never yields a -0.0 grid value.
+        sums = [np.bincount(day, weights=self.candidates[cand, k], minlength=n) for k in (0, 1)]
+        return np.column_stack(sums) / np.bincount(day, minlength=n)[:, None]
 
 
 def project_point(

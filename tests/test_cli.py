@@ -254,6 +254,31 @@ class TestFitEvaluate:
         )
         assert code == 2
 
+    def test_malformed_planar_row_is_data_error(self, fitted, tmp_path, capsys):
+        lines = (fitted / "series.planar").read_text().splitlines()
+        lines[5] = "0.1 north 2"
+        bad = tmp_path / "bad.planar"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("lag-scan", "--series", bad, "--out", tmp_path) == 2
+        assert "row 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing-key", "non-finite-draw"])
+    def test_damaged_chain_is_data_error(self, fitted, tmp_path, damage):
+        lines = (fitted / "model1.chain").read_text().splitlines()
+        if damage == "missing-key":
+            meta = json.loads(lines[1])
+            del meta["converged"]
+            lines[1] = json.dumps(meta)
+        else:
+            lines[2] = "nan " + lines[2].split(" ", 1)[1]
+        bad = tmp_path / "bad.chain"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(
+            "evaluate", "--chain", bad, "--series", fitted / "series.planar",
+            "--out", tmp_path,
+        )
+        assert code == 2
+
     def test_undated_series_against_seasonal_chain(self, tmp_path):
         dated = tmp_path / "dated"
         series = simulate_into(

@@ -1,6 +1,7 @@
 """Tests for the Gibbs sampler, posterior prediction, and chain files."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -608,4 +609,44 @@ class TestChainFiles:
         lines[2] += " 99.0"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DimensionMismatch):
+            load_chain(path)
+
+    def _saved_lines(self, tmp_path):
+        truth = ladder_truth("model1")
+        series = simulate_var(truth, n_days=60, seed=22)
+        chain = run_chain(series, "model1", McmcConfig(n_iter=20, burn_in=10, seed=0))
+        path = tmp_path / "chain.txt"
+        save_chain(chain, path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.pop("n_obs"),
+            lambda meta: meta.pop("spec"),
+            lambda meta: meta.update(n_draws="many"),
+            lambda meta: meta.update(config=[1, 2]),
+            lambda meta: meta.update(a_keys=5),
+            lambda meta: meta.update(knots=3.0),
+        ],
+        ids=["no-n_obs", "no-spec", "n_draws-text", "config-list", "a_keys-number",
+             "knots-scalar"],
+    )
+    def test_bad_metadata_field(self, tmp_path, edit):
+        path, lines = self._saved_lines(tmp_path)
+        meta = json.loads(lines[1])
+        edit(meta)
+        lines[1] = json.dumps(meta)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedHeader):
+            load_chain(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_draw_rejected(self, tmp_path, token):
+        path, lines = self._saved_lines(tmp_path)
+        parts = lines[3].split()
+        parts[0] = token
+        lines[3] = " ".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="draw line 2: non-finite"):
             load_chain(path)

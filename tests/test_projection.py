@@ -187,13 +187,69 @@ class TestPlanarFiles:
         with pytest.raises(DataError):
             load_planar(path)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ("0 0 0", "0 zero 1"),
+            ("0 0 0", "0.5 0.5 x"),
+            ("0 0 0", "0.5 0.5 1.5"),
+            ("0 0 0 2000-01-01", "0 0 1 2000-13-01"),
+            ("0 0 0 2000-01-01", "0 0 1 not-a-date"),
+        ],
+    )
+    def test_unparsable_row_names_its_number(self, tmp_path, rows):
+        path = tmp_path / "bad.planar"
+        path.write_text("STVAR-PLANAR v1 T=2\n" + "\n".join(rows) + "\n")
+        with pytest.raises(MalformedHeader, match="row 1"):
+            load_planar(path)
+
     def test_requires_assignments(self, tmp_path):
         series = PlanarSeries(points=np.zeros((2, 2)))
         with pytest.raises(DataError):
             save_planar(series, tmp_path / "x.planar")
 
 
+def rank_agreement_oracle(projector, x):
+    """The greedy projection rule, one day and one candidate at a time."""
+    d2 = ((projector.nodes - x) ** 2).sum(axis=1)
+    order = np.argsort(d2, kind="stable")
+    group_at_pos = [0]
+    for prev, node in zip(order[:-1], order[1:]):
+        group_at_pos.append(group_at_pos[-1] + int(d2[node] > d2[prev]))
+    group_of_node = dict(zip(order.tolist(), group_at_pos))
+    lengths = []
+    for ranking in projector.cand_order.tolist():
+        k = 0
+        while k < len(ranking) and group_of_node[ranking[k]] == group_at_pos[k]:
+            k += 1
+        lengths.append(k)
+    lengths = np.array(lengths)
+    return projector.candidates[lengths == lengths.max()].mean(axis=0)
+
+
 class TestGreedyProjection:
+    @pytest.mark.parametrize("n_nodes", [2, 6, 12, 20])
+    def test_matches_per_candidate_oracle_bitwise(self, n_nodes):
+        rng = np.random.default_rng(100 + n_nodes)
+        nodes = rng.normal(size=(n_nodes, 4))
+        planar = rng.normal(size=(n_nodes, 2))
+        if n_nodes > 2:
+            # a duplicated codebook vector and a duplicated planar site
+            nodes[1] = nodes[0]
+            planar[n_nodes - 1] = planar[n_nodes - 2]
+        model = make_model(nodes, planar)
+        projector = GreedyProjector(model, resolution=21)
+        pairs = rng.integers(0, n_nodes, size=(30, 2))
+        days = np.concatenate([
+            rng.normal(size=(40, 4)),
+            nodes,
+            0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]]),
+        ])
+        want = np.array([rank_agreement_oracle(projector, x) for x in days])
+        assert projector.project_many(days).tobytes() == want.tobytes()
+        one_by_one = np.array([projector.project(x) for x in days])
+        assert one_by_one.tobytes() == want.tobytes()
+
     def test_two_node_oracle(self):
         # independent enumeration of the same candidate grid: with two nodes a
         # full rank match is exactly "nearest node is the winner", ties going
