@@ -129,25 +129,22 @@ def dic(
     p_D is the mean deviance minus the deviance at the posterior means
     (covariance repaired to positive definite if averaging degrades it).
     """
-    X, offset, S = chain_design(chain, series, tess)
-    y = series.points[1:]
+    design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
-    has_phi = chain.phi.shape[1] > 0
+
+    def deviance(phi, sigma, adjust):
+        mean = design.offset + design.xphi(phi)
+        if adjust is not None:
+            mean = mean + coregional_eta(design.source_points, adjust)
+        return _gauss_deviance(design.Y - mean, sigma)
 
     devs = np.empty(idx.size)
     for b, i in enumerate(idx):
-        mean = offset + (X @ chain.phi[i] if has_phi else 0.0)
-        if chain.is_spatial:
-            mean = mean + coregional_eta(S, chain.draw(int(i)).adjust)
-        devs[b] = _gauss_deviance(y - mean, chain.sigma[i])
+        devs[b] = deviance(chain.phi[i], chain.sigma[i], chain.draw(int(i)).adjust)
     d_bar = float(devs.mean())
 
     pm = chain.posterior_mean()
-    sigma_hat = repair_pd(pm.sigma)
-    mean = offset + (X @ pm.phi if has_phi else 0.0)
-    if chain.is_spatial:
-        mean = mean + coregional_eta(S, pm.adjust)
-    d_hat = _gauss_deviance(y - mean, sigma_hat)
+    d_hat = deviance(pm.phi, repair_pd(pm.sigma), pm.adjust)
 
     p_d = d_bar - d_hat
     return DicResult(dic=d_bar + p_d, p_d=p_d, d_bar=d_bar, d_hat=d_hat,

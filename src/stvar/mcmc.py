@@ -10,6 +10,11 @@ Conditionals:
                        on (0, upper], proposal step tuned during burn-in
   w*_k                 joint Gaussian over both knot-value vectors
   q_ij                 scalar Gaussians, diagonal entries truncated positive
+
+Without the spatial intercept the regression target is fixed, so Phi is drawn
+around the least-squares fit phi_hat and the residual scale is
+S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat), both computed once: a sweep
+costs O(p) whatever the number of days.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ from .errors import (
     NonPDScale,
     NumericalError,
     ShortRead,
-    SingularDesign,
-    UnlabeledDate,
 )
 from .models import (
     DesignInfo,
@@ -49,6 +52,7 @@ from .models import (
     resolve_spec,
     spec_from_dict,
     spec_to_dict,
+    stack_design,
 )
 from .projection import PlanarSeries, Tessellation
 
@@ -203,30 +207,22 @@ class _Sampler:
         self.Yc = design.Y - design.offset
         self.spatial = knots is not None
 
-        if self.p:
-            xtx = design.X.T @ design.X
-            try:
-                self.xtx_factor = scipy.linalg.cho_factor(xtx)
-            except scipy.linalg.LinAlgError:
-                raise SingularDesign("X'X is singular; cannot sample Phi") from None
-            inv_xtx = scipy.linalg.cho_solve(self.xtx_factor, np.eye(self.p))
-            self.L_xx = np.linalg.cholesky(0.5 * (inv_xtx + inv_xtx.T))
-
+        self.gram = design.gram if self.p else None
         if config.sigma_mode == "fixed_scale":
             self.df = self.n + 1 - self.p
             if self.df < 2:
                 raise InsufficientDf(
                     f"fixed_scale needs n + 1 - p >= 2, got {self.df}"
                 )
-            phi0, sig0 = mle_var(design)
-            self.fixed_scale = sig0 * self.n
-            if not _pd2(self.fixed_scale):
-                raise NonPDScale("least-squares residual scale is singular")
         else:
             self.df = self.n
-            phi0, sig0 = mle_var(design)
+        # The residual scale at any Phi is S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat).
+        self.phi_hat, sig0 = mle_var(design)
+        self.S_hat = sig0 * self.n
+        if config.sigma_mode == "fixed_scale" and not _pd2(self.S_hat):
+            raise NonPDScale("least-squares residual scale is singular")
 
-        self.phi = phi0
+        self.phi = self.phi_hat
         self.sigma = self._pd_init(sig0)
         self.eta = np.zeros_like(self.Yc)
 
@@ -291,22 +287,28 @@ class _Sampler:
     def update_phi(self):
         if not self.p:
             return
-        Yeff = self.Yc - self.eta if self.spatial else self.Yc
-        phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.design.X.T @ Yeff)
+        phi_hat = self.phi_hat
+        if self.spatial:
+            phi_hat = self.gram.solve(self.design.xt(self.Yc - self.eta))
         z = self.rng.standard_normal((self.p, 2))
         L_sig = np.linalg.cholesky(self.sigma)
-        self.phi = phi_hat + self.L_xx @ z @ L_sig.T
+        self.phi = phi_hat + self.gram.times_inv_factor(z) @ L_sig.T
 
     def update_sigma(self):
         if self.config.sigma_mode == "fixed_scale":
-            scale = self.fixed_scale
-        else:
-            resid = self.Yc - self.eta if self.spatial else self.Yc.copy()
+            scale = self.S_hat
+        elif self.spatial:
+            resid = self.Yc - self.eta
             if self.p:
-                resid = resid - self.design.X @ self.phi
+                resid = resid - self.design.xphi(self.phi)
             scale = resid.T @ resid
-            if not _pd2(scale):
-                raise NonPDScale("residual scale matrix is singular")
+        else:
+            scale = self.S_hat
+            if self.p:
+                quad = self.gram.quad(self.phi - self.phi_hat)
+                scale = scale + 0.5 * (quad + quad.T)
+        if not _pd2(scale):
+            raise NonPDScale("residual scale matrix is singular")
         sig = invwishart.rvs(df=self.df, scale=scale, random_state=self.rng)
         self.sigma = 0.5 * (sig + sig.T)
 
@@ -318,7 +320,7 @@ class _Sampler:
     def _resid_no_eta(self) -> np.ndarray:
         R = self.Yc
         if self.p:
-            R = R - self.design.X @ self.phi
+            R = R - self.design.xphi(self.phi)
         return R
 
     def _field_logpost(self, k, L, W, R, omega):
@@ -569,29 +571,13 @@ class SeriesPrediction:
 
 
 def chain_design(chain: Chain, series: PlanarSeries, tess: Tessellation | None = None):
-    """Design rows for `series` in the CHAIN's fitted column layout."""
-    info = chain.info
-    spec = chain.spec
-    S = series.points[:-1]
-    n = S.shape[0]
-    cells = None
-    if spec.needs_cells:
-        t = tess if tess is not None else chain.tessellation()
-        if t is None:
-            raise DataError("cell-dependent prediction needs a tessellation")
-        cells = t.assign(S)
-    dates = series.dates[:-1] if series.dates is not None else None
-    if spec.needs_dates and dates is None:
-        raise UnlabeledDate(f"{spec.a_structure}/{spec.eta_structure} needs dates")
-    X = np.zeros((n, info.n_columns))
-    for t_i in range(n):
-        X[t_i] = info.row(
-            S[t_i],
-            None if cells is None else int(cells[t_i]),
-            None if dates is None else dates[t_i],
-        )
-    offset = S if spec.a_structure == "random_walk" else np.zeros((n, 2))
-    return X, offset, S
+    """Design rows for `series` in the CHAIN's fitted column layout.
+
+    Cells come from `tess`, else the chain's tessellation, else the series'
+    node assignments.
+    """
+    return stack_design(series, chain.spec,
+                        tess if tess is not None else chain.tessellation(), chain.info)
 
 
 def predict_series(
@@ -607,15 +593,15 @@ def predict_series(
     Day t's prediction uses the observed day t-1, so draws[:, i] targets
     series.points[i + 1].
     """
-    X, offset, S = chain_design(chain, series, tess)
+    design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
-    B, n = idx.size, S.shape[0]
+    B, n = idx.size, design.n
     out = np.empty((B, n, 2))
     rng = np.random.default_rng(seed)
     for b, i in enumerate(idx):
-        mean = offset + (X @ chain.phi[i] if chain.phi.shape[1] else 0.0)
+        mean = design.offset + design.xphi(chain.phi[i])
         if chain.is_spatial:
-            mean = mean + coregional_eta(S, chain.draw(int(i)).adjust)
+            mean = mean + coregional_eta(design.source_points, chain.draw(int(i)).adjust)
         if include_noise:
             L = np.linalg.cholesky(chain.sigma[i])
             mean = mean + rng.standard_normal((n, 2)) @ L.T

@@ -28,6 +28,7 @@ import datetime as _dt
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -269,8 +270,25 @@ def resolve_spec(source) -> ModelSpec:
 # Block labeling and design matrices
 
 
-def _season_order(season: str) -> int:
-    return SEASONS.index(season)
+# The parts of a block label, per structure. "cell" is the tessellation cell;
+# "season", "year" and "season_year" name the Calendar method that labels a
+# date. Labels sort by their parts in this order, seasons in SEASONS order.
+_A_PARTS = {
+    "constant": (),
+    "tessellation": ("cell",),
+    "quarter": ("season",),
+    "year": ("year",),
+    "quarter_by_year": ("season_year", "season"),
+    "tessellation_by_year": ("year", "cell"),
+    "tessellation_by_quarter": ("season", "cell"),
+}
+_ETA_PARTS = {"constant": (), "quarter": ("season",), "year": ("year",)}
+
+
+def _sort_keys(keys) -> tuple:
+    return tuple(sorted(
+        keys, key=lambda k: tuple(SEASONS.index(v) if isinstance(v, str) else v for v in k)
+    ))
 
 
 class DesignInfo:
@@ -332,50 +350,29 @@ class DesignInfo:
         return tuple(cols)
 
     def a_key(self, cell: int | None, date: _dt.date | None):
-        s = self.spec
-        cal = s.calendar
-        kind = s.a_structure
+        kind = self.spec.a_structure
         if kind == "random_walk":
             raise DataError("the random walk has no transition blocks")
-        if kind == "constant":
-            return ()
-        if kind == "tessellation":
-            self._need_cell(cell)
-            return (int(cell),)
-        self._need_date(date, kind)
-        if kind == "quarter":
-            return (cal.season(date),)
-        if kind == "year":
-            return (cal.year(date),)
-        if kind == "quarter_by_year":
-            return (cal.season_year(date), cal.season(date))
-        if kind == "tessellation_by_year":
-            self._need_cell(cell)
-            return (cal.year(date), int(cell))
-        # tessellation_by_quarter
-        self._need_cell(cell)
-        return (cal.season(date), int(cell))
+        return self._key(_A_PARTS[kind], cell, date, kind)
 
     def eta_key(self, date: _dt.date | None):
         kind = self.spec.eta_structure
-        if kind in ("none", "spatial"):
+        if kind not in _ETA_PARTS:
             return None
-        if kind == "constant":
-            return ()
-        self._need_date(date, f"eta {kind}")
-        if kind == "quarter":
-            return (self.spec.calendar.season(date),)
-        return (self.spec.calendar.year(date),)
+        return self._key(_ETA_PARTS[kind], None, date, f"eta {kind}")
 
-    @staticmethod
-    def _need_cell(cell):
-        if cell is None:
-            raise DataError("a tessellation-dependent block needs a cell index")
-
-    @staticmethod
-    def _need_date(date, kind):
-        if date is None:
-            raise UnlabeledDate(f"structure {kind!r} needs dated observations")
+    def _key(self, parts, cell, date, kind) -> tuple:
+        key = []
+        for part in parts:
+            if part == "cell":
+                if cell is None:
+                    raise DataError("a tessellation-dependent block needs a cell index")
+                key.append(int(cell))
+            else:
+                if date is None:
+                    raise UnlabeledDate(f"structure {kind!r} needs dated observations")
+                key.append(getattr(self.spec.calendar, part)(date))
+        return tuple(key)
 
     def a_index(self, cell: int | None, date: _dt.date | None) -> int:
         key = self.a_key(cell, date)
@@ -408,40 +405,16 @@ class DesignInfo:
     @classmethod
     def from_observations(cls, spec, source_dates, source_cells) -> "DesignInfo":
         """Labels drawn from the blocks actually visited by the source days."""
-        if spec.needs_cells and source_cells is None:
-            raise DataError("cell-dependent blocks need cell assignments")
-        if spec.needs_dates and source_dates is None:
-            raise UnlabeledDate(
-                f"{spec.a_structure}/{spec.eta_structure} needs dated observations"
-            )
-        n = None
+        n = 0
         if source_cells is not None:
-            source_cells = np.asarray(source_cells, dtype=int)
             n = len(source_cells)
         if source_dates is not None:
-            if n is not None and len(source_dates) != n:
+            if source_cells is not None and len(source_dates) != n:
                 raise DataError(
                     f"{len(source_dates)} dates for {n} cell assignments"
                 )
             n = len(source_dates)
-        probe = cls(spec, (), ())
-        a_keys: set = set()
-        eta_keys: set = set()
-        if spec.a_structure == "constant":
-            a_keys.add(())
-        if spec.eta_structure == "constant":
-            eta_keys.add(())
-        if n is not None:
-            for t in range(n):
-                cell = None if source_cells is None else int(source_cells[t])
-                date = None if source_dates is None else source_dates[t]
-                if spec.a_structure != "random_walk":
-                    a_keys.add(probe.a_key(cell, date))
-                ek = probe.eta_key(date)
-                if ek is not None:
-                    eta_keys.add(ek)
-        return cls(spec, _sort_keys(spec.a_structure, a_keys),
-                   _sort_keys_eta(spec.eta_structure, eta_keys))
+        return block_indices(spec, n, source_cells, source_dates)[0]
 
     @classmethod
     def from_declared(cls, spec, *, cells=(), seasons=(), years=(),
@@ -473,48 +446,204 @@ class DesignInfo:
             eta_keys = [(s,) for s in seasons]
         else:
             eta_keys = [(int(y),) for y in years]
-        return cls(spec, _sort_keys(kind, set(a_keys)), _sort_keys_eta(ek, set(eta_keys)))
+        return cls(spec, _sort_keys(set(a_keys)), _sort_keys(set(eta_keys)))
 
 
-def _sort_keys(kind: str, keys: set) -> tuple:
-    if kind in ("random_walk",):
-        return ()
-    if kind == "constant":
-        return tuple(keys)
-    if kind == "quarter":
-        return tuple(sorted(keys, key=lambda k: _season_order(k[0])))
-    if kind in ("tessellation", "year"):
-        return tuple(sorted(keys))
-    if kind == "quarter_by_year":
-        return tuple(sorted(keys, key=lambda k: (k[0], _season_order(k[1]))))
-    if kind == "tessellation_by_year":
-        return tuple(sorted(keys))
-    # tessellation_by_quarter
-    return tuple(sorted(keys, key=lambda k: (_season_order(k[0]), k[1])))
+def _label_codes(cells, dates, calendar) -> dict[str, np.ndarray]:
+    """Integer code of every label part for each day; a season is coded by
+    its place in SEASONS. Calendar labels depend on the month alone, so the
+    calendar is asked once per distinct month."""
+    codes = {}
+    if cells is not None:
+        codes["cell"] = np.asarray(cells, dtype=np.int64)
+    if dates is not None:
+        month = np.fromiter((12 * d.year + d.month - 1 for d in dates),
+                            dtype=np.int64, count=len(dates))
+        months, inv = np.unique(month, return_inverse=True)
+        firsts = [_dt.date(int(m) // 12, int(m) % 12 + 1, 1) for m in months]
+        codes["season"] = np.array([SEASONS.index(calendar.season(d)) for d in firsts],
+                                   dtype=np.int64)[inv]
+        for part in ("year", "season_year"):
+            label = getattr(calendar, part)
+            codes[part] = np.array([label(d) for d in firsts], dtype=np.int64)[inv]
+    return codes
 
 
-def _sort_keys_eta(kind: str, keys: set) -> tuple:
-    if kind in ("none", "spatial"):
-        return ()
-    if kind == "constant":
-        return tuple(keys)
-    if kind == "quarter":
-        return tuple(sorted(keys, key=lambda k: _season_order(k[0])))
-    return tuple(sorted(keys))
+def _index_blocks(parts, codes, n, keys, what):
+    """Each day's block as an index into `keys`.
+
+    With keys=None the keys are the distinct blocks the days visit, in
+    canonical order; otherwise a day outside `keys` raises UnlabeledDate.
+    """
+    if parts:
+        rows = np.column_stack([codes[p] for p in parts])
+        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+        found = [
+            tuple(SEASONS[v] if p == "season" else int(v) for p, v in zip(parts, row))
+            for row in uniq
+        ]
+    else:
+        found, inv = [()], np.zeros(n, dtype=np.intp)
+    if keys is None:  # numpy 2.0.0 gives the inverse shape (n, 1)
+        return tuple(found), inv.reshape(n)
+    lookup = {k: i for i, k in enumerate(keys)}
+    for key in found:
+        if key not in lookup:
+            raise UnlabeledDate(f"no fitted {what} block for {key}")
+    return tuple(keys), np.array([lookup[k] for k in found], dtype=np.intp)[inv].reshape(n)
+
+
+def block_indices(spec: ModelSpec, n: int, cells, dates, info: DesignInfo | None = None):
+    """Transition and intercept block of each of n source days.
+
+    Returns (info, a_idx, eta_idx): a_idx is None for the random walk and
+    eta_idx None without intercept columns. Labels come from `info` when it
+    is given, otherwise from the blocks the days visit.
+    """
+    if spec.needs_cells and cells is None:
+        raise DataError("cell-dependent blocks need cell assignments")
+    if spec.needs_dates and dates is None:
+        raise UnlabeledDate(
+            f"{spec.a_structure}/{spec.eta_structure} needs dated observations"
+        )
+    codes = _label_codes(cells if spec.needs_cells else None,
+                         dates if spec.needs_dates else None, spec.calendar)
+    a_keys, a_idx = (), None
+    if spec.a_structure != "random_walk":
+        a_keys, a_idx = _index_blocks(_A_PARTS[spec.a_structure], codes, n,
+                                      None if info is None else info.a_keys, "transition")
+    eta_keys, eta_idx = (), None
+    if spec.eta_structure in _ETA_PARTS:
+        eta_keys, eta_idx = _index_blocks(_ETA_PARTS[spec.eta_structure], codes, n,
+                                          None if info is None else info.eta_keys, "intercept")
+    if info is None:
+        info = DesignInfo(spec, a_keys, eta_keys)
+    return info, a_idx, eta_idx
+
+
+def _block_grams(S: np.ndarray, a_idx: np.ndarray, n_a: int) -> np.ndarray:
+    """S_b' S_b for the rows of every transition block, shape (n_a, 2, 2)."""
+    x, y = S[:, 0], S[:, 1]
+    G = np.empty((n_a, 2, 2))
+    G[:, 0, 0] = np.bincount(a_idx, x * x, n_a)
+    G[:, 1, 1] = np.bincount(a_idx, y * y, n_a)
+    G[:, 0, 1] = G[:, 1, 0] = np.bincount(a_idx, x * y, n_a)
+    return G
+
+
+def _dense_gram(design: "DesignPair") -> np.ndarray:
+    """X'X as one p x p matrix, summed block by block."""
+    info, S, a_idx = design.info, design.source_points, design.a_idx
+    k = 2 * info.n_a
+    xtx = np.zeros((design.p, design.p))
+    if info.n_a == 1:
+        xtx[:2, :2] = S.T @ S  # the dense X's BLAS call, so the same bytes
+    else:
+        xtx[:k, :k] = scipy.linalg.block_diag(*_block_grams(S, a_idx, info.n_a))
+    if info.n_eta:
+        e = design.eta_idx
+        xtx[np.arange(k, design.p), np.arange(k, design.p)] = np.bincount(e, minlength=info.n_eta)
+        for i in (0, 1):
+            cross = np.bincount(a_idx * info.n_eta + e, S[:, i], info.n_a * info.n_eta)
+            xtx[i:k:2, k:] = cross.reshape(info.n_a, info.n_eta)
+            xtx[k:, i:k:2] = xtx[i:k:2, k:].T
+    return xtx
+
+
+def _block_singular_values(S: np.ndarray, a_idx: np.ndarray, G: np.ndarray):
+    """Both singular values of every block's rows of S, largest first.
+
+    One Gram-Schmidt step per block: the shorter column's part orthogonal
+    to the longer one gives s1 * s2, and s1^2 + s2^2 is the Gram trace. The
+    small value keeps the absolute accuracy of an SVD, which the Gram's
+    eigenvalues would not.
+    """
+    n_a = G.shape[0]
+    xx, yy, xy = G[:, 0, 0], G[:, 1, 1], G[:, 0, 1]
+    y_longer = yy > xx
+    longer = np.where(y_longer, yy, xx)
+    c = np.divide(xy, longer, out=np.zeros(n_a), where=longer > 0.0)
+    by_row = y_longer[a_idx]
+    ortho = np.where(by_row, S[:, 0], S[:, 1]) - c[a_idx] * np.where(by_row, S[:, 1], S[:, 0])
+    prod = np.sqrt(longer * np.bincount(a_idx, ortho * ortho, n_a))
+    trace = xx + yy
+    s1 = np.sqrt(0.5 * (trace + np.sqrt(np.maximum(trace * trace - 4.0 * prod * prod, 0.0))))
+    s2 = np.divide(prod, s1, out=np.zeros(n_a), where=s1 > 0.0)
+    return s1, s2
+
+
+class Gram:
+    """X'X of a design, factored once for least squares and Gibbs draws.
+
+    With several transition blocks and no intercept columns, X'X is block
+    diagonal and is kept as a stack of 2x2 blocks, so each operation costs
+    O(p). Otherwise it is one dense p x p matrix, small because p is two
+    columns per transition block plus the intercept columns.
+    """
+
+    def __init__(self, design: "DesignPair"):
+        info = design.info
+        self.p, self.n_a = design.p, info.n_a
+        self.blocked = info.n_a > 1 and not info.n_eta
+        try:
+            if self.blocked:
+                self.xtx = _block_grams(design.source_points, design.a_idx, info.n_a)
+                np.linalg.cholesky(self.xtx)
+            else:
+                self.xtx = _dense_gram(design)
+                self.factor = scipy.linalg.cho_factor(self.xtx)
+        except np.linalg.LinAlgError:
+            raise SingularDesign("X'X is singular") from None
+
+    def _stacked(self, B: np.ndarray) -> np.ndarray:
+        return B.reshape(self.n_a, 2, -1)
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """(X'X)^{-1} B for B of shape (p, k)."""
+        if self.blocked:
+            return np.linalg.solve(self.xtx, self._stacked(B)).reshape(self.p, -1)
+        return scipy.linalg.cho_solve(self.factor, B)
+
+    @cached_property
+    def inv_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of (X'X)^{-1}, per block when blocked."""
+        if self.blocked:
+            inv = np.linalg.inv(self.xtx)
+            return np.linalg.cholesky(0.5 * (inv + inv.transpose(0, 2, 1)))
+        inv = scipy.linalg.cho_solve(self.factor, np.eye(self.p))
+        return np.linalg.cholesky(0.5 * (inv + inv.T))
+
+    def times_inv_factor(self, z: np.ndarray) -> np.ndarray:
+        """inv_factor @ z for z of shape (p, k)."""
+        if self.blocked:
+            return np.matmul(self.inv_factor, self._stacked(z)).reshape(self.p, -1)
+        return self.inv_factor @ z
+
+    def quad(self, D: np.ndarray) -> np.ndarray:
+        """D' X'X D for D of shape (p, k)."""
+        if self.blocked:
+            return D.T @ np.matmul(self.xtx, self._stacked(D)).reshape(self.p, -1)
+        return D.T @ (self.xtx @ D)
 
 
 @dataclass(frozen=True)
 class DesignPair:
-    """Stacked one-step regression: Y = offset + X Phi + E."""
+    """Stacked one-step regression: Y = offset + X Phi + E.
+
+    X is held by its block indices: row t has source_points[t] in the two
+    columns of transition block a_idx[t] and a 1 in intercept column
+    eta_idx[t]. The random walk has no blocks (a_idx is None) and carries
+    s_t in the offset instead.
+    """
 
     Y: np.ndarray
-    X: np.ndarray
     offset: np.ndarray
     source_points: np.ndarray
+    a_idx: np.ndarray | None
+    eta_idx: np.ndarray | None
     source_cells: np.ndarray | None
     source_dates: tuple[_dt.date, ...] | None
     info: DesignInfo
-    rank_deficient: bool
 
     @property
     def n(self) -> int:
@@ -522,7 +651,115 @@ class DesignPair:
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self.info.n_columns
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        """The dense n x p design, built on request for tests and oracles."""
+        X = np.zeros((self.n, self.p))
+        rows = np.arange(self.n)
+        if self.a_idx is not None:
+            X[rows, 2 * self.a_idx] = self.source_points[:, 0]
+            X[rows, 2 * self.a_idx + 1] = self.source_points[:, 1]
+        if self.eta_idx is not None:
+            X[rows, 2 * self.info.n_a + self.eta_idx] = 1.0
+        return X
+
+    @cached_property
+    def gram(self) -> Gram:
+        return Gram(self)
+
+    def xt(self, M: np.ndarray) -> np.ndarray:
+        """X' M, shape (p, k), for M of shape (n, k)."""
+        info, S = self.info, self.source_points
+        k = 2 * info.n_a
+        out = np.empty((self.p, M.shape[1]))
+        if info.n_a == 1:  # one block: the dense X's BLAS call, so the same bytes
+            out[:2] = S.T @ M
+        else:
+            for i in (0, 1):
+                for j in range(M.shape[1]):
+                    out[i:k:2, j] = np.bincount(self.a_idx, S[:, i] * M[:, j], info.n_a)
+        if info.n_eta:
+            for j in range(M.shape[1]):
+                out[k:, j] = np.bincount(self.eta_idx, M[:, j], info.n_eta)
+        return out
+
+    def xphi(self, phi: np.ndarray) -> np.ndarray:
+        """X @ phi, shape (n, 2)."""
+        info, S = self.info, self.source_points
+        phi = np.asarray(phi, dtype=float)
+        if info.n_a == 0:
+            out = np.zeros((self.n, 2))
+        elif info.n_a == 1:  # one block: the dense X's BLAS call, so the same bytes
+            out = S @ phi[:2]
+        else:
+            blocks = phi[: 2 * info.n_a].reshape(info.n_a, 2, 2)
+            out = S[:, :1] * blocks[self.a_idx, 0] + S[:, 1:] * blocks[self.a_idx, 1]
+        if info.n_eta:
+            out += phi[2 * info.n_a + self.eta_idx]
+        return out
+
+    @cached_property
+    def deficient_blocks(self) -> tuple[str, ...]:
+        """Blocks whose columns leave X rank deficient, judged with the
+        tolerance of np.linalg.matrix_rank on the dense X."""
+        if not self.p:
+            return ()
+        S, info = self.source_points, self.info
+        s1, s2 = _block_singular_values(S, self.a_idx, _block_grams(S, self.a_idx, info.n_a))
+        # without intercept columns, X's singular values are the blocks'
+        tol = s1.max() * max(self.n, self.p) * np.finfo(float).eps
+        labels = tuple(f"A[{lab}]" for lab, s in zip(info.a_labels, s2) if not s > tol)
+        if info.n_eta:
+            # intercept columns couple the blocks; this X is small
+            if np.linalg.matrix_rank(self.X) == self.p:
+                return ()
+            return labels or ("intercept columns",)
+        return labels
+
+    @property
+    def rank_deficient(self) -> bool:
+        return bool(self.deficient_blocks)
+
+
+def source_cells(spec: ModelSpec, series: PlanarSeries, tess: Tessellation | None = None):
+    """Tessellation cell of each source day (every day but the last), or
+    None when the spec has no cell blocks. Cells come from `tess` when it is
+    given, otherwise from the series' node assignments."""
+    if not spec.needs_cells:
+        return None
+    if tess is not None:
+        return tess.assign(series.points[:-1])
+    if series.node_assignment is not None:
+        return series.node_assignment[:-1]
+    raise DataError("cell-dependent blocks need a tessellation or node assignments")
+
+
+def stack_design(
+    series: PlanarSeries,
+    spec: ModelSpec,
+    tess: Tessellation | None = None,
+    info: DesignInfo | None = None,
+) -> DesignPair:
+    """One-step design of a trajectory, in the column layout of `info` when
+    given and of the blocks the days visit otherwise."""
+    S = np.ascontiguousarray(series.points[:-1])
+    n = S.shape[0]
+    cells = source_cells(spec, series, tess)
+    dates = None if series.dates is None else series.dates[:-1]
+    info, a_idx, eta_idx = block_indices(spec, n, cells, dates, info)
+    return DesignPair(
+        Y=series.points[1:],
+        offset=S.copy() if spec.a_structure == "random_walk" else np.zeros((n, 2)),
+        source_points=S, a_idx=a_idx, eta_idx=eta_idx, source_cells=cells,
+        source_dates=dates, info=info,
+    )
+
+
+def _first_few(labels, limit: int = 5) -> str:
+    shown = ", ".join(labels[:limit])
+    return shown if len(labels) <= limit else f"{shown} and {len(labels) - limit} more"
 
 
 def build_design(
@@ -530,55 +767,17 @@ def build_design(
 ) -> DesignPair:
     """Lay out the one-step design for a planar trajectory."""
     spec = resolve_spec(spec)
-    T = series.n_days
-    if T < 3:
-        raise EmptySeries(f"need at least 3 days to regress, got {T}")
-    Y = series.points[1:]
-    S = series.points[:-1]
-    n = T - 1
-
-    cells = None
-    if spec.needs_cells:
-        if tess is not None:
-            cells = tess.assign(S)
-        elif series.node_assignment is not None:
-            cells = series.node_assignment[:-1]
-        else:
-            raise DataError("cell-dependent blocks need a tessellation or assignments")
-    dates = None if series.dates is None else series.dates[:-1]
-    if spec.needs_dates and dates is None:
-        raise UnlabeledDate(f"{spec.a_structure}/{spec.eta_structure} needs dated days")
-
-    info = DesignInfo.from_observations(spec, dates, cells)
-    X = np.zeros((n, info.n_columns))
-    offset = np.zeros((n, 2))
-    if spec.a_structure == "random_walk":
-        offset = S.copy()
-    else:
-        rows = np.arange(n)
-        a_idx = np.array([
-            info.a_index(None if cells is None else int(cells[t]),
-                         None if dates is None else dates[t])
-            for t in range(n)
-        ])
-        X[rows, 2 * a_idx] = S[:, 0]
-        X[rows, 2 * a_idx + 1] = S[:, 1]
-        if info.n_eta:
-            eta_idx = np.array([info.eta_index(dates[t] if dates else None) for t in range(n)])
-            X[rows, 2 * info.n_a + eta_idx] = 1.0
-
-    rank_deficient = False
-    if X.shape[1]:
-        rank_deficient = np.linalg.matrix_rank(X) < X.shape[1]
-        if rank_deficient:
-            warnings.warn(
-                f"design is rank deficient ({X.shape[1]} columns)", RankWarning,
-                stacklevel=2,
-            )
-    return DesignPair(
-        Y=Y, X=X, offset=offset, source_points=S, source_cells=cells,
-        source_dates=dates, info=info, rank_deficient=rank_deficient,
-    )
+    if series.n_days < 3:
+        raise EmptySeries(f"need at least 3 days to regress, got {series.n_days}")
+    design = stack_design(series, spec, tess)
+    if design.rank_deficient:
+        warnings.warn(
+            f"design is rank deficient ({design.p} columns): "
+            f"{_first_few(design.deficient_blocks)}",
+            RankWarning,
+            stacklevel=2,
+        )
+    return design
 
 
 # ---------------------------------------------------------------------------
@@ -593,13 +792,8 @@ def mle_var(design: DesignPair) -> tuple[np.ndarray, np.ndarray]:
         phi = np.zeros((0, 2))
         resid = Yc
     else:
-        xtx = design.X.T @ design.X
-        try:
-            factor = scipy.linalg.cho_factor(xtx)
-        except scipy.linalg.LinAlgError:
-            raise SingularDesign("X'X is singular") from None
-        phi = scipy.linalg.cho_solve(factor, design.X.T @ Yc)
-        resid = Yc - design.X @ phi
+        phi = design.gram.solve(design.xt(Yc))
+        resid = Yc - design.xphi(phi)
     sigma = resid.T @ resid / n
     return phi, 0.5 * (sigma + sigma.T)
 
@@ -627,7 +821,7 @@ def log_likelihood(
         raise NonPDSigma("innovation covariance is not positive definite") from None
     mean = design.offset.copy()
     if design.p:
-        mean += design.X @ np.asarray(phi, dtype=float)
+        mean += design.xphi(phi)
     if adjust is not None:
         mean += coregional_eta(design.source_points, adjust)
     resid = design.Y - mean

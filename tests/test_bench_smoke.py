@@ -1,8 +1,9 @@
-"""One tiny traced run of the benchmark, so it cannot silently rot.
+"""Tiny traced runs of the benchmark, so it cannot silently rot.
 
 The benchmark in ``perfbench/`` wraps the program's cross-module calls and
 reads ``GreedyProjector.cand_order``; a change that breaks either shows up
-here as a failed check or a span that never fired.
+here as a failed check or a span that never fired. ``fields`` covers the
+map and projection layers, ``ladder`` the design, sampler and scoring ones.
 """
 
 import json
@@ -13,9 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_fields_tiny_traced_run():
+def tiny_traced_run(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "fields", "--scale", "tiny",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--scale", "tiny",
          "--seed", "3", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -27,3 +28,11 @@ def test_fields_tiny_traced_run():
     record_line = next(ln for ln in lines if ln.startswith("record: "))
     record = json.loads((ROOT / record_line.removeprefix("record: ")).read_text())
     assert record["missing_spans"] == []
+
+
+def test_fields_tiny_traced_run():
+    tiny_traced_run("fields")
+
+
+def test_ladder_tiny_traced_run():
+    tiny_traced_run("ladder")

@@ -279,6 +279,25 @@ class TestFitEvaluate:
         )
         assert code == 2
 
+    def test_cell_model_fitted_without_tessellation(self, tmp_path):
+        # the chain records no tessellation; the series' node assignments
+        # route its days to cells, at fit and at evaluation alike
+        series = simulate_into(tmp_path, model="model2", days=400, seed=3)
+        assert run(
+            "fit", "--spec", "model2", "--series", series, "--iters", 150,
+            "--burn-in", 30, "--out", tmp_path,
+        ) == 0
+        chain = tmp_path / "model2.chain"
+        assert load_chain(chain).tess_sites is None
+        assert run(
+            "evaluate", "--chain", chain, "--series", series, "--draws", 100,
+            "--out", tmp_path,
+        ) == 0
+        assert run(
+            "predict", "--chain", chain, "--series", series, "--draws", 100,
+            "--out", tmp_path,
+        ) == 0
+
     def test_undated_series_against_seasonal_chain(self, tmp_path):
         dated = tmp_path / "dated"
         series = simulate_into(

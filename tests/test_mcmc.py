@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial.distance import cdist
 from scipy.stats import invwishart, truncnorm
 
+import stvar.mcmc
 from stvar.errors import (
     DataError,
     DimensionMismatch,
@@ -18,6 +20,7 @@ from stvar.errors import (
     ShortRead,
     UnlabeledDate,
 )
+from stvar.evaluate import dic, score_model
 from stvar.mcmc import (
     Chain,
     McmcConfig,
@@ -31,6 +34,7 @@ from stvar.mcmc import (
     split_rhat,
 )
 from stvar.models import (
+    DesignPair,
     KnotGrid,
     ModelSpec,
     build_design,
@@ -650,3 +654,118 @@ class TestChainFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="draw line 2: non-finite"):
             load_chain(path)
+
+
+class DenseOracleSampler(_Sampler):
+    """The Phi and Sigma conditionals computed from the dense n x p X: Phi
+    is drawn around a least-squares refit on every sweep and the Sigma
+    scale comes from the n x 2 residuals. The other conditionals are the
+    sampler's own."""
+
+    def __init__(self, design, config, rng, knots, theta_upper):
+        super().__init__(design, config, rng, knots, theta_upper)
+        X = self.X = design.X
+        self.xtx_factor = scipy.linalg.cho_factor(X.T @ X)
+        inv = scipy.linalg.cho_solve(self.xtx_factor, np.eye(self.p))
+        self.L_xx = np.linalg.cholesky(0.5 * (inv + inv.T))
+        phi0 = scipy.linalg.cho_solve(self.xtx_factor, X.T @ self.Yc)
+        resid = self.Yc - X @ phi0
+        sig0 = resid.T @ resid / self.n
+        sig0 = 0.5 * (sig0 + sig0.T)
+        self.fixed_scale = sig0 * self.n
+        self.phi = phi0
+        self.sigma = self._pd_init(sig0)
+
+    def update_phi(self):
+        Yeff = self.Yc - self.eta if self.spatial else self.Yc
+        phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.X.T @ Yeff)
+        z = self.rng.standard_normal((self.p, 2))
+        L_sig = np.linalg.cholesky(self.sigma)
+        self.phi = phi_hat + self.L_xx @ z @ L_sig.T
+
+    def update_sigma(self):
+        if self.config.sigma_mode == "fixed_scale":
+            scale = self.fixed_scale
+        else:
+            resid = self.Yc - self.eta if self.spatial else self.Yc.copy()
+            resid = resid - self.X @ self.phi
+            scale = resid.T @ resid
+        sig = invwishart.rvs(df=self.df, scale=scale, random_state=self.rng)
+        self.sigma = 0.5 * (sig + sig.T)
+
+    def _resid_no_eta(self):
+        return self.Yc - self.X @ self.phi
+
+
+def dense_oracle_chain(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(stvar.mcmc, "_Sampler", DenseOracleSampler)
+        return run_chain(*args, **kwargs)
+
+
+def max_rel_diff(a, b):
+    return float((np.abs(a - b) / np.abs(b)).max())
+
+
+TESS4 = default_tessellation(4)
+
+
+def ladder_series(model, n_days, seed):
+    truth = ladder_truth(model, tess=TESS4, start_date="1990-01-01", n_days=n_days)
+    return simulate_var(truth, n_days, tess=TESS4, start_date="1990-01-01", seed=seed)
+
+
+class TestDenseOracle:
+    """The sufficient-statistic sampler against the dense-X conditionals."""
+
+    @pytest.mark.parametrize("model,sigma_mode", [
+        ("model1", "full_conditional"),
+        ("model3", "full_conditional"),
+        ("model9", "full_conditional"),
+        ("model9", "fixed_scale"),
+    ])
+    def test_same_seed_chain_matches_to_rounding(self, monkeypatch, model, sigma_mode):
+        series = ladder_series(model, 1200, seed=31)
+        cfg = McmcConfig(n_iter=150, burn_in=50, seed=4, sigma_mode=sigma_mode)
+        chain = run_chain(series, model, cfg, tess=TESS4)
+        oracle = dense_oracle_chain(monkeypatch, series, model, cfg, tess=TESS4)
+        assert chain.phi.shape == oracle.phi.shape
+        assert max_rel_diff(chain.phi, oracle.phi) <= 1e-9
+        assert max_rel_diff(chain.sigma, oracle.sigma) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+    def test_spatial_chain_is_bitwise_equal(self, monkeypatch):
+        spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
+        series = ladder_series("model11", 150, seed=32)
+        cfg = McmcConfig(n_iter=80, burn_in=30, seed=6)
+        chain = run_chain(series, spec, cfg)
+        oracle = dense_oracle_chain(monkeypatch, series, spec, cfg)
+        for name in ("phi", "sigma", "theta", "q", "wstar"):
+            np.testing.assert_array_equal(getattr(chain, name), getattr(oracle, name))
+
+    def test_model9_never_builds_the_dense_design(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the dense X was built")
+
+        series = ladder_series("model9", 800, seed=33)
+        monkeypatch.setattr(DesignPair, "X", property(refuse))
+        chain = run_chain(series, "model9", McmcConfig(n_iter=60, burn_in=20, seed=1),
+                          tess=TESS4)
+        pred = predict_series(chain, series, tess=TESS4, n_draws=20)
+        assert np.isfinite(pred.draws).all()
+        assert np.isfinite(dic(chain, series, tess=TESS4).dic)
+
+
+def test_cell_model_fitted_from_node_assignments_can_be_scored():
+    tess = default_tessellation()
+    series = simulate_var(ladder_truth("model2", tess=tess), n_days=400, tess=tess, seed=34)
+    assert series.node_assignment is not None
+    chain = run_chain(series, "model2", McmcConfig(n_iter=150, burn_in=30, seed=0))
+    assert chain.tess_sites is None
+    score = score_model(chain, series, n_draws=100)
+    assert np.isfinite([score.rmspe, score.dic, score.p_d, score.coverage]).all()
+    # the node assignments route days as the tessellation they came from does
+    np.testing.assert_array_equal(
+        predict_series(chain, series, n_draws=5).draws,
+        predict_series(chain, series, tess=tess, n_draws=5).draws,
+    )

@@ -42,6 +42,7 @@ from stvar.models import (
     spec_to_dict,
 )
 from stvar.projection import PlanarSeries, Tessellation
+from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
 
 
 def daily(start, n):
@@ -220,6 +221,88 @@ class TestBuildDesign:
         series = PlanarSeries(points=np.random.default_rng(0).normal(size=(5, 2)))
         with pytest.raises(DataError):
             build_design(series, "model2")
+
+
+def cell_design(points, source_cells, spec="model2", dates=None):
+    cells = np.append(np.asarray(source_cells, dtype=int), 0)
+    return build_design(PlanarSeries(points=points, node_assignment=cells, dates=dates), spec)
+
+
+class TestRankVerdict:
+    """The per-block rank test against np.linalg.matrix_rank on the dense X."""
+
+    def check(self, design, deficient, labels):
+        assert design.rank_deficient == deficient
+        assert design.rank_deficient == (np.linalg.matrix_rank(design.X) < design.p)
+        assert design.deficient_blocks == labels
+
+    def test_one_day_block(self):
+        pts = np.random.default_rng(50).normal(size=(31, 2))
+        with pytest.warns(RankWarning, match=r"\(6 columns\): A\[2\]$"):
+            design = cell_design(pts, [0] * 15 + [1] * 14 + [2])
+        self.check(design, True, ("A[2]",))
+
+    def test_collinear_block(self):
+        rng = np.random.default_rng(51)
+        pts = rng.normal(size=(41, 2))
+        cells = np.arange(40) % 2
+        pts[:40][cells == 1] = rng.normal(size=(20, 1)) * np.array([0.3, 0.7])
+        with pytest.warns(RankWarning, match=r"A\[1\]"):
+            design = cell_design(pts, cells)
+        self.check(design, True, ("A[1]",))
+
+    def test_full_rank_model9(self):
+        tess = default_tessellation(4)
+        truth = ladder_truth("model9", tess=tess, start_date="1990-01-01", n_days=1095)
+        series = simulate_var(truth, 1095, tess=tess, start_date="1990-01-01", seed=52)
+        design = build_design(series, "model9", tess=tess)
+        assert design.p == 2 * 4 * 3
+        self.check(design, False, ())
+
+    def test_intercept_coupled_model3(self):
+        # one cell whose x-coordinate never moves: the block is full rank,
+        # but its sx column equals the sum of the quarter intercept columns
+        pts = np.column_stack([np.ones(121), np.random.default_rng(53).normal(size=121)])
+        with pytest.warns(RankWarning, match="intercept columns"):
+            design = cell_design(pts, [0] * 120, "model3", dates=daily("2000-01-01", 121))
+        assert design.info.eta_labels == ("DJF", "MAM")
+        self.check(design, True, ("intercept columns",))
+
+    def test_warning_names_at_most_five_blocks(self):
+        pts = np.random.default_rng(54).normal(size=(29, 2))
+        with pytest.warns(RankWarning) as caught:
+            cell_design(pts, [8] * 20 + list(range(8)))
+        assert str(caught[0].message).endswith(
+            "(18 columns): A[0], A[1], A[2], A[3], A[4] and 3 more"
+        )
+
+
+class TestBlockProducts:
+    """Products taken from the block indices against the dense X."""
+
+    @pytest.fixture(params=["model1", "model3", "model5", "model9", "constant+constant"])
+    def design(self, request):
+        tess = default_tessellation(3)
+        if request.param == "constant+constant":
+            series = PlanarSeries(points=np.random.default_rng(55).normal(size=(50, 2)))
+            return build_design(series, ModelSpec("constant", "constant"))
+        truth = ladder_truth(request.param, tess=tess, start_date="1990-01-01", n_days=900)
+        series = simulate_var(truth, 900, tess=tess, start_date="1990-01-01", seed=56)
+        return build_design(series, request.param, tess=tess)
+
+    def test_match_dense_x(self, design):
+        rng = np.random.default_rng(57)
+        X, p = design.X, design.p
+        M = rng.normal(size=(design.n, 2))
+        B = rng.normal(size=(p, 2))
+        xtx = X.T @ X
+        np.testing.assert_allclose(design.xt(M), X.T @ M, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(design.xphi(B), X @ B, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(design.gram.solve(B), np.linalg.solve(xtx, B), rtol=1e-9)
+        np.testing.assert_allclose(design.gram.quad(B), B.T @ xtx @ B, rtol=1e-12)
+        L = design.gram.times_inv_factor(np.eye(p))
+        np.testing.assert_allclose(np.tril(L), L, atol=0)
+        np.testing.assert_allclose(L @ L.T, np.linalg.inv(xtx), rtol=1e-9, atol=1e-15)
 
 
 class TestMle:
