@@ -454,7 +454,8 @@ def cmd_fit(args) -> dict:
         "inputs": inputs,
         "outputs": [out_path],
         "name": f"fit_{slug}",
-        "extra_config": {"resolved_spec": slug, "converged": chain.converged},
+        "extra_config": {"resolved_spec": slug, "converged": chain.converged,
+                         **chain.tuning},
     }
 
 

@@ -23,8 +23,8 @@ from .errors import (
     SingularDesign,
     UnlabeledDate,
 )
-from .mcmc import Chain, SeriesPrediction, chain_design, predict_series
-from .models import SEASONS, Calendar, coregional_eta
+from .mcmc import Chain, SeriesPrediction, chain_design, mean_paths, predict_series
+from .models import SEASONS, Calendar
 from .projection import PlanarSeries, Tessellation
 from .som import SomModel, lattice_shape
 
@@ -123,28 +123,30 @@ def dic(
     series: PlanarSeries,
     tess: Tessellation | None = None,
     n_draws: int | None = None,
+    means: np.ndarray | None = None,
 ) -> DicResult:
     """Deviance information criterion: mean deviance plus p_D.
 
     p_D is the mean deviance minus the deviance at the posterior means
     (covariance repaired to positive definite if averaging degrades it).
+    `means` may hold the draws' mean paths from `mean_paths`.
     """
     design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
-
-    def deviance(phi, sigma, adjust):
-        mean = design.offset + design.xphi(phi)
-        if adjust is not None:
-            mean = mean + coregional_eta(design.source_points, adjust)
-        return _gauss_deviance(design.Y - mean, sigma)
-
-    devs = np.empty(idx.size)
-    for b, i in enumerate(idx):
-        devs[b] = deviance(chain.phi[i], chain.sigma[i], chain.draw(int(i)).adjust)
+    if means is None:
+        means = mean_paths(chain, design, chain.draws(idx))
+    elif means.shape != (idx.size, design.n, 2):
+        raise LengthMismatch(
+            f"mean paths of shape {means.shape} do not match {idx.size} draws "
+            f"of {design.n} steps"
+        )
+    devs = np.array([_gauss_deviance(design.Y - mean, chain.sigma[i])
+                     for mean, i in zip(means, idx)])
     d_bar = float(devs.mean())
 
     pm = chain.posterior_mean()
-    d_hat = deviance(pm.phi, repair_pd(pm.sigma), pm.adjust)
+    d_hat = _gauss_deviance(design.Y - mean_paths(chain, design, [pm])[0],
+                            repair_pd(pm.sigma))
 
     p_d = d_bar - d_hat
     return DicResult(dic=d_bar + p_d, p_d=p_d, d_bar=d_bar, d_hat=d_hat,
@@ -183,19 +185,21 @@ def score_model(
     seed: int = 0,
     method: str = "ellipse",
 ) -> ModelScore:
-    """RMSPE, DIC, and coverage of one fitted chain on one trajectory."""
-    pred = predict_series(
-        chain, series, tess=tess, n_draws=n_draws, seed=seed, include_noise=True
-    )
-    means = predict_series(
-        chain, series, tess=tess, n_draws=n_draws, seed=seed, include_noise=False
-    )
-    d = dic(chain, series, tess=tess, n_draws=n_draws)
+    """RMSPE, DIC, and coverage of one fitted chain on one trajectory.
+
+    Every draw's mean path is computed once; DIC and RMSPE read it, then
+    the predictive draws are written over it.
+    """
+    design = chain_design(chain, series, tess)
+    means = mean_paths(chain, design, chain.draws(chain.draw_indices(n_draws)))
+    d = dic(chain, series, tess=tess, n_draws=n_draws, means=means)
+    fit = rmspe(means.mean(axis=0), design.Y)
+    pred = predict_series(chain, series, tess=tess, n_draws=n_draws, seed=seed, means=means)
     spec = chain.spec
     name = spec.name or f"{spec.a_structure}/{spec.eta_structure}"
     return ModelScore(
         model=name,
-        rmspe=rmspe(means),
+        rmspe=fit,
         dic=d.dic,
         p_d=d.p_d,
         coverage=coverage(pred, level=level, method=method),
@@ -282,13 +286,11 @@ def model_transitions(
             raise LengthMismatch("select mask must cover the source days")
     B, n, _ = pred.draws.shape
     landed = t.assign(pred.draws.reshape(B * n, 2)).reshape(B, n)
+    if select is not None:
+        src, landed = src[select], landed[:, select]
     M = t.n_cells
-    counts = np.zeros((M, M))
-    for i in range(n):
-        if select is not None and not select[i]:
-            continue
-        counts[src[i]] += np.bincount(landed[:, i], minlength=M)
-    return _normalize_counts(counts)
+    counts = np.bincount((src * M + landed).ravel(), minlength=M * M)
+    return _normalize_counts(counts.reshape(M, M).astype(float))
 
 
 def transition_distances(series: PlanarSeries) -> np.ndarray:

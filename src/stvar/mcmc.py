@@ -32,6 +32,7 @@ from .errors import (
     DataError,
     DimensionMismatch,
     InsufficientDf,
+    LengthMismatch,
     MalformedHeader,
     NonConvergenceWarning,
     NonPDScale,
@@ -42,13 +43,14 @@ from .models import (
     DesignInfo,
     DesignPair,
     ModelSpec,
+    PredictiveProcess,
     SpatialAdjust,
     build_design,
     chol_spd,
-    coregional_eta,
+    coregionalize,
     domain_diameter,
-    exp_corr,
     mle_var,
+    point_design,
     resolve_spec,
     spec_from_dict,
     spec_to_dict,
@@ -122,6 +124,7 @@ class Chain:
     n_obs: int
     config: McmcConfig
     acceptance: dict = field(default_factory=dict)
+    tuning: dict = field(default_factory=dict)  # run_chain only; not in chain files
     rhat_max: float = float("nan")
     converged: bool = True
 
@@ -156,6 +159,10 @@ class Chain:
             )
         return PosteriorDraw(phi=self.phi[i], sigma=self.sigma[i], adjust=adjust)
 
+    def draws(self, idx) -> list[PosteriorDraw]:
+        """The draws at indices `idx`, in order."""
+        return [self.draw(int(i)) for i in idx]
+
     def draw_indices(self, n_draws: int | None) -> np.ndarray:
         """Evenly spaced draw indices; all of them when n_draws is None."""
         if n_draws is None or n_draws >= self.n_draws:
@@ -186,12 +193,10 @@ def _pd2(mat: np.ndarray) -> bool:
     return mat[0, 0] > 0.0 and mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] > 0.0
 
 
-def _corr_factor(knots, points, theta, jitter):
-    """Cholesky of C*(theta) and the interpolation weights at `points`."""
-    cstar = exp_corr(knots, knots, theta)
-    L, _ = chol_spd(cstar, jitter)
-    W = scipy.linalg.cho_solve((L, True), exp_corr(knots, points, theta)).T
-    return L, W
+def _sandwich(L_j: np.ndarray, M: np.ndarray, L_k: np.ndarray) -> np.ndarray:
+    """C_j^{-1} M C_k^{-1} for C = L L'."""
+    inner = scipy.linalg.cho_solve((L_k, True), M.T, check_finite=False).T
+    return scipy.linalg.cho_solve((L_j, True), inner, check_finite=False)
 
 
 class _Sampler:
@@ -236,6 +241,8 @@ class _Sampler:
             self.q = np.eye(2)
             self.wstar = np.zeros((2, self.m))
             self.jitter = design.info.spec.jitter
+            self.pp = PredictiveProcess(self.knots, design.source_points, self.jitter)
+            self.max_jitter = 0.0
             self._log_step = np.log([config.proposal_scale] * 2)
             self._window_acc = np.zeros(2, dtype=int)
             self._window_n = np.zeros(2, dtype=int)
@@ -254,33 +261,45 @@ class _Sampler:
         return sigma
 
     # -- spatial caches ------------------------------------------------
+    # Field k is held by the Cholesky L_k of C*(theta_k) and the knot-to-day
+    # correlations K_k = exp(-theta_k D); its values at the days are
+    # w_k = K_k' C*^{-1} w*_k, and the basis W_k = (C*^{-1} K_k)' is never formed.
 
-    def _refresh_field(self, k: int):
-        L, W = _corr_factor(self.knots, self.design.source_points, float(self.theta[k]), self.jitter)
+    def _factor(self, theta: float) -> np.ndarray:
+        L, used = self.pp.factor(theta)
+        self.max_jitter = max(self.max_jitter, used)
+        return L
+
+    def _set_field(self, k: int, L: np.ndarray, K: np.ndarray):
         if k == 0:
-            self.L1, self.W1 = L, W
+            self.L1, self.K1 = L, K
         else:
-            self.L2, self.W2 = L, W
+            self.L2, self.K2 = L, K
         self._grams = None
 
-    def _gram(self):
-        if self._grams is None:
-            eye = np.eye(self.m)
-            self._grams = (
-                self.W1.T @ self.W1,
-                self.W2.T @ self.W2,
-                self.W1.T @ self.W2,
-                scipy.linalg.cho_solve((self.L1, True), eye),
-                scipy.linalg.cho_solve((self.L2, True), eye),
-            )
-        return self._grams
+    def _refresh_field(self, k: int):
+        theta = float(self.theta[k])
+        self._set_field(k, self._factor(theta), self.pp.cross(theta))
 
     def _refresh_eta(self):
-        w1 = self.W1 @ self.wstar[0]
-        w2 = self.W2 @ self.wstar[1]
-        self.eta = np.column_stack(
-            [self.q[0, 0] * w1, self.q[1, 0] * w1 + self.q[1, 1] * w2]
-        )
+        """Field values w_k from w*_k, and eta from them."""
+        self.w = [self.pp.interpolate(self.L1, self.K1, self.wstar[0]),
+                  self.pp.interpolate(self.L2, self.K2, self.wstar[1])]
+        self.eta = coregionalize(self.q, *self.w)
+
+    def _gram(self):
+        """W_j' W_k = C_j^{-1} (K_j K_k') C_k^{-1} and the inverses C_k^{-1}."""
+        if self._grams is None:
+            L1, L2, K1, K2 = self.L1, self.L2, self.K1, self.K2
+            eye = np.eye(self.m)
+            self._grams = (
+                _sandwich(L1, K1 @ K1.T, L1),
+                _sandwich(L2, K2 @ K2.T, L2),
+                _sandwich(L1, K1 @ K2.T, L2),
+                scipy.linalg.cho_solve((L1, True), eye),
+                scipy.linalg.cho_solve((L2, True), eye),
+            )
+        return self._grams
 
     # -- conditional updates -------------------------------------------
 
@@ -323,15 +342,14 @@ class _Sampler:
             R = R - self.design.xphi(self.phi)
         return R
 
-    def _field_logpost(self, k, L, W, R, omega):
-        """Joint log density terms that move with theta_k (constants dropped)."""
-        w1 = (W if k == 0 else self.W1) @ self.wstar[0]
-        w2 = (W if k == 1 else self.W2) @ self.wstar[1]
-        eta = np.column_stack(
-            [self.q[0, 0] * w1, self.q[1, 0] * w1 + self.q[1, 1] * w2]
-        )
-        e = R - eta
-        loglik = -0.5 * float(np.einsum("ni,ij,nj->", e, omega, e))
+    def _field_logpost(self, k, L, w_k, R, omega):
+        """Joint log density terms that move with theta_k (constants dropped),
+        for field k at factor L and day values w_k; the other field keeps
+        its current values."""
+        w = list(self.w)
+        w[k] = w_k
+        e = R - coregionalize(self.q, *w)
+        loglik = -0.5 * float(((e @ omega) * e).sum())
         v = scipy.linalg.solve_triangular(L, self.wstar[k], lower=True)
         logprior = -0.5 * float(v @ v) - float(np.log(np.diag(L)).sum())
         return loglik + logprior
@@ -348,26 +366,22 @@ class _Sampler:
             R = self._resid_no_eta()
             omega = self._omega()
             L_cur = self.L1 if k == 0 else self.L2
-            W_cur = self.W1 if k == 0 else self.W2
             try:
-                L_prop, W_prop = _corr_factor(
-                    self.knots, self.design.source_points, prop, self.jitter
-                )
+                L_prop = self._factor(prop)
             except NumericalError:
                 L_prop = None
             if L_prop is not None:
-                lp_prop = self._field_logpost(k, L_prop, W_prop, R, omega)
-                lp_cur = self._field_logpost(k, L_cur, W_cur, R, omega)
+                K_prop = self.pp.cross(prop)
+                w_prop = self.pp.interpolate(L_prop, K_prop, self.wstar[k])
+                lp_prop = self._field_logpost(k, L_prop, w_prop, R, omega)
+                lp_cur = self._field_logpost(k, L_cur, self.w[k], R, omega)
                 # log-normal proposal: Hastings term log(prop/cur)
                 log_alpha = lp_prop - lp_cur + np.log(prop) - np.log(cur)
                 if np.log(self.rng.uniform()) < log_alpha:
                     self.theta[k] = prop
-                    if k == 0:
-                        self.L1, self.W1 = L_prop, W_prop
-                    else:
-                        self.L2, self.W2 = L_prop, W_prop
-                    self._grams = None
-                    self._refresh_eta()
+                    self._set_field(k, L_prop, K_prop)
+                    self.w[k] = w_prop
+                    self.eta = coregionalize(self.q, *self.w)
                     accepted = True
         if accepted:
             self._window_acc[k] += 1
@@ -395,8 +409,12 @@ class _Sampler:
         P[:m, m:] = a12 * g12
         P[m:, :m] = a12 * g12.T
         P[m:, m:] = a22 * g22 + c2inv
-        b = np.concatenate([self.W1.T @ (R @ (omega @ u)), self.W2.T @ (R @ (omega @ v))])
-        Lp, _ = chol_spd(P, self.jitter)
+        b = np.concatenate([
+            scipy.linalg.cho_solve((self.L1, True), self.K1 @ (R @ (omega @ u))),
+            scipy.linalg.cho_solve((self.L2, True), self.K2 @ (R @ (omega @ v))),
+        ])
+        Lp, used = chol_spd(P, self.jitter)
+        self.max_jitter = max(self.max_jitter, used)
         mean = scipy.linalg.cho_solve((Lp, True), b)
         z = self.rng.standard_normal(2 * m)
         draw = mean + scipy.linalg.solve_triangular(Lp.T, z, lower=False)
@@ -407,8 +425,7 @@ class _Sampler:
         omega = self._omega()
         o00, o01, o11 = omega[0, 0], omega[0, 1], omega[1, 1]
         tau2 = self.config.q_prior_sd**2
-        w1 = self.W1 @ self.wstar[0]
-        w2 = self.W2 @ self.wstar[1]
+        w1, w2 = self.w
         R = self._resid_no_eta()
         rx, ry = R[:, 0], R[:, 1]
         tiny = np.finfo(float).tiny
@@ -432,7 +449,7 @@ class _Sampler:
         q11 = truncnorm.rvs((0.0 - mean) / sd, np.inf, loc=mean, scale=sd,
                             random_state=self.rng)
         self.q[1, 1] = max(float(q11), tiny)
-        self._refresh_eta()
+        self.eta = coregionalize(self.q, w1, w2)
 
     def sweep(self, adapting: bool):
         self.update_phi()
@@ -451,6 +468,16 @@ class _Sampler:
             n = self._kept_n[k]
             out[name] = float(self._kept_acc[k] / n) if n else float("nan")
         return out
+
+    def tuning(self) -> dict:
+        """Final Metropolis log-steps and the largest chol_spd jitter used."""
+        if not self.spatial:
+            return {}
+        return {
+            "theta_log_step": {name: float(self._log_step[k])
+                               for k, name in enumerate(("theta1", "theta2"))},
+            "max_jitter": float(self.max_jitter),
+        }
 
 
 def split_rhat(x: np.ndarray) -> float:
@@ -540,6 +567,7 @@ def run_chain(
         n_obs=design.n,
         config=config,
         acceptance=sampler.acceptance_rates(),
+        tuning=sampler.tuning(),
     )
     chain.rhat_max = _chain_rhat(chain)
     chain.converged = not (chain.rhat_max > config.rhat_threshold)
@@ -580,6 +608,25 @@ def chain_design(chain: Chain, series: PlanarSeries, tess: Tessellation | None =
                         tess if tess is not None else chain.tessellation(), chain.info)
 
 
+def mean_paths(chain: Chain, design: DesignPair, draws: list[PosteriorDraw]) -> np.ndarray:
+    """One-step means offset + X phi + eta of each posterior draw on
+    `design`, shape (B, n, 2).
+
+    The knot geometry is computed once per call and the draws stream
+    through it one at a time, so no (B, m, n) kernel stack is formed.
+    """
+    pp = None
+    if chain.is_spatial:
+        pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
+    out = np.empty((len(draws), design.n, 2))
+    for b, draw in enumerate(draws):
+        mean = design.offset + design.xphi(draw.phi)
+        if pp is not None:
+            mean = mean + pp.eta(draw.adjust)
+        out[b] = mean
+    return out
+
+
 def predict_series(
     chain: Chain,
     series: PlanarSeries,
@@ -587,27 +634,30 @@ def predict_series(
     n_draws: int | None = 500,
     seed: int = 0,
     include_noise: bool = True,
+    means: np.ndarray | None = None,
 ) -> SeriesPrediction:
     """One-step-ahead draws for every transition in `series`.
 
     Day t's prediction uses the observed day t-1, so draws[:, i] targets
-    series.points[i + 1].
+    series.points[i + 1]. `means` may hold the draws' mean paths from
+    `mean_paths`; the noisy draws are then written over them in place.
     """
-    design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
-    B, n = idx.size, design.n
-    out = np.empty((B, n, 2))
-    rng = np.random.default_rng(seed)
-    for b, i in enumerate(idx):
-        mean = design.offset + design.xphi(chain.phi[i])
-        if chain.is_spatial:
-            mean = mean + coregional_eta(design.source_points, chain.draw(int(i)).adjust)
-        if include_noise:
+    if means is None:
+        means = mean_paths(chain, chain_design(chain, series, tess), chain.draws(idx))
+    elif means.shape != (idx.size, series.n_days - 1, 2):
+        raise LengthMismatch(
+            f"mean paths of shape {means.shape} do not match {idx.size} draws "
+            f"of {series.n_days - 1} steps"
+        )
+    if include_noise:
+        rng = np.random.default_rng(seed)
+        n = means.shape[1]
+        for b, i in enumerate(idx):
             L = np.linalg.cholesky(chain.sigma[i])
-            mean = mean + rng.standard_normal((n, 2)) @ L.T
-        out[b] = mean
+            means[b] += rng.standard_normal((n, 2)) @ L.T
     dates = series.dates[1:] if series.dates is not None else None
-    return SeriesPrediction(draws=out, actual=series.points[1:].copy(), dates=dates)
+    return SeriesPrediction(draws=means, actual=series.points[1:].copy(), dates=dates)
 
 
 def predict_one_step(
@@ -622,25 +672,19 @@ def predict_one_step(
 ) -> np.ndarray:
     """Draws of the next day's position given today's, shape (B, 2)."""
     point = np.asarray(point, dtype=float).reshape(2)
-    info = chain.info
-    spec = chain.spec
-    if spec.needs_cells and cell is None:
+    if chain.spec.needs_cells and cell is None:
         t = tess if tess is not None else chain.tessellation()
         if t is None:
             raise DataError("cell-dependent prediction needs a cell or tessellation")
         cell = int(t.assign_one(point))
-    x = info.row(point, cell, date)
+    design = point_design(chain.info, point, cell, date)
     idx = chain.draw_indices(n_draws)
-    rng = np.random.default_rng(seed)
-    out = np.empty((idx.size, 2))
-    for b, i in enumerate(idx):
-        mean = point.copy() if spec.a_structure == "random_walk" else x @ chain.phi[i]
-        if chain.is_spatial:
-            mean = mean + coregional_eta(point[None, :], chain.draw(int(i)).adjust)[0]
-        if include_noise:
+    out = mean_paths(chain, design, chain.draws(idx))[:, 0]
+    if include_noise:
+        rng = np.random.default_rng(seed)
+        for b, i in enumerate(idx):
             L = np.linalg.cholesky(chain.sigma[i])
-            mean = mean + L @ rng.standard_normal(2)
-        out[b] = mean
+            out[b] += L @ rng.standard_normal(2)
     return out
 
 

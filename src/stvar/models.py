@@ -744,13 +744,26 @@ def stack_design(
 ) -> DesignPair:
     """One-step design of a trajectory, in the column layout of `info` when
     given and of the blocks the days visit otherwise."""
-    S = np.ascontiguousarray(series.points[:-1])
-    n = S.shape[0]
-    cells = source_cells(spec, series, tess)
     dates = None if series.dates is None else series.dates[:-1]
+    return _rows_design(series.points[1:], np.ascontiguousarray(series.points[:-1]),
+                        spec, source_cells(spec, series, tess), dates, info)
+
+
+def point_design(info: DesignInfo, point, cell: int | None = None,
+                 date: _dt.date | None = None) -> DesignPair:
+    """The one-row design of a single day at `point` in the column layout
+    of `info`. Its next day is not observed, so Y is NaN."""
+    return _rows_design(np.full((1, 2), np.nan),
+                        np.asarray(point, dtype=float).reshape(1, 2), info.spec,
+                        None if cell is None else np.array([cell]),
+                        None if date is None else (date,), info)
+
+
+def _rows_design(Y, S, spec, cells, dates, info) -> DesignPair:
+    n = S.shape[0]
     info, a_idx, eta_idx = block_indices(spec, n, cells, dates, info)
     return DesignPair(
-        Y=series.points[1:],
+        Y=Y,
         offset=S.copy() if spec.a_structure == "random_walk" else np.zeros((n, 2)),
         source_points=S, a_idx=a_idx, eta_idx=eta_idx, source_cells=cells,
         source_dates=dates, info=info,
@@ -835,10 +848,14 @@ def log_likelihood(
 # Kriging pieces: exponential correlation, predictive-process basis
 
 
-def exp_corr(a: np.ndarray, b: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-theta * distance), elementwise over two point sets."""
+def _check_decay(theta: float) -> None:
     if theta <= 0.0 or not np.isfinite(theta):
         raise NonPositiveDecay(f"decay rate must be positive, got {theta}")
+
+
+def exp_corr(a: np.ndarray, b: np.ndarray, theta: float) -> np.ndarray:
+    """exp(-theta * distance), elementwise over two point sets."""
+    _check_decay(theta)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     return np.exp(-theta * cdist(a, b))
@@ -950,13 +967,61 @@ class SpatialAdjust:
             )
 
 
+def coregionalize(q: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Q (w1(s), w2(s))' at every point, shape (n, 2)."""
+    return np.column_stack([q[0, 0] * w1, q[1, 0] * w1 + q[1, 1] * w2])
+
+
 def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
-    """Spatial intercept at each point, shape (n, 2)."""
+    """Spatial intercept at each point, shape (n, 2), from the explicit
+    pp_basis weights. Repeated evaluation at fixed points goes through
+    PredictiveProcess instead."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w1 = pp_basis(pts, adjust.knots, float(adjust.theta[0]), adjust.jitter) @ adjust.wstar[0]
     w2 = pp_basis(pts, adjust.knots, float(adjust.theta[1]), adjust.jitter) @ adjust.wstar[1]
-    q = adjust.q
-    return np.column_stack([q[0, 0] * w1, q[1, 0] * w1 + q[1, 1] * w2])
+    return coregionalize(adjust.q, w1, w2)
+
+
+class PredictiveProcess:
+    """Knot geometry of the predictive-process intercept at fixed points.
+
+    The knot-to-knot and knot-to-point distances are computed once. A field
+    value w(s) = c(s)' C*^{-1} w* is then exp(-theta D)' (C*^{-1} w*): one
+    m x m Cholesky, one m-vector solve and one mat-vec. The n x m basis of
+    pp_basis is never formed.
+    """
+
+    def __init__(self, knots: np.ndarray, points: np.ndarray,
+                 jitter: JitterPolicy = JitterPolicy()):
+        self.knots = _check_knots(knots)
+        self.jitter = jitter
+        self.d_knots = cdist(self.knots, self.knots)
+        self.d_points = cdist(self.knots, np.atleast_2d(np.asarray(points, dtype=float)))
+
+    def factor(self, theta: float) -> tuple[np.ndarray, float]:
+        """Cholesky of C*(theta) and the jitter chol_spd needed for it."""
+        _check_decay(theta)
+        return chol_spd(np.exp(-theta * self.d_knots), self.jitter)
+
+    def cross(self, theta: float) -> np.ndarray:
+        """Knot-to-point correlations exp(-theta D), shape (m, n)."""
+        _check_decay(theta)
+        return np.exp(-theta * self.d_points)
+
+    @staticmethod
+    def interpolate(L: np.ndarray, cross: np.ndarray, wstar: np.ndarray) -> np.ndarray:
+        """Field values cross' C*^{-1} wstar, with L the Cholesky of C*."""
+        return cross.T @ scipy.linalg.cho_solve((L, True), wstar, check_finite=False)
+
+    def field(self, theta: float, wstar: np.ndarray) -> np.ndarray:
+        """Values at the points of the field with knot values wstar, shape (n,)."""
+        return self.interpolate(self.factor(theta)[0], self.cross(theta), wstar)
+
+    def eta(self, adjust: SpatialAdjust) -> np.ndarray:
+        """coregional_eta at the points, shape (n, 2)."""
+        w1 = self.field(float(adjust.theta[0]), adjust.wstar[0])
+        w2 = self.field(float(adjust.theta[1]), adjust.wstar[1])
+        return coregionalize(adjust.q, w1, w2)
 
 
 def domain_diameter(points: np.ndarray) -> float:

@@ -3,7 +3,8 @@
 The benchmark in ``perfbench/`` wraps the program's cross-module calls and
 reads ``GreedyProjector.cand_order``; a change that breaks either shows up
 here as a failed check or a span that never fired. ``fields`` covers the
-map and projection layers, ``ladder`` the design, sampler and scoring ones.
+map and projection layers, ``ladder`` the design, sampler and scoring ones,
+``spatial`` the predictive-process sampler and scorer.
 """
 
 import json
@@ -36,3 +37,7 @@ def test_fields_tiny_traced_run():
 
 def test_ladder_tiny_traced_run():
     tiny_traced_run("ladder")
+
+
+def test_spatial_tiny_traced_run():
+    tiny_traced_run("spatial")

@@ -224,6 +224,21 @@ class TestFitEvaluate:
             blobs.append(blob)
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+    def test_spatial_fit_manifest_records_tuning(self, tmp_path):
+        series = simulate_into(tmp_path, model="model11", days=150, seed=6)
+        tuned = []
+        for sub in ("a", "b"):
+            assert run(
+                "fit", "--spec", "model11", "--series", series, "--iters", 120,
+                "--burn-in", 60, "--seed", 4, "--out", tmp_path / sub,
+            ) == 0
+            blob = json.loads((tmp_path / sub / "fit_model11.manifest.json").read_text())
+            tuned.append({k: blob["config"][k] for k in ("theta_log_step", "max_jitter")})
+        assert tuned[0] == tuned[1]
+        assert set(tuned[0]["theta_log_step"]) == {"theta1", "theta2"}
+        assert tuned[0]["max_jitter"] >= 0.0
+
     def test_evaluate_scores_and_report(self, fitted, tmp_path, capsys):
         code = run(
             "evaluate", "--chain", fitted / "model1.chain",

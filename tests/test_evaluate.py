@@ -34,7 +34,7 @@ from stvar.evaluate import (
     transition_distances,
     var_lag_aic,
 )
-from stvar.mcmc import Chain, McmcConfig, SeriesPrediction, run_chain
+from stvar.mcmc import Chain, McmcConfig, SeriesPrediction, predict_series, run_chain
 from stvar.models import ModelSpec
 from stvar.projection import PlanarSeries, Tessellation
 from stvar.som import SomConfig, SomModel
@@ -389,6 +389,24 @@ class TestModelTransitions:
         assert tm.defined[1:].all()
         with pytest.raises(LengthMismatch):
             model_transitions(chain, series, select=select[:-1])
+
+    def test_counts_match_per_day_tally(self):
+        tess = default_tessellation()
+        chain = fixed_chain(ModelSpec("constant"), [()], [], 0.6 * np.eye(2),
+                            0.3 * np.eye(2), n_draws=7, tess_sites=tess.sites)
+        rng = np.random.default_rng(3)
+        pts = tess.sites[rng.integers(12, size=80)] + 0.3 * rng.standard_normal((80, 2))
+        series = PlanarSeries(points=pts)
+        select = rng.uniform(size=79) < 0.7
+        tm = model_transitions(chain, series, n_draws=None, seed=4, select=select)
+        draws = predict_series(chain, series, tess=tess, n_draws=None, seed=4).draws
+        landed = tess.assign(draws.reshape(-1, 2)).reshape(draws.shape[:2])
+        src = tess.assign(pts[:-1])
+        want = np.zeros((12, 12))
+        for i in np.flatnonzero(select):
+            want[src[i]] += np.bincount(landed[:, i], minlength=12)
+        np.testing.assert_array_equal(tm.counts, want)
+        assert tm.counts.sum() == 7 * select.sum()
 
     def test_needs_tessellation(self):
         chain = fixed_chain(ModelSpec("constant"), [()], [], np.eye(2), np.eye(2))

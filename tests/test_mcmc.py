@@ -17,29 +17,40 @@ from stvar.errors import (
     MalformedHeader,
     NonConvergenceWarning,
     NonPDScale,
+    NumericalError,
     ShortRead,
     UnlabeledDate,
 )
-from stvar.evaluate import dic, score_model
+from stvar.evaluate import coverage, dic, rmspe, score_model
 from stvar.mcmc import (
     Chain,
     McmcConfig,
     PosteriorDraw,
+    SeriesPrediction,
     _Sampler,
+    chain_design,
     load_chain,
+    mean_paths,
     predict_one_step,
     predict_series,
     run_chain,
     save_chain,
     split_rhat,
 )
+import stvar.models
 from stvar.models import (
     DesignPair,
     KnotGrid,
     ModelSpec,
+    PredictiveProcess,
+    SpatialAdjust,
     build_design,
+    chol_spd,
+    coregional_eta,
     domain_diameter,
+    exp_corr,
     mle_var,
+    pp_basis,
 )
 from stvar.projection import PlanarSeries, Tessellation
 from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
@@ -305,10 +316,11 @@ class TestQConditional:
         sampler.phi = np.zeros((design.p, 2))
         rng_w = np.random.default_rng(99)
         sampler.wstar = np.vstack([rng_w.standard_normal(9), np.zeros(9)])
+        sampler._refresh_eta()
         start_q = np.array([[1.0, 0.0], [0.3, 1.0]])
         tau = sampler.config.q_prior_sd
 
-        w1 = sampler.W1 @ sampler.wstar[0]
+        w1 = pp_basis(design.source_points, sampler.knots, sampler.theta[0]) @ sampler.wstar[0]
         R = design.Y - design.offset
         rx, ry = R[:, 0], R[:, 1]
         prec1 = float(w1 @ w1) + 1.0 / tau**2
@@ -754,6 +766,305 @@ class TestDenseOracle:
         pred = predict_series(chain, series, tess=TESS4, n_draws=20)
         assert np.isfinite(pred.draws).all()
         assert np.isfinite(dic(chain, series, tess=TESS4).dic)
+
+
+def basis_factor(knots, points, theta, jitter):
+    """Cholesky of C*(theta) and the explicit n x m interpolation basis."""
+    L, _ = chol_spd(exp_corr(knots, knots, theta), jitter)
+    return L, scipy.linalg.cho_solve((L, True), exp_corr(knots, points, theta)).T
+
+
+class BasisOracleSampler(_Sampler):
+    """The spatial conditionals through the explicit n x m basis
+    W_k = (C*^{-1} K_k)', rebuilt on every theta proposal: field values are
+    W_k w*_k, the w* Gram blocks W_j' W_k and its right-hand side W_k' r.
+    The Phi and Sigma conditionals are the sampler's own."""
+
+    def _refresh_field(self, k):
+        L, W = basis_factor(self.knots, self.design.source_points,
+                            float(self.theta[k]), self.jitter)
+        if k == 0:
+            self.L1, self.W1 = L, W
+        else:
+            self.L2, self.W2 = L, W
+        self._grams = None
+
+    def _gram(self):
+        if self._grams is None:
+            eye = np.eye(self.m)
+            self._grams = (
+                self.W1.T @ self.W1,
+                self.W2.T @ self.W2,
+                self.W1.T @ self.W2,
+                scipy.linalg.cho_solve((self.L1, True), eye),
+                scipy.linalg.cho_solve((self.L2, True), eye),
+            )
+        return self._grams
+
+    def _refresh_eta(self):
+        w1 = self.W1 @ self.wstar[0]
+        w2 = self.W2 @ self.wstar[1]
+        self.eta = np.column_stack(
+            [self.q[0, 0] * w1, self.q[1, 0] * w1 + self.q[1, 1] * w2]
+        )
+
+    def _field_logpost(self, k, L, W, R, omega):
+        w1 = (W if k == 0 else self.W1) @ self.wstar[0]
+        w2 = (W if k == 1 else self.W2) @ self.wstar[1]
+        eta = np.column_stack(
+            [self.q[0, 0] * w1, self.q[1, 0] * w1 + self.q[1, 1] * w2]
+        )
+        e = R - eta
+        loglik = -0.5 * float(np.einsum("ni,ij,nj->", e, omega, e))
+        v = scipy.linalg.solve_triangular(L, self.wstar[k], lower=True)
+        logprior = -0.5 * float(v @ v) - float(np.log(np.diag(L)).sum())
+        return loglik + logprior
+
+    def update_theta(self, k, adapting):
+        cur = float(self.theta[k])
+        step = float(np.exp(self._log_step[k]))
+        prop = cur * float(np.exp(step * self.rng.standard_normal()))
+        self._window_n[k] += 1
+        if not adapting:
+            self._kept_n[k] += 1
+        accepted = False
+        if 0.0 < prop <= self.upper:
+            R = self._resid_no_eta()
+            omega = self._omega()
+            L_cur = self.L1 if k == 0 else self.L2
+            W_cur = self.W1 if k == 0 else self.W2
+            try:
+                L_prop, W_prop = basis_factor(
+                    self.knots, self.design.source_points, prop, self.jitter
+                )
+            except NumericalError:
+                L_prop = None
+            if L_prop is not None:
+                lp_prop = self._field_logpost(k, L_prop, W_prop, R, omega)
+                lp_cur = self._field_logpost(k, L_cur, W_cur, R, omega)
+                log_alpha = lp_prop - lp_cur + np.log(prop) - np.log(cur)
+                if np.log(self.rng.uniform()) < log_alpha:
+                    self.theta[k] = prop
+                    if k == 0:
+                        self.L1, self.W1 = L_prop, W_prop
+                    else:
+                        self.L2, self.W2 = L_prop, W_prop
+                    self._grams = None
+                    self._refresh_eta()
+                    accepted = True
+        if accepted:
+            self._window_acc[k] += 1
+            if not adapting:
+                self._kept_acc[k] += 1
+        if adapting and self._window_n[k] >= self.config.adapt_interval:
+            rate = self._window_acc[k] / self._window_n[k]
+            self._log_step[k] += 0.8 * (rate - self.config.target_accept)
+            self._log_step[k] = float(np.clip(self._log_step[k], np.log(1e-3), np.log(100.0)))
+            self._window_acc[k] = 0
+            self._window_n[k] = 0
+
+    def update_wstar(self):
+        omega = self._omega()
+        u = self.q[:, 0]
+        v = self.q[:, 1]
+        a11 = float(u @ omega @ u)
+        a12 = float(u @ omega @ v)
+        a22 = float(v @ omega @ v)
+        g11, g22, g12, c1inv, c2inv = self._gram()
+        R = self._resid_no_eta()
+        m = self.m
+        P = np.empty((2 * m, 2 * m))
+        P[:m, :m] = a11 * g11 + c1inv
+        P[:m, m:] = a12 * g12
+        P[m:, :m] = a12 * g12.T
+        P[m:, m:] = a22 * g22 + c2inv
+        b = np.concatenate([self.W1.T @ (R @ (omega @ u)), self.W2.T @ (R @ (omega @ v))])
+        Lp, _ = chol_spd(P, self.jitter)
+        mean = scipy.linalg.cho_solve((Lp, True), b)
+        z = self.rng.standard_normal(2 * m)
+        draw = mean + scipy.linalg.solve_triangular(Lp.T, z, lower=False)
+        self.wstar = draw.reshape(2, m)
+        self._refresh_eta()
+
+    def update_q(self):
+        omega = self._omega()
+        o00, o01, o11 = omega[0, 0], omega[0, 1], omega[1, 1]
+        tau2 = self.config.q_prior_sd**2
+        w1 = self.W1 @ self.wstar[0]
+        w2 = self.W2 @ self.wstar[1]
+        R = self._resid_no_eta()
+        rx, ry = R[:, 0], R[:, 1]
+        tiny = np.finfo(float).tiny
+
+        e_y = ry - self.q[1, 0] * w1 - self.q[1, 1] * w2
+        prec = o00 * float(w1 @ w1) + 1.0 / tau2
+        lin = o00 * float(w1 @ rx) + o01 * float(w1 @ e_y)
+        mean, sd = lin / prec, 1.0 / np.sqrt(prec)
+        q00 = truncnorm.rvs((0.0 - mean) / sd, np.inf, loc=mean, scale=sd,
+                            random_state=self.rng)
+        self.q[0, 0] = max(float(q00), tiny)
+
+        e_x = rx - self.q[0, 0] * w1
+        prec = o11 * float(w1 @ w1) + 1.0 / tau2
+        lin = o11 * float(w1 @ (ry - self.q[1, 1] * w2)) + o01 * float(w1 @ e_x)
+        self.q[1, 0] = lin / prec + np.sqrt(1.0 / prec) * self.rng.standard_normal()
+
+        prec = o11 * float(w2 @ w2) + 1.0 / tau2
+        lin = o11 * float(w2 @ (ry - self.q[1, 0] * w1)) + o01 * float(w2 @ e_x)
+        mean, sd = lin / prec, 1.0 / np.sqrt(prec)
+        q11 = truncnorm.rvs((0.0 - mean) / sd, np.inf, loc=mean, scale=sd,
+                            random_state=self.rng)
+        self.q[1, 1] = max(float(q11), tiny)
+        self._refresh_eta()
+
+
+def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
+    """predict_series as one per-draw pass that forms the basis per draw."""
+    design = chain_design(chain, series, tess)
+    idx = chain.draw_indices(n_draws)
+    out = np.empty((idx.size, design.n, 2))
+    rng = np.random.default_rng(seed)
+    for b, i in enumerate(idx):
+        mean = design.offset + design.xphi(chain.phi[i])
+        if chain.is_spatial:
+            mean = mean + coregional_eta(design.source_points, chain.draw(int(i)).adjust)
+        if include_noise:
+            L = np.linalg.cholesky(chain.sigma[i])
+            mean = mean + rng.standard_normal((design.n, 2)) @ L.T
+        out[b] = mean
+    return out
+
+
+def three_pass_dic(chain, series, tess, n_draws):
+    """(dic, p_d, d_bar, d_hat) from a third per-draw pass."""
+    from stvar.evaluate import _gauss_deviance, repair_pd
+
+    design = chain_design(chain, series, tess)
+    idx = chain.draw_indices(n_draws)
+
+    def deviance(phi, sigma, adjust):
+        mean = design.offset + design.xphi(phi)
+        if adjust is not None:
+            mean = mean + coregional_eta(design.source_points, adjust)
+        return _gauss_deviance(design.Y - mean, sigma)
+
+    devs = np.empty(idx.size)
+    for b, i in enumerate(idx):
+        devs[b] = deviance(chain.phi[i], chain.sigma[i], chain.draw(int(i)).adjust)
+    d_bar = float(devs.mean())
+    pm = chain.posterior_mean()
+    d_hat = deviance(pm.phi, repair_pd(pm.sigma), pm.adjust)
+    return d_bar + (d_bar - d_hat), d_bar - d_hat, d_bar, d_hat
+
+
+def three_pass_score(chain, series, tess, n_draws, seed):
+    """(rmspe, dic, p_d, coverage) from noisy draws, noise-free draws and DIC
+    computed in three separate passes."""
+    actual = series.points[1:]
+    pred = three_pass_draws(chain, series, tess, n_draws, seed, include_noise=True)
+    means = three_pass_draws(chain, series, tess, n_draws, seed, include_noise=False)
+    d, p_d, _, _ = three_pass_dic(chain, series, tess, n_draws)
+    cover = coverage(SeriesPrediction(draws=pred, actual=actual, dates=None))
+    return rmspe(means.mean(axis=0), actual), d, p_d, cover
+
+
+def max_block_diff(a, b):
+    """Largest absolute difference relative to the block's largest |value|."""
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+SPATIAL_SPEC = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=4, n_y=4))
+
+
+@pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+class TestPredictiveProcessOracle:
+    """The cached-geometry sampler and the one-pass scorer against the
+    explicit-basis conditionals and the three-pass scorer."""
+
+    def test_spatial_chain_matches_basis_conditionals(self, monkeypatch):
+        series = ladder_series("model11", 400, seed=35)
+        cfg = McmcConfig(n_iter=150, burn_in=50, seed=7)
+        chain = run_chain(series, SPATIAL_SPEC, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(stvar.mcmc, "_Sampler", BasisOracleSampler)
+            oracle = run_chain(series, SPATIAL_SPEC, cfg)
+        # the Metropolis steps must both accept and reject for this to bite
+        assert all(0.0 < r < 1.0 for r in chain.acceptance.values())
+        assert chain.acceptance == oracle.acceptance
+        np.testing.assert_array_equal(chain.theta, oracle.theta)
+        for name in ("phi", "sigma", "q", "wstar"):
+            assert max_block_diff(getattr(chain, name), getattr(oracle, name)) <= 1e-9, name
+
+    @pytest.mark.parametrize("model", ["model1", "model9"])
+    def test_scoring_is_bitwise_equal_to_three_passes(self, model):
+        series = ladder_series(model, 800, seed=36)
+        chain = run_chain(series, model, McmcConfig(n_iter=200, burn_in=60, seed=2),
+                          tess=TESS4)
+        score = score_model(chain, series, tess=TESS4, n_draws=120, seed=5)
+        assert (score.rmspe, score.dic, score.p_d, score.coverage) == three_pass_score(
+            chain, series, TESS4, 120, 5)
+        for noise in (True, False):
+            np.testing.assert_array_equal(
+                predict_series(chain, series, tess=TESS4, n_draws=120, seed=5,
+                               include_noise=noise).draws,
+                three_pass_draws(chain, series, TESS4, 120, 5, include_noise=noise),
+            )
+        d = dic(chain, series, tess=TESS4, n_draws=120)
+        assert (d.dic, d.p_d, d.d_bar, d.d_hat) == three_pass_dic(chain, series, TESS4, 120)
+
+    def test_spatial_scoring_never_forms_the_basis(self, monkeypatch):
+        series = ladder_series("model11", 300, seed=37)
+        with monkeypatch.context() as m:
+            def refuse(*args, **kwargs):
+                raise AssertionError("the n x m basis was formed")
+
+            m.setattr(stvar.models, "pp_basis", refuse)
+            chain = run_chain(series, SPATIAL_SPEC, McmcConfig(n_iter=200, burn_in=50, seed=3))
+            score = score_model(chain, series, n_draws=100)
+            one = predict_one_step(chain, series.points[-1], n_draws=10)
+        assert np.isfinite([score.rmspe, score.dic, score.p_d, score.coverage]).all()
+        assert np.isfinite(one).all()
+
+        design = chain_design(chain, series)
+        pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
+        draws = chain.draws(chain.draw_indices(100))
+        means = mean_paths(chain, design, draws)
+        for b, draw in enumerate(draws):
+            eta = coregional_eta(design.source_points, draw.adjust)
+            assert max_block_diff(pp.eta(draw.adjust), eta) <= 1e-12
+            want = design.offset + design.xphi(draw.phi) + eta
+            assert max_block_diff(means[b], want) <= 1e-12
+
+    def test_cached_fields_follow_the_state(self):
+        series = ladder_series("model11", 300, seed=39)
+        sampler, design = make_sampler(series, SPATIAL_SPEC, McmcConfig(n_iter=10, burn_in=1, seed=8))
+        start = sampler.theta.copy()
+        steps = [sampler.update_phi, sampler.update_sigma,
+                 lambda: sampler.update_theta(0, adapting=True),
+                 lambda: sampler.update_theta(1, adapting=True),
+                 sampler.update_wstar, sampler.update_q]
+        for _ in range(25):
+            for step in steps:
+                step()
+                adjust = SpatialAdjust(knots=sampler.knots, theta=sampler.theta,
+                                       q=sampler.q, wstar=sampler.wstar)
+                want = coregional_eta(design.source_points, adjust)
+                np.testing.assert_allclose(sampler.eta, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+        assert (sampler.theta != start).all()
+
+    def test_tuning_is_deterministic(self):
+        series = ladder_series("model11", 200, seed=38)
+        cfg = McmcConfig(n_iter=120, burn_in=60, seed=4)
+        a = run_chain(series, SPATIAL_SPEC, cfg).tuning
+        b = run_chain(series, SPATIAL_SPEC, cfg).tuning
+        assert a == b
+        assert set(a) == {"theta_log_step", "max_jitter"}
+        assert set(a["theta_log_step"]) == {"theta1", "theta2"}
+        # 60 burn-in proposals include one adaptation window of 50
+        assert a["theta_log_step"] != {"theta1": np.log(0.5), "theta2": np.log(0.5)}
+        assert a["max_jitter"] >= 0.0
+        assert run_chain(series, "model1", cfg).tuning == {}
 
 
 def test_cell_model_fitted_from_node_assignments_can_be_scored():
