@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
-from . import __version__
+from . import __version__, _doc
 from .data_model import StateSeries, as_matrix, load_series, save_series, standardize
 from .errors import DataError, NumericalError
 from .evaluate import (
@@ -210,38 +210,33 @@ def _need(args, name: str):
     return value
 
 
-def _apply_config_file(args, argv: list[str]) -> None:
-    """Fill argument defaults from the --config JSON (flags still win)."""
-    if args.config is None or args.cmd == "pipeline":
-        return
-    cfg = _read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise DataError("config file must hold a JSON object")
-    known = set(vars(args)) - {"cmd", "config"}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
-            raise DataError(f"unknown config key {key!r}")
-        flag = f"--{key.replace('_', '-')}"
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
+def _parse_config(parser, head: list[str], doc, kind: str, tail=()):
+    """Parse `head`, then JSON object `doc` of option values for command
+    head[0] as flags, then `tail`, whose options win over `doc`'s. In `doc`
+    true gives the bare flag, false and null nothing, a list one flag per
+    item. Since the flags come from a file, a bad one is a data error."""
+    known = set(vars(parser.parse_args(head[:1]))) - {"cmd", "config"}
+    given = {tok.split("=", 1)[0] for tok in tail}
+    argv = list(head)
+    for key, value in _doc.check(doc, kind, None, dict).items():
+        if key.replace("-", "_") not in known:
+            raise DataError(f"{kind}: unknown key {key!r}")
+        flag = "--" + key.replace("_", "-")
+        if flag in given or value is False or value is None:
             continue
-        setattr(args, dest, value)
-
-
-def _read_json(path):
+        if value is True:
+            argv.append(flag)
+            continue
+        for item in value if isinstance(value, list) else [value]:
+            argv.append(f"{flag}={_doc.check(item, kind, key, (str, int, float))}")
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+        return parser.parse_args(argv + list(tail))
+    except UsageError as exc:
+        raise DataError(f"{kind}: {exc}") from None
 
 
 def _write_manifest(args, payload: dict, wall_time: float) -> Path:
-    skip = {"cmd", "config"}
-    config = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in sorted(vars(args).items())
-        if k not in skip
-    }
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("cmd", "config")}
     config.update(payload.get("extra_config", {}))
     manifest = {
         "command": args.cmd,
@@ -269,10 +264,9 @@ def _load_tessellation(args) -> Tessellation | None:
     if getattr(args, "som", None):
         return Tessellation.from_som(load_som(args.som))
     if getattr(args, "tessellation", None):
-        blob = _read_json(args.tessellation)
-        if not isinstance(blob, dict) or "sites" not in blob:
-            raise DataError("tessellation file needs a 'sites' array")
-        return Tessellation(sites=np.asarray(blob["sites"], dtype=float))
+        doc = _doc.fields(_doc.read_json(args.tessellation, "tessellation"),
+                          "tessellation", {"sites": list})
+        return Tessellation(sites=_doc.array(doc["sites"], "tessellation", "sites", (None, 2)))
     return None
 
 
@@ -362,8 +356,8 @@ def cmd_train_som(args) -> dict:
     data = load_series(path)
     phase_steps = None
     if args.phase_steps:
-        parts = str(args.phase_steps).split(",")
-        if len(parts) != 2:
+        parts = args.phase_steps.split(",")
+        if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
             raise DataError("--phase-steps needs two comma-separated integers")
         phase_steps = (int(parts[0]), int(parts[1]))
     config = SomConfig(
@@ -495,8 +489,6 @@ def cmd_evaluate(args) -> dict:
     chain_paths = args.chain
     if not chain_paths:
         raise UsageError("--chain is required (repeat it to compare models)")
-    if isinstance(chain_paths, str):
-        chain_paths = [chain_paths]
     series_path = _need(args, "series")
     series = load_planar(series_path)
     scores = []
@@ -559,10 +551,7 @@ def cmd_transitions(args) -> dict:
         if assignment is None:
             raise DataError("series carries no assignments; give --som or --tessellation")
         n_cells = args.nodes if args.nodes else int(assignment.max()) + 1
-    if args.som:
-        inputs.append(args.som)
-    if args.tessellation:
-        inputs.append(args.tessellation)
+    inputs += [p for p in (args.som, args.tessellation) if p]
 
     select = None
     if args.season:
@@ -672,65 +661,38 @@ def cmd_lag_scan(args) -> dict:
     return {"inputs": [series_path], "outputs": [out_path]}
 
 
-_PIPELINE_KEYS = {"stages", "seed", "out"}
-_STAGE_KEYS = {"run", "args"}
-
-
 def cmd_pipeline(args) -> dict | None:
-    config_path = args.config
-    if config_path is None:
+    if args.config is None:
         raise UsageError("pipeline needs --config pointing at a stage list")
-    cfg = _read_json(config_path)
-    if not isinstance(cfg, dict):
-        raise DataError("pipeline config must be a JSON object")
-    unknown = set(cfg) - _PIPELINE_KEYS
-    if unknown:
-        raise DataError(f"unknown config keys: {sorted(unknown)}")
-    stages = cfg.get("stages", [])
-    if not isinstance(stages, list):
-        raise DataError("'stages' must be a list")
+    kind = "pipeline config"
+    cfg = _doc.fields(_doc.read_json(args.config, kind), kind,
+                      optional={"stages": list, "seed": int, "out": str}, closed=True)
+    seed, out = cfg.get("seed", args.seed), cfg.get("out", args.out)
+    parser = build_parser()
+    stages = []
+    for i, stage in enumerate(cfg.get("stages", [])):
+        stage = _doc.fields(stage, f"stage {i}", {"run": str}, {"args": dict}, closed=True)
+        run = stage["run"]
+        if run == "pipeline" or run not in _HANDLERS:
+            raise DataError(f"stage {i}: no such stage command {run!r}")
+        label = f"stage {i} ({run})"
+        head = [run, f"--seed={seed}", f"--out={out}"]
+        stages.append((label, _parse_config(parser, head, stage.get("args", {}), label)))
     if not stages:
         return None
 
-    seed = cfg.get("seed", args.seed)
-    out_dir = cfg.get("out", args.out)
-    args.out = str(out_dir)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    ran = []
-    for i, stage in enumerate(stages):
-        if not isinstance(stage, dict):
-            raise DataError(f"stage {i} must be a JSON object")
-        unknown = set(stage) - _STAGE_KEYS
-        if unknown:
-            raise DataError(f"stage {i}: unknown keys {sorted(unknown)}")
-        run = stage.get("run")
-        if not isinstance(run, str) or run == "pipeline" or run not in _HANDLERS:
-            raise DataError(f"stage {i}: no such stage command {run!r}")
-        argv = [run, "--seed", str(seed), "--out", str(out_dir)]
-        stage_args = stage.get("args", {})
-        if not isinstance(stage_args, dict):
-            raise DataError(f"stage {i}: 'args' must be a JSON object")
-        for key, value in stage_args.items():
-            flag = f"--{str(key).replace('_', '-')}"
-            if value is True:
-                argv.append(flag)
-            elif value is False or value is None:
-                continue
-            elif isinstance(value, list):
-                for item in value:
-                    argv += [flag, str(item)]
-            else:
-                argv += [flag, str(value)]
-        code = _execute(argv)
+    args.out = out
+    Path(out).mkdir(parents=True, exist_ok=True)
+    for label, stage_args in stages:
+        code = _run(parser, stage_args, [], label)
         if code != 0:
-            print(f"pipeline: stage {i} ({run}) failed", file=sys.stderr)
+            print(f"pipeline: {label} failed", file=sys.stderr)
             raise _StageFailure(code)
-        ran.append(run)
-    print(f"pipeline: {len(ran)} stage(s) complete")
+    print(f"pipeline: {len(stages)} stage(s) complete")
     return {
-        "inputs": [config_path],
+        "inputs": [args.config],
         "outputs": [],
-        "extra_config": {"stages_run": ran},
+        "extra_config": {"stages_run": [a.cmd for _, a in stages]},
     }
 
 
@@ -751,7 +713,9 @@ _HANDLERS = {
 }
 
 
-def _execute(argv: list[str]) -> int:
+def dispatch(argv=None) -> int:
+    """Parse and run one command; returns the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -763,8 +727,17 @@ def _execute(argv: list[str]) -> int:
     if args.cmd is None:
         parser.print_usage(sys.stderr)
         return 1
+    return _run(parser, args, argv)
+
+
+def _run(parser, args, argv: list[str], stage: str | None = None) -> int:
+    """Run one parsed command (after merging its --config file); returns the
+    exit code. A pipeline `stage` takes every flag from the pipeline config,
+    so a usage error there is a data error."""
     try:
-        _apply_config_file(args, argv)
+        if args.config is not None and args.cmd != "pipeline":
+            doc = _doc.read_json(args.config, "config")
+            args = _parse_config(parser, argv[:1], doc, f"config {args.config}", argv[1:])
         Path(args.out).mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
         payload = _HANDLERS[args.cmd](args)
@@ -772,8 +745,11 @@ def _execute(argv: list[str]) -> int:
             _write_manifest(args, payload, time.perf_counter() - started)
         return 0
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        if stage is None:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 1
+        print(f"data error: {stage}: {exc}", file=sys.stderr)
+        return 2
     except _StageFailure as exc:
         return exc.code
     except DataError as exc:
@@ -785,11 +761,6 @@ def _execute(argv: list[str]) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-
-
-def dispatch(argv=None) -> int:
-    """Parse and run one command; returns the process exit code."""
-    return _execute(list(sys.argv[1:] if argv is None else argv))
 
 
 def main() -> None:

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _doc
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -36,7 +37,7 @@ from .errors import (
     ZeroVariance,
 )
 
-_HEADER_RE = re.compile(r"^STVAR-SERIES v1 T=(\d+) V=(\d+) R=(\d+) C=(\d+)$")
+_HEADER_RE = re.compile(r"^STVAR-SERIES v1 T=(\d+) V=(\d+) R=(\d+) C=(\d+)$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,12 @@ class Standardization:
 def _check_dates(dates, n: int) -> tuple[_dt.date, ...] | None:
     if dates is None:
         return None
-    out = tuple(
-        d if isinstance(d, _dt.date) else _dt.date.fromisoformat(str(d)) for d in dates
-    )
+    try:
+        out = tuple(
+            d if isinstance(d, _dt.date) else _dt.date.fromisoformat(str(d)) for d in dates
+        )
+    except ValueError as exc:
+        raise DataError(f"bad date: {exc}") from None
     if len(out) != n:
         raise DimensionMismatch(f"{len(out)} dates for {n} days")
     for a, b in zip(out, out[1:]):
@@ -302,10 +306,7 @@ def load_series(path) -> RawSeries | StateSeries:
     nl1 = blob.find(b"\n")
     if nl1 < 0:
         raise MalformedHeader("missing header line")
-    try:
-        header = blob[:nl1].decode("ascii")
-    except UnicodeDecodeError as e:
-        raise MalformedHeader(f"header is not ASCII: {e}") from None
+    header = _doc.utf8(blob[:nl1], "series header")
     m = _HEADER_RE.match(header)
     if m is None:
         raise MalformedHeader(f"unrecognized header {header!r}")
@@ -314,7 +315,7 @@ def load_series(path) -> RawSeries | StateSeries:
     nl2 = blob.find(b"\n", nl1 + 1)
     if nl2 < 0:
         raise MalformedHeader("missing variable-name line")
-    names = tuple(blob[nl1 + 1 : nl2].decode("utf-8").split(","))
+    names = tuple(_doc.utf8(blob[nl1 + 1 : nl2], "series name line").split(","))
     if len(names) != V:
         raise DimensionMismatch(f"header declares {V} variables, name line has {len(names)}")
     grid = GridSpec(n_rows=R, n_cols=C, variables=names)
@@ -327,22 +328,16 @@ def load_series(path) -> RawSeries | StateSeries:
         raise DimensionMismatch(f"{len(payload) - need} trailing bytes after payload")
     values = np.frombuffer(payload, dtype="<f8").reshape(T, V, R * C).copy()
 
-    dates = None
-    standardization = None
-    sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        dates = meta.get("dates")
-        if "standardization" in meta:
-            s = meta["standardization"]
-            standardization = Standardization(
-                mean=np.asarray(s["mean"], dtype=float),
-                sd=np.asarray(s["sd"], dtype=float),
-                per_cell=bool(s["per_cell"]),
-                ddof=int(s["ddof"]),
-            )
-    if standardization is not None:
-        return StateSeries(
-            matrix=flatten(values), grid=grid, standardization=standardization, dates=dates
-        )
-    return RawSeries(values=values, grid=grid, dates=dates)
+    sidecar, kind = _sidecar_path(path), "series sidecar"
+    meta = _doc.fields(_doc.read_json(sidecar, kind) if sidecar.exists() else {}, kind,
+                       optional={"dates": list, "standardization": dict})
+    if "standardization" not in meta:
+        return RawSeries(values=values, grid=grid, dates=meta.get("dates"))
+    kind += " standardization"
+    s = _doc.fields(meta["standardization"], kind,
+                    {"mean": list, "sd": list, "per_cell": bool, "ddof": int})
+    mean, sd = (_doc.array(s[k], kind, k, (V, R * C) if s["per_cell"] else (V,))
+                for k in ("mean", "sd"))
+    standardization = Standardization(mean=mean, sd=sd, per_cell=s["per_cell"], ddof=s["ddof"])
+    return StateSeries(matrix=flatten(values), grid=grid, standardization=standardization,
+                       dates=meta.get("dates"))

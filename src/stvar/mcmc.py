@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist
 from scipy.stats import invwishart, truncnorm
 
+from . import _doc
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -709,19 +710,7 @@ def save_chain(chain: Chain, path) -> None:
         "acceptance": chain.acceptance,
         "rhat_max": chain.rhat_max,
         "converged": chain.converged,
-        "config": {
-            "n_iter": chain.config.n_iter,
-            "burn_in": chain.config.burn_in,
-            "thin": chain.config.thin,
-            "seed": chain.config.seed,
-            "sigma_mode": chain.config.sigma_mode,
-            "theta_upper": chain.config.theta_upper,
-            "proposal_scale": chain.config.proposal_scale,
-            "target_accept": chain.config.target_accept,
-            "adapt_interval": chain.config.adapt_interval,
-            "q_prior_sd": chain.config.q_prior_sd,
-            "rhat_threshold": chain.config.rhat_threshold,
-        },
+        "config": asdict(chain.config),
         "knots": None if chain.knots is None else chain.knots.tolist(),
         "tess_sites": None if chain.tess_sites is None else chain.tess_sites.tolist(),
     }
@@ -735,45 +724,34 @@ def save_chain(chain: Chain, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _tuple_keys(raw) -> tuple:
-    return tuple(tuple(part for part in key) for key in raw)
-
-
 def load_chain(path) -> Chain:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.splitlines()
+    lines = _doc.read(path, "chain").splitlines()
     if not lines or lines[0].strip() != _CHAIN_MAGIC:
         raise MalformedHeader(f"expected {_CHAIN_MAGIC!r} on the first line")
     if len(lines) < 2:
         raise MalformedHeader("missing metadata line")
-    try:
-        meta = json.loads(lines[1])
-    except json.JSONDecodeError as exc:
-        raise MalformedHeader(f"bad metadata line: {exc}") from None
-    try:
-        spec = spec_from_dict(meta["spec"])
-        config = McmcConfig(**meta["config"])
-        a_keys = _tuple_keys(meta["a_keys"])
-        eta_keys = _tuple_keys(meta["eta_keys"])
-        n_draws = int(meta["n_draws"])
-        n_obs = int(meta["n_obs"])
-        knots = None if meta["knots"] is None else np.asarray(meta["knots"], dtype=float)
-        tess_sites = (
-            None if meta["tess_sites"] is None
-            else np.asarray(meta["tess_sites"], dtype=float)
-        )
-        acceptance = dict(meta["acceptance"])
-        rhat_max = float(meta["rhat_max"])
-        converged = bool(meta["converged"])
-    except KeyError as exc:
-        raise MalformedHeader(f"chain metadata lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise MalformedHeader(f"bad chain metadata: {exc}") from None
+    kind = "chain metadata"
+    meta = _doc.fields(
+        _doc.loads(lines[1], kind), kind,
+        {"spec": dict, "config": dict, "a_keys": list, "eta_keys": list, "n_obs": int,
+         "n_draws": int, "acceptance": dict, "rhat_max": float, "converged": bool,
+         "knots": (list, None), "tess_sites": (list, None)},
+    )
+    spec = spec_from_dict(meta["spec"])
+    config = _doc.record(McmcConfig, meta["config"], f"{kind} config")
+    a_keys, eta_keys = (
+        tuple(tuple(_doc.check(part, kind, name, (int, str))
+                    for part in _doc.check(key, kind, name, list))
+              for key in meta[name])
+        for name in ("a_keys", "eta_keys")
+    )
+    n_draws = meta["n_draws"]
+    knots, tess_sites = (
+        None if meta[name] is None else _doc.array(meta[name], kind, name, (None, 2))
+        for name in ("knots", "tess_sites")
+    )
     if n_draws < 0:
         raise MalformedHeader(f"negative draw count {n_draws}")
-    if knots is not None and (knots.ndim != 2 or knots.shape[1] != 2):
-        raise MalformedHeader(f"knots must be (m, 2), got shape {knots.shape}")
     p = 2 * len(a_keys) + len(eta_keys)
     spatial = spec.eta_structure == "spatial"
     m = 0 if knots is None else knots.shape[0]
@@ -808,20 +786,7 @@ def load_chain(path) -> Chain:
             q[i] = vals[pos + 2 : pos + 6].reshape(2, 2)
             wstar[i] = vals[pos + 6 :].reshape(2, m)
 
-    return Chain(
-        spec=spec,
-        a_keys=a_keys,
-        eta_keys=eta_keys,
-        phi=phi,
-        sigma=sigma,
-        theta=theta,
-        q=q,
-        wstar=wstar,
-        knots=knots,
-        tess_sites=tess_sites,
-        n_obs=n_obs,
-        config=config,
-        acceptance=acceptance,
-        rhat_max=rhat_max,
-        converged=converged,
-    )
+    return Chain(spec=spec, a_keys=a_keys, eta_keys=eta_keys, phi=phi, sigma=sigma,
+                 theta=theta, q=q, wstar=wstar, knots=knots, tess_sites=tess_sites,
+                 n_obs=meta["n_obs"], config=config, acceptance=meta["acceptance"],
+                 rhat_max=meta["rhat_max"], converged=meta["converged"])

@@ -25,9 +25,8 @@ Named ladder (aliases accepted everywhere a model spec is):
 from __future__ import annotations
 
 import datetime as _dt
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -35,6 +34,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
+from . import _doc
 from .errors import (
     DataError,
     EmptySeries,
@@ -112,8 +112,8 @@ class KnotGrid:
     def __post_init__(self):
         if self.n_x < 2 or self.n_y < 2:
             raise DataError("knot grid needs at least 2 knots per axis")
-        if self.padding < 0.0:
-            raise DataError("knot padding must be >= 0")
+        if not 0.0 <= self.padding < np.inf:
+            raise DataError("knot padding must be finite and >= 0")
 
     def build(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -139,7 +139,7 @@ class JitterPolicy:
     max: float = 1e-6
 
     def __post_init__(self):
-        if self.initial <= 0.0 or self.max < self.initial or self.factor <= 1.0:
+        if not (0.0 < self.initial <= self.max < np.inf and self.factor > 1.0):
             raise DataError("jitter ladder must increase from a positive start")
 
     def ladder(self) -> list[float]:
@@ -204,47 +204,28 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "a_structure": spec.a_structure,
         "eta_structure": spec.eta_structure,
         "season_calendar": spec.calendar.name,
-        "knot_grid": {
-            "n_x": spec.knot_grid.n_x,
-            "n_y": spec.knot_grid.n_y,
-            "padding": spec.knot_grid.padding,
-        },
-        "jitter_policy": {
-            "initial": spec.jitter.initial,
-            "factor": spec.jitter.factor,
-            "max": spec.jitter.max,
-        },
+        "knot_grid": asdict(spec.knot_grid),
+        "jitter_policy": asdict(spec.jitter),
     }
 
 
 def spec_from_dict(doc: dict) -> ModelSpec:
-    if not isinstance(doc, dict):
-        raise DataError("model spec document must be a JSON object")
-    allowed = {"a_structure", "eta_structure", "season_calendar", "knot_grid", "jitter_policy"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise DataError(f"unknown model spec keys {sorted(unknown)}")
-    if "a_structure" not in doc:
-        raise DataError("model spec needs a_structure")
+    kind = "model spec"
+    doc = _doc.fields(
+        doc, kind, {"a_structure": str},
+        {"eta_structure": str, "season_calendar": str, "knot_grid": dict,
+         "jitter_policy": dict},
+        closed=True,
+    )
     cal = doc.get("season_calendar", "meteorological")
     if cal != "meteorological":
         raise DataError(f"unknown season calendar {cal!r}")
-    kg = doc.get("knot_grid", {})
-    jp = doc.get("jitter_policy", {})
     return ModelSpec(
         a_structure=doc["a_structure"],
         eta_structure=doc.get("eta_structure", "none"),
         calendar=Calendar(),
-        knot_grid=KnotGrid(
-            n_x=int(kg.get("n_x", 8)),
-            n_y=int(kg.get("n_y", 8)),
-            padding=float(kg.get("padding", 0.10)),
-        ),
-        jitter=JitterPolicy(
-            initial=float(jp.get("initial", 1e-10)),
-            factor=float(jp.get("factor", 10.0)),
-            max=float(jp.get("max", 1e-6)),
-        ),
+        knot_grid=_doc.record(KnotGrid, doc.get("knot_grid", {}), f"{kind} knot_grid"),
+        jitter=_doc.record(JitterPolicy, doc.get("jitter_policy", {}), f"{kind} jitter_policy"),
     )
 
 
@@ -257,12 +238,8 @@ def resolve_spec(source) -> ModelSpec:
     name = str(source)
     if name in MODEL_ALIASES:
         return ModelSpec.from_name(name)
-    path = Path(name)
-    if path.exists():
-        try:
-            return spec_from_dict(json.loads(path.read_text()))
-        except json.JSONDecodeError as e:
-            raise DataError(f"model spec file is not JSON: {e}") from None
+    if Path(name).exists():
+        return spec_from_dict(_doc.read_json(name, "model spec"))
     raise DataError(f"{name!r} is neither a model alias nor a spec file")
 
 

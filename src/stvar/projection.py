@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _doc
 from .data_model import StateSeries, _check_dates, as_matrix
 from .errors import (
     DataError,
@@ -306,8 +307,8 @@ def save_planar(series: PlanarSeries, path) -> None:
 
 
 def load_planar(path) -> PlanarSeries:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    text = _doc.read(path, "planar series")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MalformedHeader("empty planar file")
     m = _PLANAR_HEADER_RE.match(lines[0])

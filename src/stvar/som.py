@@ -26,12 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _doc
 from .data_model import as_matrix
 from .errors import DataError, EmptyData, MalformedHeader, NonFiniteUpdate
 
@@ -108,7 +109,7 @@ class SomConfig:
                         raise DataError("sigma values must be >= 0")
         if self.phase_steps is not None and any(n < 0 for n in self.phase_steps):
             raise DataError("phase step counts must be >= 0")
-        if self.convergence_tol <= 0.0:
+        if not self.convergence_tol > 0.0:
             raise DataError("convergence_tol must be positive")
         if self.max_epochs < 1:
             raise DataError("max_epochs must be >= 1")
@@ -363,22 +364,13 @@ def assign(data, model: SomModel) -> np.ndarray:
 
 
 def som_to_dict(model: SomModel) -> dict:
-    cfg = model.config
     return {
         "format": "STVAR-SOM",
         "version": 1,
         "n_nodes": model.n_nodes,
         "dim": model.dim,
-        "config": {
-            "kernel": cfg.kernel,
-            "neighborhood_space": cfg.neighborhood_space,
-            "alpha": [list(p) for p in cfg.alpha],
-            "sigma": None if cfg.sigma is None else [list(p) for p in cfg.sigma],
-            "phase_steps": None if cfg.phase_steps is None else list(cfg.phase_steps),
-            "rng_seed": cfg.rng_seed,
-            "convergence_tol": cfg.convergence_tol,
-            "max_epochs": cfg.max_epochs,
-        },
+        # every SomConfig field but n_nodes, in field order
+        "config": {k: v for k, v in asdict(model.config).items() if k != "n_nodes"},
         "planar": model.planar.tolist(),
         "nodes": model.nodes.tolist(),
         "provenance": model.provenance,
@@ -386,29 +378,33 @@ def som_to_dict(model: SomModel) -> dict:
 
 
 def som_from_dict(doc: dict) -> SomModel:
-    if not isinstance(doc, dict) or doc.get("format") != "STVAR-SOM":
-        raise MalformedHeader("not a map document")
-    if doc.get("version") != 1:
-        raise MalformedHeader(f"unsupported map version {doc.get('version')!r}")
-    c = doc["config"]
-    config = SomConfig(
-        n_nodes=int(doc["n_nodes"]),
-        kernel=c["kernel"],
-        neighborhood_space=c["neighborhood_space"],
-        alpha=tuple(tuple(p) for p in c["alpha"]),
-        sigma=None if c["sigma"] is None else tuple(tuple(p) for p in c["sigma"]),
-        phase_steps=None if c["phase_steps"] is None else tuple(c["phase_steps"]),
-        rng_seed=int(c["rng_seed"]),
-        convergence_tol=float(c["convergence_tol"]),
-        max_epochs=int(c["max_epochs"]),
+    doc = _doc.fields(
+        doc, "map",
+        {"format": str, "version": int, "n_nodes": int, "dim": int, "config": dict,
+         "planar": list, "nodes": list},
+        {"provenance": str},
     )
-    nodes = np.asarray(doc["nodes"], dtype=float)
-    planar = np.asarray(doc["planar"], dtype=float)
-    if nodes.shape != (doc["n_nodes"], doc["dim"]):
-        raise MalformedHeader(
-            f"nodes shape {nodes.shape} disagrees with header "
-            f"({doc['n_nodes']}, {doc['dim']})"
-        )
+    if doc["format"] != "STVAR-SOM":
+        raise MalformedHeader("not a map document")
+    if doc["version"] != 1:
+        raise MalformedHeader(f"unsupported map version {doc['version']!r}")
+    n = doc["n_nodes"]
+    nodes = _doc.array(doc["nodes"], "map", "nodes", (n, doc["dim"]))
+    planar = _doc.array(doc["planar"], "map", "planar", (n, 2))
+    kind = "map config"
+    c = _doc.fields(
+        doc["config"], kind,
+        {"kernel": str, "neighborhood_space": str, "alpha": list, "sigma": (list, None),
+         "phase_steps": (list, None), "rng_seed": int, "convergence_tol": float,
+         "max_epochs": int},
+    )
+    # the three sequence fields back to the nested tuples SomConfig holds
+    for key, shape, dtype in (("alpha", (2, 2), float), ("sigma", (2, 2), float),
+                              ("phase_steps", (2,), int)):
+        if c[key] is not None:
+            arr = _doc.array(c[key], kind, key, shape, dtype)
+            c[key] = tuple(map(tuple, arr.tolist())) if arr.ndim == 2 else tuple(arr.tolist())
+    config = SomConfig(n_nodes=n, **c)
     return SomModel(nodes=nodes, planar=planar, config=config,
                     provenance=doc.get("provenance", ""))
 
@@ -418,11 +414,7 @@ def save_som(model: SomModel, path) -> None:
 
 
 def load_som(path) -> SomModel:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise MalformedHeader(f"map file is not JSON: {e}") from None
-    return som_from_dict(doc)
+    return som_from_dict(_doc.read_json(path, "map"))
 
 
 def replace_planar(model: SomModel, planar: np.ndarray) -> SomModel:
