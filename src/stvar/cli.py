@@ -35,7 +35,7 @@ from .evaluate import (
     var_lag_aic,
 )
 from .mcmc import McmcConfig, load_chain, predict_series, run_chain, save_chain
-from .models import Calendar, resolve_spec
+from .models import SEASONS, Calendar, resolve_spec
 from .projection import (
     PlanarSeries,
     Tessellation,
@@ -79,9 +79,16 @@ def _g5(x) -> str:
 # Parser
 
 
+def _seed(text: str) -> int:
+    """Type of --seed: numpy's generators take no negative seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    common.add_argument("--seed", type=_seed, default=0, help="random seed (default 0)")
     common.add_argument(
         "--out", default=".", help="output directory, created if missing"
     )
@@ -172,7 +179,8 @@ def build_parser() -> _Parser:
     p.add_argument("--tessellation", default=None)
     p.add_argument("--chain", default=None, help="adds the model-implied matrix")
     p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--season", default=None, help="restrict source days to a season")
+    p.add_argument("--season", choices=SEASONS, default=None,
+                   help="restrict source days to a season")
     p.add_argument("--draws", type=int, default=200)
 
     p = sub.add_parser(
@@ -557,10 +565,8 @@ def cmd_transitions(args) -> dict:
     if args.season:
         if series.dates is None:
             raise DataError("--season needs a dated series")
-        cal = Calendar()
-        select = np.array(
-            [cal.season(d) == args.season for d in series.dates[:-1]], dtype=bool
-        )
+        select = np.array([Calendar().season(d) == args.season for d in series.dates[:-1]],
+                          dtype=bool)
 
     out = Path(args.out)
     labels = [str(k) for k in range(n_cells)]
@@ -587,16 +593,13 @@ def cmd_transitions(args) -> dict:
         writer = csv.writer(fh)
         writer.writerow(["cell", "count"] + [f"q{int(100 * q):02d}" for q in qs])
         src = np.asarray(assignment)[:-1]
-        mask_all = np.ones(src.shape, dtype=bool) if select is None else select
-        for k in range(n_cells):
-            here = distances[(src == k) & mask_all]
-            row = [str(k), str(here.size)]
+        mask = np.ones(src.shape, dtype=bool) if select is None else select
+        rows = [(str(k), src == k) for k in range(n_cells)] + [("all", True)]
+        for label, where in rows:
+            here = distances[where & mask]
+            row = [label, str(here.size)]
             row += [_g17(v) for v in np.quantile(here, qs)] if here.size else [""] * 5
             writer.writerow(row)
-        pooled = distances[mask_all]
-        writer.writerow(
-            ["all", str(pooled.size)] + [_g17(v) for v in np.quantile(pooled, qs)]
-        )
     outputs.append(dist_path)
     kept = int(empirical.counts.sum())
     print(f"tabulated {kept} transitions over {n_cells} cells")

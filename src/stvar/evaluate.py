@@ -24,7 +24,7 @@ from .errors import (
     UnlabeledDate,
 )
 from .mcmc import Chain, SeriesPrediction, chain_design, mean_paths, predict_series
-from .models import SEASONS, Calendar
+from .models import ModelSpec, block_indices
 from .projection import PlanarSeries, Tessellation
 from .som import SomModel, lattice_shape
 
@@ -236,6 +236,19 @@ def _normalize_counts(counts: np.ndarray) -> TransitionMatrix:
     return TransitionMatrix(probs=probs, counts=counts, defined=defined)
 
 
+def _count_transitions(src, dst, n_cells: int, select) -> TransitionMatrix:
+    """Transition frequencies from the source cells `src` (n,) to the cells
+    `dst` ((n,) or (draws, n)), over the source days that `select` keeps."""
+    if select is not None:
+        select = np.asarray(select, dtype=bool)
+        if select.shape != src.shape:
+            raise LengthMismatch("select mask must cover the source days")
+        src, dst = src[select], dst[..., select]
+    counts = np.bincount((src.astype(np.int64) * n_cells + dst).ravel(),
+                         minlength=n_cells * n_cells)
+    return _normalize_counts(counts.reshape(n_cells, n_cells).astype(float))
+
+
 def empirical_transitions(assignment, n_cells: int, select=None) -> TransitionMatrix:
     """Observed day-to-day cell transition frequencies.
 
@@ -249,15 +262,7 @@ def empirical_transitions(assignment, n_cells: int, select=None) -> TransitionMa
         raise DataError("assignments must be integers")
     if a.min() < 0 or a.max() >= n_cells:
         raise DataError(f"assignment outside [0, {n_cells})")
-    src, dst = a[:-1], a[1:]
-    if select is not None:
-        select = np.asarray(select, dtype=bool)
-        if select.shape != src.shape:
-            raise LengthMismatch("select mask must cover the source days")
-        src, dst = src[select], dst[select]
-    counts = np.zeros((n_cells, n_cells))
-    np.add.at(counts, (src, dst), 1.0)
-    return _normalize_counts(counts)
+    return _count_transitions(a[:-1], a[1:], n_cells, select)
 
 
 def model_transitions(
@@ -279,18 +284,9 @@ def model_transitions(
     pred = predict_series(
         chain, series, tess=t, n_draws=n_draws, seed=seed, include_noise=True
     )
-    src = t.assign(series.points[:-1])
-    if select is not None:
-        select = np.asarray(select, dtype=bool)
-        if select.shape != src.shape:
-            raise LengthMismatch("select mask must cover the source days")
     B, n, _ = pred.draws.shape
     landed = t.assign(pred.draws.reshape(B * n, 2)).reshape(B, n)
-    if select is not None:
-        src, landed = src[select], landed[:, select]
-    M = t.n_cells
-    counts = np.bincount((src * M + landed).ravel(), minlength=M * M)
-    return _normalize_counts(counts.reshape(M, M).astype(float))
+    return _count_transitions(t.assign(series.points[:-1]), landed, t.n_cells, select)
 
 
 def transition_distances(series: PlanarSeries) -> np.ndarray:
@@ -305,13 +301,12 @@ def transition_distances(series: PlanarSeries) -> np.ndarray:
 # Node occupancy summaries
 
 
-def node_frequencies(
-    assignment,
-    n_cells: int,
-    dates=None,
-    by: str | None = None,
-    calendar: Calendar = Calendar(),
-):
+# Each split of node_frequencies is the transition-block labeling of a model
+# structure.
+_SPLITS = {"season": "quarter", "year": "year", "season_year": "quarter_by_year"}
+
+
+def node_frequencies(assignment, n_cells: int, dates=None, by: str | None = None):
     """Occupancy counts per cell, optionally split by calendar block.
 
     Returns a length-M array, or an ordered {label: counts} dict when `by`
@@ -328,27 +323,14 @@ def node_frequencies(
         raise UnlabeledDate(f"splitting by {by!r} needs dates")
     if len(dates) != a.size:
         raise LengthMismatch("dates and assignment lengths differ")
+    if by not in _SPLITS:
+        raise DataError(f"unknown split {by!r}")
     dates = [
         d if isinstance(d, _dt.date) else _dt.date.fromisoformat(d) for d in dates
     ]
-    if by == "season":
-        labels = [calendar.season(d) for d in dates]
-        order = {s: i for i, s in enumerate(SEASONS)}
-        keys = sorted(set(labels), key=lambda s: order[s])
-    elif by == "year":
-        labels = [calendar.year(d) for d in dates]
-        keys = sorted(set(labels))
-    elif by == "season_year":
-        labels = [f"{calendar.season_year(d)}/{calendar.season(d)}" for d in dates]
-        order = {s: i for i, s in enumerate(SEASONS)}
-        keys = sorted(set(labels), key=lambda k: (int(k.split("/")[0]), order[k.split("/")[1]]))
-    else:
-        raise DataError(f"unknown split {by!r}")
-    out = {}
-    labels = np.asarray(labels, dtype=object)
-    for key in keys:
-        out[str(key)] = np.bincount(a[labels == key], minlength=n_cells).astype(float)
-    return out
+    info, block, _ = block_indices(ModelSpec(_SPLITS[by]), a.size, None, dates)
+    counts = np.bincount(block * n_cells + a, minlength=info.n_a * n_cells)
+    return dict(zip(info.a_labels, counts.reshape(info.n_a, n_cells).astype(float)))
 
 
 def node_table(values, n_nodes: int | None = None) -> np.ndarray:

@@ -45,7 +45,7 @@ from .errors import (
     SingularDesign,
     UnlabeledDate,
 )
-from .projection import PlanarSeries, Tessellation
+from .projection import PlanarSeries, Tessellation, padded_grid
 
 A_STRUCTURES = (
     "random_walk",
@@ -101,6 +101,25 @@ class Calendar:
         return date.year + 1 if date.month == 12 else date.year
 
 
+_CALENDAR = Calendar()
+
+# The parts of a block label, per structure. "cell" is the tessellation cell;
+# "season", "year" and "season_year" name the Calendar method that labels a
+# date. Labels sort by their parts in this order, seasons in SEASONS order.
+# The random walk has no transition blocks, and "none" and "spatial" no
+# intercept blocks.
+_A_PARTS = {
+    "constant": (),
+    "tessellation": ("cell",),
+    "quarter": ("season",),
+    "year": ("year",),
+    "quarter_by_year": ("season_year", "season"),
+    "tessellation_by_year": ("year", "cell"),
+    "tessellation_by_quarter": ("season", "cell"),
+}
+_ETA_PARTS = {"constant": (), "quarter": ("season",), "year": ("year",)}
+
+
 @dataclass(frozen=True)
 class KnotGrid:
     """Regular grid of predictive-process knots over the padded data box."""
@@ -119,15 +138,7 @@ class KnotGrid:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise DataError(f"points must be (n, 2), got {pts.shape}")
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = np.where(hi - lo > 0.0, hi - lo, 1.0)
-        lo = lo - self.padding * span
-        hi = hi + self.padding * span
-        xs = np.linspace(lo[0], hi[0], self.n_x)
-        ys = np.linspace(lo[1], hi[1], self.n_y)
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
+        return padded_grid(pts, self.padding, self.n_x, self.n_y)
 
 
 @dataclass(frozen=True)
@@ -155,7 +166,6 @@ class JitterPolicy:
 class ModelSpec:
     a_structure: str
     eta_structure: str = "none"
-    calendar: Calendar = field(default_factory=Calendar)
     knot_grid: KnotGrid = field(default_factory=KnotGrid)
     jitter: JitterPolicy = field(default_factory=JitterPolicy)
 
@@ -187,23 +197,24 @@ class ModelSpec:
         return None
 
     @property
+    def label_parts(self) -> tuple[str, ...]:
+        """Label parts of the transition blocks, then of the intercept blocks."""
+        return _A_PARTS.get(self.a_structure, ()) + _ETA_PARTS.get(self.eta_structure, ())
+
+    @property
     def needs_cells(self) -> bool:
-        return self.a_structure.startswith("tessellation")
+        return "cell" in self.label_parts
 
     @property
     def needs_dates(self) -> bool:
-        return (
-            self.a_structure in ("quarter", "quarter_by_year", "year",
-                                 "tessellation_by_year", "tessellation_by_quarter")
-            or self.eta_structure in ("quarter", "year")
-        )
+        return any(part != "cell" for part in self.label_parts)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "a_structure": spec.a_structure,
         "eta_structure": spec.eta_structure,
-        "season_calendar": spec.calendar.name,
+        "season_calendar": "meteorological",
         "knot_grid": asdict(spec.knot_grid),
         "jitter_policy": asdict(spec.jitter),
     }
@@ -223,7 +234,6 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     return ModelSpec(
         a_structure=doc["a_structure"],
         eta_structure=doc.get("eta_structure", "none"),
-        calendar=Calendar(),
         knot_grid=_doc.record(KnotGrid, doc.get("knot_grid", {}), f"{kind} knot_grid"),
         jitter=_doc.record(JitterPolicy, doc.get("jitter_policy", {}), f"{kind} jitter_policy"),
     )
@@ -245,27 +255,6 @@ def resolve_spec(source) -> ModelSpec:
 
 # ---------------------------------------------------------------------------
 # Block labeling and design matrices
-
-
-# The parts of a block label, per structure. "cell" is the tessellation cell;
-# "season", "year" and "season_year" name the Calendar method that labels a
-# date. Labels sort by their parts in this order, seasons in SEASONS order.
-_A_PARTS = {
-    "constant": (),
-    "tessellation": ("cell",),
-    "quarter": ("season",),
-    "year": ("year",),
-    "quarter_by_year": ("season_year", "season"),
-    "tessellation_by_year": ("year", "cell"),
-    "tessellation_by_quarter": ("season", "cell"),
-}
-_ETA_PARTS = {"constant": (), "quarter": ("season",), "year": ("year",)}
-
-
-def _sort_keys(keys) -> tuple:
-    return tuple(sorted(
-        keys, key=lambda k: tuple(SEASONS.index(v) if isinstance(v, str) else v for v in k)
-    ))
 
 
 class DesignInfo:
@@ -326,54 +315,44 @@ class DesignInfo:
             cols.append(f"eta[{lab}]")
         return tuple(cols)
 
-    def a_key(self, cell: int | None, date: _dt.date | None):
-        kind = self.spec.a_structure
-        if kind == "random_walk":
-            raise DataError("the random walk has no transition blocks")
-        return self._key(_A_PARTS[kind], cell, date, kind)
+    def a_index(self, cell: int | None, date: _dt.date | None) -> int | None:
+        """Transition block of one day; None for the random walk."""
+        return self._day_block(_A_PARTS.get(self.spec.a_structure), self._a_lookup, cell, date,
+                               "transition")
 
-    def eta_key(self, date: _dt.date | None):
-        kind = self.spec.eta_structure
-        if kind not in _ETA_PARTS:
+    def eta_index(self, date: _dt.date | None) -> int | None:
+        """Intercept block of one day; None without intercept columns."""
+        return self._day_block(_ETA_PARTS.get(self.spec.eta_structure), self._eta_lookup,
+                               None, date, "intercept")
+
+    @staticmethod
+    def _day_block(parts, lookup, cell, date, what) -> int | None:
+        """One day's block, by the rule of block_indices. simulate_var labels
+        each day as the recursion reaches it, and _label_codes' array set-up
+        would cost more per day than this loop."""
+        if parts is None:
             return None
-        return self._key(_ETA_PARTS[kind], None, date, f"eta {kind}")
-
-    def _key(self, parts, cell, date, kind) -> tuple:
         key = []
         for part in parts:
             if part == "cell":
                 if cell is None:
                     raise DataError("a tessellation-dependent block needs a cell index")
                 key.append(int(cell))
+            elif date is None:
+                raise UnlabeledDate(f"{what} blocks by {part} need dated observations")
             else:
-                if date is None:
-                    raise UnlabeledDate(f"structure {kind!r} needs dated observations")
-                key.append(getattr(self.spec.calendar, part)(date))
-        return tuple(key)
-
-    def a_index(self, cell: int | None, date: _dt.date | None) -> int:
-        key = self.a_key(cell, date)
+                key.append(getattr(_CALENDAR, part)(date))
         try:
-            return self._a_lookup[key]
+            return lookup[tuple(key)]
         except KeyError:
-            raise UnlabeledDate(f"no fitted transition block for {key}") from None
-
-    def eta_index(self, date: _dt.date | None) -> int | None:
-        key = self.eta_key(date)
-        if key is None:
-            return None
-        try:
-            return self._eta_lookup[key]
-        except KeyError:
-            raise UnlabeledDate(f"no fitted intercept block for {key}") from None
+            raise UnlabeledDate(f"no fitted {what} block for {tuple(key)}") from None
 
     def row(self, point: np.ndarray, cell: int | None, date: _dt.date | None) -> np.ndarray:
         """One design row for a day at `point` (random walk rows are empty)."""
         x = np.zeros(self.n_columns)
-        if self.spec.a_structure != "random_walk":
-            i = self.a_index(cell, date)
-            x[2 * i] = point[0]
-            x[2 * i + 1] = point[1]
+        i = self.a_index(cell, date)
+        if i is not None:
+            x[2 * i : 2 * i + 2] = point
         j = self.eta_index(date)
         if j is not None:
             x[2 * self.n_a + j] = 1.0
@@ -396,37 +375,23 @@ class DesignInfo:
     @classmethod
     def from_declared(cls, spec, *, cells=(), seasons=(), years=(),
                       season_years=()) -> "DesignInfo":
-        """Labels declared up front (used to lay out simulation truths)."""
-        kind = spec.a_structure
-        if kind == "random_walk":
-            a_keys = []
-        elif kind == "constant":
-            a_keys = [()]
-        elif kind == "tessellation":
-            a_keys = [(int(c),) for c in cells]
-        elif kind == "quarter":
-            a_keys = [(s,) for s in seasons]
-        elif kind == "year":
-            a_keys = [(int(y),) for y in years]
-        elif kind == "quarter_by_year":
-            a_keys = [(int(y), s) for y in season_years for s in seasons]
-        elif kind == "tessellation_by_year":
-            a_keys = [(int(y), int(c)) for y in years for c in cells]
-        else:
-            a_keys = [(s, int(c)) for s in seasons for c in cells]
-        ek = spec.eta_structure
-        if ek in ("none", "spatial"):
-            eta_keys = []
-        elif ek == "constant":
-            eta_keys = [()]
-        elif ek == "quarter":
-            eta_keys = [(s,) for s in seasons]
-        else:
-            eta_keys = [(int(y),) for y in years]
-        return cls(spec, _sort_keys(set(a_keys)), _sort_keys(set(eta_keys)))
+        """Labels declared up front (used to lay out simulation truths): every
+        crossing of the declared values of each structure's label parts."""
+        declared = {"cell": cells, "season": [SEASONS.index(s) for s in seasons],
+                    "year": years, "season_year": season_years}
+        keys = []
+        for parts in (_A_PARTS.get(spec.a_structure), _ETA_PARTS.get(spec.eta_structure)):
+            if parts is None:
+                keys.append(())
+                continue
+            grid = np.meshgrid(*(np.asarray(declared[p], dtype=np.int64) for p in parts),
+                               indexing="ij")
+            codes = {p: g.ravel() for p, g in zip(parts, grid)}
+            keys.append(_index_blocks(parts, codes, grid[0].size if grid else 1)[0])
+        return cls(spec, *keys)
 
 
-def _label_codes(cells, dates, calendar) -> dict[str, np.ndarray]:
+def _label_codes(cells, dates) -> dict[str, np.ndarray]:
     """Integer code of every label part for each day; a season is coded by
     its place in SEASONS. Calendar labels depend on the month alone, so the
     calendar is asked once per distinct month."""
@@ -438,15 +403,15 @@ def _label_codes(cells, dates, calendar) -> dict[str, np.ndarray]:
                             dtype=np.int64, count=len(dates))
         months, inv = np.unique(month, return_inverse=True)
         firsts = [_dt.date(int(m) // 12, int(m) % 12 + 1, 1) for m in months]
-        codes["season"] = np.array([SEASONS.index(calendar.season(d)) for d in firsts],
+        codes["season"] = np.array([SEASONS.index(_CALENDAR.season(d)) for d in firsts],
                                    dtype=np.int64)[inv]
         for part in ("year", "season_year"):
-            label = getattr(calendar, part)
+            label = getattr(_CALENDAR, part)
             codes[part] = np.array([label(d) for d in firsts], dtype=np.int64)[inv]
     return codes
 
 
-def _index_blocks(parts, codes, n, keys, what):
+def _index_blocks(parts, codes, n, keys=None, what=""):
     """Each day's block as an index into `keys`.
 
     With keys=None the keys are the distinct blocks the days visit, in
@@ -484,9 +449,9 @@ def block_indices(spec: ModelSpec, n: int, cells, dates, info: DesignInfo | None
             f"{spec.a_structure}/{spec.eta_structure} needs dated observations"
         )
     codes = _label_codes(cells if spec.needs_cells else None,
-                         dates if spec.needs_dates else None, spec.calendar)
+                         dates if spec.needs_dates else None)
     a_keys, a_idx = (), None
-    if spec.a_structure != "random_walk":
+    if spec.a_structure in _A_PARTS:
         a_keys, a_idx = _index_blocks(_A_PARTS[spec.a_structure], codes, n,
                                       None if info is None else info.a_keys, "transition")
     eta_keys, eta_idx = (), None
@@ -619,7 +584,6 @@ class DesignPair:
     a_idx: np.ndarray | None
     eta_idx: np.ndarray | None
     source_cells: np.ndarray | None
-    source_dates: tuple[_dt.date, ...] | None
     info: DesignInfo
 
     @property
@@ -742,8 +706,7 @@ def _rows_design(Y, S, spec, cells, dates, info) -> DesignPair:
     return DesignPair(
         Y=Y,
         offset=S.copy() if spec.a_structure == "random_walk" else np.zeros((n, 2)),
-        source_points=S, a_idx=a_idx, eta_idx=eta_idx, source_cells=cells,
-        source_dates=dates, info=info,
+        source_points=S, a_idx=a_idx, eta_idx=eta_idx, source_cells=cells, info=info,
     )
 
 

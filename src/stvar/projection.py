@@ -112,8 +112,7 @@ def sammon_stress(distances: np.ndarray, coords: np.ndarray) -> float:
         )
     iu = np.triu_indices(D.shape[0], k=1)
     d = D[iu]
-    delta = cdist(Y, Y)[iu]
-    return float(((d - delta) ** 2 / d).sum() / d.sum())
+    return _stress_raw(d, float(d.sum()), Y, iu)
 
 
 def classical_scaling(distances: np.ndarray, n_components: int = 2) -> np.ndarray:
@@ -353,6 +352,19 @@ def load_planar(path) -> PlanarSeries:
 # Greedy rank-agreement projection
 
 
+def padded_grid(points: np.ndarray, padding: float, n_x: int, n_y: int) -> np.ndarray:
+    """Regular n_x by n_y grid, x varying fastest, over the bounding box of
+    `points` widened on each side by `padding` times its extent (taken as 1
+    along an axis where the points do not spread)."""
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    span = np.where(hi - lo > 0.0, hi - lo, 1.0)
+    lo = lo - padding * span
+    hi = hi + padding * span
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], n_x), np.linspace(lo[1], hi[1], n_y))
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 # Days are scored against the distinct orderings this many at a time, which
 # keeps the (days, orderings) work arrays to a few hundred kilobytes.
 _DAY_BLOCK = 64
@@ -369,15 +381,7 @@ class GreedyProjector:
         self.model = model
         self.nodes = model.nodes
         self.planar = model.planar
-        lo = self.planar.min(axis=0)
-        hi = self.planar.max(axis=0)
-        span = np.where(hi - lo > 0.0, hi - lo, 1.0)
-        lo = lo - padding * span
-        hi = hi + padding * span
-        xs = np.linspace(lo[0], hi[0], resolution)
-        ys = np.linspace(lo[1], hi[1], resolution)
-        gx, gy = np.meshgrid(xs, ys)
-        self.candidates = np.column_stack([gx.ravel(), gy.ravel()])
+        self.candidates = padded_grid(self.planar, padding, resolution, resolution)
         d2 = cdist(self.candidates, self.planar, "sqeuclidean")
         self.cand_order = np.argsort(d2, axis=1, kind="stable")
 

@@ -69,6 +69,17 @@ def _interp(i: int, n: int, start: float, end: float) -> float:
     return start + (end - start) * (i / (n - 1))
 
 
+def _two_phase(pairs: tuple[Pair, Pair], i: int, n1: int, n2: int) -> float:
+    """Value at step i of a schedule moving linearly from start to end over
+    n1 steps, then over n2 more, and held at the last end after them."""
+    (s1, e1), (s2, e2) = pairs
+    if i < n1:
+        return _interp(i, n1, s1, e1)
+    if i < n1 + n2:
+        return _interp(i - n1, n2, s2, e2)
+    return e2
+
+
 @dataclass(frozen=True)
 class SomConfig:
     """Training hyperparameters.
@@ -125,20 +136,10 @@ class SomConfig:
         return ((start, 1.0), (1.0, 1.0))
 
     def alpha_at(self, i: int, n1: int, n2: int) -> float:
-        (s1, e1), (s2, e2) = self.alpha
-        if i < n1:
-            return _interp(i, n1, s1, e1)
-        if i < n1 + n2:
-            return _interp(i - n1, n2, s2, e2)
-        return e2
+        return _two_phase(self.alpha, i, n1, n2)
 
     def sigma_at(self, i: int, n1: int, n2: int) -> float:
-        (s1, e1), (s2, e2) = self.sigma_pairs()
-        if i < n1:
-            return _interp(i, n1, s1, e1)
-        if i < n1 + n2:
-            return _interp(i - n1, n2, s2, e2)
-        return e2
+        return _two_phase(self.sigma_pairs(), i, n1, n2)
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,6 @@ def simulate_var(
         spatial = (adj, v)
 
     info = truth.info
-    is_rw = spec.a_structure == "random_walk"
     n_a = info.n_a
     pts = np.empty((n_days, 2))
     pts[0] = np.asarray(s0, dtype=float)
@@ -135,11 +134,8 @@ def simulate_var(
         s = pts[t]
         date = dates[t] if dates is not None else None
         cell = tess.assign_one(s) if spec.needs_cells else None
-        if is_rw:
-            mean = s.copy()
-        else:
-            i = info.a_index(cell, date)
-            mean = truth.a_block(i) @ s
+        i = info.a_index(cell, date)
+        mean = s.copy() if i is None else truth.a_block(i) @ s
         j = info.eta_index(date)
         if j is not None:
             mean = mean + truth.phi[2 * n_a + j]
@@ -205,11 +201,7 @@ def ladder_truth(
     cells = range(tess.n_cells) if (tess is not None and spec.needs_cells) else ()
     years: tuple[int, ...] = ()
     season_years: tuple[int, ...] = ()
-    needs_years = (
-        spec.a_structure in ("year", "quarter_by_year", "tessellation_by_year")
-        or spec.eta_structure == "year"
-    )
-    if needs_years:
+    if {"year", "season_year"} & set(spec.label_parts):
         if start_date is None or n_days is None:
             raise DataError("year-blocked truth needs start_date and n_days")
         d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)

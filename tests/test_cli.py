@@ -111,6 +111,12 @@ class TestSimulate:
         assert code == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = run("simulate", "--days", 10, "--seed", -1, "--out", tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "series.planar").exists()
+
     def test_quarter_model_needs_start_date(self, tmp_path):
         assert run("simulate", "--model", "model4", "--out", tmp_path) == 2
         assert run(
@@ -381,6 +387,48 @@ class TestTransitionsFrequencies:
             "--season", "DJF", "--out", tmp_path,
         )
         assert code == 2
+
+    @pytest.fixture(scope="class")
+    def january(self, tmp_path_factory):
+        """A 30-day series dated in January, with its tessellation."""
+        root = tmp_path_factory.mktemp("january")
+        simulate_into(root, days=30, seed=2, extra=("--start-date", "2001-01-01"))
+        return root
+
+    @pytest.mark.parametrize("season", ["XYZ", "djf"])
+    def test_unknown_season_is_usage_error(self, january, tmp_path, capsys, season):
+        code = run(
+            "transitions", "--series", january / "series.planar",
+            "--tessellation", january / "tessellation.json",
+            "--season", season, "--out", tmp_path,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    @pytest.mark.parametrize("season", ["XYZ", "djf"])
+    def test_unknown_season_from_files_is_data_error(self, january, tmp_path, capsys,
+                                                     season):
+        args = {"series": str(january / "series.planar"),
+                "tessellation": str(january / "tessellation.json"), "season": season}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(args))
+        assert run("transitions", "--config", cfg, "--out", tmp_path) == 2
+        pipe = tmp_path / "pipe.json"
+        pipe.write_text(json.dumps({"stages": [{"run": "transitions", "args": args}]}))
+        assert run("pipeline", "--config", pipe, "--out", tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [ln.split(":")[0] for ln in err] == ["data error"] * 2
+
+    def test_season_without_source_days(self, january, tmp_path):
+        code = run(
+            "transitions", "--series", january / "series.planar",
+            "--tessellation", january / "tessellation.json",
+            "--season", "JJA", "--out", tmp_path,
+        )
+        assert code == 0
+        quant = (tmp_path / "distance_quantiles.csv").read_text().splitlines()
+        assert quant[-1] == "all,0,,,,,"
+        assert all(ln.split(",")[1] == "0" for ln in quant[1:])
 
     def test_frequencies_plain(self, fitted, tmp_path):
         code = run(

@@ -182,6 +182,10 @@ PROBES = {
         {"run": "lag-scan", "args": {"max_lag": "x"}}]}).encode(), "stage 0 (lag-scan)"),
     "pipeline-seed-text": ("pipeline.json", lambda r, d: _lag_stage(d, seed="abc"), "'seed'"),
     "pipeline-out-list": ("pipeline.json", lambda r, d: _lag_stage(d, out=[1]), "'out'"),
+    "pipeline-seed-negative": ("pipeline.json", lambda r, d: _lag_stage(d, seed=-1),
+                               "stage 0 (lag-scan): argument --seed"),
+    "config-seed-negative": ("config.json", lambda r, d: edited(
+        d, "config.json", lambda m: m.update(seed=-1)), "argument --seed"),
     "ff-series-names": ("state.series", lambda r, d: with_ff(r, "state.series", b"\n"), None),
     "ff-planar": ("series.planar", lambda r, d: with_ff(r, "series.planar", b"\n"), None),
     "ff-chain": ("model2.chain", lambda r, d: with_ff(r, "model2.chain", b"\n"), None),
