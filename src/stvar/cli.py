@@ -565,8 +565,10 @@ def cmd_transitions(args) -> dict:
     if args.season:
         if series.dates is None:
             raise DataError("--season needs a dated series")
-        select = np.array([Calendar().season(d) == args.season for d in series.dates[:-1]],
-                          dtype=bool)
+        cal = Calendar()
+        select = np.array(
+            [cal.season(d) == args.season for d in series.dates[:-1]], dtype=bool
+        )
 
     out = Path(args.out)
     labels = [str(k) for k in range(n_cells)]
@@ -594,8 +596,7 @@ def cmd_transitions(args) -> dict:
         writer.writerow(["cell", "count"] + [f"q{int(100 * q):02d}" for q in qs])
         src = np.asarray(assignment)[:-1]
         mask = np.ones(src.shape, dtype=bool) if select is None else select
-        rows = [(str(k), src == k) for k in range(n_cells)] + [("all", True)]
-        for label, where in rows:
+        for label, where in [(str(k), src == k) for k in range(n_cells)] + [("all", True)]:
             here = distances[where & mask]
             row = [label, str(here.size)]
             row += [_g17(v) for v in np.quantile(here, qs)] if here.size else [""] * 5

@@ -236,13 +236,20 @@ def _normalize_counts(counts: np.ndarray) -> TransitionMatrix:
     return TransitionMatrix(probs=probs, counts=counts, defined=defined)
 
 
-def _count_transitions(src, dst, n_cells: int, select) -> TransitionMatrix:
-    """Transition frequencies from the source cells `src` (n,) to the cells
-    `dst` ((n,) or (draws, n)), over the source days that `select` keeps."""
+def _source_mask(select, n_source: int):
+    """`select` as a boolean mask over the `n_source` source days, or None."""
     if select is not None:
         select = np.asarray(select, dtype=bool)
-        if select.shape != src.shape:
+        if select.shape != (n_source,):
             raise LengthMismatch("select mask must cover the source days")
+    return select
+
+
+def _count_transitions(src, dst, n_cells: int, select) -> TransitionMatrix:
+    """Transition frequencies from the source cells `src` (n,) to the cells
+    `dst` ((n,) or (draws, n)), over the source days that the checked mask
+    `select` keeps."""
+    if select is not None:
         src, dst = src[select], dst[..., select]
     counts = np.bincount((src.astype(np.int64) * n_cells + dst).ravel(),
                          minlength=n_cells * n_cells)
@@ -262,7 +269,7 @@ def empirical_transitions(assignment, n_cells: int, select=None) -> TransitionMa
         raise DataError("assignments must be integers")
     if a.min() < 0 or a.max() >= n_cells:
         raise DataError(f"assignment outside [0, {n_cells})")
-    return _count_transitions(a[:-1], a[1:], n_cells, select)
+    return _count_transitions(a[:-1], a[1:], n_cells, _source_mask(select, a.size - 1))
 
 
 def model_transitions(
@@ -281,6 +288,7 @@ def model_transitions(
     t = tess if tess is not None else chain.tessellation()
     if t is None:
         raise DataError("transition matrices need a tessellation")
+    select = _source_mask(select, series.n_days - 1)
     pred = predict_series(
         chain, series, tess=t, n_draws=n_draws, seed=seed, include_noise=True
     )

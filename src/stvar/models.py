@@ -89,8 +89,6 @@ class Calendar:
     winter when seasons and years are crossed; the plain yearly blocks use
     the calendar year unchanged."""
 
-    name: str = "meteorological"
-
     def season(self, date: _dt.date) -> str:
         return _SEASON_OF_MONTH[date.month]
 

@@ -356,11 +356,9 @@ def padded_grid(points: np.ndarray, padding: float, n_x: int, n_y: int) -> np.nd
     """Regular n_x by n_y grid, x varying fastest, over the bounding box of
     `points` widened on each side by `padding` times its extent (taken as 1
     along an axis where the points do not spread)."""
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = np.where(hi - lo > 0.0, hi - lo, 1.0)
-    lo = lo - padding * span
-    hi = hi + padding * span
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    pad = padding * np.where(hi - lo > 0.0, hi - lo, 1.0)
+    lo, hi = lo - pad, hi + pad
     gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], n_x), np.linspace(lo[1], hi[1], n_y))
     return np.column_stack([gx.ravel(), gy.ravel()])
 

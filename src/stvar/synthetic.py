@@ -199,8 +199,7 @@ def ladder_truth(
     """
     spec = resolve_spec(spec)
     cells = range(tess.n_cells) if (tess is not None and spec.needs_cells) else ()
-    years: tuple[int, ...] = ()
-    season_years: tuple[int, ...] = ()
+    years = season_years = ()
     if {"year", "season_year"} & set(spec.label_parts):
         if start_date is None or n_days is None:
             raise DataError("year-blocked truth needs start_date and n_days")

@@ -390,6 +390,18 @@ class TestModelTransitions:
         with pytest.raises(LengthMismatch):
             model_transitions(chain, series, select=select[:-1])
 
+    def test_select_mask_checked_before_predicting(self, monkeypatch):
+        tess = default_tessellation()
+        series = PlanarSeries(points=np.vstack([tess.sites, tess.sites[:1]]))
+        chain = self.identity_chain(tess.sites)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("predicted before checking the mask")
+
+        monkeypatch.setattr("stvar.evaluate.predict_series", refuse)
+        with pytest.raises(LengthMismatch):
+            model_transitions(chain, series, select=np.ones(11, dtype=bool))
+
     def test_counts_match_per_day_tally(self):
         tess = default_tessellation()
         chain = fixed_chain(ModelSpec("constant"), [()], [], 0.6 * np.eye(2),
