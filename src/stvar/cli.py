@@ -23,7 +23,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from . import __version__, _doc
 from .data_model import StateSeries, as_matrix, load_series, save_series, standardize
-from .errors import DataError, NumericalError
+from .errors import DataError, EmptySeries, NumericalError
 from .evaluate import (
     empirical_transitions,
     model_transitions,
@@ -37,14 +37,13 @@ from .evaluate import (
 from .mcmc import McmcConfig, load_chain, predict_series, run_chain, save_chain
 from .models import SEASONS, Calendar, resolve_spec
 from .projection import (
-    PlanarSeries,
     Tessellation,
     load_planar,
     project_series,
     sammon_embed,
     save_planar,
 )
-from .som import SomConfig, SomModel, load_som, save_som, train_batch, train_online
+from .som import SomConfig, load_som, replace_planar, save_som, train_batch, train_online
 from .synthetic import DEFAULT_SIGMA, default_tessellation, ladder_truth, simulate_var
 
 
@@ -244,12 +243,15 @@ def _parse_config(parser, head: list[str], doc, kind: str, tail=()):
 
 
 def _write_manifest(args, payload: dict, wall_time: float) -> Path:
+    """The run's manifest. Its inputs are the files the input options name."""
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("cmd", "config")}
     config.update(payload.get("extra_config", {}))
+    named = [getattr(args, k, None) for k in ("series", "som", "tessellation", "chain", "config")]
+    inputs = [p for v in named for p in (v if isinstance(v, list) else [v]) if p]
     manifest = {
         "command": args.cmd,
         "config": config,
-        "inputs": sorted(str(p) for p in payload.get("inputs", [])),
+        "inputs": sorted(str(p) for p in inputs),
         "outputs": sorted(str(p) for p in payload.get("outputs", [])),
         "seed": args.seed,
         "version": __version__,
@@ -292,16 +294,39 @@ def _spec_slug(spec) -> str:
     return label.replace("/", "-")
 
 
-def _write_matrix_csv(path: Path, probs: np.ndarray, labels: list[str]) -> None:
+def _write_json(path: Path, doc) -> Path:
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    return path
+
+
+def _write_csv(path: Path, rows) -> Path:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from/to"] + labels)
-        for label, row in zip(labels, probs):
-            writer.writerow([label] + [_g17(v) for v in row])
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def _write_matrix_csv(path: Path, probs: np.ndarray, labels: list[str]) -> Path:
+    return _write_csv(path, [["from/to"] + labels]
+                      + [[label] + [_g17(v) for v in row] for label, row in zip(labels, probs)])
+
+
+def _cells(series, tess: Tessellation | None, nodes: int | None) -> tuple[np.ndarray, int]:
+    """Each day's cell and the number of cells: from `tess` when given, else
+    the series' node assignments (a loaded series always has them), of
+    which --nodes may give the count."""
+    if series.n_days == 0:
+        raise EmptySeries("series has no days")
+    if tess is None:
+        cells = series.node_assignment
+        return cells, nodes if nodes is not None else int(cells.max()) + 1
+    if nodes is not None and nodes != tess.n_cells:
+        raise DataError(f"--nodes {nodes} disagrees with the tessellation's {tess.n_cells} cells")
+    return tess.assign(series.points), tess.n_cells
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers; each returns the manifest payload
+# Subcommand handlers; each returns the files it wrote (and any manifest
+# name or extra configuration). The manifest lists inputs from the options.
 
 
 def cmd_simulate(args) -> dict:
@@ -320,11 +345,7 @@ def cmd_simulate(args) -> dict:
     out = Path(args.out)
     series_path = out / "series.planar"
     save_planar(series, series_path)
-    tess_path = out / "tessellation.json"
-    tess_path.write_text(
-        json.dumps({"sites": tess.sites.tolist()}, indent=1) + "\n"
-    )
-    truth_path = out / "truth.json"
+    tess_path = _write_json(out / "tessellation.json", {"sites": tess.sites.tolist()})
     truth_blob = {
         "model": spec.name or f"{spec.a_structure}/{spec.eta_structure}",
         "a_structure": spec.a_structure,
@@ -335,33 +356,27 @@ def cmd_simulate(args) -> dict:
         "sigma": truth.sigma.tolist(),
         "spectral_radii": [float(r) for r in truth.spectral_radii()],
     }
-    truth_path.write_text(json.dumps(truth_blob, indent=1) + "\n")
+    truth_path = _write_json(out / "truth.json", truth_blob)
     print(f"simulated {args.days} days from {truth_blob['model']}")
     return {
-        "inputs": [],
         "outputs": [series_path, tess_path, truth_path],
         "extra_config": {"resolved_model": truth_blob["model"]},
     }
 
 
 def cmd_standardize(args) -> dict:
-    path = _need(args, "series")
-    data = load_series(path)
+    data = load_series(_need(args, "series"))
     if isinstance(data, StateSeries):
         raise DataError("series already carries standardization constants")
     state = standardize(data, per_cell=args.per_cell)
     out_path = Path(args.out) / "series.state"
     save_series(state, out_path)
     print(f"standardized {state.n_days} days, {state.grid.d} components")
-    return {
-        "inputs": [path],
-        "outputs": [out_path, Path(str(out_path) + ".meta.json")],
-    }
+    return {"outputs": [out_path, Path(str(out_path) + ".meta.json")]}
 
 
 def cmd_train_som(args) -> dict:
-    path = _need(args, "series")
-    data = load_series(path)
+    data = load_series(_need(args, "series"))
     phase_steps = None
     if args.phase_steps:
         parts = args.phase_steps.split(",")
@@ -380,61 +395,41 @@ def cmd_train_som(args) -> dict:
     out_path = Path(args.out) / "som.json"
     save_som(model, out_path)
     print(f"trained {args.nodes}-node map ({args.mode})")
-    return {"inputs": [path], "outputs": [out_path]}
+    return {"outputs": [out_path]}
 
 
 def cmd_sammon(args) -> dict:
-    path = _need(args, "som")
-    som = load_som(path)
+    som = load_som(_need(args, "som"))
     distances = squareform(pdist(som.nodes))
     result = sammon_embed(distances)
-    embedded = SomModel(
-        nodes=som.nodes,
-        planar=result.coords,
-        config=som.config,
-        provenance=som.provenance,
-    )
     out = Path(args.out)
     som_path = out / "som_sammon.json"
-    save_som(embedded, som_path)
-    report_path = out / "sammon.json"
-    report_path.write_text(
-        json.dumps(
-            {
-                "stress": result.stress,
-                "n_iter": result.n_iter,
-                "converged": result.converged,
-            },
-            indent=1,
-        )
-        + "\n"
+    save_som(replace_planar(som, result.coords), som_path)
+    report_path = _write_json(
+        out / "sammon.json",
+        {
+            "stress": result.stress,
+            "n_iter": result.n_iter,
+            "converged": result.converged,
+        },
     )
     print(f"sammon stress {_g5(result.stress)} after {result.n_iter} iterations")
-    return {"inputs": [path], "outputs": [som_path, report_path]}
+    return {"outputs": [som_path, report_path]}
 
 
 def cmd_project(args) -> dict:
-    som_path = _need(args, "som")
-    series_path = _need(args, "series")
-    som = load_som(som_path)
-    data = load_series(series_path)
+    som = load_som(_need(args, "som"))
+    data = load_series(_need(args, "series"))
     planar = project_series(data, som)
-    if planar.dates is None and data.dates is not None:
-        planar = PlanarSeries(
-            points=planar.points,
-            node_assignment=planar.node_assignment,
-            dates=data.dates,
-        )
     out_path = Path(args.out) / "days.planar"
     save_planar(planar, out_path)
     print(f"projected {planar.n_days} days")
-    return {"inputs": [som_path, series_path], "outputs": [out_path]}
+    return {"outputs": [out_path]}
 
 
 def cmd_fit(args) -> dict:
     spec = resolve_spec(_need(args, "spec"))
-    series_path = _need(args, "series")
-    series = load_planar(series_path)
+    series = load_planar(_need(args, "series"))
     tess = _load_tessellation(args)
     config = McmcConfig(
         n_iter=args.iters,
@@ -447,13 +442,11 @@ def cmd_fit(args) -> dict:
     slug = _spec_slug(spec)
     out_path = Path(args.out) / f"{slug}.chain"
     save_chain(chain, out_path)
-    inputs = [series_path] + [p for p in (args.som, args.tessellation) if p]
     print(
         f"fit {slug}: {chain.n_draws} draws kept, "
         f"max split R-hat {_g5(chain.rhat_max)}"
     )
     return {
-        "inputs": inputs,
         "outputs": [out_path],
         "name": f"fit_{slug}",
         "extra_config": {"resolved_spec": slug, "converged": chain.converged,
@@ -462,26 +455,21 @@ def cmd_fit(args) -> dict:
 
 
 def cmd_predict(args) -> dict:
-    chain_path = _need(args, "chain")
-    series_path = _need(args, "series")
-    chain = load_chain(chain_path)
-    series = load_planar(series_path)
+    chain = load_chain(_need(args, "chain"))
+    series = load_planar(_need(args, "series"))
     pred = predict_series(
         chain, series, n_draws=args.draws, seed=args.seed, include_noise=True
     )
     lo = np.quantile(pred.draws, 0.025, axis=0)
     hi = np.quantile(pred.draws, 0.975, axis=0)
     mean = pred.mean
-    out_path = Path(args.out) / "predictions.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["date", "actual_x", "actual_y", "mean_x", "mean_y",
-             "q025_x", "q975_x", "q025_y", "q975_y"]
-        )
+
+    def rows():  # one day at a time: a series may be long
+        yield ["date", "actual_x", "actual_y", "mean_x", "mean_y",
+               "q025_x", "q975_x", "q025_y", "q975_y"]
         for t in range(mean.shape[0]):
             date = pred.dates[t].isoformat() if pred.dates is not None else ""
-            writer.writerow(
+            yield (
                 [date]
                 + [_g17(v) for v in (
                     pred.actual[t, 0], pred.actual[t, 1],
@@ -489,16 +477,17 @@ def cmd_predict(args) -> dict:
                     lo[t, 0], hi[t, 0], lo[t, 1], hi[t, 1],
                 )]
             )
+
+    out_path = _write_csv(Path(args.out) / "predictions.csv", rows())
     print(f"predicted {mean.shape[0]} steps with {pred.draws.shape[0]} draws each")
-    return {"inputs": [chain_path, series_path], "outputs": [out_path]}
+    return {"outputs": [out_path]}
 
 
 def cmd_evaluate(args) -> dict:
     chain_paths = args.chain
     if not chain_paths:
         raise UsageError("--chain is required (repeat it to compare models)")
-    series_path = _need(args, "series")
-    series = load_planar(series_path)
+    series = load_planar(_need(args, "series"))
     scores = []
     for path in chain_paths:
         chain = load_chain(path)
@@ -513,10 +502,7 @@ def cmd_evaluate(args) -> dict:
             )
         )
     out = Path(args.out)
-    scores_path = out / "scores.json"
-    scores_path.write_text(
-        json.dumps([score_to_dict(s) for s in scores], indent=1) + "\n"
-    )
+    scores_path = _write_json(out / "scores.json", [score_to_dict(s) for s in scores])
     header = ["model", "rmspe", "dic", "p_d", "coverage"]
     rows = [
         [s.model, _g5(s.rmspe), _g5(s.dic), _g5(s.p_d), _g5(s.coverage)]
@@ -534,32 +520,17 @@ def cmd_evaluate(args) -> dict:
     report_path = out / "report.txt"
     report_path.write_text(report)
     print(report, end="")
-    return {
-        "inputs": list(chain_paths) + [series_path],
-        "outputs": [scores_path, report_path],
-    }
+    return {"outputs": [scores_path, report_path]}
 
 
 def cmd_transitions(args) -> dict:
-    series_path = _need(args, "series")
-    series = load_planar(series_path)
-    inputs = [series_path]
+    series = load_planar(_need(args, "series"))
     tess = _load_tessellation(args)
     chain = None
     if args.chain:
         chain = load_chain(args.chain)
-        inputs.append(args.chain)
-        if tess is None:
-            tess = chain.tessellation()
-    if tess is not None:
-        assignment = tess.assign(series.points)
-        n_cells = tess.n_cells
-    else:
-        assignment = series.node_assignment
-        if assignment is None:
-            raise DataError("series carries no assignments; give --som or --tessellation")
-        n_cells = args.nodes if args.nodes else int(assignment.max()) + 1
-    inputs += [p for p in (args.som, args.tessellation) if p]
+        tess = chain.tessellation(tess)
+    assignment, n_cells = _cells(series, tess, args.nodes)
 
     select = None
     if args.season:
@@ -575,94 +546,70 @@ def cmd_transitions(args) -> dict:
     outputs = []
 
     empirical = empirical_transitions(assignment, n_cells, select=select)
-    emp_path = out / "transitions_empirical.csv"
-    _write_matrix_csv(emp_path, empirical.probs, labels)
-    outputs.append(emp_path)
+    outputs.append(_write_matrix_csv(out / "transitions_empirical.csv", empirical.probs, labels))
 
     if chain is not None:
         implied = model_transitions(
             chain, series, tess=tess, n_draws=args.draws, seed=args.seed,
             select=select,
         )
-        model_path = out / "transitions_model.csv"
-        _write_matrix_csv(model_path, implied.probs, labels)
-        outputs.append(model_path)
+        outputs.append(_write_matrix_csv(out / "transitions_model.csv", implied.probs, labels))
 
     distances = transition_distances(series)
     qs = (0.05, 0.25, 0.50, 0.75, 0.95)
-    dist_path = out / "distance_quantiles.csv"
-    with open(dist_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell", "count"] + [f"q{int(100 * q):02d}" for q in qs])
-        src = np.asarray(assignment)[:-1]
-        mask = np.ones(src.shape, dtype=bool) if select is None else select
-        for label, where in [(str(k), src == k) for k in range(n_cells)] + [("all", True)]:
-            here = distances[where & mask]
-            row = [label, str(here.size)]
-            row += [_g17(v) for v in np.quantile(here, qs)] if here.size else [""] * 5
-            writer.writerow(row)
-    outputs.append(dist_path)
+    rows = [["cell", "count"] + [f"q{int(100 * q):02d}" for q in qs]]
+    src = np.asarray(assignment)[:-1]
+    mask = np.ones(src.shape, dtype=bool) if select is None else select
+    for label, where in [(str(k), src == k) for k in range(n_cells)] + [("all", True)]:
+        here = distances[where & mask]
+        row = [label, str(here.size)]
+        row += [_g17(v) for v in np.quantile(here, qs)] if here.size else [""] * 5
+        rows.append(row)
+    outputs.append(_write_csv(out / "distance_quantiles.csv", rows))
     kept = int(empirical.counts.sum())
     print(f"tabulated {kept} transitions over {n_cells} cells")
-    return {"inputs": inputs, "outputs": outputs}
+    return {"outputs": outputs}
 
 
 def cmd_frequencies(args) -> dict:
-    series_path = _need(args, "series")
-    series = load_planar(series_path)
-    assignment = series.node_assignment
-    if assignment is None:
-        raise DataError("series carries no node assignments")
-    n_cells = args.nodes if args.nodes else int(assignment.max()) + 1
+    series = load_planar(_need(args, "series"))
+    assignment, n_cells = _cells(series, None, args.nodes)
     freq = node_frequencies(
         assignment, n_cells, dates=series.dates, by=args.by
     )
     blocks = {"all": freq} if isinstance(freq, np.ndarray) else freq
-    out_path = Path(args.out) / "frequencies.csv"
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block"] + [f"node_{k}" for k in range(n_cells)])
-        for label, counts in blocks.items():
-            writer.writerow([label] + [_g17(v) for v in counts])
+    rows = [["block"] + [f"node_{k}" for k in range(n_cells)]]
+    rows += [[label] + [_g17(v) for v in counts] for label, counts in blocks.items()]
+    out_path = _write_csv(Path(args.out) / "frequencies.csv", rows)
     print(f"counted {series.n_days} days over {len(blocks)} block(s)")
-    return {"inputs": [series_path], "outputs": [out_path]}
+    return {"outputs": [out_path]}
 
 
 def cmd_maps(args) -> dict:
-    som_path = _need(args, "som")
-    series_path = _need(args, "series")
-    som = load_som(som_path)
-    data = load_series(series_path)
+    som = load_som(_need(args, "som"))
+    data = load_series(_need(args, "series"))
     standardization = getattr(data, "standardization", None)
     fields = node_field_maps(som, data.grid, standardization, kind=args.kind)
     out = Path(args.out)
     outputs = []
     for k in range(fields.shape[0]):
         for v, name in enumerate(data.grid.variables):
-            path = out / f"map_node{k:02d}_{name}.csv"
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in fields[k, v]:
-                    writer.writerow([_g17(x) for x in row])
-            outputs.append(path)
+            rows = [[_g17(x) for x in row] for row in fields[k, v]]
+            outputs.append(_write_csv(out / f"map_node{k:02d}_{name}.csv", rows))
     print(f"wrote {len(outputs)} {args.kind} grids")
-    return {"inputs": [som_path, series_path], "outputs": outputs}
+    return {"outputs": outputs}
 
 
 def cmd_lag_scan(args) -> dict:
-    series_path = _need(args, "series")
-    series = load_planar(series_path)
+    series = load_planar(_need(args, "series"))
     result = var_lag_aic(series, args.max_lag)
-    out_path = Path(args.out) / "lag_scan.json"
-    out_path.write_text(
-        json.dumps(
-            {"aic": result.aic.tolist(), "best_lag": result.best_lag}, indent=1
-        )
-        + "\n"
+    out_path = _write_json(
+        Path(args.out) / "lag_scan.json",
+        {"aic": result.aic.tolist(), "best_lag": result.best_lag},
     )
     aics = ", ".join(_g5(a) for a in result.aic)
     print(f"best lag {result.best_lag} (aic by lag: {aics})")
-    return {"inputs": [series_path], "outputs": [out_path]}
+    return {"outputs": [out_path]}
 
 
 def cmd_pipeline(args) -> dict | None:
@@ -694,7 +641,6 @@ def cmd_pipeline(args) -> dict | None:
             raise _StageFailure(code)
     print(f"pipeline: {len(stages)} stage(s) complete")
     return {
-        "inputs": [args.config],
         "outputs": [],
         "extra_config": {"stages_run": [a.cmd for _, a in stages]},
     }

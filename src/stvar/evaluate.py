@@ -285,7 +285,7 @@ def model_transitions(
     Each source day contributes its predictive draws' landing cells; rows
     pool source days lying in the same cell.
     """
-    t = tess if tess is not None else chain.tessellation()
+    t = chain.tessellation(tess)
     if t is None:
         raise DataError("transition matrices need a tessellation")
     select = _source_mask(select, series.n_days - 1)

@@ -32,6 +32,7 @@ from . import _doc
 from .errors import (
     DataError,
     DimensionMismatch,
+    EmptySeries,
     InsufficientDf,
     LengthMismatch,
     MalformedHeader,
@@ -145,7 +146,10 @@ class Chain:
     def column_map(self) -> tuple[str, ...]:
         return self.info.column_map
 
-    def tessellation(self) -> Tessellation | None:
+    def tessellation(self, tess: Tessellation | None = None) -> Tessellation | None:
+        """`tess` when given, else the tessellation the chain was fitted with."""
+        if tess is not None:
+            return tess
         return None if self.tess_sites is None else Tessellation(sites=self.tess_sites)
 
     def draw(self, i: int) -> PosteriorDraw:
@@ -605,8 +609,9 @@ def chain_design(chain: Chain, series: PlanarSeries, tess: Tessellation | None =
     Cells come from `tess`, else the chain's tessellation, else the series'
     node assignments.
     """
-    return stack_design(series, chain.spec,
-                        tess if tess is not None else chain.tessellation(), chain.info)
+    if series.n_days < 2:
+        raise EmptySeries(f"need at least 2 days to predict a transition, got {series.n_days}")
+    return stack_design(series, chain.spec, chain.tessellation(tess), chain.info)
 
 
 def mean_paths(chain: Chain, design: DesignPair, draws: list[PosteriorDraw]) -> np.ndarray:
@@ -674,7 +679,7 @@ def predict_one_step(
     """Draws of the next day's position given today's, shape (B, 2)."""
     point = np.asarray(point, dtype=float).reshape(2)
     if chain.spec.needs_cells and cell is None:
-        t = tess if tess is not None else chain.tessellation()
+        t = chain.tessellation(tess)
         if t is None:
             raise DataError("cell-dependent prediction needs a cell or tessellation")
         cell = int(t.assign_one(point))
@@ -760,6 +765,8 @@ def load_chain(path) -> Chain:
     body = lines[2 : 2 + n_draws]
     if len(body) < n_draws:
         raise ShortRead(f"expected {n_draws} draw lines, found {len(body)}")
+    if any(line.strip() for line in lines[2 + n_draws :]):
+        raise DimensionMismatch(f"metadata declares {n_draws} draws, file has more lines")
     phi = np.empty((n_draws, p, 2))
     sigma = np.empty((n_draws, 2, 2))
     theta = np.empty((n_draws, 2)) if spatial else None

@@ -471,12 +471,13 @@ def project_series(
     padding: float = 0.25,
     resolution: int = 201,
 ) -> PlanarSeries:
-    """Project every day and record its data-space winning node."""
+    """Project every day and record its data-space winning node; the dates
+    of a series that has them are kept."""
     X = as_matrix(series)
     if X.shape[1] != model.dim:
         raise DimensionMismatch(f"data dim {X.shape[1]} != model dim {model.dim}")
     projector = GreedyProjector(model, padding=padding, resolution=resolution)
     points = projector.project_many(X)
     winners = assign(X, model)
-    dates = series.dates if isinstance(series, StateSeries) else None
+    dates = getattr(series, "dates", None)
     return PlanarSeries(points=points, node_assignment=winners, dates=dates)

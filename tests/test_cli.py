@@ -11,7 +11,7 @@ import pytest
 from stvar.cli import dispatch
 from stvar.data_model import GridSpec, RawSeries, save_series
 from stvar.mcmc import load_chain
-from stvar.projection import load_planar
+from stvar.projection import PlanarSeries, load_planar, save_planar
 
 
 def run(*args) -> int:
@@ -430,6 +430,37 @@ class TestTransitionsFrequencies:
         assert quant[-1] == "all,0,,,,,"
         assert all(ln.split(",")[1] == "0" for ln in quant[1:])
 
+    def test_nodes_disagreeing_with_tessellation(self, fitted, tmp_path, capsys):
+        args = {"series": str(fitted / "series.planar"),
+                "tessellation": str(fitted / "tessellation.json"), "nodes": 3}
+        code = run("transitions", "--series", args["series"],
+                   "--tessellation", args["tessellation"], "--nodes", 3, "--out", tmp_path)
+        assert code == 2
+        pipe = tmp_path / "pipe.json"
+        pipe.write_text(json.dumps({"stages": [{"run": "transitions", "args": args}]}))
+        assert run("pipeline", "--config", pipe, "--out", tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == err[1] == "data error: --nodes 3 disagrees with the tessellation's 12 cells"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_nodes_agreeing_with_tessellation(self, fitted, tmp_path):
+        for name, extra in (("plain", ()), ("nodes", ("--nodes", 12))):
+            assert run("transitions", "--series", fitted / "series.planar",
+                       "--tessellation", fitted / "tessellation.json", *extra,
+                       "--out", tmp_path / name) == 0
+        for name in ("transitions_empirical.csv", "distance_quantiles.csv"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "nodes" / name).read_bytes()
+
+    @pytest.mark.parametrize("cmd", [("transitions", "--tessellation"), ("transitions",),
+                                     ("frequencies",)])
+    def test_series_without_days(self, fitted, tmp_path, capsys, cmd):
+        empty = tmp_path / "empty.planar"
+        empty.write_text("STVAR-PLANAR v1 T=0\n")
+        extra = [cmd[1], fitted / "tessellation.json"] if len(cmd) > 1 else []
+        assert run(cmd[0], "--series", empty, *extra, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "data error: series has no days\n"
+        assert not list((tmp_path / "out").iterdir())
+
     def test_frequencies_plain(self, fitted, tmp_path):
         code = run(
             "frequencies", "--series", fitted / "series.planar",
@@ -454,6 +485,20 @@ class TestTransitionsFrequencies:
         lines = (tmp_path / "frequencies.csv").read_text().splitlines()
         blocks = [ln.split(",")[0] for ln in lines[1:]]
         assert blocks == ["DJF", "MAM"]
+
+
+@pytest.mark.parametrize("n_days", [0, 1])
+@pytest.mark.parametrize("cmd", ["evaluate", "predict", "transitions"])
+def test_fewer_than_two_days_is_data_error(fitted, tmp_path, capsys, cmd, n_days):
+    series = load_planar(fitted / "series.planar")
+    short = tmp_path / "short.planar"
+    save_planar(PlanarSeries(points=series.points[:n_days],
+                             node_assignment=series.node_assignment[:n_days]), short)
+    code = run(cmd, "--chain", fitted / "model1.chain", "--series", short,
+               "--draws", 100, "--out", tmp_path / "out")
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not list((tmp_path / "out").iterdir())
 
 
 class TestLagScan:
@@ -612,3 +657,66 @@ class TestPipeline:
 
     def test_config_required(self, tmp_path):
         assert run("pipeline", "--out", tmp_path) == 1
+
+
+# Per command: its input options, each naming one or more files, and its
+# other options.
+MANIFEST_CASES = {
+    "simulate": ({}, {"days": 30}),
+    "standardize": ({"series": ["raw.series"]}, {}),
+    "train-som": ({"series": ["series.state"]}, {"nodes": 2, "phase-steps": "1,1"}),
+    "sammon": ({"som": ["som.json"]}, {}),
+    "project": ({"som": ["som_sammon.json"], "series": ["series.state"]}, {}),
+    "fit": ({"series": ["series.planar"], "tessellation": ["tessellation.json"]},
+            {"spec": "model1", "iters": 30, "burn-in": 10}),
+    "predict": ({"chain": ["model1.chain"], "series": ["series.planar"]}, {"draws": 5}),
+    "evaluate": ({"chain": ["model1.chain", "model0.chain"], "series": ["series.planar"]},
+                 {"draws": 100}),
+    "transitions": ({"series": ["series.planar"], "tessellation": ["tessellation.json"],
+                     "chain": ["model1.chain"]}, {"draws": 5}),
+    "frequencies": ({"series": ["series.planar"]}, {}),
+    "maps": ({"som": ["som.json"], "series": ["series.state"]}, {}),
+    "lag-scan": ({"series": ["series.planar"]}, {"max-lag": 2}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+class TestManifestInputs:
+    """A manifest's inputs are exactly the files its options name."""
+
+    @pytest.fixture(scope="class")
+    def files(self, workspace, fitted):
+        names = {workspace: ("raw.series", "series.state", "som.json", "som_sammon.json"),
+                 fitted: ("series.planar", "tessellation.json", "model1.chain", "model0.chain")}
+        return {name: str(root / name) for root, group in names.items() for name in group}
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize("cmd", sorted(MANIFEST_CASES))
+    def test_inputs_are_the_named_files(self, files, tmp_path, cmd, via):
+        named, other = MANIFEST_CASES[cmd]
+        paths = {key: [files[n] for n in names] for key, names in named.items()}
+        want = [p for group in paths.values() for p in group]
+        out = tmp_path / "out"
+        if via == "flags":
+            argv = [cmd] + [a for key, group in paths.items() for p in group for a in (f"--{key}", p)]
+            argv += [a for key, value in other.items() for a in (f"--{key}", value)]
+        else:
+            cfg = tmp_path / "cfg.json"
+            doc = {key: group if len(group) > 1 else group[0] for key, group in paths.items()}
+            cfg.write_text(json.dumps({**doc, **other}))
+            argv = [cmd, "--config", cfg]
+            want.append(str(cfg))
+        assert run(*argv, "--out", out) == 0
+        (manifest,) = out.glob("*.manifest.json")
+        assert json.loads(manifest.read_text())["inputs"] == sorted(want)
+
+    def test_pipeline_and_its_stages(self, files, tmp_path):
+        series = files["series.planar"]
+        cfg = tmp_path / "pipe.json"
+        cfg.write_text(json.dumps(
+            {"stages": [{"run": "lag-scan", "args": {"series": series, "max-lag": 2}}]}
+        ))
+        out = tmp_path / "out"
+        assert run("pipeline", "--config", cfg, "--out", out) == 0
+        inputs = {p.name: json.loads(p.read_text())["inputs"] for p in out.glob("*.manifest.json")}
+        assert inputs == {"pipeline.manifest.json": [str(cfg)], "lag-scan.manifest.json": [series]}

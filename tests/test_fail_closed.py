@@ -141,6 +141,12 @@ def _lag_stage(docs, **top):
     return json.dumps({**top, "stages": docs["pipeline.json"]["stages"][:1]}).encode()
 
 
+def _extra_draws(path):
+    """The chain with two of its draw lines and a word appended."""
+    text = path.read_bytes()
+    return text + b"".join(text.splitlines(keepends=True)[2:4]) + b"garbage here\n"
+
+
 # probe: (file it replaces, its bytes from (root, docs), text the data error
 # line must contain or None). None ended as exit 2 before every reader went
 # through stvar._doc.
@@ -176,6 +182,7 @@ PROBES = {
         d, "state.series.meta.json", lambda m: m.update(dates=["x"])), None),
     "chain-a_keys-nested": ("model2.chain", lambda r, d: (r / "model2.chain").read_bytes()
                             .replace(b'"a_keys": [[0], ', b'"a_keys": [[1, [2]], '), None),
+    "chain-extra-draw": ("model2.chain", lambda r, d: _extra_draws(r / "model2.chain"), None),
     "config-max_lag-text": ("config.json", lambda r, d: edited(
         d, "config.json", lambda m: m.update(max_lag="x")), None),
     "pipeline-stage-args": ("pipeline.json", lambda r, d: json.dumps({"stages": [

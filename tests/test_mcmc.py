@@ -13,6 +13,7 @@ import stvar.mcmc
 from stvar.errors import (
     DataError,
     DimensionMismatch,
+    EmptySeries,
     InsufficientDf,
     MalformedHeader,
     NonConvergenceWarning,
@@ -535,6 +536,23 @@ class TestPrediction:
             A0 @ [2.0, 0.0],
         )
 
+    def test_tessellation_given_wins_over_fitted(self):
+        chain = manual_chain(ModelSpec("tessellation"), [(0,), (1,)], [], np.vstack([np.eye(2)] * 2),
+                             np.eye(2), tess_sites=[[-1.0, 0.0], [1.0, 0.0]])
+        other = Tessellation(sites=np.array([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0]]))
+        assert chain.tessellation(other) is other
+        np.testing.assert_array_equal(chain.tessellation().sites, chain.tess_sites)
+        assert manual_chain(ModelSpec("constant"), [()], [], np.eye(2),
+                            np.eye(2)).tessellation() is None
+
+    @pytest.mark.parametrize("n_days", [0, 1])
+    def test_fewer_than_two_days_is_empty_series(self, n_days):
+        chain = manual_chain(ModelSpec("constant"), [()], [], 0.5 * np.eye(2), np.eye(2))
+        series = PlanarSeries(points=np.zeros((n_days, 2)), node_assignment=np.zeros(n_days))
+        for call in (chain_design, predict_series, score_model):
+            with pytest.raises(EmptySeries):
+                call(chain, series)
+
     def test_draw_indices(self):
         chain = manual_chain(
             ModelSpec("constant"), [()], [], 0.5 * np.eye(2), np.eye(2), n_draws=10
@@ -591,6 +609,20 @@ class TestChainFiles:
         # a loaded chain predicts without the original objects
         pred = predict_series(back, series, include_noise=False, n_draws=2)
         assert pred.draws.shape[1] == series.n_days - 1
+
+    def test_lines_after_the_declared_draws(self, tmp_path):
+        truth = ladder_truth("model1")
+        series = simulate_var(truth, n_days=60, seed=20)
+        chain = run_chain(series, "model1", McmcConfig(n_iter=20, burn_in=10, seed=0))
+        path = tmp_path / "chain.txt"
+        save_chain(chain, path)
+        text = path.read_text()
+        path.write_text(text + "\n  \n")
+        assert load_chain(path).n_draws == chain.n_draws
+        draws = text.splitlines()[2:4]
+        path.write_text(text + "\n".join(draws + ["garbage here"]) + "\n")
+        with pytest.raises(DimensionMismatch):
+            load_chain(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "chain.txt"
