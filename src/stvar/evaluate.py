@@ -191,7 +191,10 @@ def score_model(
     the predictive draws are written over it.
     """
     design = chain_design(chain, series, tess)
-    means = mean_paths(chain, design, chain.draws(chain.draw_indices(n_draws)))
+    idx = chain.draw_indices(n_draws)
+    if idx.size < MIN_COVERAGE_DRAWS:
+        raise DataError(f"need at least {MIN_COVERAGE_DRAWS} draws, got {idx.size}")
+    means = mean_paths(chain, design, chain.draws(idx))
     d = dic(chain, series, tess=tess, n_draws=n_draws, means=means)
     fit = rmspe(means.mean(axis=0), design.Y)
     pred = predict_series(chain, series, tess=tess, n_draws=n_draws, seed=seed, means=means)
@@ -256,19 +259,25 @@ def _count_transitions(src, dst, n_cells: int, select) -> TransitionMatrix:
     return _normalize_counts(counts.reshape(n_cells, n_cells).astype(float))
 
 
+def _assignment(assignment, n_cells: int, min_days: int) -> np.ndarray:
+    """`assignment` as 1-d integers in [0, n_cells), at least `min_days` of them."""
+    a = np.asarray(assignment)
+    if a.ndim != 1 or a.size < min_days:
+        raise EmptySeries(f"{a.size} assigned days, need at least {min_days}")
+    if not np.issubdtype(a.dtype, np.integer):
+        raise DataError("assignments must be integers")
+    if a.min() < 0 or a.max() >= n_cells:
+        raise DataError(f"assignment outside [0, {n_cells})")
+    return a
+
+
 def empirical_transitions(assignment, n_cells: int, select=None) -> TransitionMatrix:
     """Observed day-to-day cell transition frequencies.
 
     `select`, when given, is a boolean mask over SOURCE days (length one less
     than the assignment) restricting which transitions are counted.
     """
-    a = np.asarray(assignment)
-    if a.ndim != 1 or a.size < 2:
-        raise EmptySeries("need at least two assigned days")
-    if not np.issubdtype(a.dtype, np.integer):
-        raise DataError("assignments must be integers")
-    if a.min() < 0 or a.max() >= n_cells:
-        raise DataError(f"assignment outside [0, {n_cells})")
+    a = _assignment(assignment, n_cells, 2)
     return _count_transitions(a[:-1], a[1:], n_cells, _source_mask(select, a.size - 1))
 
 
@@ -320,11 +329,7 @@ def node_frequencies(assignment, n_cells: int, dates=None, by: str | None = None
     Returns a length-M array, or an ordered {label: counts} dict when `by`
     is "season", "year", or "season_year".
     """
-    a = np.asarray(assignment)
-    if a.ndim != 1 or a.size < 1:
-        raise EmptySeries("need at least one assigned day")
-    if a.min() < 0 or a.max() >= n_cells:
-        raise DataError(f"assignment outside [0, {n_cells})")
+    a = _assignment(assignment, n_cells, 1)
     if by is None:
         return np.bincount(a, minlength=n_cells).astype(float)
     if dates is None:

@@ -100,6 +100,19 @@ class McmcConfig:
         return (self.n_iter - self.burn_in + self.thin - 1) // self.thin
 
 
+def _blocks(p: int, m: int | None) -> tuple:
+    """The parameter blocks of one draw as ((name, shape), ...), in chain-file
+    order; the spatial intercept's blocks only when there are m knots."""
+    blocks = (("phi", (p, 2)), ("sigma", (2, 2)))
+    if m is not None:
+        blocks += (("theta", (2,)), ("q", (2, 2)), ("wstar", (2, m)))
+    return blocks
+
+
+_BLOCK_NAMES = tuple(name for name, _ in _blocks(0, 0))
+_RHAT_SKIP = {"sigma": 2, "q": 1}  # flat index of sigma's symmetric copy, q's structural zero
+
+
 @dataclass(frozen=True)
 class PosteriorDraw:
     """One joint draw, packaged for likelihood and prediction calls."""
@@ -152,17 +165,24 @@ class Chain:
             return tess
         return None if self.tess_sites is None else Tessellation(sites=self.tess_sites)
 
-    def draw(self, i: int) -> PosteriorDraw:
+    @property
+    def _layout(self) -> tuple:
+        return _blocks(self.phi.shape[1], self.knots.shape[0] if self.is_spatial else None)
+
+    def _rows(self) -> np.ndarray:
+        """Every draw as one flat row, blocks in layout order."""
+        return np.hstack([getattr(self, name).reshape(self.n_draws, -1)
+                          for name, _ in self._layout])
+
+    def _posterior(self, phi, sigma, **spatial) -> PosteriorDraw:
+        """The draw holding one value per block of the layout."""
         adjust = None
-        if self.is_spatial:
-            adjust = SpatialAdjust(
-                knots=self.knots,
-                theta=self.theta[i],
-                q=self.q[i],
-                wstar=self.wstar[i],
-                jitter=self.spec.jitter,
-            )
-        return PosteriorDraw(phi=self.phi[i], sigma=self.sigma[i], adjust=adjust)
+        if spatial:
+            adjust = SpatialAdjust(knots=self.knots, jitter=self.spec.jitter, **spatial)
+        return PosteriorDraw(phi=phi, sigma=sigma, adjust=adjust)
+
+    def draw(self, i: int) -> PosteriorDraw:
+        return self._posterior(**{name: getattr(self, name)[i] for name, _ in self._layout})
 
     def draws(self, idx) -> list[PosteriorDraw]:
         """The draws at indices `idx`, in order."""
@@ -178,19 +198,11 @@ class Chain:
 
     def posterior_mean(self) -> PosteriorDraw:
         """Parameter-wise posterior means (covariances symmetrized)."""
-        sig = self.sigma.mean(axis=0)
-        adjust = None
-        if self.is_spatial:
-            adjust = SpatialAdjust(
-                knots=self.knots,
-                theta=self.theta.mean(axis=0),
-                q=np.tril(self.q.mean(axis=0)),
-                wstar=self.wstar.mean(axis=0),
-                jitter=self.spec.jitter,
-            )
-        return PosteriorDraw(
-            phi=self.phi.mean(axis=0), sigma=0.5 * (sig + sig.T), adjust=adjust
-        )
+        mean = {name: getattr(self, name).mean(axis=0) for name, _ in self._layout}
+        mean["sigma"] = 0.5 * (mean["sigma"] + mean["sigma"].T)
+        if "q" in mean:
+            mean["q"] = np.tril(mean["q"])
+        return self._posterior(**mean)
 
 
 def _pd2(mat: np.ndarray) -> bool:
@@ -503,18 +515,12 @@ def split_rhat(x: np.ndarray) -> float:
 
 
 def _chain_rhat(chain: Chain) -> float:
-    series = [chain.phi.reshape(chain.n_draws, -1), chain.sigma.reshape(chain.n_draws, -1)[:, [0, 1, 3]]]
-    if chain.is_spatial:
-        series.append(chain.theta)
-        series.append(chain.q.reshape(chain.n_draws, -1)[:, [0, 2, 3]])
-        series.append(chain.wstar.reshape(chain.n_draws, -1))
-    worst = float("nan")
-    for block in series:
-        for j in range(block.shape[1]):
-            r = split_rhat(block[:, j])
-            if np.isfinite(r) and not (r <= worst):
-                worst = r
-    return worst
+    """The largest finite split R-hat over the draw's free scalars, else nan."""
+    keep = np.concatenate([np.arange(np.prod(shape, dtype=int)) != _RHAT_SKIP.get(name, -1)
+                           for name, shape in chain._layout])
+    r = np.array([split_rhat(col) for col in chain._rows()[:, keep].T])
+    r = r[np.isfinite(r)]
+    return float(r.max()) if r.size else float("nan")
 
 
 def run_chain(
@@ -537,23 +543,15 @@ def run_chain(
     rng = np.random.default_rng(config.seed)
     sampler = _Sampler(design, config, rng, knots, upper)
 
-    kept = config.n_kept
-    phi = np.empty((kept, design.p, 2))
-    sigma = np.empty((kept, 2, 2))
-    theta = np.empty((kept, 2)) if spatial else None
-    q = np.empty((kept, 2, 2)) if spatial else None
-    wstar = np.empty((kept, 2, sampler.m)) if spatial else None
+    kept = {name: np.empty((config.n_kept, *shape))
+            for name, shape in _blocks(design.p, sampler.m if spatial else None)}
 
     j = 0
     for i in range(config.n_iter):
         sampler.sweep(adapting=i < config.burn_in)
         if i >= config.burn_in and (i - config.burn_in) % config.thin == 0:
-            phi[j] = sampler.phi
-            sigma[j] = sampler.sigma
-            if spatial:
-                theta[j] = sampler.theta
-                q[j] = sampler.q
-                wstar[j] = sampler.wstar
+            for name, block in kept.items():
+                block[j] = getattr(sampler, name)
             j += 1
 
     sites = None if tess is None else np.asarray(tess.sites, dtype=float)
@@ -562,11 +560,7 @@ def run_chain(
         spec=spec,
         a_keys=design.info.a_keys,
         eta_keys=design.info.eta_keys,
-        phi=phi,
-        sigma=sigma,
-        theta=theta,
-        q=q,
-        wstar=wstar,
+        **(dict.fromkeys(_BLOCK_NAMES) | kept),
         knots=knots,
         tess_sites=sites,
         n_obs=design.n,
@@ -720,11 +714,7 @@ def save_chain(chain: Chain, path) -> None:
         "tess_sites": None if chain.tess_sites is None else chain.tess_sites.tolist(),
     }
     lines = [_CHAIN_MAGIC, json.dumps(meta, sort_keys=True)]
-    for i in range(chain.n_draws):
-        parts = [chain.phi[i], chain.sigma[i]]
-        if chain.is_spatial:
-            parts += [chain.theta[i], chain.q[i], chain.wstar[i]]
-        lines.append(" ".join(s for s in (_fmt(p) for p in parts) if s))
+    lines += [_fmt(row) for row in chain._rows()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -755,45 +745,35 @@ def load_chain(path) -> Chain:
         None if meta[name] is None else _doc.array(meta[name], kind, name, (None, 2))
         for name in ("knots", "tess_sites")
     )
-    if n_draws < 0:
-        raise MalformedHeader(f"negative draw count {n_draws}")
-    p = 2 * len(a_keys) + len(eta_keys)
-    spatial = spec.eta_structure == "spatial"
-    m = 0 if knots is None else knots.shape[0]
-    want = p * 2 + 4 + (2 + 4 + 2 * m if spatial else 0)
+    if n_draws < 1:
+        raise MalformedHeader(f"{kind}: 'n_draws' must be at least 1, got {n_draws}")
+    if (knots is None) == (spec.eta_structure == "spatial"):
+        raise MalformedHeader(f"{kind}: 'knots' must be set just when eta_structure is 'spatial'")
+    layout = _blocks(2 * len(a_keys) + len(eta_keys), None if knots is None else knots.shape[0])
+    sizes = [np.prod(shape, dtype=int) for _, shape in layout]
 
     body = lines[2 : 2 + n_draws]
     if len(body) < n_draws:
         raise ShortRead(f"expected {n_draws} draw lines, found {len(body)}")
     if any(line.strip() for line in lines[2 + n_draws :]):
         raise DimensionMismatch(f"metadata declares {n_draws} draws, file has more lines")
-    phi = np.empty((n_draws, p, 2))
-    sigma = np.empty((n_draws, 2, 2))
-    theta = np.empty((n_draws, 2)) if spatial else None
-    q = np.empty((n_draws, 2, 2)) if spatial else None
-    wstar = np.empty((n_draws, 2, m)) if spatial else None
+    vals = np.empty((n_draws, sum(sizes)))
     for i, line in enumerate(body):
-        tokens = line.split()
         try:
-            vals = np.array([float(t) for t in tokens], dtype=float)
+            row = [float(t) for t in line.split()]
         except ValueError:
             raise DimensionMismatch(f"draw line {i + 1}: non-numeric token") from None
-        if vals.size != want:
+        if len(row) != vals.shape[1]:
             raise DimensionMismatch(
-                f"draw line {i + 1}: expected {want} numbers, found {vals.size}"
+                f"draw line {i + 1}: expected {vals.shape[1]} numbers, found {len(row)}"
             )
-        if not np.all(np.isfinite(vals)):
+        vals[i] = row
+        if not np.all(np.isfinite(vals[i])):
             raise DataError(f"draw line {i + 1}: non-finite value")
-        pos = p * 2
-        phi[i] = vals[:pos].reshape(p, 2)
-        sigma[i] = vals[pos : pos + 4].reshape(2, 2)
-        pos += 4
-        if spatial:
-            theta[i] = vals[pos : pos + 2]
-            q[i] = vals[pos + 2 : pos + 6].reshape(2, 2)
-            wstar[i] = vals[pos + 6 :].reshape(2, m)
+    blocks = {name: block.reshape(n_draws, *shape) for (name, shape), block
+              in zip(layout, np.split(vals, np.cumsum(sizes)[:-1], axis=1))}
 
-    return Chain(spec=spec, a_keys=a_keys, eta_keys=eta_keys, phi=phi, sigma=sigma,
-                 theta=theta, q=q, wstar=wstar, knots=knots, tess_sites=tess_sites,
+    return Chain(spec=spec, a_keys=a_keys, eta_keys=eta_keys,
+                 **(dict.fromkeys(_BLOCK_NAMES) | blocks), knots=knots, tess_sites=tess_sites,
                  n_obs=meta["n_obs"], config=config, acceptance=meta["acceptance"],
                  rhat_max=meta["rhat_max"], converged=meta["converged"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import stvar.evaluate
 from stvar.data_model import GridSpec, Standardization
 from stvar.errors import (
     DataError,
@@ -13,6 +14,7 @@ from stvar.errors import (
     EmptySeries,
     GridMismatch,
     LengthMismatch,
+    NumericalError,
     UnlabeledDate,
 )
 from stvar.evaluate import (
@@ -263,6 +265,17 @@ class TestScoreModel:
         b = score_model(chain, series, n_draws=150, seed=9)
         assert a == b
 
+    def test_too_few_draws_checked_before_any_work(self, small_fit, monkeypatch):
+        chain, series = small_fit
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mean paths computed before the draw count was checked")
+
+        monkeypatch.setattr(stvar.evaluate, "mean_paths", refuse)
+        with pytest.raises(DataError, match="need at least 100 draws, got 5") as caught:
+            score_model(chain, series, n_draws=5)
+        assert not isinstance(caught.value, NumericalError)
+
     def test_unnamed_spec_label(self):
         # A structure pair with no short alias falls back to "a/eta".
         spec = ModelSpec("tessellation", "quarter")
@@ -485,6 +498,10 @@ class TestNodeFrequencies:
             node_frequencies(
                 [0, 1], n_cells=2, dates=["2001-01-01", "2001-01-02"], by="month"
             )
+
+    def test_non_integer_assignment_is_data_error(self):
+        with pytest.raises(DataError, match="assignments must be integers"):
+            node_frequencies(np.array([0.5, 1.2]), 3)
 
 
 class TestNodeTable:

@@ -16,6 +16,7 @@ import copy
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -147,6 +148,12 @@ def _extra_draws(path):
     return text + b"".join(text.splitlines(keepends=True)[2:4]) + b"garbage here\n"
 
 
+def _zero_draws(path):
+    """The chain's magic and metadata lines, declaring no draws."""
+    head = b"".join(path.read_bytes().splitlines(keepends=True)[:2])
+    return re.sub(rb'"n_draws": \d+', b'"n_draws": 0', head)
+
+
 # probe: (file it replaces, its bytes from (root, docs), text the data error
 # line must contain or None). None ended as exit 2 before every reader went
 # through stvar._doc.
@@ -183,6 +190,11 @@ PROBES = {
     "chain-a_keys-nested": ("model2.chain", lambda r, d: (r / "model2.chain").read_bytes()
                             .replace(b'"a_keys": [[0], ', b'"a_keys": [[1, [2]], '), None),
     "chain-extra-draw": ("model2.chain", lambda r, d: _extra_draws(r / "model2.chain"), None),
+    "chain-zero-draws": ("model2.chain", lambda r, d: _zero_draws(r / "model2.chain"),
+                         "'n_draws' must be at least 1, got 0"),
+    "chain-knots-nonspatial": ("model2.chain", lambda r, d: (r / "model2.chain").read_bytes()
+                               .replace(b'"knots": null', b'"knots": [[0, 0]]'),
+                               "'knots' must be set just when"),
     "config-max_lag-text": ("config.json", lambda r, d: edited(
         d, "config.json", lambda m: m.update(max_lag="x")), None),
     "pipeline-stage-args": ("pipeline.json", lambda r, d: json.dumps({"stages": [
@@ -222,6 +234,23 @@ class TestProbes:
         if name in LOADERS:
             with pytest.raises(DataError):
                 LOADERS[name][0](tmp_path / name)
+
+    @pytest.mark.parametrize("probe", ["chain-zero-draws", "chain-knots-nonspatial"])
+    def test_chain_probe_under_evaluate(self, base, tmp_path, probe):
+        root, docs = base
+        name, make, named = PROBES[probe]
+        prepare(root, tmp_path, name, make(root, docs))
+        code, err = quiet_dispatch(["evaluate", "--chain", tmp_path / name, "--series",
+                                    root / "series.planar", "--out", tmp_path / "out"])
+        assert code == 2 and err.startswith("data error:") and named in err, err
+        assert "Traceback" not in err
+
+    def test_too_few_draws_is_data_error(self, base, tmp_path):
+        root, _ = base
+        code, err = quiet_dispatch(["evaluate", "--chain", root / "model2.chain", "--series",
+                                    root / "series.planar", "--draws", 5, "--out", tmp_path])
+        assert (code, err) == (2, "data error: need at least 100 draws, got 5\n")
+        assert not (tmp_path / "scores.json").exists()
 
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base

@@ -700,6 +700,93 @@ class TestChainFiles:
             load_chain(path)
 
 
+def listed_chain_rhat(chain):
+    """The worst split R-hat as a scan over hand-listed blocks and columns."""
+    series = [chain.phi.reshape(chain.n_draws, -1), chain.sigma.reshape(chain.n_draws, -1)[:, [0, 1, 3]]]
+    if chain.is_spatial:
+        series.append(chain.theta)
+        series.append(chain.q.reshape(chain.n_draws, -1)[:, [0, 2, 3]])
+        series.append(chain.wstar.reshape(chain.n_draws, -1))
+    worst = float("nan")
+    for block in series:
+        for j in range(block.shape[1]):
+            r = split_rhat(block[:, j])
+            if np.isfinite(r) and not (r <= worst):
+                worst = r
+    return worst
+
+
+# model: (a_keys, eta_keys, knots); p = 2 * len(a_keys) + len(eta_keys)
+LAYOUTS = {
+    "model0": ([], [], None),
+    "model2": ([(0,), (1,), (2,)], [], None),
+    "model11": ([()], [], np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])),
+}
+
+
+def random_chain(model, seed, n_draws=40, constant=()):
+    """A chain of random draws in `model`'s layout. The blocks named in
+    `constant` repeat one whole-number draw, so their split R-hat is nan;
+    phi[:, 0] and wstar[:, 1] repeat one draw."""
+    a_keys, eta_keys, knots = LAYOUTS[model]
+    rng = np.random.default_rng(seed)
+    p = 2 * len(a_keys) + len(eta_keys)
+    m = None if knots is None else knots.shape[0]
+    shapes = {"phi": (p, 2), "sigma": (2, 2)}
+    if m is not None:
+        shapes.update(theta=(2,), q=(2, 2), wstar=(2, m))
+    blocks = dict.fromkeys(["theta", "q", "wstar"])
+    for name, shape in shapes.items():
+        draws = rng.standard_normal((n_draws, *shape)) * 10.0 ** rng.integers(-3, 4)
+        if name in constant:
+            draws[:] = np.round(draws[0])
+        blocks[name] = draws
+    if p:
+        blocks["phi"][:, 0] = blocks["phi"][0, 0]
+    if m is not None:
+        blocks["q"][:, 0, 1] = 0.0
+        blocks["wstar"][:, 1] = blocks["wstar"][0, 1]
+    return Chain(spec=stvar.models.resolve_spec(model), a_keys=tuple(a_keys),
+                 eta_keys=tuple(eta_keys), **blocks, knots=knots, tess_sites=None,
+                 n_obs=100, config=McmcConfig(n_iter=n_draws + 5, burn_in=5))
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+class TestDrawLayout:
+    @pytest.mark.parametrize("model", LAYOUTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rhat_equals_the_listed_scan(self, model, seed):
+        for n_draws, constant in [(40, ()), (7, ("sigma",)), (5, ()), (3, ()),
+                                  (40, ("phi", "sigma", "theta", "q", "wstar"))]:
+            chain = random_chain(model, seed, n_draws, constant)
+            assert same_float(stvar.mcmc._chain_rhat(chain), listed_chain_rhat(chain))
+        assert np.isnan(stvar.mcmc._chain_rhat(chain))
+
+    @pytest.mark.parametrize("model", LAYOUTS)
+    def test_saving_a_loaded_chain_gives_the_same_bytes(self, model, tmp_path):
+        chain = random_chain(model, seed=8, constant=("sigma",))
+        chain.rhat_max = stvar.mcmc._chain_rhat(chain)
+        save_chain(chain, tmp_path / "a.chain")
+        back = load_chain(tmp_path / "a.chain")
+        save_chain(back, tmp_path / "b.chain")
+        assert (tmp_path / "b.chain").read_bytes() == (tmp_path / "a.chain").read_bytes()
+        for name in ("phi", "sigma", "theta", "q", "wstar"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(chain, name))
+
+    def test_spatial_chain_without_knots(self, tmp_path):
+        save_chain(random_chain("model11", seed=9), tmp_path / "a.chain")
+        lines = (tmp_path / "a.chain").read_text().splitlines()
+        meta = json.loads(lines[1])
+        meta["knots"] = None
+        lines[1] = json.dumps(meta)
+        (tmp_path / "a.chain").write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedHeader, match="'knots' must be set just when"):
+            load_chain(tmp_path / "a.chain")
+
+
 class DenseOracleSampler(_Sampler):
     """The Phi and Sigma conditionals computed from the dense n x p X: Phi
     is drawn around a least-squares refit on every sweep and the Sigma
