@@ -31,6 +31,7 @@ from .evaluate import (
     node_frequencies,
     score_model,
     score_to_dict,
+    scored_draws,
     transition_distances,
     var_lag_aic,
 )
@@ -488,19 +489,20 @@ def cmd_evaluate(args) -> dict:
     if not chain_paths:
         raise UsageError("--chain is required (repeat it to compare models)")
     series = load_planar(_need(args, "series"))
-    scores = []
-    for path in chain_paths:
-        chain = load_chain(path)
-        scores.append(
-            score_model(
-                chain,
-                series,
-                level=args.level,
-                n_draws=args.draws,
-                seed=args.seed,
-                method=args.method,
-            )
+    chains = [load_chain(path) for path in chain_paths]
+    for chain in chains:
+        scored_draws(chain, args.draws)
+    scores = [
+        score_model(
+            chain,
+            series,
+            level=args.level,
+            n_draws=args.draws,
+            seed=args.seed,
+            method=args.method,
         )
+        for chain in chains
+    ]
     out = Path(args.out)
     scores_path = _write_json(out / "scores.json", [score_to_dict(s) for s in scores])
     header = ["model", "rmspe", "dic", "p_d", "coverage"]

@@ -176,6 +176,15 @@ def score_to_dict(score: ModelScore) -> dict:
     }
 
 
+def scored_draws(chain: Chain, n_draws: int | None) -> np.ndarray:
+    """The indices of the draws `score_model` scores; a DataError when they
+    are too few for coverage."""
+    idx = chain.draw_indices(n_draws)
+    if idx.size < MIN_COVERAGE_DRAWS:
+        raise DataError(f"need at least {MIN_COVERAGE_DRAWS} draws, got {idx.size}")
+    return idx
+
+
 def score_model(
     chain: Chain,
     series: PlanarSeries,
@@ -191,10 +200,7 @@ def score_model(
     the predictive draws are written over it.
     """
     design = chain_design(chain, series, tess)
-    idx = chain.draw_indices(n_draws)
-    if idx.size < MIN_COVERAGE_DRAWS:
-        raise DataError(f"need at least {MIN_COVERAGE_DRAWS} draws, got {idx.size}")
-    means = mean_paths(chain, design, chain.draws(idx))
+    means = mean_paths(chain, design, chain.draws(scored_draws(chain, n_draws)))
     d = dic(chain, series, tess=tess, n_draws=n_draws, means=means)
     fit = rmspe(means.mean(axis=0), design.Y)
     pred = predict_series(chain, series, tess=tess, n_draws=n_draws, seed=seed, means=means)

@@ -11,6 +11,12 @@ Conditionals:
   w*_k                 joint Gaussian over both knot-value vectors
   q_ij                 scalar Gaussians, diagonal entries truncated positive
 
+The inverse-Wishart draw is the Bartlett decomposition (Odell & Feiveson,
+JASA 61:199, 1966) and the truncated-normal draw is one uniform through the
+truncated inverse cdf. Both use the random numbers, in the order and with
+the arithmetic, of scipy.stats' invwishart.rvs and truncnorm.rvs, so a seed
+gives the same chain bytes without importing scipy.stats; tests pin that.
+
 Without the spatial intercept the regression target is fixed, so Phi is drawn
 around the least-squares fit phi_hat and the residual scale is
 S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat), both computed once: a sweep
@@ -26,7 +32,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist
-from scipy.stats import invwishart, truncnorm
+from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
 
 from . import _doc
 from .errors import (
@@ -216,6 +222,45 @@ def _sandwich(L_j: np.ndarray, M: np.ndarray, L_k: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve((L_j, True), inner, check_finite=False)
 
 
+_TRSM, _TRMM = scipy.linalg.get_blas_funcs(("trsm", "trmm"), dtype=np.float64)
+
+
+def _invwishart(rng, df: int, scale: np.ndarray) -> np.ndarray:
+    """One inverse-Wishart(df, scale) draw by the Bartlett decomposition.
+
+    A is lower triangular with N(0, 1) below the diagonal and chi(df - dim +
+    1 + i) at (i, i), so A'A ~ Wishart(df, I); with scale = C C' the draw is
+    C (A'A)^{-1} C' = (C A^{-1})(C A^{-1})'.
+    """
+    dim = scale.shape[0]
+    C = scipy.linalg.cholesky(scale, lower=True)
+    A = np.zeros((dim, dim))
+    A[np.tril_indices(dim, k=-1)] = rng.normal(size=(dim * (dim - 1) // 2,))
+    A[np.diag_indices(dim)] = rng.chisquare(df - dim + 1 + np.arange(dim), size=(dim,)) ** 0.5
+    CA = _TRSM(1.0, A, C, side=1, lower=True)
+    return _TRMM(1.0, CA, CA, side=1, lower=True, trans_a=True)
+
+
+def _truncnorm_positive(rng, mean: float, sd: float) -> float:
+    """One N(mean, sd^2) draw truncated to [0, inf), by the inverse cdf.
+
+    With a = -mean / sd and q uniform, log P(Z >= a) is log1p(-Phi(a)) for
+    a <= 0 and log Phi(-a) for a > 0. For a < 0 the standard draw x solves
+    log Phi(x) = log(Phi(a) + q P(Z >= a)); for a >= 0 it solves
+    log Phi(-x) = log((1 - q) P(Z >= a)), which stays finite far in the
+    right tail.
+    """
+    a = (0.0 - mean) / sd
+    q = rng.uniform()
+    if a < 0:
+        mass = log1p(-ndtr(a))
+        x = ndtri_exp(logsumexp([log_ndtr(a), np.log(q) + mass], axis=0))
+    else:
+        mass = log_ndtr(-a) if a > 0 else log1p(-ndtr(a))
+        x = -ndtri_exp(np.log1p(-q) + mass)
+    return x * sd + mean
+
+
 class _Sampler:
     """Mutable sweep state. Public code goes through run_chain."""
 
@@ -265,6 +310,7 @@ class _Sampler:
             self._window_n = np.zeros(2, dtype=int)
             self._kept_acc = np.zeros(2, dtype=int)
             self._kept_n = np.zeros(2, dtype=int)
+            self._own_grams = [None, None]
             self._refresh_field(0)
             self._refresh_field(1)
             self._refresh_eta()
@@ -292,7 +338,7 @@ class _Sampler:
             self.L1, self.K1 = L, K
         else:
             self.L2, self.K2 = L, K
-        self._grams = None
+        self._own_grams[k] = self._cross_gram = None
 
     def _refresh_field(self, k: int):
         theta = float(self.theta[k])
@@ -305,18 +351,20 @@ class _Sampler:
         self.eta = coregionalize(self.q, *self.w)
 
     def _gram(self):
-        """W_j' W_k = C_j^{-1} (K_j K_k') C_k^{-1} and the inverses C_k^{-1}."""
-        if self._grams is None:
-            L1, L2, K1, K2 = self.L1, self.L2, self.K1, self.K2
-            eye = np.eye(self.m)
-            self._grams = (
-                _sandwich(L1, K1 @ K1.T, L1),
-                _sandwich(L2, K2 @ K2.T, L2),
-                _sandwich(L1, K1 @ K2.T, L2),
-                scipy.linalg.cho_solve((L1, True), eye),
-                scipy.linalg.cho_solve((L2, True), eye),
-            )
-        return self._grams
+        """W_j' W_k = C_j^{-1} (K_j K_k') C_k^{-1} and the inverses C_k^{-1}.
+
+        Each block is kept until a field it reads moves: W_k' W_k and
+        C_k^{-1} per field k, W_1' W_2 until either field moves.
+        """
+        L, K = (self.L1, self.L2), (self.K1, self.K2)
+        for k in (0, 1):
+            if self._own_grams[k] is None:
+                self._own_grams[k] = (_sandwich(L[k], K[k] @ K[k].T, L[k]),
+                                      scipy.linalg.cho_solve((L[k], True), np.eye(self.m)))
+        if self._cross_gram is None:
+            self._cross_gram = _sandwich(L[0], K[0] @ K[1].T, L[1])
+        (g11, c1inv), (g22, c2inv) = self._own_grams
+        return g11, g22, self._cross_gram, c1inv, c2inv
 
     # -- conditional updates -------------------------------------------
 
@@ -345,7 +393,7 @@ class _Sampler:
                 scale = scale + 0.5 * (quad + quad.T)
         if not _pd2(scale):
             raise NonPDScale("residual scale matrix is singular")
-        sig = invwishart.rvs(df=self.df, scale=scale, random_state=self.rng)
+        sig = _invwishart(self.rng, self.df, scale)
         self.sigma = 0.5 * (sig + sig.T)
 
     def _omega(self) -> np.ndarray:
@@ -451,9 +499,7 @@ class _Sampler:
         prec = o00 * float(w1 @ w1) + 1.0 / tau2
         lin = o00 * float(w1 @ rx) + o01 * float(w1 @ e_y)
         mean, sd = lin / prec, 1.0 / np.sqrt(prec)
-        q00 = truncnorm.rvs((0.0 - mean) / sd, np.inf, loc=mean, scale=sd,
-                            random_state=self.rng)
-        self.q[0, 0] = max(float(q00), tiny)
+        self.q[0, 0] = max(float(_truncnorm_positive(self.rng, mean, sd)), tiny)
 
         e_x = rx - self.q[0, 0] * w1
         prec = o11 * float(w1 @ w1) + 1.0 / tau2
@@ -463,9 +509,7 @@ class _Sampler:
         prec = o11 * float(w2 @ w2) + 1.0 / tau2
         lin = o11 * float(w2 @ (ry - self.q[1, 0] * w1)) + o01 * float(w2 @ e_x)
         mean, sd = lin / prec, 1.0 / np.sqrt(prec)
-        q11 = truncnorm.rvs((0.0 - mean) / sd, np.inf, loc=mean, scale=sd,
-                            random_state=self.rng)
-        self.q[1, 1] = max(float(q11), tiny)
+        self.q[1, 1] = max(float(_truncnorm_positive(self.rng, mean, sd)), tiny)
         self.eta = coregionalize(self.q, w1, w2)
 
     def sweep(self, adapting: bool):

@@ -252,6 +252,31 @@ class TestProbes:
         assert (code, err) == (2, "data error: need at least 100 draws, got 5\n")
         assert not (tmp_path / "scores.json").exists()
 
+    @pytest.mark.parametrize("bad, named", [
+        ("zero", "'n_draws' must be at least 1, got 0"),
+        ("short", "need at least 100 draws, got 60"),
+    ])
+    def test_every_chain_checked_before_any_scoring(self, base, tmp_path, monkeypatch,
+                                                      bad, named):
+        # a bad chain after a good one must fail before the good one is scored
+        root, _ = base
+        good = root / "model2.chain"
+        if bad == "zero":
+            blob = _zero_draws(good)
+        else:
+            lines = good.read_bytes().splitlines(keepends=True)
+            blob = re.sub(rb'"n_draws": \d+', b'"n_draws": 60', b"".join(lines[:62]))
+        (tmp_path / "bad.chain").write_bytes(blob)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain was scored")
+
+        monkeypatch.setattr("stvar.cli.score_model", refuse)
+        code, err = quiet_dispatch(["evaluate", "--chain", good, "--chain", tmp_path / "bad.chain",
+                                    "--series", root / "series.planar", "--out", tmp_path])
+        assert code == 2 and err.startswith("data error:") and named in err, err
+        assert not (tmp_path / "scores.json").exists()
+
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base
         code, err = quiet_dispatch(["train-som", "--series", root / "state.series",

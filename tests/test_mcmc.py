@@ -1186,6 +1186,29 @@ class TestPredictiveProcessOracle:
         assert run_chain(series, "model1", cfg).tuning == {}
 
 
+@pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+def test_gram_blocks_cached_per_field():
+    series = ladder_series("model11", 300, seed=40)
+    sampler, _ = make_sampler(series, SPATIAL_SPEC, McmcConfig(n_iter=10, burn_in=1, seed=9))
+    start = sampler.theta.copy()
+    for _ in range(25):
+        sampler.sweep(adapting=True)
+    assert (sampler.theta != start).all()
+    cached = sampler._gram()
+    sampler._own_grams, sampler._cross_gram = [None, None], None
+    fresh = sampler._gram()
+    for got, want in zip(cached, fresh):
+        np.testing.assert_array_equal(got, want)
+    # a theta_1 move rebuilds W_1'W_1, W_1'W_2 and C_1^{-1}; field 2's blocks survive
+    sampler._set_field(0, sampler.L1, sampler.K1)
+    g11, g22, g12, c1inv, c2inv = sampler._gram()
+    assert g22 is fresh[1] and c2inv is fresh[4]
+    assert g11 is not fresh[0] and g12 is not fresh[2] and c1inv is not fresh[3]
+    sampler._set_field(1, sampler.L2, sampler.K2)
+    after = sampler._gram()
+    assert after[0] is g11 and after[3] is c1inv and after[1] is not g22
+
+
 def test_cell_model_fitted_from_node_assignments_can_be_scored():
     tess = default_tessellation()
     series = simulate_var(ladder_truth("model2", tess=tess), n_days=400, tess=tess, seed=34)
