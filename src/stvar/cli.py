@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as _dt
 import json
+import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from .evaluate import (
     transition_distances,
     var_lag_aic,
 )
-from .mcmc import McmcConfig, load_chain, predict_series, run_chain, save_chain
+from .mcmc import McmcConfig, SeriesPrediction, load_chain, predict_series, run_chain, save_chain
 from .models import SEASONS, Calendar, resolve_spec
 from .projection import (
     Tessellation,
@@ -243,16 +246,20 @@ def _parse_config(parser, head: list[str], doc, kind: str, tail=()):
         raise DataError(f"{kind}: {exc}") from None
 
 
+def _inputs(args) -> list:
+    """The files the input options of `args` name."""
+    named = [getattr(args, k, None) for k in ("series", "som", "tessellation", "chain", "config")]
+    return [p for v in named for p in (v if isinstance(v, list) else [v]) if p]
+
+
 def _write_manifest(args, payload: dict, wall_time: float) -> Path:
     """The run's manifest. Its inputs are the files the input options name."""
     config = {k: v for k, v in sorted(vars(args).items()) if k not in ("cmd", "config")}
     config.update(payload.get("extra_config", {}))
-    named = [getattr(args, k, None) for k in ("series", "som", "tessellation", "chain", "config")]
-    inputs = [p for v in named for p in (v if isinstance(v, list) else [v]) if p]
     manifest = {
         "command": args.cmd,
         "config": config,
-        "inputs": sorted(str(p) for p in inputs),
+        "inputs": sorted(str(p) for p in _inputs(args)),
         "outputs": sorted(str(p) for p in payload.get("outputs", [])),
         "seed": args.seed,
         "version": __version__,
@@ -266,18 +273,91 @@ def _write_manifest(args, payload: dict, wall_time: float) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# Small shared loaders
+# Inputs: one store per dispatch
 
 
-def _load_tessellation(args) -> Tessellation | None:
+def _read_only(value):
+    """`value` with every array it holds, in nested dataclasses too, made
+    read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
+def _read_tessellation(path) -> Tessellation:
+    doc = _doc.fields(_doc.read_json(path, "tessellation"), "tessellation", {"sites": list})
+    return Tessellation(sites=_doc.array(doc["sites"], "tessellation", "sites", (None, 2)))
+
+
+def _prediction_key(chain_path, args) -> tuple:
+    """What a chain's predictive draws depend on: the chain and series
+    files, the draw count and the seed."""
+    return (os.path.realpath(chain_path), os.path.realpath(args.series), args.draws, args.seed)
+
+
+class _Store:
+    """The files one `dispatch` call reads, each loaded and checked once,
+    and the predictive draws `evaluate` hands to a later `predict` stage.
+
+    Files are keyed by loader and resolved path and handed out with read-only
+    arrays, so no stage changes what a later one reads. A file is kept only
+    while a later stage names it. The files a stage writes drop their
+    entries, and the draws made from them, so the next stage that names a
+    written file reads it again. A store lives for one dispatch; nothing is
+    kept across runs.
+    """
+
+    def __init__(self):
+        self._files: dict = {}
+        self._expected = Counter()  # prediction key -> predict stages yet to run
+        self._predictions: dict = {}
+
+    def load(self, loader, path):
+        """`loader(path)`, called once per loader and resolved path."""
+        key = (loader, os.path.realpath(path))
+        if key not in self._files:
+            self._files[key] = _read_only(loader(path))
+        return self._files[key]
+
+    def retain(self, named) -> None:
+        """Drop every file that no path in `named` names."""
+        keep = {os.path.realpath(p) for p in named}
+        self._files = {k: v for k, v in self._files.items() if k[1] in keep}
+
+    def forget(self, written) -> None:
+        """Drop every entry read from, or predicted from, a written file."""
+        gone = {os.path.realpath(p) for p in written}
+        self._files = {k: v for k, v in self._files.items() if k[1] not in gone}
+        self._predictions = {k: v for k, v in self._predictions.items()
+                             if not gone.intersection(k[:2])}
+
+    def expect(self, key: tuple) -> None:
+        """A later predict stage will ask for the draws of `key`."""
+        self._expected[key] += 1
+
+    def wants(self, key: tuple) -> bool:
+        return self._expected[key] > 0
+
+    def keep(self, key: tuple, prediction: SeriesPrediction) -> None:
+        self._predictions[key] = _read_only(prediction)
+
+    def take(self, key: tuple) -> SeriesPrediction | None:
+        """The kept draws of `key`, if any, for the predict stage now running."""
+        if self.wants(key):
+            self._expected[key] -= 1
+        return self._predictions.pop(key, None)
+
+
+def _load_tessellation(args, store: _Store) -> Tessellation | None:
     if getattr(args, "som", None) and getattr(args, "tessellation", None):
         raise DataError("give either --som or --tessellation, not both")
     if getattr(args, "som", None):
-        return Tessellation.from_som(load_som(args.som))
+        return Tessellation.from_som(store.load(load_som, args.som))
     if getattr(args, "tessellation", None):
-        doc = _doc.fields(_doc.read_json(args.tessellation, "tessellation"),
-                          "tessellation", {"sites": list})
-        return Tessellation(sites=_doc.array(doc["sites"], "tessellation", "sites", (None, 2)))
+        return store.load(_read_tessellation, args.tessellation)
     return None
 
 
@@ -306,9 +386,15 @@ def _write_csv(path: Path, rows) -> Path:
     return path
 
 
-def _write_matrix_csv(path: Path, probs: np.ndarray, labels: list[str]) -> Path:
-    return _write_csv(path, [["from/to"] + labels]
-                      + [[label] + [_g17(v) for v in row] for label, row in zip(labels, probs)])
+def _write_table(path: Path, header: list[str], labels, values: np.ndarray) -> Path:
+    """`header`, then per label a row of it and its `values` at full
+    precision: what `_write_csv` writes of `_g17` texts, one format per row.
+    The labels are dates or numbers, which need no quoting."""
+    row = "%s" + ",%.17g" * values.shape[1] + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(row % (label, *vals.tolist()) for label, vals in zip(labels, values))
+    return path
 
 
 def _cells(series, tess: Tessellation | None, nodes: int | None) -> tuple[np.ndarray, int]:
@@ -330,7 +416,7 @@ def _cells(series, tess: Tessellation | None, nodes: int | None) -> tuple[np.nda
 # name or extra configuration). The manifest lists inputs from the options.
 
 
-def cmd_simulate(args) -> dict:
+def cmd_simulate(args, store: _Store) -> dict:
     spec = resolve_spec(_need(args, "model"))
     if args.days < 2:
         raise DataError("--days must be at least 2")
@@ -365,8 +451,8 @@ def cmd_simulate(args) -> dict:
     }
 
 
-def cmd_standardize(args) -> dict:
-    data = load_series(_need(args, "series"))
+def cmd_standardize(args, store: _Store) -> dict:
+    data = store.load(load_series, _need(args, "series"))
     if isinstance(data, StateSeries):
         raise DataError("series already carries standardization constants")
     state = standardize(data, per_cell=args.per_cell)
@@ -376,8 +462,8 @@ def cmd_standardize(args) -> dict:
     return {"outputs": [out_path, Path(str(out_path) + ".meta.json")]}
 
 
-def cmd_train_som(args) -> dict:
-    data = load_series(_need(args, "series"))
+def cmd_train_som(args, store: _Store) -> dict:
+    data = store.load(load_series, _need(args, "series"))
     phase_steps = None
     if args.phase_steps:
         parts = args.phase_steps.split(",")
@@ -399,8 +485,8 @@ def cmd_train_som(args) -> dict:
     return {"outputs": [out_path]}
 
 
-def cmd_sammon(args) -> dict:
-    som = load_som(_need(args, "som"))
+def cmd_sammon(args, store: _Store) -> dict:
+    som = store.load(load_som, _need(args, "som"))
     distances = squareform(pdist(som.nodes))
     result = sammon_embed(distances)
     out = Path(args.out)
@@ -418,9 +504,9 @@ def cmd_sammon(args) -> dict:
     return {"outputs": [som_path, report_path]}
 
 
-def cmd_project(args) -> dict:
-    som = load_som(_need(args, "som"))
-    data = load_series(_need(args, "series"))
+def cmd_project(args, store: _Store) -> dict:
+    som = store.load(load_som, _need(args, "som"))
+    data = store.load(load_series, _need(args, "series"))
     planar = project_series(data, som)
     out_path = Path(args.out) / "days.planar"
     save_planar(planar, out_path)
@@ -428,10 +514,10 @@ def cmd_project(args) -> dict:
     return {"outputs": [out_path]}
 
 
-def cmd_fit(args) -> dict:
+def cmd_fit(args, store: _Store) -> dict:
     spec = resolve_spec(_need(args, "spec"))
-    series = load_planar(_need(args, "series"))
-    tess = _load_tessellation(args)
+    series = store.load(load_planar, _need(args, "series"))
+    tess = _load_tessellation(args, store)
     config = McmcConfig(
         n_iter=args.iters,
         burn_in=args.burn_in,
@@ -455,54 +541,54 @@ def cmd_fit(args) -> dict:
     }
 
 
-def cmd_predict(args) -> dict:
-    chain = load_chain(_need(args, "chain"))
-    series = load_planar(_need(args, "series"))
-    pred = predict_series(
-        chain, series, n_draws=args.draws, seed=args.seed, include_noise=True
-    )
+def cmd_predict(args, store: _Store) -> dict:
+    chain_path = _need(args, "chain")
+    chain = store.load(load_chain, chain_path)
+    series = store.load(load_planar, _need(args, "series"))
+    pred = store.take(_prediction_key(chain_path, args))
+    if pred is None:
+        pred = predict_series(
+            chain, series, n_draws=args.draws, seed=args.seed, include_noise=True
+        )
     lo = np.quantile(pred.draws, 0.025, axis=0)
     hi = np.quantile(pred.draws, 0.975, axis=0)
     mean = pred.mean
-
-    def rows():  # one day at a time: a series may be long
-        yield ["date", "actual_x", "actual_y", "mean_x", "mean_y",
-               "q025_x", "q975_x", "q025_y", "q975_y"]
-        for t in range(mean.shape[0]):
-            date = pred.dates[t].isoformat() if pred.dates is not None else ""
-            yield (
-                [date]
-                + [_g17(v) for v in (
-                    pred.actual[t, 0], pred.actual[t, 1],
-                    mean[t, 0], mean[t, 1],
-                    lo[t, 0], hi[t, 0], lo[t, 1], hi[t, 1],
-                )]
-            )
-
-    out_path = _write_csv(Path(args.out) / "predictions.csv", rows())
-    print(f"predicted {mean.shape[0]} steps with {pred.draws.shape[0]} draws each")
+    n = mean.shape[0]
+    dates = [""] * n if pred.dates is None else (d.isoformat() for d in pred.dates)
+    out_path = _write_table(
+        Path(args.out) / "predictions.csv",
+        ["date", "actual_x", "actual_y", "mean_x", "mean_y",
+         "q025_x", "q975_x", "q025_y", "q975_y"],
+        dates,
+        np.column_stack([pred.actual, mean, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]]),
+    )
+    print(f"predicted {n} steps with {pred.draws.shape[0]} draws each")
     return {"outputs": [out_path]}
 
 
-def cmd_evaluate(args) -> dict:
+def cmd_evaluate(args, store: _Store) -> dict:
     chain_paths = args.chain
     if not chain_paths:
         raise UsageError("--chain is required (repeat it to compare models)")
-    series = load_planar(_need(args, "series"))
-    chains = [load_chain(path) for path in chain_paths]
+    series = store.load(load_planar, _need(args, "series"))
+    chains = [store.load(load_chain, path) for path in chain_paths]
     for chain in chains:
         scored_draws(chain, args.draws)
-    scores = [
-        score_model(
+    scores = []
+    for path, chain in zip(chain_paths, chains):
+        key = _prediction_key(path, args)
+        score = score_model(
             chain,
             series,
             level=args.level,
             n_draws=args.draws,
             seed=args.seed,
             method=args.method,
+            keep_prediction=store.wants(key),
         )
-        for chain in chains
-    ]
+        if score.prediction is not None:
+            store.keep(key, score.prediction)
+        scores.append(score)
     out = Path(args.out)
     scores_path = _write_json(out / "scores.json", [score_to_dict(s) for s in scores])
     header = ["model", "rmspe", "dic", "p_d", "coverage"]
@@ -525,12 +611,12 @@ def cmd_evaluate(args) -> dict:
     return {"outputs": [scores_path, report_path]}
 
 
-def cmd_transitions(args) -> dict:
-    series = load_planar(_need(args, "series"))
-    tess = _load_tessellation(args)
+def cmd_transitions(args, store: _Store) -> dict:
+    series = store.load(load_planar, _need(args, "series"))
+    tess = _load_tessellation(args, store)
     chain = None
     if args.chain:
-        chain = load_chain(args.chain)
+        chain = store.load(load_chain, args.chain)
         tess = chain.tessellation(tess)
     assignment, n_cells = _cells(series, tess, args.nodes)
 
@@ -545,17 +631,18 @@ def cmd_transitions(args) -> dict:
 
     out = Path(args.out)
     labels = [str(k) for k in range(n_cells)]
+    header = ["from/to"] + labels
     outputs = []
 
     empirical = empirical_transitions(assignment, n_cells, select=select)
-    outputs.append(_write_matrix_csv(out / "transitions_empirical.csv", empirical.probs, labels))
+    outputs.append(_write_table(out / "transitions_empirical.csv", header, labels, empirical.probs))
 
     if chain is not None:
         implied = model_transitions(
             chain, series, tess=tess, n_draws=args.draws, seed=args.seed,
             select=select,
         )
-        outputs.append(_write_matrix_csv(out / "transitions_model.csv", implied.probs, labels))
+        outputs.append(_write_table(out / "transitions_model.csv", header, labels, implied.probs))
 
     distances = transition_distances(series)
     qs = (0.05, 0.25, 0.50, 0.75, 0.95)
@@ -573,8 +660,8 @@ def cmd_transitions(args) -> dict:
     return {"outputs": outputs}
 
 
-def cmd_frequencies(args) -> dict:
-    series = load_planar(_need(args, "series"))
+def cmd_frequencies(args, store: _Store) -> dict:
+    series = store.load(load_planar, _need(args, "series"))
     assignment, n_cells = _cells(series, None, args.nodes)
     freq = node_frequencies(
         assignment, n_cells, dates=series.dates, by=args.by
@@ -587,9 +674,9 @@ def cmd_frequencies(args) -> dict:
     return {"outputs": [out_path]}
 
 
-def cmd_maps(args) -> dict:
-    som = load_som(_need(args, "som"))
-    data = load_series(_need(args, "series"))
+def cmd_maps(args, store: _Store) -> dict:
+    som = store.load(load_som, _need(args, "som"))
+    data = store.load(load_series, _need(args, "series"))
     standardization = getattr(data, "standardization", None)
     fields = node_field_maps(som, data.grid, standardization, kind=args.kind)
     out = Path(args.out)
@@ -602,8 +689,8 @@ def cmd_maps(args) -> dict:
     return {"outputs": outputs}
 
 
-def cmd_lag_scan(args) -> dict:
-    series = load_planar(_need(args, "series"))
+def cmd_lag_scan(args, store: _Store) -> dict:
+    series = store.load(load_planar, _need(args, "series"))
     result = var_lag_aic(series, args.max_lag)
     out_path = _write_json(
         Path(args.out) / "lag_scan.json",
@@ -614,7 +701,7 @@ def cmd_lag_scan(args) -> dict:
     return {"outputs": [out_path]}
 
 
-def cmd_pipeline(args) -> dict | None:
+def cmd_pipeline(args, store: _Store) -> dict | None:
     if args.config is None:
         raise UsageError("pipeline needs --config pointing at a stage list")
     kind = "pipeline config"
@@ -633,14 +720,18 @@ def cmd_pipeline(args) -> dict | None:
         stages.append((label, _parse_config(parser, head, stage.get("args", {}), label)))
     if not stages:
         return None
+    for _, stage_args in stages:
+        if stage_args.cmd == "predict" and stage_args.chain and stage_args.series:
+            store.expect(_prediction_key(stage_args.chain, stage_args))
 
     args.out = out
     Path(out).mkdir(parents=True, exist_ok=True)
-    for label, stage_args in stages:
-        code = _run(parser, stage_args, [], label)
+    for i, (label, stage_args) in enumerate(stages):
+        code = _run(parser, stage_args, [], store, label)
         if code != 0:
             print(f"pipeline: {label} failed", file=sys.stderr)
             raise _StageFailure(code)
+        store.retain(p for _, later in stages[i + 1:] for p in _inputs(later))
     print(f"pipeline: {len(stages)} stage(s) complete")
     return {
         "outputs": [],
@@ -679,21 +770,22 @@ def dispatch(argv=None) -> int:
     if args.cmd is None:
         parser.print_usage(sys.stderr)
         return 1
-    return _run(parser, args, argv)
+    return _run(parser, args, argv, _Store())
 
 
-def _run(parser, args, argv: list[str], stage: str | None = None) -> int:
-    """Run one parsed command (after merging its --config file); returns the
-    exit code. A pipeline `stage` takes every flag from the pipeline config,
-    so a usage error there is a data error."""
+def _run(parser, args, argv: list[str], store: _Store, stage: str | None = None) -> int:
+    """Run one parsed command (after merging its --config file) on the
+    dispatch's `store`; returns the exit code. A pipeline `stage` takes every
+    flag from the pipeline config, so a usage error there is a data error."""
     try:
         if args.config is not None and args.cmd != "pipeline":
             doc = _doc.read_json(args.config, "config")
             args = _parse_config(parser, argv[:1], doc, f"config {args.config}", argv[1:])
         Path(args.out).mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        payload = _HANDLERS[args.cmd](args)
+        payload = _HANDLERS[args.cmd](args, store)
         if payload is not None:
+            store.forget(payload["outputs"])
             _write_manifest(args, payload, time.perf_counter() - started)
         return 0
     except UsageError as exc:

@@ -9,7 +9,7 @@ tessellation cells, both as observed and as a fitted model implies.
 from __future__ import annotations
 
 import datetime as _dt
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     UnlabeledDate,
 )
 from .mcmc import Chain, SeriesPrediction, chain_design, mean_paths, predict_series
-from .models import ModelSpec, block_indices
+from .models import DesignPair, ModelSpec, block_indices
 from .projection import PlanarSeries, Tessellation
 from .som import SomModel, lattice_shape
 
@@ -124,14 +124,17 @@ def dic(
     tess: Tessellation | None = None,
     n_draws: int | None = None,
     means: np.ndarray | None = None,
+    design: DesignPair | None = None,
 ) -> DicResult:
     """Deviance information criterion: mean deviance plus p_D.
 
     p_D is the mean deviance minus the deviance at the posterior means
     (covariance repaired to positive definite if averaging degrades it).
-    `means` may hold the draws' mean paths from `mean_paths`.
+    `means` may hold the draws' mean paths from `mean_paths`, and `design`
+    the chain's design on `series` from `chain_design`.
     """
-    design = chain_design(chain, series, tess)
+    if design is None:
+        design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
     if means is None:
         means = mean_paths(chain, design, chain.draws(idx))
@@ -155,7 +158,9 @@ def dic(
 
 @dataclass(frozen=True)
 class ModelScore:
-    """One model's comparison row for a given trajectory."""
+    """One model's comparison row for a given trajectory; `prediction`
+    holds the predictive draws it scored when `score_model` was asked to
+    keep them."""
 
     model: str
     rmspe: float
@@ -164,6 +169,7 @@ class ModelScore:
     coverage: float
     level: float
     n_obs: int
+    prediction: SeriesPrediction | None = field(default=None, repr=False, compare=False)
 
 
 def score_to_dict(score: ModelScore) -> dict:
@@ -193,15 +199,18 @@ def score_model(
     n_draws: int | None = 500,
     seed: int = 0,
     method: str = "ellipse",
+    keep_prediction: bool = False,
 ) -> ModelScore:
     """RMSPE, DIC, and coverage of one fitted chain on one trajectory.
 
-    Every draw's mean path is computed once; DIC and RMSPE read it, then
-    the predictive draws are written over it.
+    The design is built once and every draw's mean path computed once; DIC
+    and RMSPE read them, then the predictive draws are written over the
+    paths. Those draws are `predict_series`' with the same `n_draws` and
+    `seed`; with `keep_prediction` the score carries them.
     """
     design = chain_design(chain, series, tess)
     means = mean_paths(chain, design, chain.draws(scored_draws(chain, n_draws)))
-    d = dic(chain, series, tess=tess, n_draws=n_draws, means=means)
+    d = dic(chain, series, tess=tess, n_draws=n_draws, means=means, design=design)
     fit = rmspe(means.mean(axis=0), design.Y)
     pred = predict_series(chain, series, tess=tess, n_draws=n_draws, seed=seed, means=means)
     spec = chain.spec
@@ -214,6 +223,7 @@ def score_model(
         coverage=coverage(pred, level=level, method=method),
         level=level,
         n_obs=series.n_days - 1,
+        prediction=pred if keep_prediction else None,
     )
 
 

@@ -739,10 +739,6 @@ def predict_one_step(
 _CHAIN_MAGIC = "STVAR-CHAIN v1"
 
 
-def _fmt(values) -> str:
-    return " ".join(f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel())
-
-
 def save_chain(chain: Chain, path) -> None:
     meta = {
         "spec": spec_to_dict(chain.spec),
@@ -757,8 +753,10 @@ def save_chain(chain: Chain, path) -> None:
         "knots": None if chain.knots is None else chain.knots.tolist(),
         "tess_sites": None if chain.tess_sites is None else chain.tess_sites.tolist(),
     }
+    rows = chain._rows()
+    row = " ".join(["%.17g"] * rows.shape[1])  # one format per draw, 17 digits per value
     lines = [_CHAIN_MAGIC, json.dumps(meta, sort_keys=True)]
-    lines += [_fmt(row) for row in chain._rows()]
+    lines += [row % tuple(vals.tolist()) for vals in rows]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import datetime as dt
+import io
 import json
 import subprocess
 import sys
@@ -8,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from stvar.cli import dispatch
+from stvar.cli import _g17, dispatch
 from stvar.data_model import GridSpec, RawSeries, save_series
-from stvar.mcmc import load_chain
+from stvar.mcmc import load_chain, predict_series
 from stvar.projection import PlanarSeries, load_planar, save_planar
 
 
@@ -354,6 +356,42 @@ class TestPredict:
         )
         assert np.all(np.isfinite(body))
         assert np.all(body[:, 4] <= body[:, 5])
+
+
+    @staticmethod
+    def reference_csv(chain_path, series_path, draws, seed) -> str:
+        """predictions.csv as written one `_g17` text per value through csv.writer."""
+        pred = predict_series(load_chain(chain_path), load_planar(series_path),
+                              n_draws=draws, seed=seed, include_noise=True)
+        lo = np.quantile(pred.draws, 0.025, axis=0)
+        hi = np.quantile(pred.draws, 0.975, axis=0)
+        mean = pred.mean
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["date", "actual_x", "actual_y", "mean_x", "mean_y",
+                         "q025_x", "q975_x", "q025_y", "q975_y"])
+        for t in range(mean.shape[0]):
+            date = pred.dates[t].isoformat() if pred.dates is not None else ""
+            writer.writerow([date] + [_g17(v) for v in (
+                pred.actual[t, 0], pred.actual[t, 1], mean[t, 0], mean[t, 1],
+                lo[t, 0], hi[t, 0], lo[t, 1], hi[t, 1])])
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("dated", [False, True])
+    def test_predictions_csv_matches_per_value_writer(self, fitted, tmp_path, dated):
+        root = fitted
+        if dated:
+            root = tmp_path / "dated"
+            simulate_into(root, days=160, seed=6, extra=("--start-date", "1999-12-30"))
+            assert run("fit", "--spec", "model1", "--series", root / "series.planar",
+                       "--iters", 150, "--burn-in", 30, "--out", root) == 0
+        chain, series = root / "model1.chain", root / "series.planar"
+        assert (load_planar(series).dates is not None) == dated
+        out = tmp_path / "out"
+        assert run("predict", "--chain", chain, "--series", series, "--draws", 100,
+                   "--seed", 8, "--out", out) == 0
+        written = (out / "predictions.csv").read_bytes().decode()
+        assert written == self.reference_csv(chain, series, 100, 8)
 
 
 class TestTransitionsFrequencies:

@@ -259,6 +259,28 @@ class TestScoreModel:
         assert d["model"] == "model1"
         assert d["rmspe"] == score.rmspe
 
+    def test_design_built_once(self, small_fit, monkeypatch):
+        chain, series = small_fit
+        calls = []
+        real = stvar.evaluate.chain_design
+        monkeypatch.setattr(stvar.evaluate, "chain_design",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        score = score_model(chain, series, n_draws=150, seed=9)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert score == score_model(chain, series, n_draws=150, seed=9)
+        d = dic(chain, series, n_draws=150)
+        assert (score.dic, score.p_d) == (d.dic, d.p_d)
+
+    def test_kept_prediction_is_predict_series(self, small_fit):
+        chain, series = small_fit
+        assert score_model(chain, series, n_draws=150, seed=9).prediction is None
+        kept = score_model(chain, series, n_draws=150, seed=9, keep_prediction=True).prediction
+        pred = predict_series(chain, series, n_draws=150, seed=9)
+        np.testing.assert_array_equal(kept.draws, pred.draws)
+        np.testing.assert_array_equal(kept.actual, pred.actual)
+        assert kept.dates == pred.dates
+
     def test_deterministic_given_seed(self, small_fit):
         chain, series = small_fit
         a = score_model(chain, series, n_draws=150, seed=9)

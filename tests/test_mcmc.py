@@ -1,5 +1,6 @@
 """Tests for the Gibbs sampler, posterior prediction, and chain files."""
 
+import dataclasses
 import datetime as dt
 import json
 
@@ -688,6 +689,26 @@ class TestChainFiles:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedHeader):
             load_chain(path)
+
+    @staticmethod
+    def _reference_row(values) -> str:
+        """A draw line as save_chain wrote it one f-string per value."""
+        return " ".join(f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel())
+
+    def test_draw_lines_match_per_value_format(self, tmp_path):
+        truth = ladder_truth("model1")
+        series = simulate_var(truth, n_days=60, seed=23)
+        chain = run_chain(series, "model1", McmcConfig(n_iter=40, burn_in=10, seed=0))
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**64, size=chain.phi.size, dtype=np.uint64, endpoint=False)
+        phi = bits.view(np.float64).reshape(chain.phi.shape)
+        phi.flat[:8] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                        0.1, 1 / 3, 2.0**-1074 * 3, 123456789.12345678]
+        chain = dataclasses.replace(chain, phi=phi)
+        path = tmp_path / "chain.txt"
+        save_chain(chain, path)
+        lines = path.read_text().splitlines()[2:]
+        assert lines == [self._reference_row(row) for row in chain._rows()]
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_draw_rejected(self, tmp_path, token):
