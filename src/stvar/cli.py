@@ -225,7 +225,8 @@ def _parse_config(parser, head: list[str], doc, kind: str, tail=()):
     """Parse `head`, then JSON object `doc` of option values for command
     head[0] as flags, then `tail`, whose options win over `doc`'s. In `doc`
     true gives the bare flag, false and null nothing, a list one flag per
-    item. Since the flags come from a file, a bad one is a data error."""
+    item. Since the flags come from a file, a bad one, or one holding a NUL
+    character that no path may hold, is a data error."""
     known = set(vars(parser.parse_args(head[:1]))) - {"cmd", "config"}
     given = {tok.split("=", 1)[0] for tok in tail}
     argv = list(head)
@@ -240,6 +241,9 @@ def _parse_config(parser, head: list[str], doc, kind: str, tail=()):
             continue
         for item in value if isinstance(value, list) else [value]:
             argv.append(f"{flag}={_doc.check(item, kind, key, (str, int, float))}")
+    for tok in argv:
+        if "\0" in tok:
+            raise DataError(f"{kind}: NUL character in {tok.split('=', 1)[0]}")
     try:
         return parser.parse_args(argv + list(tail))
     except UsageError as exc:

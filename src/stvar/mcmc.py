@@ -17,6 +17,12 @@ truncated inverse cdf. Both use the random numbers, in the order and with
 the arithmetic, of scipy.stats' invwishart.rvs and truncnorm.rvs, so a seed
 gives the same chain bytes without importing scipy.stats; tests pin that.
 
+The sweep calls LAPACK directly: every Cholesky solve, triangular solve and
+inverse-Wishart Cholesky goes to scipy's own potrs, trtrs and potrf through
+stvar._lapack, without scipy.linalg's Python wrappers, and the two-term
+log-sum-exp of the truncated-normal draw writes out scipy.special.logsumexp's
+arithmetic. The chain bytes are those the scipy calls give; tests pin that.
+
 Without the spatial intercept the regression target is fixed, so Phi is drawn
 around the least-squares fit phi_hat and the residual scale is
 S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat), both computed once: a sweep
@@ -32,9 +38,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import pdist
-from scipy.special import log1p, log_ndtr, logsumexp, ndtr, ndtri_exp
+from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 
-from . import _doc
+from . import _doc, _lapack
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -218,8 +224,8 @@ def _pd2(mat: np.ndarray) -> bool:
 
 def _sandwich(L_j: np.ndarray, M: np.ndarray, L_k: np.ndarray) -> np.ndarray:
     """C_j^{-1} M C_k^{-1} for C = L L'."""
-    inner = scipy.linalg.cho_solve((L_k, True), M.T, check_finite=False).T
-    return scipy.linalg.cho_solve((L_j, True), inner, check_finite=False)
+    inner = _lapack.cho_solve((L_k, True), M.T, check_finite=False).T
+    return _lapack.cho_solve((L_j, True), inner, check_finite=False)
 
 
 _TRSM, _TRMM = scipy.linalg.get_blas_funcs(("trsm", "trmm"), dtype=np.float64)
@@ -233,12 +239,22 @@ def _invwishart(rng, df: int, scale: np.ndarray) -> np.ndarray:
     C (A'A)^{-1} C' = (C A^{-1})(C A^{-1})'.
     """
     dim = scale.shape[0]
-    C = scipy.linalg.cholesky(scale, lower=True)
+    C = _lapack.cholesky(scale, lower=True)
     A = np.zeros((dim, dim))
     A[np.tril_indices(dim, k=-1)] = rng.normal(size=(dim * (dim - 1) // 2,))
     A[np.diag_indices(dim)] = rng.chisquare(df - dim + 1 + np.arange(dim), size=(dim,)) ** 0.5
     CA = _TRSM(1.0, A, C, side=1, lower=True)
     return _TRMM(1.0, CA, CA, side=1, lower=True, trans_a=True)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) by the arithmetic of scipy.special.logsumexp([x, y]):
+    the larger term is split out and the other enters as exp(lo - hi) through
+    log1p; equal terms give log1p(0) + log(2). Same bits for every non-NaN pair."""
+    if x == y:
+        return np.log1p(0.0) + np.log(2.0) + x
+    lo, hi = (x, y) if x < y else (y, x)
+    return np.log1p(np.exp(lo - hi)) + np.log(1.0) + hi
 
 
 def _truncnorm_positive(rng, mean: float, sd: float) -> float:
@@ -254,7 +270,7 @@ def _truncnorm_positive(rng, mean: float, sd: float) -> float:
     q = rng.uniform()
     if a < 0:
         mass = log1p(-ndtr(a))
-        x = ndtri_exp(logsumexp([log_ndtr(a), np.log(q) + mass], axis=0))
+        x = ndtri_exp(_logaddexp(log_ndtr(a), np.log(q) + mass))
     else:
         mass = log_ndtr(-a) if a > 0 else log1p(-ndtr(a))
         x = -ndtri_exp(np.log1p(-q) + mass)
@@ -304,6 +320,9 @@ class _Sampler:
             self.wstar = np.zeros((2, self.m))
             self.jitter = design.info.spec.jitter
             self.pp = PredictiveProcess(self.knots, design.source_points, self.jitter)
+            # a proposal's K is written here, and an accepted one swaps in
+            # for the field's, whose array becomes the spare
+            self._spare = np.empty_like(self.pp.d_points)
             self.max_jitter = 0.0
             self._log_step = np.log([config.proposal_scale] * 2)
             self._window_acc = np.zeros(2, dtype=int)
@@ -327,6 +346,7 @@ class _Sampler:
     # Field k is held by the Cholesky L_k of C*(theta_k) and the knot-to-day
     # correlations K_k = exp(-theta_k D); its values at the days are
     # w_k = K_k' C*^{-1} w*_k, and the basis W_k = (C*^{-1} K_k)' is never formed.
+    # Between updates eta equals coregionalize(q, *w).
 
     def _factor(self, theta: float) -> np.ndarray:
         L, used = self.pp.factor(theta)
@@ -360,7 +380,7 @@ class _Sampler:
         for k in (0, 1):
             if self._own_grams[k] is None:
                 self._own_grams[k] = (_sandwich(L[k], K[k] @ K[k].T, L[k]),
-                                      scipy.linalg.cho_solve((L[k], True), np.eye(self.m)))
+                                      _lapack.cho_solve((L[k], True), np.eye(self.m)))
         if self._cross_gram is None:
             self._cross_gram = _sandwich(L[0], K[0] @ K[1].T, L[1])
         (g11, c1inv), (g22, c2inv) = self._own_grams
@@ -407,15 +427,12 @@ class _Sampler:
             R = R - self.design.xphi(self.phi)
         return R
 
-    def _field_logpost(self, k, L, w_k, R, omega):
+    def _field_logpost(self, k, L, eta, R, omega):
         """Joint log density terms that move with theta_k (constants dropped),
-        for field k at factor L and day values w_k; the other field keeps
-        its current values."""
-        w = list(self.w)
-        w[k] = w_k
-        e = R - coregionalize(self.q, *w)
+        for field k at factor L and the intercept eta it gives."""
+        e = R - eta
         loglik = -0.5 * float(((e @ omega) * e).sum())
-        v = scipy.linalg.solve_triangular(L, self.wstar[k], lower=True)
+        v = _lapack.solve_triangular(L, self.wstar[k], lower=True)
         logprior = -0.5 * float(v @ v) - float(np.log(np.diag(L)).sum())
         return loglik + logprior
 
@@ -436,17 +453,19 @@ class _Sampler:
             except NumericalError:
                 L_prop = None
             if L_prop is not None:
-                K_prop = self.pp.cross(prop)
-                w_prop = self.pp.interpolate(L_prop, K_prop, self.wstar[k])
-                lp_prop = self._field_logpost(k, L_prop, w_prop, R, omega)
-                lp_cur = self._field_logpost(k, L_cur, self.w[k], R, omega)
+                K_prop = self.pp.cross(prop, out=self._spare)
+                w = list(self.w)
+                w[k] = self.pp.interpolate(L_prop, K_prop, self.wstar[k])
+                eta_prop = coregionalize(self.q, *w)
+                lp_prop = self._field_logpost(k, L_prop, eta_prop, R, omega)
+                lp_cur = self._field_logpost(k, L_cur, self.eta, R, omega)
                 # log-normal proposal: Hastings term log(prop/cur)
                 log_alpha = lp_prop - lp_cur + np.log(prop) - np.log(cur)
                 if np.log(self.rng.uniform()) < log_alpha:
                     self.theta[k] = prop
+                    self._spare = self.K1 if k == 0 else self.K2
                     self._set_field(k, L_prop, K_prop)
-                    self.w[k] = w_prop
-                    self.eta = coregionalize(self.q, *self.w)
+                    self.w, self.eta = w, eta_prop
                     accepted = True
         if accepted:
             self._window_acc[k] += 1
@@ -475,14 +494,14 @@ class _Sampler:
         P[m:, :m] = a12 * g12.T
         P[m:, m:] = a22 * g22 + c2inv
         b = np.concatenate([
-            scipy.linalg.cho_solve((self.L1, True), self.K1 @ (R @ (omega @ u))),
-            scipy.linalg.cho_solve((self.L2, True), self.K2 @ (R @ (omega @ v))),
+            _lapack.cho_solve((self.L1, True), self.K1 @ (R @ (omega @ u))),
+            _lapack.cho_solve((self.L2, True), self.K2 @ (R @ (omega @ v))),
         ])
         Lp, used = chol_spd(P, self.jitter)
         self.max_jitter = max(self.max_jitter, used)
-        mean = scipy.linalg.cho_solve((Lp, True), b)
+        mean = _lapack.cho_solve((Lp, True), b)
         z = self.rng.standard_normal(2 * m)
-        draw = mean + scipy.linalg.solve_triangular(Lp.T, z, lower=False)
+        draw = mean + _lapack.solve_triangular(Lp.T, z, lower=False)
         self.wstar = draw.reshape(2, m)
         self._refresh_eta()
 

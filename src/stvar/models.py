@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from . import _doc
+from . import _doc, _lapack
 from .errors import (
     DataError,
     EmptySeries,
@@ -542,7 +542,7 @@ class Gram:
         """(X'X)^{-1} B for B of shape (p, k)."""
         if self.blocked:
             return np.linalg.solve(self.xtx, self._stacked(B)).reshape(self.p, -1)
-        return scipy.linalg.cho_solve(self.factor, B)
+        return _lapack.cho_solve(self.factor, B)
 
     @cached_property
     def inv_factor(self) -> np.ndarray:
@@ -550,7 +550,7 @@ class Gram:
         if self.blocked:
             inv = np.linalg.inv(self.xtx)
             return np.linalg.cholesky(0.5 * (inv + inv.transpose(0, 2, 1)))
-        inv = scipy.linalg.cho_solve(self.factor, np.eye(self.p))
+        inv = _lapack.cho_solve(self.factor, np.eye(self.p))
         return np.linalg.cholesky(0.5 * (inv + inv.T))
 
     def times_inv_factor(self, z: np.ndarray) -> np.ndarray:
@@ -776,7 +776,7 @@ def log_likelihood(
     if adjust is not None:
         mean += coregional_eta(design.source_points, adjust)
     resid = design.Y - mean
-    z = scipy.linalg.solve_triangular(L, resid.T, lower=True)
+    z = _lapack.solve_triangular(L, resid.T, lower=True)
     n = design.n
     logdet = 2.0 * float(np.log(np.diag(L)).sum())
     return float(-n * np.log(2.0 * np.pi) - 0.5 * n * logdet - 0.5 * (z * z).sum())
@@ -849,7 +849,7 @@ def pp_basis(
     cstar = exp_corr(knots, knots, theta)
     L, _ = chol_spd(cstar, jitter)
     cross = exp_corr(knots, pts, theta)
-    return scipy.linalg.cho_solve((L, True), cross).T
+    return _lapack.cho_solve((L, True), cross).T
 
 
 def induced_corr(
@@ -865,7 +865,7 @@ def induced_corr(
     L, _ = chol_spd(cstar, jitter)
     ca = exp_corr(knots, np.atleast_2d(np.asarray(a, dtype=float)), theta)
     cb = exp_corr(knots, np.atleast_2d(np.asarray(b, dtype=float)), theta)
-    return ca.T @ scipy.linalg.cho_solve((L, True), cb)
+    return ca.T @ _lapack.cho_solve((L, True), cb)
 
 
 @dataclass(frozen=True)
@@ -907,7 +907,10 @@ class SpatialAdjust:
 
 def coregionalize(q: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Q (w1(s), w2(s))' at every point, shape (n, 2)."""
-    return np.column_stack([q[0, 0] * w1, q[1, 0] * w1 + q[1, 1] * w2])
+    out = np.empty((w1.shape[0], 2))
+    np.multiply(q[0, 0], w1, out=out[:, 0])
+    np.add(q[1, 0] * w1, q[1, 1] * w2, out=out[:, 1])
+    return out
 
 
 def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
@@ -935,25 +938,30 @@ class PredictiveProcess:
         self.jitter = jitter
         self.d_knots = cdist(self.knots, self.knots)
         self.d_points = cdist(self.knots, np.atleast_2d(np.asarray(points, dtype=float)))
+        self._cross = None  # field's m x n buffer, made on its first call
 
     def factor(self, theta: float) -> tuple[np.ndarray, float]:
         """Cholesky of C*(theta) and the jitter chol_spd needed for it."""
         _check_decay(theta)
         return chol_spd(np.exp(-theta * self.d_knots), self.jitter)
 
-    def cross(self, theta: float) -> np.ndarray:
-        """Knot-to-point correlations exp(-theta D), shape (m, n)."""
+    def cross(self, theta: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Knot-to-point correlations exp(-theta D), shape (m, n), written
+        into `out` when given."""
         _check_decay(theta)
-        return np.exp(-theta * self.d_points)
+        out = np.multiply(self.d_points, -theta, out=out)
+        return np.exp(out, out=out)
 
     @staticmethod
     def interpolate(L: np.ndarray, cross: np.ndarray, wstar: np.ndarray) -> np.ndarray:
         """Field values cross' C*^{-1} wstar, with L the Cholesky of C*."""
-        return cross.T @ scipy.linalg.cho_solve((L, True), wstar, check_finite=False)
+        return cross.T @ _lapack.cho_solve((L, True), wstar, check_finite=False)
 
     def field(self, theta: float, wstar: np.ndarray) -> np.ndarray:
         """Values at the points of the field with knot values wstar, shape (n,)."""
-        return self.interpolate(self.factor(theta)[0], self.cross(theta), wstar)
+        L = self.factor(theta)[0]
+        self._cross = self.cross(theta, out=self._cross)
+        return self.interpolate(L, self._cross, wstar)
 
     def eta(self, adjust: SpatialAdjust) -> np.ndarray:
         """coregional_eta at the points, shape (n, 2)."""

@@ -17,8 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import _lapack
 from .data_model import GridSpec, StateSeries
 from .errors import DataError, EmptySeries, ExplosiveWarning, UnlabeledDate
 from .models import (
@@ -123,7 +123,7 @@ def simulate_var(
         for k in range(2):
             cstar = exp_corr(adj.knots, adj.knots, float(adj.theta[k]))
             Lk, _ = chol_spd(cstar, adj.jitter)
-            v.append(scipy.linalg.cho_solve((Lk, True), adj.wstar[k]))
+            v.append(_lapack.cho_solve((Lk, True), adj.wstar[k]))
         spatial = (adj, v)
 
     info = truth.info

@@ -205,6 +205,9 @@ PROBES = {
                                "stage 0 (lag-scan): argument --seed"),
     "config-seed-negative": ("config.json", lambda r, d: edited(
         d, "config.json", lambda m: m.update(seed=-1)), "argument --seed"),
+    "pipeline-path-nul": ("pipeline.json", lambda r, d: json.dumps({"stages": [
+        {"run": "lag-scan", "args": {"series": "a\u0000b"}}]}).encode(),
+                          "stage 0 (lag-scan): NUL character in --series"),
     "ff-series-names": ("state.series", lambda r, d: with_ff(r, "state.series", b"\n"), None),
     "ff-planar": ("series.planar", lambda r, d: with_ff(r, "series.planar", b"\n"), None),
     "ff-chain": ("model2.chain", lambda r, d: with_ff(r, "model2.chain", b"\n"), None),
@@ -276,6 +279,23 @@ class TestProbes:
                                     "--series", root / "series.planar", "--out", tmp_path])
         assert code == 2 and err.startswith("data error:") and named in err, err
         assert not (tmp_path / "scores.json").exists()
+
+    @pytest.mark.parametrize("command, where", [
+        ("pipeline", "stage 0 (lag-scan)"),
+        ("lag-scan", "config"),
+    ])
+    def test_nul_in_a_config_path_is_one_data_error(self, tmp_path, command, where):
+        # the NUL reaches no path function, which would raise ValueError
+        args = {"series": "a\u0000b"}
+        doc = {"stages": [{"run": "lag-scan", "args": args}]} if command == "pipeline" else args
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        code, err = quiet_dispatch([command, "--config", tmp_path / "c.json",
+                                    "--out", tmp_path / "out"])
+        assert code == 2, err
+        errors = [ln for ln in err.splitlines() if ln.startswith("data error:")]
+        assert len(errors) == 1 and "Traceback" not in err, err
+        assert errors[0].startswith(f"data error: {where}")
+        assert errors[0].endswith("NUL character in --series")
 
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base
