@@ -241,13 +241,6 @@ def standardize(raw: RawSeries, per_cell: bool = False, ddof: int = 1) -> StateS
     )
 
 
-def to_raw(series: StateSeries) -> RawSeries:
-    """Reshape a state series back to (T, V, cells) without de-standardizing."""
-    return RawSeries(
-        values=unflatten(series.matrix, series.grid), grid=series.grid, dates=series.dates
-    )
-
-
 def destandardize(series: StateSeries) -> RawSeries:
     """Undo the standardization: original-unit fields, shape (T, V, cells)."""
     if series.standardization is None:

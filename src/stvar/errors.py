@@ -81,10 +81,6 @@ class IllConditioned(NumericalError):
     """A correlation matrix stayed non-factorizable through the jitter ladder."""
 
 
-class NonPDSigma(NumericalError):
-    """A 2x2 innovation covariance is not positive definite."""
-
-
 class NonPDScale(NumericalError):
     """An inverse-Wishart scale matrix is not positive definite."""
 

@@ -64,7 +64,6 @@ from .models import (
     coregionalize,
     domain_diameter,
     mle_var,
-    point_design,
     resolve_spec,
     spec_from_dict,
     spec_to_dict,
@@ -721,34 +720,6 @@ def predict_series(
             means[b] += rng.standard_normal((n, 2)) @ L.T
     dates = series.dates[1:] if series.dates is not None else None
     return SeriesPrediction(draws=means, actual=series.points[1:].copy(), dates=dates)
-
-
-def predict_one_step(
-    chain: Chain,
-    point,
-    date=None,
-    cell: int | None = None,
-    tess: Tessellation | None = None,
-    n_draws: int | None = None,
-    seed: int = 0,
-    include_noise: bool = True,
-) -> np.ndarray:
-    """Draws of the next day's position given today's, shape (B, 2)."""
-    point = np.asarray(point, dtype=float).reshape(2)
-    if chain.spec.needs_cells and cell is None:
-        t = chain.tessellation(tess)
-        if t is None:
-            raise DataError("cell-dependent prediction needs a cell or tessellation")
-        cell = int(t.assign_one(point))
-    design = point_design(chain.info, point, cell, date)
-    idx = chain.draw_indices(n_draws)
-    out = mean_paths(chain, design, chain.draws(idx))[:, 0]
-    if include_noise:
-        rng = np.random.default_rng(seed)
-        for b, i in enumerate(idx):
-            L = np.linalg.cholesky(chain.sigma[i])
-            out[b] += L @ rng.standard_normal(2)
-    return out
 
 
 # ---------------------------------------------------------------------------

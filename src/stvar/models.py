@@ -39,7 +39,6 @@ from .errors import (
     DataError,
     EmptySeries,
     IllConditioned,
-    NonPDSigma,
     NonPositiveDecay,
     RankWarning,
     SingularDesign,
@@ -345,31 +344,6 @@ class DesignInfo:
         except KeyError:
             raise UnlabeledDate(f"no fitted {what} block for {tuple(key)}") from None
 
-    def row(self, point: np.ndarray, cell: int | None, date: _dt.date | None) -> np.ndarray:
-        """One design row for a day at `point` (random walk rows are empty)."""
-        x = np.zeros(self.n_columns)
-        i = self.a_index(cell, date)
-        if i is not None:
-            x[2 * i : 2 * i + 2] = point
-        j = self.eta_index(date)
-        if j is not None:
-            x[2 * self.n_a + j] = 1.0
-        return x
-
-    @classmethod
-    def from_observations(cls, spec, source_dates, source_cells) -> "DesignInfo":
-        """Labels drawn from the blocks actually visited by the source days."""
-        n = 0
-        if source_cells is not None:
-            n = len(source_cells)
-        if source_dates is not None:
-            if source_cells is not None and len(source_dates) != n:
-                raise DataError(
-                    f"{len(source_dates)} dates for {n} cell assignments"
-                )
-            n = len(source_dates)
-        return block_indices(spec, n, source_cells, source_dates)[0]
-
     @classmethod
     def from_declared(cls, spec, *, cells=(), seasons=(), years=(),
                       season_years=()) -> "DesignInfo":
@@ -594,7 +568,8 @@ class DesignPair:
 
     @cached_property
     def X(self) -> np.ndarray:
-        """The dense n x p design, built on request for tests and oracles."""
+        """The dense n x p design. deficient_blocks builds it for every design
+        with intercept columns (model3, model5, model6) to take its rank."""
         X = np.zeros((self.n, self.p))
         rows = np.arange(self.n)
         if self.a_idx is not None:
@@ -683,27 +658,13 @@ def stack_design(
 ) -> DesignPair:
     """One-step design of a trajectory, in the column layout of `info` when
     given and of the blocks the days visit otherwise."""
+    S = np.ascontiguousarray(series.points[:-1])
+    cells = source_cells(spec, series, tess)
     dates = None if series.dates is None else series.dates[:-1]
-    return _rows_design(series.points[1:], np.ascontiguousarray(series.points[:-1]),
-                        spec, source_cells(spec, series, tess), dates, info)
-
-
-def point_design(info: DesignInfo, point, cell: int | None = None,
-                 date: _dt.date | None = None) -> DesignPair:
-    """The one-row design of a single day at `point` in the column layout
-    of `info`. Its next day is not observed, so Y is NaN."""
-    return _rows_design(np.full((1, 2), np.nan),
-                        np.asarray(point, dtype=float).reshape(1, 2), info.spec,
-                        None if cell is None else np.array([cell]),
-                        None if date is None else (date,), info)
-
-
-def _rows_design(Y, S, spec, cells, dates, info) -> DesignPair:
-    n = S.shape[0]
-    info, a_idx, eta_idx = block_indices(spec, n, cells, dates, info)
+    info, a_idx, eta_idx = block_indices(spec, S.shape[0], cells, dates, info)
     return DesignPair(
-        Y=Y,
-        offset=S.copy() if spec.a_structure == "random_walk" else np.zeros((n, 2)),
+        Y=series.points[1:],
+        offset=S.copy() if spec.a_structure == "random_walk" else np.zeros(S.shape),
         source_points=S, a_idx=a_idx, eta_idx=eta_idx, source_cells=cells, info=info,
     )
 
@@ -732,7 +693,7 @@ def build_design(
 
 
 # ---------------------------------------------------------------------------
-# Closed-form estimates and likelihood
+# Closed-form estimates
 
 
 def mle_var(design: DesignPair) -> tuple[np.ndarray, np.ndarray]:
@@ -747,39 +708,6 @@ def mle_var(design: DesignPair) -> tuple[np.ndarray, np.ndarray]:
         resid = Yc - design.xphi(phi)
     sigma = resid.T @ resid / n
     return phi, 0.5 * (sigma + sigma.T)
-
-
-def rw_sigma_mle(series: PlanarSeries) -> np.ndarray:
-    """Uncentered covariance of the daily increments."""
-    if series.n_days < 2:
-        raise EmptySeries("need at least 2 days of increments")
-    d = series.points[1:] - series.points[:-1]
-    sigma = d.T @ d / d.shape[0]
-    return 0.5 * (sigma + sigma.T)
-
-
-def log_likelihood(
-    design: DesignPair,
-    phi: np.ndarray,
-    sigma: np.ndarray,
-    adjust: "SpatialAdjust | None" = None,
-) -> float:
-    """Exact Gaussian log likelihood (2*pi constant included)."""
-    sigma = np.asarray(sigma, dtype=float)
-    try:
-        L = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise NonPDSigma("innovation covariance is not positive definite") from None
-    mean = design.offset.copy()
-    if design.p:
-        mean += design.xphi(phi)
-    if adjust is not None:
-        mean += coregional_eta(design.source_points, adjust)
-    resid = design.Y - mean
-    z = _lapack.solve_triangular(L, resid.T, lower=True)
-    n = design.n
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    return float(-n * np.log(2.0 * np.pi) - 0.5 * n * logdet - 0.5 * (z * z).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -852,22 +780,6 @@ def pp_basis(
     return _lapack.cho_solve((L, True), cross).T
 
 
-def induced_corr(
-    a: np.ndarray,
-    b: np.ndarray,
-    knots: np.ndarray,
-    theta: float,
-    jitter: JitterPolicy = JitterPolicy(),
-) -> np.ndarray:
-    """Low-rank correlation c*(a)' C*^{-1} c*(b) induced by the knot field."""
-    knots = _check_knots(knots)
-    cstar = exp_corr(knots, knots, theta)
-    L, _ = chol_spd(cstar, jitter)
-    ca = exp_corr(knots, np.atleast_2d(np.asarray(a, dtype=float)), theta)
-    cb = exp_corr(knots, np.atleast_2d(np.asarray(b, dtype=float)), theta)
-    return ca.T @ _lapack.cho_solve((L, True), cb)
-
-
 @dataclass(frozen=True)
 class SpatialAdjust:
     """Coregionalized two-field intercept: eta(s) = Q (w1(s), w2(s))'.
@@ -913,16 +825,6 @@ def coregionalize(q: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     return out
 
 
-def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
-    """Spatial intercept at each point, shape (n, 2), from the explicit
-    pp_basis weights. Repeated evaluation at fixed points goes through
-    PredictiveProcess instead."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w1 = pp_basis(pts, adjust.knots, float(adjust.theta[0]), adjust.jitter) @ adjust.wstar[0]
-    w2 = pp_basis(pts, adjust.knots, float(adjust.theta[1]), adjust.jitter) @ adjust.wstar[1]
-    return coregionalize(adjust.q, w1, w2)
-
-
 class PredictiveProcess:
     """Knot geometry of the predictive-process intercept at fixed points.
 
@@ -964,7 +866,8 @@ class PredictiveProcess:
         return self.interpolate(L, self._cross, wstar)
 
     def eta(self, adjust: SpatialAdjust) -> np.ndarray:
-        """coregional_eta at the points, shape (n, 2)."""
+        """The coregionalized spatial intercept Q (w1, w2)' at the points,
+        shape (n, 2)."""
         w1 = self.field(float(adjust.theta[0]), adjust.wstar[0])
         w2 = self.field(float(adjust.theta[1]), adjust.wstar[1])
         return coregionalize(adjust.q, w1, w2)
@@ -974,21 +877,3 @@ def domain_diameter(points: np.ndarray) -> float:
     """Diagonal length of the bounding box of a point set."""
     pts = np.asarray(points, dtype=float)
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-
-
-def phi_blocks(info: DesignInfo, phi: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-label 2x2 transition matrices A (rows of Phi transposed back)."""
-    phi = np.asarray(phi, dtype=float)
-    out = {}
-    for i, lab in enumerate(info.a_labels):
-        out[lab] = phi[2 * i : 2 * i + 2, :].T.copy()
-    return out
-
-
-def eta_blocks(info: DesignInfo, phi: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-label intercept vectors."""
-    phi = np.asarray(phi, dtype=float)
-    out = {}
-    for j, lab in enumerate(info.eta_labels):
-        out[lab] = phi[2 * info.n_a + j, :].copy()
-    return out

@@ -242,20 +242,6 @@ class Tessellation:
     def assign_one(self, point) -> int:
         return int(self.assign(np.asarray(point, dtype=float)[None, :])[0])
 
-    def validate_assignments(self, series: "PlanarSeries") -> None:
-        """Check the relational invariant that stored assignments are the
-        nearest sites of the stored points."""
-        if series.node_assignment is None:
-            raise DataError("series carries no node assignments")
-        want = self.assign(series.points)
-        if not np.array_equal(want, series.node_assignment):
-            bad = int(np.flatnonzero(want != series.node_assignment)[0])
-            raise DataError(
-                f"assignment at step {bad} is {series.node_assignment[bad]}, "
-                f"nearest site is {want[bad]}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Planar trajectory container and file format
 
@@ -454,15 +440,6 @@ class GreedyProjector:
         # changes no bits because linspace never yields a -0.0 grid value.
         sums = [np.bincount(day, weights=self.candidates[cand, k], minlength=n) for k in (0, 1)]
         return np.column_stack(sums) / np.bincount(day, minlength=n)[:, None]
-
-
-def project_point(
-    x: np.ndarray, model: SomModel, padding: float = 0.25, resolution: int = 201
-) -> np.ndarray:
-    """One-off projection; build a GreedyProjector for repeated use."""
-    return GreedyProjector(model, padding=padding, resolution=resolution).project(
-        np.asarray(x, dtype=float)
-    )
 
 
 def project_series(

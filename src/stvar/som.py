@@ -205,19 +205,6 @@ def _init(rng: np.random.Generator, data: np.ndarray, n_nodes: int) -> np.ndarra
     return lo + rng.random((n_nodes, data.shape[1])) * (hi - lo)
 
 
-def init_nodes(data, config: SomConfig) -> np.ndarray:
-    """Seeded uniform draws inside the per-component data range."""
-    x = _checked_matrix(data)
-    return _init(np.random.default_rng(config.rng_seed), x, config.n_nodes)
-
-
-def find_winner(x: np.ndarray, nodes: np.ndarray) -> int:
-    """Index of the nearest codebook vector; ties take the smallest index."""
-    x = np.asarray(x, dtype=float)
-    d2 = ((nodes - x) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
-
-
 def _kernel_row(d2_row: np.ndarray, sigma: float, kernel: str) -> np.ndarray:
     """Neighborhood weights from squared distances to the winner."""
     if sigma <= 0.0:
@@ -225,18 +212,6 @@ def _kernel_row(d2_row: np.ndarray, sigma: float, kernel: str) -> np.ndarray:
     if kernel == "gaussian":
         return np.exp(-d2_row / (2.0 * sigma * sigma))
     return (d2_row <= sigma * sigma).astype(float)
-
-
-def kernel_value(m: int, c: int, model: SomModel, sigma: float,
-                 kernel: str | None = None, space: str | None = None) -> float:
-    """Neighborhood weight K(m, c) at width sigma."""
-    kernel = kernel or model.config.kernel
-    space = space or model.config.neighborhood_space
-    if kernel not in KERNELS or space not in SPACES:
-        raise DataError(f"unknown kernel {kernel!r} or space {space!r}")
-    pts = model.planar if space == "map" else model.nodes
-    d2 = float(((pts[m] - pts[c]) ** 2).sum())
-    return float(_kernel_row(np.array([d2]), sigma, kernel)[0])
 
 
 def train_online(data, config: SomConfig) -> tuple[SomModel, OnlineTrace]:

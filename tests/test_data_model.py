@@ -15,7 +15,6 @@ from stvar import (
     load_series,
     save_series,
     standardize,
-    to_raw,
     unflatten,
 )
 from stvar.errors import (
@@ -136,7 +135,7 @@ class TestStandardize:
         rng = np.random.default_rng(7)
         raw = small_raw(rng, T=30)
         once = standardize(raw)
-        twice = standardize(to_raw(once))
+        twice = standardize(RawSeries(unflatten(once.matrix, once.grid), once.grid, once.dates))
         np.testing.assert_allclose(twice.matrix, once.matrix, atol=1e-12)
 
     def test_affine_equivariance(self):

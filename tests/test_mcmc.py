@@ -33,7 +33,6 @@ from stvar.mcmc import (
     chain_design,
     load_chain,
     mean_paths,
-    predict_one_step,
     predict_series,
     run_chain,
     save_chain,
@@ -48,7 +47,6 @@ from stvar.models import (
     SpatialAdjust,
     build_design,
     chol_spd,
-    coregional_eta,
     domain_diameter,
     exp_corr,
     mle_var,
@@ -56,6 +54,8 @@ from stvar.models import (
 )
 from stvar.projection import PlanarSeries, Tessellation
 from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
+
+from oracles import coregional_eta
 
 
 def cloud_series(n=60, seed=0, spread=1.0, dates_from=None):
@@ -513,29 +513,10 @@ class TestPrediction:
     def test_one_step(self):
         A = np.array([[0.6, 0.1], [-0.2, 0.5]])
         chain = manual_chain(ModelSpec("constant"), [()], [], A.T, np.eye(2))
-        draws = predict_one_step(chain, [1.0, 2.0], include_noise=False)
+        series = PlanarSeries(points=np.array([[1.0, 2.0], [0.0, 0.0]]))
+        draws = predict_series(chain, series, include_noise=False).draws[:, 0]
         assert draws.shape == (3, 2)
         np.testing.assert_allclose(draws[0], A @ [1.0, 2.0], atol=1e-12)
-
-    def test_one_step_cell_lookup(self):
-        A0 = 0.5 * np.eye(2)
-        A1 = -0.5 * np.eye(2)
-        chain = manual_chain(
-            ModelSpec("tessellation"),
-            [(0,), (1,)],
-            [],
-            np.vstack([A0.T, A1.T]),
-            np.eye(2),
-            tess_sites=[[-1.0, 0.0], [1.0, 0.0]],
-        )
-        np.testing.assert_allclose(
-            predict_one_step(chain, [2.0, 0.0], include_noise=False)[0],
-            A1 @ [2.0, 0.0],
-        )
-        np.testing.assert_allclose(
-            predict_one_step(chain, [2.0, 0.0], cell=0, include_noise=False)[0],
-            A0 @ [2.0, 0.0],
-        )
 
     def test_tessellation_given_wins_over_fitted(self):
         chain = manual_chain(ModelSpec("tessellation"), [(0,), (1,)], [], np.vstack([np.eye(2)] * 2),
@@ -1161,9 +1142,9 @@ class TestPredictiveProcessOracle:
             m.setattr(stvar.models, "pp_basis", refuse)
             chain = run_chain(series, SPATIAL_SPEC, McmcConfig(n_iter=200, burn_in=50, seed=3))
             score = score_model(chain, series, n_draws=100)
-            one = predict_one_step(chain, series.points[-1], n_draws=10)
+            pred = predict_series(chain, series, n_draws=10)
         assert np.isfinite([score.rmspe, score.dic, score.p_d, score.coverage]).all()
-        assert np.isfinite(one).all()
+        assert np.isfinite(pred.draws).all()
 
         design = chain_design(chain, series)
         pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)

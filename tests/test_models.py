@@ -5,13 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
 
 from stvar.errors import (
     DataError,
     EmptySeries,
     IllConditioned,
-    NonPDSigma,
     NonPositiveDecay,
     RankWarning,
     SingularDesign,
@@ -20,29 +18,27 @@ from stvar.errors import (
 from stvar.models import (
     MODEL_ALIASES,
     Calendar,
-    DesignInfo,
     JitterPolicy,
     KnotGrid,
     ModelSpec,
+    PredictiveProcess,
     SpatialAdjust,
+    block_indices,
     build_design,
     chol_spd,
-    coregional_eta,
     domain_diameter,
-    eta_blocks,
     exp_corr,
-    induced_corr,
-    log_likelihood,
     mle_var,
-    phi_blocks,
     pp_basis,
     resolve_spec,
-    rw_sigma_mle,
     spec_from_dict,
     spec_to_dict,
+    stack_design,
 )
 from stvar.projection import PlanarSeries, Tessellation
 from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
+
+from oracles import coregional_eta
 
 
 def daily(start, n):
@@ -111,29 +107,27 @@ class TestModelSpec:
 
 class TestDesignInfo:
     def test_constant_block(self):
-        info = DesignInfo.from_observations(
-            ModelSpec(a_structure="constant"), None, None
-        )
+        info = block_indices(ModelSpec(a_structure="constant"), 0, None, None)[0]
         assert info.a_labels == ("all",)
         assert info.column_map == ("A[all].sx", "A[all].sy")
         assert info.a_index(None, None) == 0
 
     def test_observed_cells_ascending(self):
-        info = DesignInfo.from_observations(
-            ModelSpec(a_structure="tessellation"), None, np.array([3, 1, 3, 1, 7])
-        )
+        info = block_indices(
+            ModelSpec(a_structure="tessellation"), 5, np.array([3, 1, 3, 1, 7]), None
+        )[0]
         assert info.a_labels == ("1", "3", "7")
         assert info.a_index(3, None) == 1
 
     def test_season_labels_canonical_order(self):
         dates = (dt.date(2000, 7, 1), dt.date(2000, 7, 2), dt.date(2001, 1, 5))
-        info = DesignInfo.from_observations(ModelSpec(a_structure="quarter"), dates, None)
+        info = block_indices(ModelSpec(a_structure="quarter"), 3, None, dates)[0]
         assert info.a_labels == ("DJF", "JJA")
 
     def test_quarter_by_year_rolls_december(self):
         spec = ModelSpec(a_structure="quarter_by_year")
         dates = (dt.date(1999, 12, 20), dt.date(2000, 1, 10))
-        info = DesignInfo.from_observations(spec, dates, None)
+        info = block_indices(spec, 2, None, dates)[0]
         # both days belong to winter 2000: a single block
         assert info.a_labels == ("2000/DJF",)
 
@@ -141,22 +135,22 @@ class TestDesignInfo:
         spec = ModelSpec(a_structure="tessellation_by_year")
         dates = (dt.date(1997, 5, 1), dt.date(1998, 5, 1), dt.date(1998, 5, 2))
         cells = np.array([1, 0, 1])
-        info = DesignInfo.from_observations(spec, dates, cells)
+        info = block_indices(spec, 3, cells, dates)[0]
         assert info.a_labels == ("1997/1", "1998/0", "1998/1")
         assert info.n_columns == 6
 
     def test_unlabeled_lookup_raises(self):
-        info = DesignInfo.from_observations(
-            ModelSpec(a_structure="year"), (dt.date(2000, 3, 1),), None
-        )
+        info = block_indices(ModelSpec(a_structure="year"), 1, None, (dt.date(2000, 3, 1),))[0]
         with pytest.raises(UnlabeledDate):
             info.a_index(None, dt.date(2005, 3, 1))
 
     def test_row_layout(self):
         spec = ModelSpec(a_structure="tessellation", eta_structure="constant")
-        info = DesignInfo.from_observations(spec, None, np.array([0, 1]))
-        row = info.row(np.array([2.0, -3.0]), cell=1, date=None)
-        np.testing.assert_array_equal(row, [0.0, 0.0, 2.0, -3.0, 1.0])
+        series = PlanarSeries(points=np.array([[5.0, 7.0], [2.0, -3.0], [0.0, 0.0]]),
+                              node_assignment=np.array([0, 1, 0]))
+        X = stack_design(series, spec).X
+        np.testing.assert_array_equal(X[0], [5.0, 7.0, 0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(X[1], [0.0, 0.0, 2.0, -3.0, 1.0])
 
 
 class TestBuildDesign:
@@ -330,7 +324,7 @@ class TestMle:
 
     def test_rw_sigma_hand_value(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]])
-        sigma = rw_sigma_mle(PlanarSeries(points=pts))
+        _, sigma = mle_var(build_design(PlanarSeries(points=pts), "model0"))
         np.testing.assert_allclose(sigma, [[0.5, 0.0], [0.0, 2.0]])
 
     def test_rw_mle_equals_random_walk_design_mle(self):
@@ -338,7 +332,8 @@ class TestMle:
         pts = rng.normal(size=(25, 2)).cumsum(axis=0)
         series = PlanarSeries(points=pts)
         _, sigma = mle_var(build_design(series, "model0"))
-        np.testing.assert_allclose(sigma, rw_sigma_mle(series), atol=1e-12)
+        d = pts[1:] - pts[:-1]
+        np.testing.assert_allclose(sigma, d.T @ d / d.shape[0], atol=1e-12)
 
     def test_singular_design_raises(self):
         with pytest.warns(RankWarning):
@@ -347,37 +342,6 @@ class TestMle:
             )
         with pytest.raises(SingularDesign):
             mle_var(design)
-
-
-class TestLogLikelihood:
-    def test_zero_residual_identity_sigma(self):
-        pts = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        series = PlanarSeries(points=pts)
-        design = build_design(series, "model0")
-        # residuals vanish and Sigma = I, leaving only the 2*pi constant
-        got = log_likelihood(design, np.zeros((0, 2)), np.eye(2))
-        assert got == pytest.approx(-2.0 * np.log(2.0 * np.pi))
-
-    def test_matches_scipy_density(self):
-        rng = np.random.default_rng(43)
-        pts = rng.normal(size=(12, 2))
-        series = PlanarSeries(points=pts)
-        design = build_design(series, "model1")
-        phi = rng.normal(size=(2, 2)) * 0.3
-        sigma = np.array([[1.3, 0.4], [0.4, 0.9]])
-        got = log_likelihood(design, phi, sigma)
-        mean = design.X @ phi
-        want = sum(
-            multivariate_normal.logpdf(design.Y[t], mean[t], sigma)
-            for t in range(design.n)
-        )
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_non_pd_sigma(self):
-        series = PlanarSeries(points=np.random.default_rng(1).normal(size=(5, 2)))
-        design = build_design(series, "model1")
-        with pytest.raises(NonPDSigma):
-            log_likelihood(design, np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestKrigingPieces:
@@ -426,20 +390,6 @@ class TestKrigingPieces:
         want = exp_corr(pts, knots, theta) @ np.linalg.inv(cstar)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_induced_corr_formula_and_psd(self):
-        rng = np.random.default_rng(59)
-        knots = rng.uniform(size=(12, 2)) * 4.0
-        pts = rng.uniform(size=(7, 2)) * 4.0
-        theta = 0.6
-        got = induced_corr(pts, pts, knots, theta)
-        cstar = exp_corr(knots, knots, theta)
-        c = exp_corr(knots, pts, theta)
-        want = c.T @ np.linalg.inv(cstar) @ c
-        np.testing.assert_allclose(got, want, atol=1e-10)
-        vals = np.linalg.eigvalsh(0.5 * (got + got.T))
-        assert vals.min() > -1e-10
-        assert np.all(np.diag(got) <= 1.0 + 1e-12)
-
     def test_duplicate_knots_rejected(self):
         knots = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DataError):
@@ -483,6 +433,7 @@ class TestSpatialAdjust:
         w2 = pp_basis(pts, knots, 0.9) @ wstar[1]
         np.testing.assert_allclose(got[:, 0], 1.5 * w1, atol=1e-12)
         np.testing.assert_allclose(got[:, 1], -0.4 * w1 + 0.7 * w2, atol=1e-12)
+        np.testing.assert_allclose(PredictiveProcess(knots, pts).eta(adjust), got, atol=1e-12)
 
     def test_field_reproduced_at_knots(self):
         rng = np.random.default_rng(71)
@@ -494,13 +445,3 @@ class TestSpatialAdjust:
         np.testing.assert_allclose(got[:, 0], wstar[0], atol=1e-7)
         np.testing.assert_allclose(got[:, 1], wstar[1], atol=1e-7)
 
-
-class TestBlockViews:
-    def test_phi_block_transposition(self):
-        spec = ModelSpec(a_structure="constant", eta_structure="constant")
-        info = DesignInfo.from_observations(spec, daily("2000-01-01", 3), None)
-        phi = np.array([[0.7, -0.2], [0.1, 0.5], [3.0, -1.0]])
-        A = phi_blocks(info, phi)["all"]
-        # a design row (sx, sy) @ Phi predicts (A s)', so A is the transpose
-        np.testing.assert_array_equal(A, phi[:2].T)
-        np.testing.assert_array_equal(eta_blocks(info, phi)["all"], [3.0, -1.0])

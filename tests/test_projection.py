@@ -20,13 +20,14 @@ from stvar.projection import (
     Tessellation,
     classical_scaling,
     load_planar,
-    project_point,
     project_series,
     sammon_embed,
     sammon_stress,
     save_planar,
 )
-from stvar.som import SomConfig, SomModel, find_winner, lattice_coords
+from stvar.som import SomConfig, SomModel, lattice_coords
+
+from oracles import find_winner
 
 
 def pairwise(points):
@@ -138,16 +139,6 @@ class TestTessellation:
         tess = Tessellation(sites=np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert tess.assign_one(np.array([1.0, 0.0])) == 0
 
-    def test_validate_assignments(self):
-        tess = Tessellation(sites=np.array([[0.0, 0.0], [2.0, 0.0]]))
-        good = PlanarSeries(points=np.array([[0.1, 0.0], [1.9, 0.0]]),
-                            node_assignment=np.array([0, 1]))
-        tess.validate_assignments(good)
-        bad = PlanarSeries(points=np.array([[0.1, 0.0], [1.9, 0.0]]),
-                           node_assignment=np.array([0, 0]))
-        with pytest.raises(DataError, match="step 1"):
-            tess.validate_assignments(bad)
-
 
 class TestPlanarFiles:
     def test_round_trip_exact(self, tmp_path):
@@ -258,7 +249,7 @@ class TestGreedyProjection:
         planar = np.array([[0.0, -0.5], [0.0, 0.5]])
         model = make_model(nodes, planar)
         x = np.array([0.1, 0.0, 0.0])
-        got = project_point(x, model)
+        got = GreedyProjector(model).project(x)
 
         # grid replication: zero-width x span widens to 1 before padding
         xs = np.linspace(-0.25, 0.25, 201)
@@ -275,7 +266,7 @@ class TestGreedyProjection:
         # candidate scores full length and the average is the grid centroid
         nodes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         model = make_model(nodes, lattice_coords(4))
-        got = project_point(np.array([0.0, 0.0]), model)
+        got = GreedyProjector(model).project(np.array([0.0, 0.0]))
         np.testing.assert_allclose(got, [0.0, 0.0], atol=1e-12)
 
     def test_projection_lands_in_winner_cell(self):
@@ -306,7 +297,7 @@ class TestGreedyProjection:
     def test_dimension_mismatch(self):
         model = make_model(np.zeros((3, 4)), lattice_coords(3))
         with pytest.raises(DimensionMismatch):
-            project_point(np.zeros(5), model)
+            GreedyProjector(model).project(np.zeros(5))
 
     def test_project_series_carries_winners_and_dates(self):
         rng = np.random.default_rng(17)
@@ -325,7 +316,8 @@ class TestGreedyProjection:
         np.testing.assert_array_equal(
             out.node_assignment, [find_winner(x, nodes) for x in X]
         )
-        Tessellation(sites=planar).validate_assignments(out)
+        np.testing.assert_array_equal(Tessellation(sites=planar).assign(out.points),
+                                      out.node_assignment)
 
     def test_resolution_and_padding_validated(self):
         model = make_model(np.zeros((2, 2)), lattice_coords(2))

@@ -10,10 +10,9 @@ from stvar.som import (
     BatchTrace,
     SomConfig,
     SomModel,
+    _init,
+    _kernel_row,
     assign,
-    find_winner,
-    init_nodes,
-    kernel_value,
     lattice_coords,
     lattice_shape,
     load_som,
@@ -25,6 +24,8 @@ from stvar.som import (
     train_batch,
     train_online,
 )
+
+from oracles import find_winner
 
 
 class TestLattice:
@@ -86,65 +87,76 @@ class TestKernels:
         nodes = np.array([[0.0], [3.0], [4.0], [10.0]])
         return SomModel(nodes=nodes, planar=lattice_coords(4), config=cfg)
 
+    @staticmethod
+    def d2_from(pts, c):
+        """Squared distances of every node to node c, as the trainers pass them."""
+        return ((pts - pts[c]) ** 2).sum(axis=1)
+
     def test_gaussian_map_space(self):
         model = self.make_model()
         # lattice for M=4 is 2x2, horizontally adjacent nodes sit 1 apart
-        assert kernel_value(0, 1, model, sigma=2.0) == pytest.approx(np.exp(-1.0 / 8.0))
-        assert kernel_value(0, 0, model, sigma=2.0) == 1.0
+        k = _kernel_row(self.d2_from(model.planar, 0), 2.0, "gaussian")
+        assert k[1] == pytest.approx(np.exp(-1.0 / 8.0))
+        assert k[0] == 1.0
 
     def test_gaussian_data_space(self):
         model = self.make_model()
-        got = kernel_value(0, 1, model, sigma=1.5, space="data")
+        got = _kernel_row(self.d2_from(model.nodes, 0), 1.5, "gaussian")[1]
         assert got == pytest.approx(np.exp(-9.0 / (2 * 1.5**2)))
 
     def test_bubble_is_distance_indicator(self):
         model = self.make_model()
-        assert kernel_value(0, 1, model, sigma=1.0, kernel="bubble") == 1.0
-        assert kernel_value(0, 3, model, sigma=1.0, kernel="bubble") == 0.0
-        assert kernel_value(2, 2, model, sigma=1.0, kernel="bubble") == 1.0
+        assert _kernel_row(self.d2_from(model.planar, 0), 1.0, "bubble")[1] == 1.0
+        assert _kernel_row(self.d2_from(model.planar, 0), 1.0, "bubble")[3] == 0.0
+        assert _kernel_row(self.d2_from(model.planar, 2), 1.0, "bubble")[2] == 1.0
 
     def test_sigma_zero_keeps_only_the_center(self):
         model = self.make_model()
         for kern in ("gaussian", "bubble"):
-            assert kernel_value(1, 1, model, sigma=0.0, kernel=kern) == 1.0
-            assert kernel_value(0, 1, model, sigma=0.0, kernel=kern) == 0.0
+            assert _kernel_row(self.d2_from(model.planar, 1), 0.0, kern)[1] == 1.0
+            assert _kernel_row(self.d2_from(model.planar, 0), 0.0, kern)[1] == 0.0
 
 
 class TestWinner:
+    @staticmethod
+    def model(nodes):
+        n = nodes.shape[0]
+        return SomModel(nodes=nodes, planar=lattice_coords(n), config=SomConfig(n_nodes=n))
+
     def test_nearest_index(self):
         nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        assert find_winner(np.array([1.9, 0.1]), nodes) == 1
+        np.testing.assert_array_equal(assign(np.array([[1.9, 0.1]]), self.model(nodes)), [1])
 
     def test_exact_tie_takes_smallest_index(self):
         nodes = np.array([[0.0], [2.0], [4.0]])
         # x = 1 is exactly 1 away from nodes 0 and 1
-        assert find_winner(np.array([1.0]), nodes) == 0
-        assert find_winner(np.array([3.0]), nodes) == 1
+        np.testing.assert_array_equal(assign(np.array([[1.0], [3.0]]), self.model(nodes)), [0, 1])
 
 
 class TestInit:
     def test_within_component_ranges(self):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(50, 3)) * np.array([1.0, 10.0, 0.1])
-        nodes = init_nodes(data, SomConfig(n_nodes=8, rng_seed=5))
+        nodes = _init(np.random.default_rng(5), data, 8)
         assert np.all(nodes >= data.min(axis=0)) and np.all(nodes <= data.max(axis=0))
 
     def test_degenerate_axis_collapses(self):
         data = np.column_stack([np.linspace(0, 1, 10), np.full(10, 2.5)])
-        nodes = init_nodes(data, SomConfig(n_nodes=5, rng_seed=1))
+        nodes = _init(np.random.default_rng(1), data, 5)
         np.testing.assert_array_equal(nodes[:, 1], 2.5)
 
     def test_seed_reproducibility(self):
         data = np.random.default_rng(3).normal(size=(20, 2))
-        a = init_nodes(data, SomConfig(n_nodes=6, rng_seed=9))
-        b = init_nodes(data, SomConfig(n_nodes=6, rng_seed=9))
-        c = init_nodes(data, SomConfig(n_nodes=6, rng_seed=10))
+        a = _init(np.random.default_rng(9), data, 6)
+        b = _init(np.random.default_rng(9), data, 6)
+        c = _init(np.random.default_rng(10), data, 6)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyData):
-            init_nodes(np.empty((0, 3)), SomConfig(n_nodes=2))
+        for train in (train_batch, train_online):
+            with pytest.raises(EmptyData):
+                train(np.empty((0, 3)), SomConfig(n_nodes=2))
 
 
 class TestOnlineTrainer:
@@ -228,7 +240,7 @@ class TestBatchTrainer:
             max_epochs=1,
         )
         model, _ = train_batch(data, cfg)
-        start = init_nodes(data, cfg)
+        start = _init(np.random.default_rng(cfg.rng_seed), data, cfg.n_nodes)
         d2 = ((data[:, None, :] - start[None, :, :]) ** 2).sum(-1)
         labels = d2.argmin(1)
         for m in range(3):
