@@ -10,12 +10,13 @@ Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 from __future__ import annotations
 
 import json
+import math
 import typing
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedHeader
+from .errors import DimensionMismatch, MalformedHeader, ShortRead
 
 
 def utf8(blob: bytes, kind: str) -> str:
@@ -23,6 +24,18 @@ def utf8(blob: bytes, kind: str) -> str:
         return blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{kind}: not UTF-8 text ({exc})") from None
+
+
+def float64s(blob: bytes, offset: int, shape: tuple) -> np.ndarray:
+    """The little-endian float64 payload filling `blob` from `offset` to its
+    end, as a new array of `shape`; ShortRead if it is short, DimensionMismatch
+    if bytes trail it."""
+    have, need = len(blob) - offset, 8 * math.prod(shape)
+    if have < need:
+        raise ShortRead(f"payload has {have} bytes, header implies {need}")
+    if have > need:
+        raise DimensionMismatch(f"{have - need} trailing bytes after payload")
+    return np.frombuffer(blob, dtype="<f8", offset=offset).reshape(shape).copy()
 
 
 def read(path, kind: str) -> str:

@@ -554,8 +554,7 @@ def cmd_predict(args, store: _Store) -> dict:
         pred = predict_series(
             chain, series, n_draws=args.draws, seed=args.seed, include_noise=True
         )
-    lo = np.quantile(pred.draws, 0.025, axis=0)
-    hi = np.quantile(pred.draws, 0.975, axis=0)
+    lo, hi = np.quantile(pred.draws, [0.025, 0.975], axis=0)
     mean = pred.mean
     n = mean.shape[0]
     dates = [""] * n if pred.dates is None else (d.isoformat() for d in pred.dates)

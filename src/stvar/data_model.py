@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     EmptySeries,
     MalformedHeader,
-    ShortRead,
     ZeroVariance,
 )
 
@@ -313,13 +312,7 @@ def load_series(path) -> RawSeries | StateSeries:
         raise DimensionMismatch(f"header declares {V} variables, name line has {len(names)}")
     grid = GridSpec(n_rows=R, n_cols=C, variables=names)
 
-    payload = blob[nl2 + 1 :]
-    need = T * V * R * C * 8
-    if len(payload) < need:
-        raise ShortRead(f"payload has {len(payload)} bytes, header implies {need}")
-    if len(payload) > need:
-        raise DimensionMismatch(f"{len(payload) - need} trailing bytes after payload")
-    values = np.frombuffer(payload, dtype="<f8").reshape(T, V, R * C).copy()
+    values = _doc.float64s(blob, nl2 + 1, (T, V, R * C))
 
     sidecar, kind = _sidecar_path(path), "series sidecar"
     meta = _doc.fields(_doc.read_json(sidecar, kind) if sidecar.exists() else {}, kind,

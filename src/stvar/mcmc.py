@@ -31,9 +31,11 @@ costs O(p) whatever the number of days.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -43,7 +45,6 @@ from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 from . import _doc, _lapack
 from .errors import (
     DataError,
-    DimensionMismatch,
     EmptySeries,
     InsufficientDf,
     LengthMismatch,
@@ -51,7 +52,6 @@ from .errors import (
     NonConvergenceWarning,
     NonPDScale,
     NumericalError,
-    ShortRead,
 )
 from .models import (
     DesignInfo,
@@ -230,6 +230,12 @@ def _sandwich(L_j: np.ndarray, M: np.ndarray, L_k: np.ndarray) -> np.ndarray:
 _TRSM, _TRMM = scipy.linalg.get_blas_funcs(("trsm", "trmm"), dtype=np.float64)
 
 
+@functools.cache
+def _strict_lower(dim: int) -> tuple:
+    """Row and column indices below the diagonal of a dim x dim matrix, row by row."""
+    return np.tril_indices(dim, k=-1)
+
+
 def _invwishart(rng, df: int, scale: np.ndarray) -> np.ndarray:
     """One inverse-Wishart(df, scale) draw by the Bartlett decomposition.
 
@@ -240,7 +246,7 @@ def _invwishart(rng, df: int, scale: np.ndarray) -> np.ndarray:
     dim = scale.shape[0]
     C = _lapack.cholesky(scale, lower=True)
     A = np.zeros((dim, dim))
-    A[np.tril_indices(dim, k=-1)] = rng.normal(size=(dim * (dim - 1) // 2,))
+    A[_strict_lower(dim)] = rng.normal(size=(dim * (dim - 1) // 2,))
     A[np.diag_indices(dim)] = rng.chisquare(df - dim + 1 + np.arange(dim), size=(dim,)) ** 0.5
     CA = _TRSM(1.0, A, C, side=1, lower=True)
     return _TRMM(1.0, CA, CA, side=1, lower=True, trans_a=True)
@@ -559,28 +565,29 @@ class _Sampler:
         }
 
 
-def split_rhat(x: np.ndarray) -> float:
-    """Potential scale reduction from the two halves of one chain."""
+def split_rhat(x: np.ndarray) -> float | np.ndarray:
+    """Potential scale reduction from the two halves of a chain, along the
+    last axis: a float for one chain, an array for a stack of chains."""
     x = np.asarray(x, dtype=float)
-    half = x.size // 2
+    half = x.shape[-1] // 2
     if half < 2:
-        return float("nan")
-    a = x[:half]
-    b = x[x.size - half :]
-    w = 0.5 * (a.var(ddof=1) + b.var(ddof=1))
-    if w == 0.0:
-        return float("nan")
-    mu = 0.5 * (a.mean() + b.mean())
-    bvar = half * ((a.mean() - mu) ** 2 + (b.mean() - mu) ** 2)
+        r = np.full(x.shape[:-1], np.nan)
+        return float(r) if r.ndim == 0 else r
+    a = x[..., :half]
+    b = x[..., x.shape[-1] - half :]
+    w = 0.5 * (a.var(axis=-1, ddof=1) + b.var(axis=-1, ddof=1))
+    mu = 0.5 * (a.mean(axis=-1) + b.mean(axis=-1))
+    bvar = half * ((a.mean(axis=-1) - mu) ** 2 + (b.mean(axis=-1) - mu) ** 2)
     var_plus = (half - 1) / half * w + bvar / half
-    return float(np.sqrt(var_plus / w))
+    r = np.sqrt(np.divide(var_plus, w, out=np.full(np.shape(w), np.nan), where=w != 0.0))
+    return float(r) if r.ndim == 0 else r
 
 
 def _chain_rhat(chain: Chain) -> float:
     """The largest finite split R-hat over the draw's free scalars, else nan."""
     keep = np.concatenate([np.arange(np.prod(shape, dtype=int)) != _RHAT_SKIP.get(name, -1)
                            for name, shape in chain._layout])
-    r = np.array([split_rhat(col) for col in chain._rows()[:, keep].T])
+    r = split_rhat(np.ascontiguousarray(chain._rows()[:, keep].T))
     r = r[np.isfinite(r)]
     return float(r.max()) if r.size else float("nan")
 
@@ -723,10 +730,12 @@ def predict_series(
 
 
 # ---------------------------------------------------------------------------
-# Chain files: magic line, one JSON metadata line, one line per draw
+# Chain files: magic line, one JSON metadata line, then every draw as one row
+# of little-endian float64 values
 
 
-_CHAIN_MAGIC = "STVAR-CHAIN v1"
+_CHAIN_MAGIC = b"STVAR-CHAIN v2"
+_RETIRED_MAGIC = b"STVAR-CHAIN v1"  # one text line per draw
 
 
 def save_chain(chain: Chain, path) -> None:
@@ -743,23 +752,25 @@ def save_chain(chain: Chain, path) -> None:
         "knots": None if chain.knots is None else chain.knots.tolist(),
         "tess_sites": None if chain.tess_sites is None else chain.tess_sites.tolist(),
     }
-    rows = chain._rows()
-    row = " ".join(["%.17g"] * rows.shape[1])  # one format per draw, 17 digits per value
-    lines = [_CHAIN_MAGIC, json.dumps(meta, sort_keys=True)]
-    lines += [row % tuple(vals.tolist()) for vals in rows]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    head = _CHAIN_MAGIC + b"\n" + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
+    Path(path).write_bytes(head + np.ascontiguousarray(chain._rows(), "<f8").tobytes())
 
 
 def load_chain(path) -> Chain:
-    lines = _doc.read(path, "chain").splitlines()
-    if not lines or lines[0].strip() != _CHAIN_MAGIC:
-        raise MalformedHeader(f"expected {_CHAIN_MAGIC!r} on the first line")
-    if len(lines) < 2:
+    blob = Path(path).read_bytes()
+    end1 = blob.find(b"\n")
+    magic = (blob if end1 < 0 else blob[:end1]).strip()
+    if magic == _RETIRED_MAGIC:
+        raise MalformedHeader(f"{_RETIRED_MAGIC.decode()} is the retired text chain format; "
+                              f"refit to write {_CHAIN_MAGIC.decode()}")
+    if magic != _CHAIN_MAGIC:
+        raise MalformedHeader(f"expected {_CHAIN_MAGIC.decode()!r} on the first line")
+    end2 = blob.find(b"\n", end1 + 1)
+    if end2 < 0:
         raise MalformedHeader("missing metadata line")
     kind = "chain metadata"
     meta = _doc.fields(
-        _doc.loads(lines[1], kind), kind,
+        _doc.loads(_doc.utf8(blob[end1 + 1 : end2], kind), kind), kind,
         {"spec": dict, "config": dict, "a_keys": list, "eta_keys": list, "n_obs": int,
          "n_draws": int, "acceptance": dict, "rhat_max": float, "converged": bool,
          "knots": (list, None), "tess_sites": (list, None)},
@@ -782,26 +793,12 @@ def load_chain(path) -> Chain:
     if (knots is None) == (spec.eta_structure == "spatial"):
         raise MalformedHeader(f"{kind}: 'knots' must be set just when eta_structure is 'spatial'")
     layout = _blocks(2 * len(a_keys) + len(eta_keys), None if knots is None else knots.shape[0])
-    sizes = [np.prod(shape, dtype=int) for _, shape in layout]
+    sizes = [int(np.prod(shape, dtype=int)) for _, shape in layout]
 
-    body = lines[2 : 2 + n_draws]
-    if len(body) < n_draws:
-        raise ShortRead(f"expected {n_draws} draw lines, found {len(body)}")
-    if any(line.strip() for line in lines[2 + n_draws :]):
-        raise DimensionMismatch(f"metadata declares {n_draws} draws, file has more lines")
-    vals = np.empty((n_draws, sum(sizes)))
-    for i, line in enumerate(body):
-        try:
-            row = [float(t) for t in line.split()]
-        except ValueError:
-            raise DimensionMismatch(f"draw line {i + 1}: non-numeric token") from None
-        if len(row) != vals.shape[1]:
-            raise DimensionMismatch(
-                f"draw line {i + 1}: expected {vals.shape[1]} numbers, found {len(row)}"
-            )
-        vals[i] = row
-        if not np.all(np.isfinite(vals[i])):
-            raise DataError(f"draw line {i + 1}: non-finite value")
+    vals = _doc.float64s(blob, end2 + 1, (n_draws, sum(sizes)))
+    finite = np.isfinite(vals).all(axis=1)
+    if not finite.all():
+        raise DataError(f"draw {int(np.argmin(finite)) + 1}: non-finite value")
     blocks = {name: block.reshape(n_draws, *shape) for (name, shape), block
               in zip(layout, np.split(vals, np.cumsum(sizes)[:-1], axis=1))}
 

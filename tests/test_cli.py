@@ -287,15 +287,15 @@ class TestFitEvaluate:
 
     @pytest.mark.parametrize("damage", ["missing-key", "non-finite-draw"])
     def test_damaged_chain_is_data_error(self, fitted, tmp_path, damage):
-        lines = (fitted / "model1.chain").read_text().splitlines()
+        magic, meta, payload = (fitted / "model1.chain").read_bytes().split(b"\n", 2)
         if damage == "missing-key":
-            meta = json.loads(lines[1])
+            meta = json.loads(meta)
             del meta["converged"]
-            lines[1] = json.dumps(meta)
+            meta = json.dumps(meta).encode()
         else:
-            lines[2] = "nan " + lines[2].split(" ", 1)[1]
+            payload = np.float64("nan").tobytes() + payload[8:]
         bad = tmp_path / "bad.chain"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join([magic, meta, payload]))
         code = run(
             "evaluate", "--chain", bad, "--series", fitted / "series.planar",
             "--out", tmp_path,

@@ -142,16 +142,46 @@ def _lag_stage(docs, **top):
     return json.dumps({**top, "stages": docs["pipeline.json"]["stages"][:1]}).encode()
 
 
+def _chain_rows(path):
+    """The chain's two header lines as bytes and its draws as rows."""
+    magic, meta, payload = path.read_bytes().split(b"\n", 2)
+    n_draws = json.loads(meta)["n_draws"]
+    return magic + b"\n" + meta + b"\n", np.frombuffer(payload, "<f8").reshape(n_draws, -1)
+
+
 def _extra_draws(path):
-    """The chain with two of its draw lines and a word appended."""
-    text = path.read_bytes()
-    return text + b"".join(text.splitlines(keepends=True)[2:4]) + b"garbage here\n"
+    """The chain with its first draw's bytes appended after the last draw."""
+    head, rows = _chain_rows(path)
+    return head + rows.tobytes() + rows[0].tobytes()
+
+
+def _n_draws(path, n):
+    """The chain with its metadata declaring n draws."""
+    head, rows = _chain_rows(path)
+    return re.sub(rb'"n_draws": \d+', b'"n_draws": %d' % n, head) + rows.tobytes()
 
 
 def _zero_draws(path):
     """The chain's magic and metadata lines, declaring no draws."""
-    head = b"".join(path.read_bytes().splitlines(keepends=True)[:2])
+    head, _ = _chain_rows(path)
     return re.sub(rb'"n_draws": \d+', b'"n_draws": 0', head)
+
+
+def _nan_draw(path, k):
+    """The chain with one value of draw k (counting from 1) made NaN."""
+    head, rows = _chain_rows(path)
+    rows = rows.copy()
+    rows[k - 1, -1] = np.nan
+    return head + rows.tobytes()
+
+
+def _text_chain(path):
+    """The chain in the retired text format: its metadata line, then one
+    line of 17-digit numbers per draw."""
+    head, rows = _chain_rows(path)
+    meta = head.split(b"\n")[1].decode()
+    lines = ["STVAR-CHAIN v1", meta] + [" ".join(f"{v:.17g}" for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 # probe: (file it replaces, its bytes from (root, docs), text the data error
@@ -190,6 +220,14 @@ PROBES = {
     "chain-a_keys-nested": ("model2.chain", lambda r, d: (r / "model2.chain").read_bytes()
                             .replace(b'"a_keys": [[0], ', b'"a_keys": [[1, [2]], '), None),
     "chain-extra-draw": ("model2.chain", lambda r, d: _extra_draws(r / "model2.chain"), None),
+    "chain-one-byte-short": ("model2.chain",
+                             lambda r, d: (r / "model2.chain").read_bytes()[:-1], "payload has"),
+    "chain-n_draws-huge": ("model2.chain", lambda r, d: _n_draws(r / "model2.chain", 10**30),
+                           "header implies"),
+    "chain-nan-draw": ("model2.chain", lambda r, d: _nan_draw(r / "model2.chain", 7),
+                       "draw 7: non-finite value"),
+    "chain-text-v1": ("model2.chain", lambda r, d: _text_chain(r / "model2.chain"),
+                      "STVAR-CHAIN v1 is the retired text chain format; refit"),
     "chain-zero-draws": ("model2.chain", lambda r, d: _zero_draws(r / "model2.chain"),
                          "'n_draws' must be at least 1, got 0"),
     "chain-knots-nonspatial": ("model2.chain", lambda r, d: (r / "model2.chain").read_bytes()
@@ -267,8 +305,8 @@ class TestProbes:
         if bad == "zero":
             blob = _zero_draws(good)
         else:
-            lines = good.read_bytes().splitlines(keepends=True)
-            blob = re.sub(rb'"n_draws": \d+', b'"n_draws": 60', b"".join(lines[:62]))
+            head, rows = _chain_rows(good)
+            blob = re.sub(rb'"n_draws": \d+', b'"n_draws": 60', head) + rows[:60].tobytes()
         (tmp_path / "bad.chain").write_bytes(blob)
 
         def refuse(*args, **kwargs):
@@ -389,7 +427,7 @@ def token_mutation(draw, text):
     """A numeric text file with one token made non-finite, non-numeric or
     dropped, or one row duplicated."""
     lines = text.split("\n")
-    row = draw(st.integers(2 if text.startswith("STVAR-CHAIN") else 1, len(lines) - 2))
+    row = draw(st.integers(1, len(lines) - 2))
     tokens = lines[row].split()
     op = draw(st.sampled_from(["nan", "inf", "-inf", "x", "drop", "duplicate"]))
     if op == "duplicate":
@@ -401,17 +439,37 @@ def token_mutation(draw, text):
     return "\n".join(lines)
 
 
+@st.composite
+def value_mutation(draw, blob):
+    """A chain file with one payload value made non-finite, 8 bytes dropped,
+    or one draw duplicated."""
+    magic, meta, payload = blob.split(b"\n", 2)
+    rows = np.frombuffer(payload, "<f8").reshape(json.loads(meta)["n_draws"], -1).copy()
+    row = draw(st.integers(0, rows.shape[0] - 1))
+    op = draw(st.sampled_from(["nan", "inf", "-inf", "drop", "duplicate"]))
+    if op == "drop":
+        at = 8 * draw(st.integers(0, rows.size - 1))
+        payload = payload[:at] + payload[at + 8:]
+    elif op == "duplicate":
+        payload = np.insert(rows, row, rows[row], axis=0).tobytes()
+    else:
+        rows[row, draw(st.integers(0, rows.shape[1] - 1))] = float(op)
+        payload = rows.tobytes()
+    return b"\n".join([magic, meta, payload])
+
+
 def mutations(root, docs, name):
     blob = (root / name).read_bytes()
     strategies = [byte_mutation(blob)]
     if name in docs:
         strategies.append(json_mutation(docs[name]).map(lambda d: json.dumps(d).encode()))
-    if name in ("series.planar", "model2.chain"):
+    if name == "series.planar":
         strategies.append(token_mutation(blob.decode()).map(str.encode))
     if name == "model2.chain":
-        head, meta, body = blob.decode().split("\n", 2)
+        magic, meta, payload = blob.split(b"\n", 2)
+        strategies.append(value_mutation(blob))
         strategies.append(json_mutation(json.loads(meta)).map(
-            lambda m: "\n".join([head, json.dumps(m, sort_keys=True), body]).encode()))
+            lambda m: b"\n".join([magic, json.dumps(m, sort_keys=True).encode(), payload])))
     return st.one_of(strategies)
 
 

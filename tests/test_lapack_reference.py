@@ -162,7 +162,7 @@ def fit_and_score(series, config, tmp_path, name):
         chain = run_chain(series, SPEC, config)
     save_chain(chain, tmp_path / name)
     score = score_model(chain, series, n_draws=100, seed=3)
-    return (tmp_path / name).read_text(), score
+    return (tmp_path / name).read_bytes(), score
 
 
 def use_scipy_wrappers(m):
@@ -185,11 +185,11 @@ def use_scipy_wrappers(m):
 def test_chain_and_scores_equal_the_scipy_wrappers(monkeypatch, tmp_path, sigma_mode):
     series = model11_series(300, seed=41)
     config = McmcConfig(n_iter=220, burn_in=100, seed=5, sigma_mode=sigma_mode)
-    text, score = fit_and_score(series, config, tmp_path, "direct.chain")
+    blob, score = fit_and_score(series, config, tmp_path, "direct.chain")
     with monkeypatch.context() as m:
         use_scipy_wrappers(m)
-        want_text, want_score = fit_and_score(series, config, tmp_path, "wrapped.chain")
-    assert text == want_text
+        want_blob, want_score = fit_and_score(series, config, tmp_path, "wrapped.chain")
+    assert blob == want_blob
     assert score == want_score
 
 

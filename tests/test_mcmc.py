@@ -3,6 +3,7 @@
 import dataclasses
 import datetime as dt
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ class TestSplitRhat:
     def test_degenerate(self):
         assert np.isnan(split_rhat(np.ones(100)))
         assert np.isnan(split_rhat(np.array([1.0, 2.0, 3.0])))
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 120])
+    def test_stack_equals_one_chain_at_a_time(self, n):
+        # rows: noise at several scales, a trend, a constant
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((6, n)) * 10.0 ** np.arange(-3, 3)[:, None]
+        x[4] = np.linspace(0.0, 1.0, n)
+        x[5] = 2.5
+        got = split_rhat(x)
+        assert got.shape == (6,)
+        for row, r in zip(x, got):
+            assert same_float(r, split_rhat(row))
 
 
 class TestPhiConditional:
@@ -553,7 +566,7 @@ class TestChainFiles:
         truth = ladder_truth("model1")
         series = simulate_var(truth, n_days=80, seed=17)
         chain = run_chain(series, "model1", McmcConfig(n_iter=30, burn_in=10, seed=0))
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         save_chain(chain, path)
         back = load_chain(path)
         np.testing.assert_array_equal(back.phi, chain.phi)
@@ -568,7 +581,7 @@ class TestChainFiles:
         spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
         series = cloud_series(n=60, seed=18)
         chain = run_chain(series, spec, McmcConfig(n_iter=25, burn_in=5, seed=1))
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         save_chain(chain, path)
         back = load_chain(path)
         np.testing.assert_array_equal(back.theta, chain.theta)
@@ -582,7 +595,7 @@ class TestChainFiles:
         truth = ladder_truth("model2", tess=tess)
         series = simulate_var(truth, n_days=400, tess=tess, seed=19)
         chain = run_chain(series, "model2", McmcConfig(n_iter=12, burn_in=2, seed=0), tess=tess)
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         save_chain(chain, path)
         back = load_chain(path)
         assert back.a_keys == chain.a_keys
@@ -593,61 +606,66 @@ class TestChainFiles:
         assert pred.draws.shape[1] == series.n_days - 1
 
     def test_lines_after_the_declared_draws(self, tmp_path):
+        # bytes after the last declared draw, even blank lines, are trailing bytes
         truth = ladder_truth("model1")
         series = simulate_var(truth, n_days=60, seed=20)
         chain = run_chain(series, "model1", McmcConfig(n_iter=20, burn_in=10, seed=0))
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         save_chain(chain, path)
-        text = path.read_text()
-        path.write_text(text + "\n  \n")
-        assert load_chain(path).n_draws == chain.n_draws
-        draws = text.splitlines()[2:4]
-        path.write_text(text + "\n".join(draws + ["garbage here"]) + "\n")
-        with pytest.raises(DimensionMismatch):
-            load_chain(path)
+        blob = path.read_bytes()
+        for tail in (b"\n  \n", chain._rows()[:2].tobytes() + b"garbage here\n"):
+            path.write_bytes(blob + tail)
+            with pytest.raises(DimensionMismatch, match=f"{len(tail)} trailing bytes"):
+                load_chain(path)
 
     def test_bad_magic(self, tmp_path):
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         path.write_text("NOT-A-CHAIN\n{}\n")
         with pytest.raises(MalformedHeader):
             load_chain(path)
 
-    def test_bad_metadata(self, tmp_path):
+    def test_text_chain_is_refused(self, tmp_path):
         path = tmp_path / "chain.txt"
-        path.write_text("STVAR-CHAIN v1\nnot json at all {\n")
+        path.write_text('STVAR-CHAIN v1\n{"n_draws": 1}\n0.5 0.25\n')
+        with pytest.raises(MalformedHeader, match="STVAR-CHAIN v1 .* refit"):
+            load_chain(path)
+
+    def test_bad_metadata(self, tmp_path):
+        path = tmp_path / "chain.bin"
+        path.write_text("STVAR-CHAIN v2\nnot json at all {\n")
         with pytest.raises(MalformedHeader):
             load_chain(path)
 
     def test_truncated_draws(self, tmp_path):
-        truth = ladder_truth("model1")
-        series = simulate_var(truth, n_days=60, seed=20)
-        chain = run_chain(series, "model1", McmcConfig(n_iter=20, burn_in=10, seed=0))
-        path = tmp_path / "chain.txt"
-        save_chain(chain, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ShortRead):
+        path, head, rows = self._saved(tmp_path)
+        path.write_bytes(head + rows[:-3].tobytes())
+        with pytest.raises(ShortRead, match=f"payload has {rows[:-3].nbytes} bytes"):
+            load_chain(path)
+
+    def test_payload_one_byte_short(self, tmp_path):
+        path, head, rows = self._saved(tmp_path)
+        path.write_bytes(head + rows.tobytes()[:-1])
+        with pytest.raises(ShortRead, match=f"payload has {rows.nbytes - 1} bytes"):
             load_chain(path)
 
     def test_wrong_token_count(self, tmp_path):
-        truth = ladder_truth("model1")
-        series = simulate_var(truth, n_days=60, seed=21)
-        chain = run_chain(series, "model1", McmcConfig(n_iter=20, burn_in=10, seed=0))
-        path = tmp_path / "chain.txt"
-        save_chain(chain, path)
-        lines = path.read_text().splitlines()
-        lines[2] += " 99.0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DimensionMismatch):
+        # one value more than the header declares
+        path, head, rows = self._saved(tmp_path)
+        path.write_bytes(head + rows.tobytes() + np.float64(99.0).tobytes())
+        with pytest.raises(DimensionMismatch, match="8 trailing bytes"):
             load_chain(path)
 
-    def _saved_lines(self, tmp_path):
+    def _saved(self, tmp_path):
+        """The path of a saved model1 chain, its two header lines as bytes, and
+        its draws as (n_draws, 8) float64 rows."""
         truth = ladder_truth("model1")
         series = simulate_var(truth, n_days=60, seed=22)
         chain = run_chain(series, "model1", McmcConfig(n_iter=20, burn_in=10, seed=0))
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         save_chain(chain, path)
-        return path, path.read_text().splitlines()
+        blob = path.read_bytes()
+        end = blob.index(b"\n", blob.index(b"\n") + 1) + 1
+        return path, blob[:end], np.frombuffer(blob[end:], "<f8").reshape(chain.n_draws, 8)
 
     @pytest.mark.parametrize(
         "edit",
@@ -663,20 +681,15 @@ class TestChainFiles:
              "knots-scalar"],
     )
     def test_bad_metadata_field(self, tmp_path, edit):
-        path, lines = self._saved_lines(tmp_path)
-        meta = json.loads(lines[1])
+        path, head, rows = self._saved(tmp_path)
+        magic, meta, _ = head.split(b"\n")
+        meta = json.loads(meta)
         edit(meta)
-        lines[1] = json.dumps(meta)
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), rows.tobytes()]))
         with pytest.raises(MalformedHeader):
             load_chain(path)
 
-    @staticmethod
-    def _reference_row(values) -> str:
-        """A draw line as save_chain wrote it one f-string per value."""
-        return " ".join(f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel())
-
-    def test_draw_lines_match_per_value_format(self, tmp_path):
+    def test_payload_is_rows_as_little_endian_float64(self, tmp_path):
         truth = ladder_truth("model1")
         series = simulate_var(truth, n_days=60, seed=23)
         chain = run_chain(series, "model1", McmcConfig(n_iter=40, burn_in=10, seed=0))
@@ -686,19 +699,24 @@ class TestChainFiles:
         phi.flat[:8] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
                         0.1, 1 / 3, 2.0**-1074 * 3, 123456789.12345678]
         chain = dataclasses.replace(chain, phi=phi)
-        path = tmp_path / "chain.txt"
+        path = tmp_path / "chain.bin"
         save_chain(chain, path)
-        lines = path.read_text().splitlines()[2:]
-        assert lines == [self._reference_row(row) for row in chain._rows()]
+        blob = path.read_bytes()
+        magic, meta, payload = blob.split(b"\n", 2)
+        assert magic == b"STVAR-CHAIN v2" and json.loads(meta)["n_draws"] == chain.n_draws
+        # draw by draw, blocks in layout order, each row-major; every bit kept
+        want = b"".join(struct.pack(f"<{block[i].size}d", *block[i].ravel())
+                        for i in range(chain.n_draws) for block in (chain.phi, chain.sigma))
+        assert payload == want
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_draw_rejected(self, tmp_path, token):
-        path, lines = self._saved_lines(tmp_path)
-        parts = lines[3].split()
-        parts[0] = token
-        lines[3] = " ".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="draw line 2: non-finite"):
+        # the error names the first non-finite draw, counting from 1
+        path, head, rows = self._saved(tmp_path)
+        rows = rows.copy()
+        rows[[1, 4], [0, 5]] = float(token)
+        path.write_bytes(head + rows.tobytes())
+        with pytest.raises(DataError, match="^draw 2: non-finite"):
             load_chain(path)
 
 
@@ -780,11 +798,10 @@ class TestDrawLayout:
 
     def test_spatial_chain_without_knots(self, tmp_path):
         save_chain(random_chain("model11", seed=9), tmp_path / "a.chain")
-        lines = (tmp_path / "a.chain").read_text().splitlines()
-        meta = json.loads(lines[1])
+        magic, meta, payload = (tmp_path / "a.chain").read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
         meta["knots"] = None
-        lines[1] = json.dumps(meta)
-        (tmp_path / "a.chain").write_text("\n".join(lines) + "\n")
+        (tmp_path / "a.chain").write_bytes(b"\n".join([magic, json.dumps(meta).encode(), payload]))
         with pytest.raises(MalformedHeader, match="'knots' must be set just when"):
             load_chain(tmp_path / "a.chain")
 

@@ -195,7 +195,7 @@ def test_store_keeps_a_file_while_a_later_stage_names_it(inputs, monkeypatch):
 def test_bad_chain_fails_at_the_first_stage_naming_it(inputs, tmp_path):
     series = str(inputs / "ladder" / "series.planar")
     chain = tmp_path / "model1.chain"
-    chain.write_text("STVAR-CHAIN v1\n{}\n")
+    chain.write_text("STVAR-CHAIN v2\n{}\n")
     config = tmp_path / "p.json"
     config.write_text(json.dumps({"seed": SEED, "out": str(tmp_path / "run"), "stages": [
         {"run": "lag-scan", "args": {"series": series}},
