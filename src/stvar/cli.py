@@ -28,6 +28,7 @@ from . import __version__, _doc
 from .data_model import StateSeries, as_matrix, load_series, save_series, standardize
 from .errors import DataError, EmptySeries, NumericalError
 from .evaluate import (
+    draw_quantiles,
     empirical_transitions,
     model_transitions,
     node_field_maps,
@@ -554,7 +555,7 @@ def cmd_predict(args, store: _Store) -> dict:
         pred = predict_series(
             chain, series, n_draws=args.draws, seed=args.seed, include_noise=True
         )
-    lo, hi = np.quantile(pred.draws, [0.025, 0.975], axis=0)
+    lo, hi = draw_quantiles(pred.draws, [0.025, 0.975])
     mean = pred.mean
     n = mean.shape[0]
     dates = [""] * n if pred.dates is None else (d.isoformat() for d in pred.dates)
@@ -577,6 +578,8 @@ def cmd_evaluate(args, store: _Store) -> dict:
     chains = [store.load(load_chain, path) for path in chain_paths]
     for chain in chains:
         scored_draws(chain, args.draws)
+    if not 0.0 < args.level < 1.0:
+        raise DataError("level must be in (0, 1)")
     scores = []
     for path, chain in zip(chain_paths, chains):
         key = _prediction_key(path, args)

@@ -9,6 +9,7 @@ tessellation cells, both as observed and as a fitted model implies.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,39 @@ def rmspe(pred, actual=None) -> float:
     return float(np.sqrt(np.mean(np.sum((mean - actual) ** 2, axis=-1))))
 
 
+def draw_quantiles(draws, qs) -> np.ndarray:
+    """np.quantile(draws, qs, axis=0) of finite draws, with the default
+    linear method, from one sort of the draw axis; shape
+    qs.shape + draws.shape[1:].
+
+    np.quantile partitions the draw axis around every order statistic it
+    needs, in place along the slow axis; sorting the contiguous transpose
+    once is cheaper. Each quantile then interpolates between the two order
+    statistics around (N - 1) q with numpy's own arithmetic, so the values
+    are np.quantile's. Only the sign of a zero may differ, where -0.0 and
+    0.0 tie and the two algorithms leave them in different orders.
+    """
+    draws = np.asarray(draws, dtype=float)
+    qs = np.asarray(qs, dtype=float)
+    N = draws.shape[0]
+    s = np.moveaxis(draws, 0, -1).copy()
+    s.sort(axis=-1)
+    out = np.empty(qs.shape + s.shape[:-1])
+    flat = out.reshape((qs.size,) + s.shape[:-1])
+    for k, q in enumerate(qs.flat):
+        v = (N - 1) * q
+        if v >= N - 1:  # numpy takes the last element, weighting it by v + 1
+            lo = hi = N - 1
+            g = v + 1.0
+        else:
+            lo = math.floor(v)
+            hi, g = lo + 1, v - lo
+        a, b = s[..., lo], s[..., hi]
+        diff = b - a
+        flat[k] = b - diff * (1.0 - g) if g >= 0.5 else a + diff * g
+    return out
+
+
 def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse") -> float:
     """Share of actual next-day positions inside their predictive region.
 
@@ -57,8 +91,7 @@ def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse
     if B < MIN_COVERAGE_DRAWS:
         raise DegenerateDraws(f"need at least {MIN_COVERAGE_DRAWS} draws, got {B}")
     if method == "rect":
-        lo = np.quantile(draws, (1.0 - level) / 2.0, axis=0)
-        hi = np.quantile(draws, 1.0 - (1.0 - level) / 2.0, axis=0)
+        lo, hi = draw_quantiles(draws, [(1.0 - level) / 2.0, 1.0 - (1.0 - level) / 2.0])
         inside = np.all((actual >= lo) & (actual <= hi), axis=-1)
         return float(inside.mean())
     if method != "ellipse":
@@ -78,7 +111,7 @@ def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse
 
     d2_draws = mahal2(dev[..., 0], dev[..., 1])
     d2_actual = mahal2(actual[:, 0] - centers[:, 0], actual[:, 1] - centers[:, 1])
-    threshold = np.quantile(d2_draws, level, axis=0)
+    threshold = draw_quantiles(d2_draws, level)
     return float((d2_actual <= threshold).mean())
 
 

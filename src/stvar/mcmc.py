@@ -677,22 +677,29 @@ def chain_design(chain: Chain, series: PlanarSeries, tess: Tessellation | None =
     return stack_design(series, chain.spec, chain.tessellation(tess), chain.info)
 
 
+_MEAN_BLOCK = 4  # draws per block gather in mean_paths
+
+
 def mean_paths(chain: Chain, design: DesignPair, draws: list[PosteriorDraw]) -> np.ndarray:
     """One-step means offset + X phi + eta of each posterior draw on
     `design`, shape (B, n, 2).
 
-    The knot geometry is computed once per call and the draws stream
-    through it one at a time, so no (B, m, n) kernel stack is formed.
+    Without a spatial intercept the draws' phi are stacked and X phi is
+    taken for `_MEAN_BLOCK` draws at a time, each draw's bytes those of a
+    call on it alone. With one, the knot geometry is computed once per call
+    and the draws stream through it one at a time, so no (B, m, n) kernel
+    stack is formed.
     """
-    pp = None
+    out = np.empty((len(draws), design.n, 2))
     if chain.is_spatial:
         pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
-    out = np.empty((len(draws), design.n, 2))
-    for b, draw in enumerate(draws):
-        mean = design.offset + design.xphi(draw.phi)
-        if pp is not None:
-            mean = mean + pp.eta(draw.adjust)
-        out[b] = mean
+        for b, draw in enumerate(draws):
+            out[b] = design.offset + design.xphi(draw.phi) + pp.eta(draw.adjust)
+        return out
+    phis = np.stack([draw.phi for draw in draws])
+    for b0 in range(0, len(draws), _MEAN_BLOCK):
+        b1 = b0 + _MEAN_BLOCK
+        np.add(design.offset, design.xphi(phis[b0:b1]), out=out[b0:b1])
     return out
 
 

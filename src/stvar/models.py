@@ -600,18 +600,24 @@ class DesignPair:
         return out
 
     def xphi(self, phi: np.ndarray) -> np.ndarray:
-        """X @ phi, shape (n, 2)."""
+        """X @ phi for phi of shape (..., p, 2), shape (..., n, 2); leading
+        axes index draws, and each draw's product has the same bytes as a
+        call on that draw alone."""
         info, S = self.info, self.source_points
         phi = np.asarray(phi, dtype=float)
         if info.n_a == 0:
-            out = np.zeros((self.n, 2))
+            out = np.zeros(phi.shape[:-2] + (self.n, 2))
         elif info.n_a == 1:  # one block: the dense X's BLAS call, so the same bytes
-            out = S @ phi[:2]
-        else:
-            blocks = phi[: 2 * info.n_a].reshape(info.n_a, 2, 2)
-            out = S[:, :1] * blocks[self.a_idx, 0] + S[:, 1:] * blocks[self.a_idx, 1]
+            out = S @ phi[..., :2, :]
+        else:  # row t gathers the two rows of its block's A
+            rows = 2 * self.a_idx
+            out = np.take(phi, rows, axis=-2)
+            out *= S[:, :1]
+            odd = np.take(phi, rows + 1, axis=-2)
+            odd *= S[:, 1:]
+            out += odd
         if info.n_eta:
-            out += phi[2 * info.n_a + self.eta_idx]
+            out += np.take(phi, 2 * info.n_a + self.eta_idx, axis=-2)
         return out
 
     @cached_property

@@ -211,6 +211,9 @@ def sammon_embed(
 # Tessellation of the plane by nearest node
 
 
+_ASSIGN_BLOCK = 8192  # points per distance block in Tessellation.assign
+
+
 @dataclass(frozen=True)
 class Tessellation:
     """Nearest-site partition of the plane; ties take the smallest index."""
@@ -237,7 +240,13 @@ class Tessellation:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != 2:
             raise DimensionMismatch(f"points must be (N, 2), got {pts.shape}")
-        return np.argmin(cdist(pts, self.sites, "sqeuclidean"), axis=1)
+        # blocks of points bound the distance matrix; each row's argmin is
+        # the one a single (N, M) matrix gives
+        cells = np.empty(pts.shape[0], dtype=np.intp)
+        for i in range(0, pts.shape[0], _ASSIGN_BLOCK):
+            block = slice(i, i + _ASSIGN_BLOCK)
+            np.argmin(cdist(pts[block], self.sites, "sqeuclidean"), axis=1, out=cells[block])
+        return cells
 
     def assign_one(self, point) -> int:
         return int(self.assign(np.asarray(point, dtype=float)[None, :])[0])

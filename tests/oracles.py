@@ -24,3 +24,24 @@ def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
     w1 = pp_basis(pts, adjust.knots, float(adjust.theta[0]), adjust.jitter) @ adjust.wstar[0]
     w2 = pp_basis(pts, adjust.knots, float(adjust.theta[1]), adjust.jitter) @ adjust.wstar[1]
     return coregionalize(adjust.q, w1, w2)
+
+
+def mean_paths_per_draw(design, draws) -> np.ndarray:
+    """Non-spatial one-step means offset + X phi, shape (B, n, 2), one draw
+    at a time with X phi taken from each row's block of phi. The library
+    gathers X phi for a block of draws at once."""
+    info, S = design.info, design.source_points
+    out = np.empty((len(draws), design.n, 2))
+    for b, draw in enumerate(draws):
+        phi = draw.phi
+        if info.n_a == 0:
+            xphi = np.zeros((design.n, 2))
+        elif info.n_a == 1:
+            xphi = S @ phi[:2]
+        else:
+            blocks = phi[: 2 * info.n_a].reshape(info.n_a, 2, 2)
+            xphi = S[:, :1] * blocks[design.a_idx, 0] + S[:, 1:] * blocks[design.a_idx, 1]
+        if info.n_eta:
+            xphi += phi[2 * info.n_a + design.eta_idx]
+        out[b] = design.offset + xphi
+    return out

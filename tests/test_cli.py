@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import stvar.evaluate
 from stvar.cli import _g17, dispatch
 from stvar.data_model import GridSpec, RawSeries, save_series
 from stvar.mcmc import load_chain, predict_series
@@ -263,6 +264,20 @@ class TestFitEvaluate:
         assert report[0].split() == ["model", "rmspe", "dic", "p_d", "coverage"]
         assert len(report) == 3
         assert "model1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("level", [1.5, 0.0, 1.0, -0.5])
+    def test_bad_level_checked_before_any_scoring(self, fitted, tmp_path, capsys,
+                                                  monkeypatch, level):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mean paths computed before the level was checked")
+
+        monkeypatch.setattr(stvar.evaluate, "mean_paths", refuse)
+        code = run(
+            "evaluate", "--chain", fitted / "model1.chain",
+            "--series", fitted / "series.planar", "--level", level, "--out", tmp_path,
+        )
+        assert code == 2
+        assert "level must be in (0, 1)" in capsys.readouterr().err
 
     def test_evaluate_needs_a_chain(self, fitted, tmp_path):
         code = run(

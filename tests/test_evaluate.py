@@ -5,6 +5,8 @@ import datetime as dt
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 import stvar.evaluate
 from stvar.data_model import GridSpec, Standardization
@@ -24,6 +26,7 @@ from stvar.evaluate import (
     TransitionMatrix,
     coverage,
     dic,
+    draw_quantiles,
     empirical_transitions,
     model_transitions,
     node_field_maps,
@@ -105,6 +108,38 @@ class TestRmspe:
             rmspe(np.zeros((4, 2)), np.zeros((5, 2)))
 
 
+QUANTILE_LEVELS = [0.0, 1.0, 0.025, 0.975, 0.95]
+
+
+@st.composite
+def draw_stacks(draw):
+    """A (B, n) or (B, n, 2) draw stack, B in 1..300, and the quantile
+    levels to take of it; rounded stacks hold ties."""
+    B = draw(st.integers(1, 300))
+    shape = (B, draw(st.integers(1, 4))) + draw(st.sampled_from([(), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(shape) * 3.0
+    if draw(st.booleans()):
+        values = np.round(values) + 0.0  # ties, with no -0.0 to reorder
+    qs = QUANTILE_LEVELS + draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    return values, qs
+
+
+class TestDrawQuantiles:
+    @given(draw_stacks())
+    def test_equals_numpy_quantile(self, case):
+        values, qs = case
+        before = values.copy()
+        got = draw_quantiles(values, qs)
+        want = np.quantile(values, qs, axis=0)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        for q in qs:
+            assert np.array_equal(draw_quantiles(values, q), np.quantile(values, q, axis=0))
+        np.testing.assert_array_equal(values, before)
+
+
 def gaussian_pred(n_days, n_draws, seed, rho=0.0, actual=None):
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(np.array([[1.0, rho], [rho, 1.0]]))
@@ -126,6 +161,11 @@ class TestCoverage:
         pred = gaussian_pred(n_days=800, n_draws=2000, seed=2)
         got = coverage(pred, level=0.95, method="rect")
         assert abs(got - 0.95**2) < 0.025
+        # the same figure as one np.quantile pass per tail
+        lo = np.quantile(pred.draws, (1.0 - 0.95) / 2.0, axis=0)
+        hi = np.quantile(pred.draws, 1.0 - (1.0 - 0.95) / 2.0, axis=0)
+        inside = np.all((pred.actual >= lo) & (pred.actual <= hi), axis=-1)
+        assert got == float(inside.mean())
 
     def test_half_level(self):
         pred = gaussian_pred(n_days=800, n_draws=2000, seed=3)

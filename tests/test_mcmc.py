@@ -56,7 +56,7 @@ from stvar.models import (
 from stvar.projection import PlanarSeries, Tessellation
 from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
 
-from oracles import coregional_eta
+from oracles import coregional_eta, mean_paths_per_draw
 
 
 def cloud_series(n=60, seed=0, spread=1.0, dates_from=None):
@@ -1109,6 +1109,30 @@ def three_pass_score(chain, series, tess, n_draws, seed):
 def max_block_diff(a, b):
     """Largest absolute difference relative to the block's largest |value|."""
     return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestMeanPaths:
+    """Block-gathered mean paths against the per-draw offset + X phi loop."""
+
+    @pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+    @pytest.mark.parametrize("model", [f"model{i}" for i in range(11)])
+    def test_bitwise_equal_to_one_draw_at_a_time(self, model):
+        from stvar.evaluate import _gauss_deviance, repair_pd
+
+        series = ladder_series(model, 900, seed=41)
+        chain = run_chain(series, model, McmcConfig(n_iter=63, burn_in=20, seed=5), tess=TESS4)
+        design = chain_design(chain, series, TESS4)
+        assert chain.n_draws % stvar.mcmc._MEAN_BLOCK != 0
+        for n_draws in (1, 7, None):
+            draws = chain.draws(chain.draw_indices(n_draws))
+            np.testing.assert_array_equal(mean_paths(chain, design, draws),
+                                          mean_paths_per_draw(design, draws))
+        # dic's one call on the posterior mean
+        pm = chain.posterior_mean()
+        mean = mean_paths(chain, design, [pm])
+        np.testing.assert_array_equal(mean, mean_paths_per_draw(design, [pm]))
+        d = dic(chain, series, tess=TESS4)
+        assert d.d_hat == _gauss_deviance(design.Y - mean[0], repair_pd(pm.sigma))
 
 
 SPATIAL_SPEC = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=4, n_y=4))

@@ -139,6 +139,18 @@ class TestTessellation:
         tess = Tessellation(sites=np.array([[0.0, 0.0], [2.0, 0.0]]))
         assert tess.assign_one(np.array([1.0, 0.0])) == 0
 
+    def test_blocks_match_one_distance_matrix(self):
+        # more points than one block, on a lattice where many are equidistant
+        # from two or four sites
+        rng = np.random.default_rng(8)
+        sites = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
+        pts = rng.integers(-2, 10, size=(20000, 2)) / 2.0
+        want = np.argmin(cdist(pts, sites, "sqeuclidean"), axis=1)
+        got = Tessellation(sites=sites).assign(pts)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert Tessellation(sites=sites).assign(np.empty((0, 2))).shape == (0,)
+
 
 class TestPlanarFiles:
     def test_round_trip_exact(self, tmp_path):
