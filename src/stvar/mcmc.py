@@ -684,22 +684,21 @@ def mean_paths(chain: Chain, design: DesignPair, draws: list[PosteriorDraw]) -> 
     """One-step means offset + X phi + eta of each posterior draw on
     `design`, shape (B, n, 2).
 
-    Without a spatial intercept the draws' phi are stacked and X phi is
-    taken for `_MEAN_BLOCK` draws at a time, each draw's bytes those of a
-    call on it alone. With one, the knot geometry is computed once per call
-    and the draws stream through it one at a time, so no (B, m, n) kernel
+    The draws' phi are stacked and offset + X phi is taken for
+    `_MEAN_BLOCK` draws at a time, each draw's bytes those of a call on it
+    alone. With a spatial intercept the knot geometry is computed once per
+    call and each draw's eta is added in place, so no (B, m, n) kernel
     stack is formed.
     """
     out = np.empty((len(draws), design.n, 2))
-    if chain.is_spatial:
-        pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
-        for b, draw in enumerate(draws):
-            out[b] = design.offset + design.xphi(draw.phi) + pp.eta(draw.adjust)
-        return out
     phis = np.stack([draw.phi for draw in draws])
     for b0 in range(0, len(draws), _MEAN_BLOCK):
         b1 = b0 + _MEAN_BLOCK
         np.add(design.offset, design.xphi(phis[b0:b1]), out=out[b0:b1])
+    if chain.is_spatial:
+        pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
+        for b, draw in enumerate(draws):
+            out[b] += pp.eta(draw.adjust)
     return out
 
 

@@ -26,10 +26,11 @@ def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
     return coregionalize(adjust.q, w1, w2)
 
 
-def mean_paths_per_draw(design, draws) -> np.ndarray:
-    """Non-spatial one-step means offset + X phi, shape (B, n, 2), one draw
-    at a time with X phi taken from each row's block of phi. The library
-    gathers X phi for a block of draws at once."""
+def mean_paths_per_draw(design, draws, pp=None) -> np.ndarray:
+    """One-step means offset + X phi (+ eta), shape (B, n, 2), one draw at
+    a time with X phi taken from each row's block of phi and, given the
+    PredictiveProcess `pp`, each draw's spatial intercept added last. The
+    library gathers offset + X phi for a block of draws at once."""
     info, S = design.info, design.source_points
     out = np.empty((len(draws), design.n, 2))
     for b, draw in enumerate(draws):
@@ -43,5 +44,8 @@ def mean_paths_per_draw(design, draws) -> np.ndarray:
             xphi = S[:, :1] * blocks[design.a_idx, 0] + S[:, 1:] * blocks[design.a_idx, 1]
         if info.n_eta:
             xphi += phi[2 * info.n_a + design.eta_idx]
-        out[b] = design.offset + xphi
+        mean = design.offset + xphi
+        if pp is not None:
+            mean = mean + pp.eta(draw.adjust)
+        out[b] = mean
     return out

@@ -1112,25 +1112,29 @@ def max_block_diff(a, b):
 
 
 class TestMeanPaths:
-    """Block-gathered mean paths against the per-draw offset + X phi loop."""
+    """Block-gathered mean paths against the per-draw offset + X phi + eta
+    loop."""
 
     @pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
-    @pytest.mark.parametrize("model", [f"model{i}" for i in range(11)])
+    @pytest.mark.parametrize("model", [f"model{i}" for i in range(12)])
     def test_bitwise_equal_to_one_draw_at_a_time(self, model):
         from stvar.evaluate import _gauss_deviance, repair_pd
 
         series = ladder_series(model, 900, seed=41)
         chain = run_chain(series, model, McmcConfig(n_iter=63, burn_in=20, seed=5), tess=TESS4)
         design = chain_design(chain, series, TESS4)
+        pp = None
+        if chain.is_spatial:
+            pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
         assert chain.n_draws % stvar.mcmc._MEAN_BLOCK != 0
         for n_draws in (1, 7, None):
             draws = chain.draws(chain.draw_indices(n_draws))
             np.testing.assert_array_equal(mean_paths(chain, design, draws),
-                                          mean_paths_per_draw(design, draws))
+                                          mean_paths_per_draw(design, draws, pp))
         # dic's one call on the posterior mean
         pm = chain.posterior_mean()
         mean = mean_paths(chain, design, [pm])
-        np.testing.assert_array_equal(mean, mean_paths_per_draw(design, [pm]))
+        np.testing.assert_array_equal(mean, mean_paths_per_draw(design, [pm], pp))
         d = dic(chain, series, tess=TESS4)
         assert d.d_hat == _gauss_deviance(design.Y - mean[0], repair_pd(pm.sigma))
 
