@@ -2,6 +2,11 @@
 documents here, so a malformed file raises MalformedHeader (a DataError)
 naming the kind of document and the key at fault.
 
+Series, planar and chain files share one framing, written by `write_framed`
+and split by `read_framed`: a magic line naming the kind and version, one
+UTF-8 JSON metadata line with sorted keys, then a raw little-endian float64
+body of exactly the shape the metadata implies and no byte after it.
+
 Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 (any JSON number, NaN and Infinity included), ``bool``, ``list``, ``dict``,
 ``None`` for null, or a tuple of them.
@@ -9,6 +14,8 @@ Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import typing
@@ -38,8 +45,38 @@ def float64s(blob: bytes, offset: int, shape: tuple) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f8", offset=offset).reshape(shape).copy()
 
 
-def read(path, kind: str) -> str:
-    return utf8(Path(path).read_bytes(), f"{kind} {path}")
+# A file whose first line starts with a retired version of its kind is
+# refused with a message naming that version; nothing after it is read.
+RETIRED = {
+    b"STVAR-CHAIN v1": "the retired text chain format; refit",
+    b"STVAR-SERIES v1": "the retired series format with a JSON sidecar; rerun the stage that "
+                        "wrote it",
+    b"STVAR-PLANAR v1": "the retired text planar format; rerun the stage that wrote it",
+}
+
+
+def write_framed(path, magic: bytes, meta: dict, body: np.ndarray) -> None:
+    head = magic + b"\n" + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
+    Path(path).write_bytes(head + np.ascontiguousarray(body, "<f8").tobytes())
+
+
+def read_framed(path, magic: bytes, kind: str) -> tuple:
+    """(metadata, file bytes, offset of the body) of a framed file whose first
+    line is `magic`; `kind` names the metadata line in errors. The body is
+    for `float64s`."""
+    blob = Path(path).read_bytes()
+    end1 = blob.find(b"\n")
+    line = (blob if end1 < 0 else blob[:end1]).strip()
+    if line != magic:
+        version = b" ".join(line.split()[:2])
+        if version in RETIRED and version.split()[0] == magic.split()[0]:
+            raise MalformedHeader(f"{version.decode()} is {RETIRED[version]} "
+                                  f"to write {magic.decode()}")
+        raise MalformedHeader(f"expected {magic.decode()!r} on the first line")
+    end2 = blob.find(b"\n", end1 + 1)
+    if end2 < 0:
+        raise MalformedHeader(f"{kind}: missing metadata line")
+    return loads(utf8(blob[end1 + 1 : end2], kind), kind), blob, end2 + 1
 
 
 def loads(text: str, kind: str):
@@ -50,7 +87,8 @@ def loads(text: str, kind: str):
 
 
 def read_json(path, kind: str):
-    return loads(read(path, kind), f"{kind} {path}")
+    kind = f"{kind} {path}"
+    return loads(utf8(Path(path).read_bytes(), kind), kind)
 
 
 def _is(value, t) -> bool:
@@ -85,11 +123,24 @@ def fields(doc, kind: str, required: dict | None = None,
     return {k: check(v, kind, k, types[k]) for k, v in doc.items() if k in types}
 
 
+# String annotations are compiled on every get_type_hints call; a class's
+# hints never change.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def record(cls, doc, kind: str):
-    """The flat dataclass `cls` from a closed JSON object of some of its
-    fields, each checked against the field's annotation."""
-    types = {k: typing.get_args(t) or t for k, t in typing.get_type_hints(cls).items()}
-    return cls(**fields(doc, kind, optional=types, closed=True))
+    """The flat dataclass `cls` from a closed JSON object of its fields, each
+    checked against the field's annotation; a field without a default must be
+    present. A ``tuple[T, ...]`` field is a JSON list of T."""
+    hints = _type_hints(cls)
+    items = {k: typing.get_args(t)[0] for k, t in hints.items() if typing.get_origin(t) is tuple}
+    types = {k: list if k in items else typing.get_args(t) or t for k, t in hints.items()}
+    required = {f.name: types[f.name] for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    doc = fields(doc, kind, required, types, closed=True)
+    for k in items.keys() & doc.keys():
+        doc[k] = tuple(check(v, kind, k, items[k]) for v in doc[k])
+    return cls(**doc)
 
 
 def array(value, kind: str, key: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -99,7 +150,7 @@ def array(value, kind: str, key: str, shape: tuple, dtype=float) -> np.ndarray:
         arr = np.array(value)
     except ValueError:  # ragged nesting
         arr = np.array(None)
-    if (arr.dtype.kind not in ("iu" if dtype is int else "iuf")
+    if (arr.size and arr.dtype.kind not in ("iu" if dtype is int else "iuf")
             or arr.ndim != len(shape)
             or any(n is not None and n != m for n, m in zip(shape, arr.shape))
             or not np.all(np.isfinite(arr))):

@@ -464,7 +464,7 @@ def cmd_standardize(args, store: _Store) -> dict:
     out_path = Path(args.out) / "series.state"
     save_series(state, out_path)
     print(f"standardized {state.n_days} days, {state.grid.d} components")
-    return {"outputs": [out_path, Path(str(out_path) + ".meta.json")]}
+    return {"outputs": [out_path]}
 
 
 def cmd_train_som(args, store: _Store) -> dict:

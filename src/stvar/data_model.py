@@ -6,37 +6,27 @@ vector of dimension d = V * R * C per day, so row t is
 
     (var_0 at cells 0..RC-1, var_1 at cells 0..RC-1, ...)
 
-Series files are a one-line ASCII header, a comma-separated variable-name
-line, then the raw little-endian float64 payload::
+Series files use the framing of ``stvar._doc``: the magic line, one JSON
+metadata line, then the (T, V, R*C) values as raw little-endian float64::
 
-    STVAR-SERIES v1 T=<int> V=<int> R=<int> C=<int>
-    <name>,<name>,...
+    STVAR-SERIES v2
+    {"dates": [...] or null, "grid": {"n_cols": C, "n_rows": R, "variables": [...]},
+     "n_days": T, "standardization": {"ddof", "mean", "per_cell", "sd"} or null}
     <T*V*R*C doubles>
 
-Dates and standardization constants ride in an optional JSON sidecar next to
-the binary file (``<path>.meta.json``), so a save/load round trip is lossless.
+The one file holds the dates and standardization constants, so a save/load
+round trip is lossless and a copy of the file is a copy of the series.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import json
-import re
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _doc
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    EmptySeries,
-    MalformedHeader,
-    ZeroVariance,
-)
-
-_HEADER_RE = re.compile(r"^STVAR-SERIES v1 T=(\d+) V=(\d+) R=(\d+) C=(\d+)$", re.ASCII)
+from .errors import DataError, DimensionMismatch, EmptySeries, ZeroVariance
 
 
 @dataclass(frozen=True)
@@ -253,77 +243,46 @@ def destandardize(series: StateSeries) -> RawSeries:
     return RawSeries(values=values, grid=series.grid, dates=series.dates)
 
 
-def _sidecar_path(path) -> Path:
-    return Path(str(path) + ".meta.json")
+_MAGIC = b"STVAR-SERIES v2"
 
 
 def save_series(series: RawSeries | StateSeries, path) -> None:
-    """Write the binary series file (and a JSON sidecar when needed)."""
+    """Write the framed series file; its metadata holds the grid, the dates
+    and any standardization constants."""
     if isinstance(series, StateSeries):
         values = unflatten(series.matrix, series.grid)
-        standardization = series.standardization
+        std = series.standardization
     elif isinstance(series, RawSeries):
-        values = series.values
-        standardization = None
+        values, std = series.values, None
     else:
         raise DataError(f"cannot save a {type(series).__name__} as a series file")
-    grid = series.grid
-    T = values.shape[0]
-    header = f"STVAR-SERIES v1 T={T} V={grid.n_variables} R={grid.n_rows} C={grid.n_cols}\n"
-    names = ",".join(grid.variables) + "\n"
-    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
-    Path(path).write_bytes(header.encode("ascii") + names.encode("utf-8") + payload)
-
-    meta = {}
-    if series.dates is not None:
-        meta["dates"] = [d.isoformat() for d in series.dates]
-    if standardization is not None:
-        meta["standardization"] = {
-            "mean": standardization.mean.tolist(),
-            "sd": standardization.sd.tolist(),
-            "per_cell": standardization.per_cell,
-            "ddof": standardization.ddof,
-        }
-    sidecar = _sidecar_path(path)
-    if meta:
-        sidecar.write_text(json.dumps(meta, indent=1))
-    elif sidecar.exists():
-        sidecar.unlink()
+    _doc.write_framed(path, _MAGIC, {
+        "n_days": values.shape[0],
+        "grid": asdict(series.grid),
+        "dates": None if series.dates is None else [d.isoformat() for d in series.dates],
+        "standardization": None if std is None else {
+            "mean": std.mean.tolist(), "sd": std.sd.tolist(),
+            "per_cell": std.per_cell, "ddof": std.ddof},
+    }, values)
 
 
 def load_series(path) -> RawSeries | StateSeries:
-    """Read a series file; returns a StateSeries when the sidecar records
+    """Read a series file; returns a StateSeries when its metadata records
     standardization constants, otherwise a RawSeries."""
-    blob = Path(path).read_bytes()
-    nl1 = blob.find(b"\n")
-    if nl1 < 0:
-        raise MalformedHeader("missing header line")
-    header = _doc.utf8(blob[:nl1], "series header")
-    m = _HEADER_RE.match(header)
-    if m is None:
-        raise MalformedHeader(f"unrecognized header {header!r}")
-    T, V, R, C = (int(g) for g in m.groups())
-
-    nl2 = blob.find(b"\n", nl1 + 1)
-    if nl2 < 0:
-        raise MalformedHeader("missing variable-name line")
-    names = tuple(_doc.utf8(blob[nl1 + 1 : nl2], "series name line").split(","))
-    if len(names) != V:
-        raise DimensionMismatch(f"header declares {V} variables, name line has {len(names)}")
-    grid = GridSpec(n_rows=R, n_cols=C, variables=names)
-
-    values = _doc.float64s(blob, nl2 + 1, (T, V, R * C))
-
-    sidecar, kind = _sidecar_path(path), "series sidecar"
-    meta = _doc.fields(_doc.read_json(sidecar, kind) if sidecar.exists() else {}, kind,
-                       optional={"dates": list, "standardization": dict})
-    if "standardization" not in meta:
-        return RawSeries(values=values, grid=grid, dates=meta.get("dates"))
+    kind = "series metadata"
+    meta, blob, offset = _doc.read_framed(path, _MAGIC, kind)
+    meta = _doc.fields(meta, kind, {"n_days": int, "grid": dict, "dates": (list, None),
+                                    "standardization": (dict, None)})
+    grid = _doc.record(GridSpec, meta["grid"], f"{kind} grid")
+    V, RC = grid.n_variables, grid.n_cells
+    values = _doc.float64s(blob, offset, (meta["n_days"], V, RC))
+    if meta["standardization"] is None:
+        return RawSeries(values=values, grid=grid, dates=meta["dates"])
     kind += " standardization"
     s = _doc.fields(meta["standardization"], kind,
                     {"mean": list, "sd": list, "per_cell": bool, "ddof": int})
-    mean, sd = (_doc.array(s[k], kind, k, (V, R * C) if s["per_cell"] else (V,))
+    mean, sd = (_doc.array(s[k], kind, k, (V, RC) if s["per_cell"] else (V,))
                 for k in ("mean", "sd"))
     standardization = Standardization(mean=mean, sd=sd, per_cell=s["per_cell"], ddof=s["ddof"])
     return StateSeries(matrix=flatten(values), grid=grid, standardization=standardization,
-                       dates=meta.get("dates"))
+                       dates=meta["dates"])

@@ -32,10 +32,8 @@ costs O(p) whatever the number of days.
 from __future__ import annotations
 
 import functools
-import json
 import warnings
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -736,12 +734,11 @@ def predict_series(
 
 
 # ---------------------------------------------------------------------------
-# Chain files: magic line, one JSON metadata line, then every draw as one row
-# of little-endian float64 values
+# Chain files, framed by stvar._doc: magic line, one JSON metadata line, then
+# every draw as one row of little-endian float64 values
 
 
 _CHAIN_MAGIC = b"STVAR-CHAIN v2"
-_RETIRED_MAGIC = b"STVAR-CHAIN v1"  # one text line per draw
 
 
 def save_chain(chain: Chain, path) -> None:
@@ -758,25 +755,14 @@ def save_chain(chain: Chain, path) -> None:
         "knots": None if chain.knots is None else chain.knots.tolist(),
         "tess_sites": None if chain.tess_sites is None else chain.tess_sites.tolist(),
     }
-    head = _CHAIN_MAGIC + b"\n" + json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n"
-    Path(path).write_bytes(head + np.ascontiguousarray(chain._rows(), "<f8").tobytes())
+    _doc.write_framed(path, _CHAIN_MAGIC, meta, chain._rows())
 
 
 def load_chain(path) -> Chain:
-    blob = Path(path).read_bytes()
-    end1 = blob.find(b"\n")
-    magic = (blob if end1 < 0 else blob[:end1]).strip()
-    if magic == _RETIRED_MAGIC:
-        raise MalformedHeader(f"{_RETIRED_MAGIC.decode()} is the retired text chain format; "
-                              f"refit to write {_CHAIN_MAGIC.decode()}")
-    if magic != _CHAIN_MAGIC:
-        raise MalformedHeader(f"expected {_CHAIN_MAGIC.decode()!r} on the first line")
-    end2 = blob.find(b"\n", end1 + 1)
-    if end2 < 0:
-        raise MalformedHeader("missing metadata line")
     kind = "chain metadata"
+    meta, blob, offset = _doc.read_framed(path, _CHAIN_MAGIC, kind)
     meta = _doc.fields(
-        _doc.loads(_doc.utf8(blob[end1 + 1 : end2], kind), kind), kind,
+        meta, kind,
         {"spec": dict, "config": dict, "a_keys": list, "eta_keys": list, "n_obs": int,
          "n_draws": int, "acceptance": dict, "rhat_max": float, "converged": bool,
          "knots": (list, None), "tess_sites": (list, None)},
@@ -801,7 +787,7 @@ def load_chain(path) -> Chain:
     layout = _blocks(2 * len(a_keys) + len(eta_keys), None if knots is None else knots.shape[0])
     sizes = [int(np.prod(shape, dtype=int)) for _, shape in layout]
 
-    vals = _doc.float64s(blob, end2 + 1, (n_draws, sum(sizes)))
+    vals = _doc.float64s(blob, offset, (n_draws, sum(sizes)))
     finite = np.isfinite(vals).all(axis=1)
     if not finite.all():
         raise DataError(f"draw {int(np.argmin(finite)) + 1}: non-finite value")

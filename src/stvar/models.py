@@ -383,6 +383,23 @@ def _label_codes(cells, dates) -> dict[str, np.ndarray]:
     return codes
 
 
+def _unique_rows(rows: np.ndarray):
+    """The distinct rows of non-negative int64 codes in lexicographic order,
+    and each row's index among them, as ``np.unique(rows, axis=0,
+    return_inverse=True)`` gives them. Each row is folded into one int64 key
+    (mixed radix, one digit per column), so one 1-D sort does the work of
+    sorting whole rows."""
+    width = rows.max(axis=0, initial=0) + 1
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(rows.shape[1]):
+        key = key * width[j] + rows[:, j]
+    key, inv = np.unique(key, return_inverse=True)
+    uniq = np.empty((key.size, rows.shape[1]), dtype=rows.dtype)
+    for j in reversed(range(rows.shape[1])):
+        key, uniq[:, j] = np.divmod(key, width[j])
+    return uniq, inv
+
+
 def _index_blocks(parts, codes, n, keys=None, what=""):
     """Each day's block as an index into `keys`.
 
@@ -390,21 +407,20 @@ def _index_blocks(parts, codes, n, keys=None, what=""):
     canonical order; otherwise a day outside `keys` raises UnlabeledDate.
     """
     if parts:
-        rows = np.column_stack([codes[p] for p in parts])
-        uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+        uniq, inv = _unique_rows(np.column_stack([codes[p] for p in parts]))
         found = [
             tuple(SEASONS[v] if p == "season" else int(v) for p, v in zip(parts, row))
             for row in uniq
         ]
     else:
         found, inv = [()], np.zeros(n, dtype=np.intp)
-    if keys is None:  # numpy 2.0.0 gives the inverse shape (n, 1)
-        return tuple(found), inv.reshape(n)
+    if keys is None:
+        return tuple(found), inv
     lookup = {k: i for i, k in enumerate(keys)}
     for key in found:
         if key not in lookup:
             raise UnlabeledDate(f"no fitted {what} block for {key}")
-    return tuple(keys), np.array([lookup[k] for k in found], dtype=np.intp)[inv].reshape(n)
+    return tuple(keys), np.array([lookup[k] for k in found], dtype=np.intp)[inv]
 
 
 def block_indices(spec: ModelSpec, n: int, cells, dates, info: DesignInfo | None = None):

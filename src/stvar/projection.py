@@ -29,30 +29,27 @@ time, for O(U * M) comparisons per day instead of O(C * M). The top-scoring
 orderings are expanded back to their candidates, which are averaged in
 candidate order, so the result is bit for bit that of scoring every
 candidate.
+
+A planar trajectory file uses the framing of ``stvar._doc``: the magic line
+``STVAR-PLANAR v2``, one JSON metadata line holding ``n_days``, the winning
+node of every day (``nodes``) and the ISO ``dates`` or null, then the (T, 2)
+points as raw little-endian float64.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _doc
 from .data_model import StateSeries, _check_dates, as_matrix
-from .errors import (
-    DataError,
-    DegenerateDistances,
-    DimensionMismatch,
-    MalformedHeader,
-    ShortRead,
-)
+from .errors import DataError, DegenerateDistances, DimensionMismatch
 from .som import SomModel, assign
 
-_PLANAR_HEADER_RE = re.compile(r"^STVAR-PLANAR v1 T=(\d+)$")
+_PLANAR_MAGIC = b"STVAR-PLANAR v2"
 
 
 # ---------------------------------------------------------------------------
@@ -287,60 +284,25 @@ class PlanarSeries:
 
 
 def save_planar(series: PlanarSeries, path) -> None:
-    """Text format: header line, then one ``x y node [date]`` row per day at
-    17 significant digits (lossless for float64)."""
+    """Framed file (``stvar._doc``): metadata ``n_days``, ``nodes`` and
+    ``dates``, then the (T, 2) points as raw float64."""
     if series.node_assignment is None:
         raise DataError("cannot save a planar series without node assignments")
-    lines = [f"STVAR-PLANAR v1 T={series.n_days}"]
-    for t in range(series.n_days):
-        row = f"{series.points[t, 0]:.17g} {series.points[t, 1]:.17g} {series.node_assignment[t]}"
-        if series.dates is not None:
-            row += f" {series.dates[t].isoformat()}"
-        lines.append(row)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _doc.write_framed(path, _PLANAR_MAGIC, {
+        "n_days": series.n_days,
+        "nodes": series.node_assignment.tolist(),
+        "dates": None if series.dates is None else [d.isoformat() for d in series.dates],
+    }, series.points)
 
 
 def load_planar(path) -> PlanarSeries:
-    text = _doc.read(path, "planar series")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MalformedHeader("empty planar file")
-    m = _PLANAR_HEADER_RE.match(lines[0])
-    if m is None:
-        raise MalformedHeader(f"unrecognized header {lines[0]!r}")
-    T = int(m.group(1))
-    body = lines[1:]
-    if len(body) < T:
-        raise ShortRead(f"header declares {T} rows, file has {len(body)}")
-    if len(body) > T:
-        raise DimensionMismatch(f"header declares {T} rows, file has {len(body)}")
-    points = np.empty((T, 2))
-    nodes = np.empty(T, dtype=int)
-    dates: list[_dt.date] | None = None
-    for t, line in enumerate(body):
-        parts = line.split()
-        if len(parts) not in (3, 4):
-            raise MalformedHeader(f"row {t} has {len(parts)} fields")
-        if len(parts) == 4:
-            if t == 0:
-                dates = []
-            if dates is None:
-                raise DataError("some rows carry dates and some do not")
-        elif dates is not None:
-            raise DataError("some rows carry dates and some do not")
-        try:
-            points[t, 0] = float(parts[0])
-            points[t, 1] = float(parts[1])
-            nodes[t] = int(parts[2])
-            if dates is not None:
-                dates.append(_dt.date.fromisoformat(parts[3]))
-        except ValueError as exc:
-            raise MalformedHeader(f"row {t}: {exc}") from None
-    return PlanarSeries(
-        points=points,
-        node_assignment=nodes,
-        dates=None if dates is None else tuple(dates),
-    )
+    kind = "planar metadata"
+    meta, blob, offset = _doc.read_framed(path, _PLANAR_MAGIC, kind)
+    meta = _doc.fields(meta, kind, {"n_days": int, "nodes": list, "dates": (list, None)})
+    T = meta["n_days"]
+    return PlanarSeries(points=_doc.float64s(blob, offset, (T, 2)),
+                        node_assignment=_doc.array(meta["nodes"], kind, "nodes", (T,), int),
+                        dates=meta["dates"])
 
 
 # ---------------------------------------------------------------------------

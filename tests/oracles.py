@@ -49,3 +49,11 @@ def mean_paths_per_draw(design, draws, pp=None) -> np.ndarray:
             mean = mean + pp.eta(draw.adjust)
         out[b] = mean
     return out
+
+
+def unique_rows(rows: np.ndarray):
+    """The distinct rows in lexicographic order and each row's index among
+    them, by numpy's row-wise unique. The library folds each row into one
+    integer key and sorts those instead."""
+    uniq, inv = np.unique(rows, axis=0, return_inverse=True)
+    return uniq, inv.reshape(rows.shape[0])  # numpy 2.0.0 gives the inverse shape (n, 1)

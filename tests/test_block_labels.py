@@ -12,7 +12,11 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import unique_rows
 from stvar.evaluate import node_frequencies
 from stvar.models import (
     A_STRUCTURES,
@@ -24,6 +28,7 @@ from stvar.models import (
     JitterPolicy,
     KnotGrid,
     ModelSpec,
+    _unique_rows,
     spec_from_dict,
     spec_to_dict,
 )
@@ -147,3 +152,17 @@ def test_spec_round_trip(alias):
     assert doc["season_calendar"] == "meteorological"
     assert spec_from_dict(doc) == spec
 
+
+
+@given(rows=st.integers(1, 2).flatmap(lambda parts: hnp.arrays(
+    np.int64, st.tuples(st.integers(0, 40), st.just(parts)),
+    elements=st.integers(0, 9999) | st.sampled_from([0, 3, 1998]))))
+@example(rows=np.tile(np.array([1998, 3]), (6, 1)))
+@example(rows=np.full((3, 1), 9999))
+def test_unique_rows_match_the_row_wise_unique(rows):
+    # one or two label parts; ties, one block and codes up to year 9999
+    uniq, inv = _unique_rows(rows)
+    want_uniq, want_inv = unique_rows(rows)
+    assert uniq.dtype == want_uniq.dtype
+    np.testing.assert_array_equal(uniq, want_uniq)
+    np.testing.assert_array_equal(inv, want_inv)

@@ -12,7 +12,7 @@ import pytest
 
 import stvar.evaluate
 from stvar.cli import _g17, dispatch
-from stvar.data_model import GridSpec, RawSeries, save_series
+from stvar.data_model import GridSpec, RawSeries, StateSeries, load_series, save_series
 from stvar.mcmc import load_chain, predict_series
 from stvar.projection import PlanarSeries, load_planar, save_planar
 
@@ -153,8 +153,20 @@ def workspace(tmp_path_factory):
 
 
 class TestSomPath:
-    def test_standardize_writes_sidecar(self, workspace):
-        assert (workspace / "series.state.meta.json").exists()
+    def test_standardize_writes_no_sidecar(self, workspace):
+        assert not (workspace / "series.state.meta.json").exists()
+        manifest = json.loads((workspace / "standardize.manifest.json").read_text())
+        assert manifest["outputs"] == [str(workspace / "series.state")]
+
+    def test_copy_of_the_file_is_the_whole_series(self, workspace, tmp_path, capsys):
+        # dates and standardization ride in the one file, not beside it
+        copy = tmp_path / "copy.state"
+        copy.write_bytes((workspace / "series.state").read_bytes())
+        series = load_series(copy)
+        assert isinstance(series, StateSeries)
+        assert series.dates == load_series(workspace / "series.state").dates is not None
+        assert run("standardize", "--series", copy, "--out", tmp_path / "again") == 2
+        assert "series already carries standardization constants" in capsys.readouterr().err
 
     def test_standardize_rejects_standardized_input(self, workspace, tmp_path):
         code = run("standardize", "--series", workspace / "series.state",
@@ -293,12 +305,13 @@ class TestFitEvaluate:
         assert code == 2
 
     def test_malformed_planar_row_is_data_error(self, fitted, tmp_path, capsys):
-        lines = (fitted / "series.planar").read_text().splitlines()
-        lines[5] = "0.1 north 2"
+        magic, meta, body = (fitted / "series.planar").read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
+        meta["nodes"][4] = "north"
         bad = tmp_path / "bad.planar"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), body]))
         assert run("lag-scan", "--series", bad, "--out", tmp_path) == 2
-        assert "row 4" in capsys.readouterr().err
+        assert "planar metadata: 'nodes'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["missing-key", "non-finite-draw"])
     def test_damaged_chain_is_data_error(self, fitted, tmp_path, damage):
@@ -508,7 +521,7 @@ class TestTransitionsFrequencies:
                                      ("frequencies",)])
     def test_series_without_days(self, fitted, tmp_path, capsys, cmd):
         empty = tmp_path / "empty.planar"
-        empty.write_text("STVAR-PLANAR v1 T=0\n")
+        save_planar(PlanarSeries(points=np.empty((0, 2)), node_assignment=np.empty(0, int)), empty)
         extra = [cmd[1], fitted / "tessellation.json"] if len(cmd) > 1 else []
         assert run(cmd[0], "--series", empty, *extra, "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err == "data error: series has no days\n"

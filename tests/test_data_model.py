@@ -1,6 +1,7 @@
 """Container invariants, standardization oracles, and series file round trips."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -222,9 +223,26 @@ class TestSeriesFiles:
         raw = small_raw(rng, T=3)
         path = tmp_path / "series.bin"
         save_series(raw, path)
-        first, second = path.read_bytes().split(b"\n")[:2]
-        assert first == b"STVAR-SERIES v1 T=3 V=2 R=2 C=3"
-        assert second == b"u,v"
+        first, second, body = path.read_bytes().split(b"\n", 2)
+        assert first == b"STVAR-SERIES v2"
+        meta = {"n_days": 3, "grid": {"n_rows": 2, "n_cols": 3, "variables": ["u", "v"]},
+                "dates": None, "standardization": None}
+        assert second == json.dumps(meta, sort_keys=True).encode()
+        assert body == raw.values.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("kind", ["raw", "raw-dated", "per-variable", "per-cell"])
+    def test_saving_a_loaded_series_gives_the_same_bytes(self, tmp_path, kind):
+        rng = np.random.default_rng(11)
+        raw = small_raw(rng, T=6)
+        if kind != "raw":
+            dates = tuple(dt.date(1999, 12, 29) + dt.timedelta(days=i) for i in range(6))
+            raw = RawSeries(values=raw.values, grid=raw.grid, dates=dates)
+        series = {"per-variable": lambda: standardize(raw),
+                  "per-cell": lambda: standardize(raw, per_cell=True)}.get(kind, lambda: raw)()
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        save_series(series, first)
+        save_series(load_series(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_short_read(self, tmp_path):
         rng = np.random.default_rng(9)
@@ -247,15 +265,26 @@ class TestSeriesFiles:
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"STVAR-SERIES v2 T=1 V=1 R=1 C=1\nx\n" + b"\x00" * 8)
-        with pytest.raises(MalformedHeader):
+        path.write_bytes(b"STVAR-SERIES v3\n{}\n" + b"\x00" * 8)
+        with pytest.raises(MalformedHeader, match="expected 'STVAR-SERIES v2'"):
             load_series(path)
         path.write_bytes(b"not a header at all")
         with pytest.raises(MalformedHeader):
             load_series(path)
 
+    def test_retired_version_is_named(self, tmp_path):
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"STVAR-SERIES v1 T=1 V=1 R=1 C=1\nx\n" + b"\x00" * 8)
+        with pytest.raises(MalformedHeader, match="^STVAR-SERIES v1 is the retired series"):
+            load_series(path)
+
     def test_name_count_mismatch(self, tmp_path):
+        # two variable names, constants for one
         path = tmp_path / "names.bin"
-        path.write_bytes(b"STVAR-SERIES v1 T=1 V=2 R=1 C=1\nonly_one\n" + b"\x00" * 16)
-        with pytest.raises(DimensionMismatch):
+        save_series(standardize(small_raw(np.random.default_rng(12), T=4)), path)
+        magic, meta, body = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
+        meta["standardization"]["mean"] = meta["standardization"]["mean"][:1]
+        path.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), body]))
+        with pytest.raises(MalformedHeader, match="'mean' must be .* shape \\(2\\)"):
             load_series(path)

@@ -72,8 +72,7 @@ def base(tmp_path_factory):
     }
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
-    for name in ("som.json", "state.series.meta.json"):
-        docs[name] = json.loads((root / name).read_text())
+    docs["som.json"] = json.loads((root / "som.json").read_text())
     return root, docs
 
 
@@ -93,8 +92,6 @@ def commands(root, work, name):
         "som.json": ["sammon", "--som", path],
         "spec.json": ["fit", "--spec", path, "--series", planar, "--iters", 30,
                       "--burn-in", 20, "--tessellation", root / "tessellation.json"],
-        "state.series.meta.json": ["train-som", "--series", work / "state.series",
-                                   "--nodes", 2, "--phase-steps", "1,1"],
         "state.series": ["train-som", "--series", path, "--nodes", 2,
                          "--phase-steps", "1,1"],
         "model2.chain": ["predict", "--chain", path, "--series", planar, "--draws", 5],
@@ -110,18 +107,15 @@ LOADERS = {
     "som.json": (load_som, SomModel),
     "spec.json": (lambda p: resolve_spec(str(p)), ModelSpec),
     "state.series": (load_series, (RawSeries, StateSeries)),
-    "state.series.meta.json": (lambda p: load_series(p.parent / "state.series"),
-                               (RawSeries, StateSeries)),
     "model2.chain": (load_chain, Chain),
     "series.planar": (load_planar, PlanarSeries),
 }
 
 
 def prepare(root, work, name, blob):
-    """Copy the valid files into `work`, then overwrite `name` with `blob`."""
+    """Write `blob` as file `name` in `work`; the command reads every other
+    input from `root`."""
     work.mkdir(exist_ok=True)
-    for f in ("state.series", "state.series.meta.json", name):
-        (work / f).write_bytes((root / f).read_bytes())
     (work / name).write_bytes(blob)
 
 
@@ -136,6 +130,38 @@ def with_ff(root, name, marker):
     blob = (root / name).read_bytes()
     at = blob.index(marker) + len(marker)
     return blob[:at] + b"\xff" + blob[at + 1:]
+
+
+def with_meta(path, meta: bytes):
+    """The framed file at `path` with `meta` as its metadata line."""
+    magic, _, body = path.read_bytes().split(b"\n", 2)
+    return b"\n".join([magic, meta, body])
+
+
+def meta_edited(path, edit):
+    """The framed file at `path` with `edit` applied to its metadata object."""
+    meta = json.loads(path.read_bytes().split(b"\n", 2)[1])
+    edit(meta)
+    return with_meta(path, json.dumps(meta, sort_keys=True).encode())
+
+
+def _v1_series(path):
+    """The series in the retired format: header line, name line, then the
+    payload, which is unchanged."""
+    _, meta, body = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(meta)
+    R, C, names = (meta["grid"][k] for k in ("n_rows", "n_cols", "variables"))
+    head = f"STVAR-SERIES v1 T={meta['n_days']} V={len(names)} R={R} C={C}\n{','.join(names)}\n"
+    return head.encode() + body
+
+
+def _v1_planar(path):
+    """The planar series in the retired text format, one `x y node date`
+    row per day."""
+    s = load_planar(path)
+    rows = [f"{x:.17g} {y:.17g} {k} {d.isoformat()}"
+            for (x, y), k, d in zip(s.points, s.node_assignment, s.dates)]
+    return "\n".join([f"STVAR-PLANAR v1 T={s.n_days}", *rows, ""]).encode()
 
 
 def _lag_stage(docs, **top):
@@ -209,14 +235,21 @@ PROBES = {
         d, "spec.json", lambda m: m.update(knot_grid=5)), None),
     "spec-initial-null": ("spec.json", lambda r, d: edited(
         d, "spec.json", lambda m: m.update(jitter_policy={"initial": None})), None),
-    "sidecar-not-json": ("state.series.meta.json", lambda r, d: b"{not json", None),
-    "sidecar-no-sd": ("state.series.meta.json", lambda r, d: edited(
-        d, "state.series.meta.json", lambda m: m["standardization"].pop("sd")), None),
-    "sidecar-dates-number": ("state.series.meta.json", lambda r, d: edited(
-        d, "state.series.meta.json", lambda m: m.update(dates=5)), None),
-    "sidecar-list": ("state.series.meta.json", lambda r, d: b"[1]", None),
-    "sidecar-date-word": ("state.series.meta.json", lambda r, d: edited(
-        d, "state.series.meta.json", lambda m: m.update(dates=["x"])), None),
+    "series-meta-not-json": ("state.series",
+                             lambda r, d: with_meta(r / "state.series", b"{not json"),
+                             "series metadata: not JSON"),
+    "series-meta-no-sd": ("state.series", lambda r, d: meta_edited(
+        r / "state.series", lambda m: m["standardization"].pop("sd")), "missing key 'sd'"),
+    "series-meta-dates-number": ("state.series", lambda r, d: meta_edited(
+        r / "state.series", lambda m: m.update(dates=5)), "'dates' must be list or null"),
+    "series-meta-list": ("state.series", lambda r, d: with_meta(r / "state.series", b"[1]"),
+                         "series metadata must be dict"),
+    "series-meta-date-word": ("state.series", lambda r, d: meta_edited(
+        r / "state.series", lambda m: m["dates"].__setitem__(3, "x")), "bad date"),
+    "series-v1": ("state.series", lambda r, d: _v1_series(r / "state.series"),
+                  "STVAR-SERIES v1 is the retired series format"),
+    "planar-v1": ("series.planar", lambda r, d: _v1_planar(r / "series.planar"),
+                  "STVAR-PLANAR v1 is the retired text planar format"),
     "chain-a_keys-nested": ("model2.chain", lambda r, d: (r / "model2.chain").read_bytes()
                             .replace(b'"a_keys": [[0], ', b'"a_keys": [[1, [2]], '), None),
     "chain-extra-draw": ("model2.chain", lambda r, d: _extra_draws(r / "model2.chain"), None),
@@ -423,28 +456,13 @@ def byte_mutation(draw, blob):
 
 
 @st.composite
-def token_mutation(draw, text):
-    """A numeric text file with one token made non-finite, non-numeric or
-    dropped, or one row duplicated."""
-    lines = text.split("\n")
-    row = draw(st.integers(1, len(lines) - 2))
-    tokens = lines[row].split()
-    op = draw(st.sampled_from(["nan", "inf", "-inf", "x", "drop", "duplicate"]))
-    if op == "duplicate":
-        lines.insert(row, lines[row])
-    else:
-        at = draw(st.integers(0, len(tokens) - 1))
-        tokens[at: at + 1] = [] if op == "drop" else [op]
-        lines[row] = " ".join(tokens)
-    return "\n".join(lines)
-
-
-@st.composite
 def value_mutation(draw, blob):
-    """A chain file with one payload value made non-finite, 8 bytes dropped,
-    or one draw duplicated."""
-    magic, meta, payload = blob.split(b"\n", 2)
-    rows = np.frombuffer(payload, "<f8").reshape(json.loads(meta)["n_draws"], -1).copy()
+    """A framed file with one body value made non-finite, 8 bytes dropped,
+    or one row (a draw or a day) duplicated."""
+    magic, line, payload = blob.split(b"\n", 2)
+    meta = json.loads(line)
+    n_rows = meta.get("n_draws", meta.get("n_days"))
+    rows = np.frombuffer(payload, "<f8").reshape(n_rows, -1).copy()
     row = draw(st.integers(0, rows.shape[0] - 1))
     op = draw(st.sampled_from(["nan", "inf", "-inf", "drop", "duplicate"]))
     if op == "drop":
@@ -455,7 +473,7 @@ def value_mutation(draw, blob):
     else:
         rows[row, draw(st.integers(0, rows.shape[1] - 1))] = float(op)
         payload = rows.tobytes()
-    return b"\n".join([magic, meta, payload])
+    return b"\n".join([magic, line, payload])
 
 
 def mutations(root, docs, name):
@@ -463,9 +481,7 @@ def mutations(root, docs, name):
     strategies = [byte_mutation(blob)]
     if name in docs:
         strategies.append(json_mutation(docs[name]).map(lambda d: json.dumps(d).encode()))
-    if name == "series.planar":
-        strategies.append(token_mutation(blob.decode()).map(str.encode))
-    if name == "model2.chain":
+    if name in ("state.series", "series.planar", "model2.chain"):
         magic, meta, payload = blob.split(b"\n", 2)
         strategies.append(value_mutation(blob))
         strategies.append(json_mutation(json.loads(meta)).map(
@@ -485,7 +501,7 @@ def all_finite(obj) -> bool:
     return True
 
 
-READERS = ["state.series", "state.series.meta.json", "series.planar", "model2.chain",
+READERS = ["state.series", "series.planar", "model2.chain",
            "som.json", "tessellation.json", "spec.json", "config.json", "pipeline.json"]
 
 

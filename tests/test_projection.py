@@ -1,6 +1,7 @@
 """Embedding and projection oracles: stress values, exact layouts, rank rules."""
 
 import datetime as dt
+import json
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ from stvar.projection import (
 from stvar.som import SomConfig, SomModel, lattice_coords
 
 from oracles import find_winner
+
+
+def write_planar(path, points, nodes, dates=None, magic=b"STVAR-PLANAR v2"):
+    """A framed planar file written field by field, so that any field can be
+    wrong."""
+    meta = {"n_days": len(points), "nodes": nodes, "dates": dates}
+    path.write_bytes(magic + b"\n" + json.dumps(meta).encode() + b"\n"
+                     + np.asarray(points, "<f8").tobytes())
 
 
 def pairwise(points):
@@ -172,38 +181,57 @@ class TestPlanarFiles:
         save_planar(series, path)
         assert load_planar(path).dates == dates
 
+    @pytest.mark.parametrize("dates", [None, "dated"])
+    def test_saving_a_loaded_series_gives_the_same_bytes(self, tmp_path, dates):
+        rng = np.random.default_rng(9)
+        if dates:
+            dates = tuple(dt.date(2000, 2, 27) + dt.timedelta(days=i) for i in range(5))
+        series = PlanarSeries(points=rng.normal(size=(5, 2)),
+                              node_assignment=np.array([3, 0, 0, 2, 11]), dates=dates)
+        first, second = tmp_path / "first.planar", tmp_path / "second.planar"
+        save_planar(series, first)
+        save_planar(load_planar(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_header_and_row_count(self, tmp_path):
         path = tmp_path / "bad.planar"
-        path.write_text("STVAR-PLANAR v2 T=1\n0 0 0\n")
-        with pytest.raises(MalformedHeader):
+        write_planar(path, np.zeros((1, 2)), [0], magic=b"STVAR-PLANAR v3")
+        with pytest.raises(MalformedHeader, match="expected 'STVAR-PLANAR v2'"):
             load_planar(path)
-        path.write_text("STVAR-PLANAR v1 T=3\n0 0 0\n1 1 1\n")
+        write_planar(path, np.zeros((3, 2)), [0, 1, 2])
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ShortRead):
             load_planar(path)
-        path.write_text("STVAR-PLANAR v1 T=1\n0 0 0\n1 1 1\n")
+        write_planar(path, np.zeros((1, 2)), [0])
+        path.write_bytes(path.read_bytes() + b"\0" * 16)
         with pytest.raises(DimensionMismatch):
+            load_planar(path)
+
+    def test_retired_text_format_is_named(self, tmp_path):
+        path = tmp_path / "old.planar"
+        path.write_text("STVAR-PLANAR v1 T=1\n0 0 0\n")
+        with pytest.raises(MalformedHeader, match="^STVAR-PLANAR v1 is the retired text planar"):
             load_planar(path)
 
     def test_mixed_date_presence_rejected(self, tmp_path):
         path = tmp_path / "mixed.planar"
-        path.write_text("STVAR-PLANAR v1 T=2\n0 0 0 2000-01-01\n1 1 1\n")
+        write_planar(path, np.zeros((2, 2)), [0, 1], dates=["2000-01-01", None])
         with pytest.raises(DataError):
             load_planar(path)
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            ("0 0 0", "0 zero 1"),
-            ("0 0 0", "0.5 0.5 x"),
-            ("0 0 0", "0.5 0.5 1.5"),
-            ("0 0 0 2000-01-01", "0 0 1 2000-13-01"),
-            ("0 0 0 2000-01-01", "0 0 1 not-a-date"),
-        ],
-    )
-    def test_unparsable_row_names_its_number(self, tmp_path, rows):
+    @pytest.mark.parametrize("nodes, dates, point, match", [
+        pytest.param([0, 1], None, np.nan, "points contain non-finite", id="point-nan"),
+        pytest.param([0, 1], None, -np.inf, "points contain non-finite", id="point-inf"),
+        pytest.param([0, "x"], None, 0.0, "'nodes' must be a finite numeric", id="node-word"),
+        pytest.param([0, 1.5], None, 0.0, "'nodes' must be a finite numeric", id="node-fraction"),
+        pytest.param([0, -1], None, 0.0, "must be non-negative", id="node-negative"),
+        pytest.param([0, 1], ["2000-01-01", "2000-13-01"], 0.0, "bad date", id="date-month-13"),
+        pytest.param([0, 1], ["2000-01-01", "not-a-date"], 0.0, "bad date", id="date-word"),
+    ])
+    def test_bad_value_is_data_error(self, tmp_path, nodes, dates, point, match):
         path = tmp_path / "bad.planar"
-        path.write_text("STVAR-PLANAR v1 T=2\n" + "\n".join(rows) + "\n")
-        with pytest.raises(MalformedHeader, match="row 1"):
+        write_planar(path, np.array([[0.0, 0.0], [0.5, point]]), nodes, dates=dates)
+        with pytest.raises(DataError, match=match):
             load_planar(path)
 
     def test_requires_assignments(self, tmp_path):
