@@ -35,6 +35,11 @@ from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
 
 START = "2001-01-01"
 
+# The series' metadata document: dates and standardization constants. It was
+# once a sidecar file of this name and is now the series file's JSON line; a
+# blob for it is written back into that line of state.series.
+SERIES_META = "state.series.meta.json"
+
 
 @pytest.fixture(scope="module")
 def base(tmp_path_factory):
@@ -73,6 +78,7 @@ def base(tmp_path_factory):
     for name, doc in docs.items():
         (root / name).write_text(json.dumps(doc))
     docs["som.json"] = json.loads((root / "som.json").read_text())
+    docs[SERIES_META] = json.loads((root / "state.series").read_bytes().split(b"\n", 2)[1])
     return root, docs
 
 
@@ -86,7 +92,7 @@ def quiet_dispatch(argv):
 
 def commands(root, work, name):
     """The command that reads file `name` from `work`, other inputs from `root`."""
-    planar, path, out = root / "series.planar", work / name, work / "out"
+    planar, path, out = root / "series.planar", work / file_of(name), work / "out"
     return {
         "tessellation.json": ["transitions", "--series", planar, "--tessellation", path],
         "som.json": ["sammon", "--som", path],
@@ -94,6 +100,7 @@ def commands(root, work, name):
                       "--burn-in", 20, "--tessellation", root / "tessellation.json"],
         "state.series": ["train-som", "--series", path, "--nodes", 2,
                          "--phase-steps", "1,1"],
+        SERIES_META: ["train-som", "--series", path, "--nodes", 2, "--phase-steps", "1,1"],
         "model2.chain": ["predict", "--chain", path, "--series", planar, "--draws", 5],
         "series.planar": ["lag-scan", "--series", path],
         "config.json": ["lag-scan", "--series", planar, "--config", path],
@@ -107,16 +114,31 @@ LOADERS = {
     "som.json": (load_som, SomModel),
     "spec.json": (lambda p: resolve_spec(str(p)), ModelSpec),
     "state.series": (load_series, (RawSeries, StateSeries)),
+    SERIES_META: (load_series, (RawSeries, StateSeries)),
     "model2.chain": (load_chain, Chain),
     "series.planar": (load_planar, PlanarSeries),
 }
 
 
+def file_of(name):
+    """The file that holds input `name`."""
+    return "state.series" if name == SERIES_META else name
+
+
 def prepare(root, work, name, blob):
-    """Write `blob` as file `name` in `work`; the command reads every other
+    """Write `blob` as input `name` in `work`; the command reads every other
     input from `root`."""
     work.mkdir(exist_ok=True)
-    (work / name).write_bytes(blob)
+    if name == SERIES_META:
+        blob = with_meta(root / "state.series", blob)
+    (work / file_of(name)).write_bytes(blob)
+
+
+def valid_blob(root, docs, name):
+    """The bytes of input `name` as the base fixture wrote it."""
+    if name == SERIES_META:
+        return json.dumps(docs[name], sort_keys=True).encode()
+    return (root / name).read_bytes()
 
 
 def edited(docs, name, edit):
@@ -289,10 +311,10 @@ PROBES = {
 
 
 class TestProbes:
-    @pytest.mark.parametrize("name", sorted(set(f for f, _, _ in PROBES.values())))
+    @pytest.mark.parametrize("name", sorted({f for f, _, _ in PROBES.values()} | {SERIES_META}))
     def test_valid_files_run(self, base, tmp_path, name):
-        root, _ = base
-        prepare(root, tmp_path, name, (root / name).read_bytes())
+        root, docs = base
+        prepare(root, tmp_path, name, valid_blob(root, docs, name))
         code, err = quiet_dispatch(commands(root, tmp_path, name))
         assert code == 0, err
 
@@ -477,7 +499,7 @@ def value_mutation(draw, blob):
 
 
 def mutations(root, docs, name):
-    blob = (root / name).read_bytes()
+    blob = valid_blob(root, docs, name)
     strategies = [byte_mutation(blob)]
     if name in docs:
         strategies.append(json_mutation(docs[name]).map(lambda d: json.dumps(d).encode()))
@@ -501,7 +523,7 @@ def all_finite(obj) -> bool:
     return True
 
 
-READERS = ["state.series", "series.planar", "model2.chain",
+READERS = ["state.series", SERIES_META, "series.planar", "model2.chain",
            "som.json", "tessellation.json", "spec.json", "config.json", "pipeline.json"]
 
 
@@ -514,7 +536,7 @@ def test_reader_fails_closed(base, name, data):
     if name in LOADERS:
         loader, kind = LOADERS[name]
         try:
-            loaded = loader(work / name)
+            loaded = loader(work / file_of(name))
         except DataError:
             return
         assert isinstance(loaded, kind) and all_finite(loaded)
