@@ -5,7 +5,8 @@ naming the kind of document and the key at fault.
 Series, planar and chain files share one framing, written by `write_framed`
 and split by `read_framed`: a magic line naming the kind and version, one
 UTF-8 JSON metadata line with sorted keys, then a raw little-endian float64
-body of exactly the shape the metadata implies and no byte after it.
+body of exactly the shape the metadata implies and no byte after it. Their
+loaders are wrapped in `names_path`, so each error names the file.
 
 Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 (any JSON number, NaN and Infinity included), ``bool``, ``list``, ``dict``,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import typing
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedHeader, ShortRead
+from .errors import DataError, DimensionMismatch, MalformedHeader, ShortRead
 
 
 def utf8(blob: bytes, kind: str) -> str:
@@ -53,6 +55,19 @@ RETIRED = {
                         "wrote it",
     b"STVAR-PLANAR v1": "the retired text planar format; rerun the stage that wrote it",
 }
+
+
+def names_path(load):
+    """`load(path)` with each DataError it raises ending in the path, as
+    `read_json`'s errors name theirs."""
+    @functools.wraps(load)
+    def wrapper(path):
+        try:
+            return load(path)
+        except DataError as exc:
+            exc.args = (f"{exc} (in {path})",)
+            raise
+    return wrapper
 
 
 def write_framed(path, magic: bytes, meta: dict, body: np.ndarray) -> None:
@@ -143,9 +158,17 @@ def record(cls, doc, kind: str):
     return cls(**doc)
 
 
+def _holds_bool(nested, depth: int) -> bool:
+    """Whether a list nested `depth` deep holds a bool among its entries."""
+    for _ in range(depth - 1):
+        nested = itertools.chain.from_iterable(nested)
+    return bool in set(map(type, nested))
+
+
 def array(value, kind: str, key: str, shape: tuple, dtype=float) -> np.ndarray:
     """A finite numeric array of `shape` (None matches any length) from a
-    JSON list; ``dtype=int`` admits integers only."""
+    JSON list; ``dtype=int`` admits integers only. A JSON true or false is
+    not a number, although numpy would read it as 1 or 0."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged nesting
@@ -153,7 +176,8 @@ def array(value, kind: str, key: str, shape: tuple, dtype=float) -> np.ndarray:
     if (arr.size and arr.dtype.kind not in ("iu" if dtype is int else "iuf")
             or arr.ndim != len(shape)
             or any(n is not None and n != m for n, m in zip(shape, arr.shape))
-            or not np.all(np.isfinite(arr))):
+            or not np.all(np.isfinite(arr))
+            or arr.size and _holds_bool(value, arr.ndim)):
         dims = ", ".join("n" if n is None else str(n) for n in shape)
         raise MalformedHeader(f"{kind}: {key!r} must be a finite numeric array of shape ({dims})")
     return arr.astype(dtype)

@@ -11,22 +11,27 @@ metadata line, then the (T, V, R*C) values as raw little-endian float64::
 
     STVAR-SERIES v2
     {"dates": [...] or null, "grid": {"n_cols": C, "n_rows": R, "variables": [...]},
-     "n_days": T, "standardization": {"ddof", "mean", "per_cell", "sd"} or null}
+     "n_days": T, "standardization": {"mean", "per_cell", "sd"} or null}
     <T*V*R*C doubles>
 
 The one file holds the dates and standardization constants, so a save/load
-round trip is lossless and a copy of the file is a copy of the series.
+round trip is lossless and a copy of the file is a copy of the series. Scales
+are always the DDOF = 1 standard deviation; the ``ddof`` key that older files
+carry in ``standardization`` is ignored.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _doc
 from .errors import DataError, DimensionMismatch, EmptySeries, ZeroVariance
+
+DDOF = 1  # standardize scales by the unbiased standard deviation
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,6 @@ class Standardization:
     mean: np.ndarray
     sd: np.ndarray
     per_cell: bool = False
-    ddof: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -91,16 +95,18 @@ def _check_dates(dates, n: int) -> tuple[_dt.date, ...] | None:
     if dates is None:
         return None
     try:
-        out = tuple(
-            d if isinstance(d, _dt.date) else _dt.date.fromisoformat(str(d)) for d in dates
-        )
+        try:  # ISO strings, as files hold them, in one C-level pass
+            out = tuple(map(_dt.date.fromisoformat, dates))
+        except TypeError:  # dates, or values read through str
+            out = tuple(
+                d if isinstance(d, _dt.date) else _dt.date.fromisoformat(str(d)) for d in dates
+            )
     except ValueError as exc:
         raise DataError(f"bad date: {exc}") from None
     if len(out) != n:
         raise DimensionMismatch(f"{len(out)} dates for {n} days")
-    for a, b in zip(out, out[1:]):
-        if b <= a:
-            raise DataError("dates must be strictly increasing")
+    if not all(map(operator.lt, out, out[1:])):
+        raise DataError("dates must be strictly increasing")
     return out
 
 
@@ -196,19 +202,19 @@ def as_matrix(data) -> np.ndarray:
     return out
 
 
-def standardize(raw: RawSeries, per_cell: bool = False, ddof: int = 1) -> StateSeries:
+def standardize(raw: RawSeries, per_cell: bool = False) -> StateSeries:
     """Center and scale each variable over all days and cells.
 
     With ``per_cell=True`` every (variable, cell) pair gets its own constants,
     which removes the local climatology instead of only the variable's pooled
-    one. Scales use the unbiased ``ddof=1`` standard deviation.
+    one. Scales use the unbiased (DDOF = 1) standard deviation.
     """
     T, V, C = raw.values.shape
     if T < 2:
         raise EmptySeries("need at least two days to standardize")
     if per_cell:
         mean = raw.values.mean(axis=0)
-        sd = raw.values.std(axis=0, ddof=ddof)
+        sd = raw.values.std(axis=0, ddof=DDOF)
         bad = ~(sd > 0) | ~np.isfinite(sd)
         if np.any(bad):
             v, c = np.argwhere(bad)[0]
@@ -217,7 +223,7 @@ def standardize(raw: RawSeries, per_cell: bool = False, ddof: int = 1) -> StateS
     else:
         pooled = raw.values.transpose(1, 0, 2).reshape(V, -1)
         mean = pooled.mean(axis=1)
-        sd = pooled.std(axis=1, ddof=ddof)
+        sd = pooled.std(axis=1, ddof=DDOF)
         bad = ~(sd > 0) | ~np.isfinite(sd)
         if np.any(bad):
             raise ZeroVariance(raw.grid.variables[int(np.argmax(bad))])
@@ -225,7 +231,7 @@ def standardize(raw: RawSeries, per_cell: bool = False, ddof: int = 1) -> StateS
     return StateSeries(
         matrix=flatten(z),
         grid=raw.grid,
-        standardization=Standardization(mean=mean, sd=sd, per_cell=per_cell, ddof=ddof),
+        standardization=Standardization(mean=mean, sd=sd, per_cell=per_cell),
         dates=raw.dates,
     )
 
@@ -262,10 +268,11 @@ def save_series(series: RawSeries | StateSeries, path) -> None:
         "dates": None if series.dates is None else [d.isoformat() for d in series.dates],
         "standardization": None if std is None else {
             "mean": std.mean.tolist(), "sd": std.sd.tolist(),
-            "per_cell": std.per_cell, "ddof": std.ddof},
+            "per_cell": std.per_cell},
     }, values)
 
 
+@_doc.names_path
 def load_series(path) -> RawSeries | StateSeries:
     """Read a series file; returns a StateSeries when its metadata records
     standardization constants, otherwise a RawSeries."""
@@ -280,9 +287,9 @@ def load_series(path) -> RawSeries | StateSeries:
         return RawSeries(values=values, grid=grid, dates=meta["dates"])
     kind += " standardization"
     s = _doc.fields(meta["standardization"], kind,
-                    {"mean": list, "sd": list, "per_cell": bool, "ddof": int})
+                    {"mean": list, "sd": list, "per_cell": bool})
     mean, sd = (_doc.array(s[k], kind, k, (V, RC) if s["per_cell"] else (V,))
                 for k in ("mean", "sd"))
-    standardization = Standardization(mean=mean, sd=sd, per_cell=s["per_cell"], ddof=s["ddof"])
+    standardization = Standardization(mean=mean, sd=sd, per_cell=s["per_cell"])
     return StateSeries(matrix=flatten(values), grid=grid, standardization=standardization,
                        dates=meta["dates"])

@@ -119,11 +119,14 @@ def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse
 # Deviance information criterion
 
 
-def repair_pd(sigma: np.ndarray, rel_floor: float = 1e-12) -> np.ndarray:
+REL_FLOOR = 1e-12  # smallest eigenvalue repair_pd keeps, relative to max(largest, 1)
+
+
+def repair_pd(sigma: np.ndarray) -> np.ndarray:
     """Floor tiny/negative eigenvalues so a posterior-mean covariance factors."""
     sigma = 0.5 * (sigma + sigma.T)
     lam, vec = np.linalg.eigh(sigma)
-    floor = max(float(lam.max()), 1.0) * rel_floor
+    floor = max(float(lam.max()), 1.0) * REL_FLOOR
     lam = np.maximum(lam, floor)
     return (vec * lam) @ vec.T
 

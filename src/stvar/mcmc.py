@@ -11,6 +11,14 @@ Conditionals:
   w*_k                 joint Gaussian over both knot-value vectors
   q_ij                 scalar Gaussians, diagonal entries truncated positive
 
+The tuning is fixed, not configured: each theta's log-scale step starts at
+PROPOSAL_SCALE = 0.5 and, every ADAPT_INTERVAL = 50 burn-in proposals, moves
+towards the acceptance rate TARGET_ACCEPT = 0.30; the q_ij have N(0, 10^2)
+priors (Q_PRIOR_SD); and a chain whose worst split R-hat exceeds
+RHAT_THRESHOLD = 1.2, the cut of Brooks & Gelman (JCGS 7:434, 1998), warns
+that it has not converged. Chain files written before these were constants
+carry them in their `config` object and are refused with the key named.
+
 The inverse-Wishart draw is the Bartlett decomposition (Odell & Feiveson,
 JASA 61:199, 1966) and the truncated-normal draw is one uniform through the
 truncated inverse cdf. Both use the random numbers, in the order and with
@@ -70,11 +78,16 @@ from .models import (
 from .projection import PlanarSeries, Tessellation
 
 SIGMA_MODES = ("full_conditional", "fixed_scale")
+PROPOSAL_SCALE = 0.5  # initial log-scale step of each theta proposal
+TARGET_ACCEPT = 0.30  # acceptance rate the burn-in steers each theta towards
+ADAPT_INTERVAL = 50  # theta proposals per burn-in tuning window
+Q_PRIOR_SD = 10.0  # prior sd of each free entry of the coregionalization Q
+RHAT_THRESHOLD = 1.2  # split R-hat above which a chain warns it has not converged
 
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sweep counts, seeding, and tuning knobs for one chain."""
+    """Sweep counts, seeding and the Sigma and theta settings of one chain."""
 
     n_iter: int = 10000
     burn_in: int = 2000
@@ -82,11 +95,6 @@ class McmcConfig:
     seed: int = 0
     sigma_mode: str = "full_conditional"
     theta_upper: float | None = None
-    proposal_scale: float = 0.5
-    target_accept: float = 0.30
-    adapt_interval: int = 50
-    q_prior_sd: float = 10.0
-    rhat_threshold: float = 1.2
 
     def __post_init__(self):
         if self.n_iter <= self.burn_in or self.burn_in < 0:
@@ -97,12 +105,6 @@ class McmcConfig:
             raise DataError(f"sigma_mode must be one of {SIGMA_MODES}")
         if self.theta_upper is not None and self.theta_upper <= 0:
             raise DataError("theta_upper must be positive")
-        if self.proposal_scale <= 0 or self.adapt_interval < 1:
-            raise DataError("bad proposal tuning parameters")
-        if not 0.0 < self.target_accept < 1.0:
-            raise DataError("target_accept must be in (0, 1)")
-        if self.q_prior_sd <= 0:
-            raise DataError("q_prior_sd must be positive")
 
     @property
     def n_kept(self) -> int:
@@ -327,7 +329,7 @@ class _Sampler:
             # for the field's, whose array becomes the spare
             self._spare = np.empty_like(self.pp.d_points)
             self.max_jitter = 0.0
-            self._log_step = np.log([config.proposal_scale] * 2)
+            self._log_step = np.log([PROPOSAL_SCALE] * 2)
             self._window_acc = np.zeros(2, dtype=int)
             self._window_n = np.zeros(2, dtype=int)
             self._kept_acc = np.zeros(2, dtype=int)
@@ -474,9 +476,9 @@ class _Sampler:
             self._window_acc[k] += 1
             if not adapting:
                 self._kept_acc[k] += 1
-        if adapting and self._window_n[k] >= self.config.adapt_interval:
+        if adapting and self._window_n[k] >= ADAPT_INTERVAL:
             rate = self._window_acc[k] / self._window_n[k]
-            self._log_step[k] += 0.8 * (rate - self.config.target_accept)
+            self._log_step[k] += 0.8 * (rate - TARGET_ACCEPT)
             self._log_step[k] = float(np.clip(self._log_step[k], np.log(1e-3), np.log(100.0)))
             self._window_acc[k] = 0
             self._window_n[k] = 0
@@ -511,7 +513,7 @@ class _Sampler:
     def update_q(self):
         omega = self._omega()
         o00, o01, o11 = omega[0, 0], omega[0, 1], omega[1, 1]
-        tau2 = self.config.q_prior_sd**2
+        tau2 = Q_PRIOR_SD**2
         w1, w2 = self.w
         R = self._resid_no_eta()
         rx, ry = R[:, 0], R[:, 1]
@@ -636,11 +638,11 @@ def run_chain(
         tuning=sampler.tuning(),
     )
     chain.rhat_max = _chain_rhat(chain)
-    chain.converged = not (chain.rhat_max > config.rhat_threshold)
+    chain.converged = not (chain.rhat_max > RHAT_THRESHOLD)
     if not chain.converged:
         warnings.warn(
             f"worst split scale-reduction {chain.rhat_max:.3f} exceeds "
-            f"{config.rhat_threshold}",
+            f"{RHAT_THRESHOLD}",
             NonConvergenceWarning,
             stacklevel=2,
         )
@@ -758,6 +760,7 @@ def save_chain(chain: Chain, path) -> None:
     _doc.write_framed(path, _CHAIN_MAGIC, meta, chain._rows())
 
 
+@_doc.names_path
 def load_chain(path) -> Chain:
     kind = "chain metadata"
     meta, blob, offset = _doc.read_framed(path, _CHAIN_MAGIC, kind)

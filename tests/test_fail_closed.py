@@ -307,6 +307,20 @@ PROBES = {
     "ff-tessellation": ("tessellation.json",
                         lambda r, d: with_ff(r, "tessellation.json", b"[["), None),
     "ff-pipeline": ("pipeline.json", lambda r, d: with_ff(r, "pipeline.json", b'"run'), None),
+    # numpy reads a JSON true as 1, so these once loaded
+    "tess-sites-true": ("tessellation.json", lambda r, d: b'{"sites": [[0, true], [1, 2]]}',
+                        "tessellation: 'sites' must be a finite numeric array"),
+    "planar-nodes-true": ("series.planar", lambda r, d: meta_edited(
+        r / "series.planar", lambda m: m["nodes"].__setitem__(1, True)),
+                          "planar metadata: 'nodes' must be a finite numeric array"),
+    # a chain written while McmcConfig still had its five tuning fields
+    "chain-config-retired": ("model2.chain", lambda r, d: meta_edited(
+        r / "model2.chain", lambda m: m["config"].update(
+            proposal_scale=0.5, target_accept=0.3, adapt_interval=50, q_prior_sd=10.0,
+            rhat_threshold=1.2)),
+                             "chain metadata config: unknown keys ['adapt_interval', "
+                             "'proposal_scale', 'q_prior_sd', 'rhat_threshold', "
+                             "'target_accept']"),
 }
 
 

@@ -26,6 +26,9 @@ from stvar.errors import (
 )
 from stvar.evaluate import coverage, dic, rmspe, score_model
 from stvar.mcmc import (
+    ADAPT_INTERVAL,
+    Q_PRIOR_SD,
+    TARGET_ACCEPT,
     Chain,
     McmcConfig,
     PosteriorDraw,
@@ -95,10 +98,6 @@ class TestMcmcConfig:
             McmcConfig(sigma_mode="bogus")
         with pytest.raises(DataError):
             McmcConfig(theta_upper=0.0)
-        with pytest.raises(DataError):
-            McmcConfig(target_accept=1.5)
-        with pytest.raises(DataError):
-            McmcConfig(q_prior_sd=0.0)
 
     def test_kept_count(self):
         assert McmcConfig(n_iter=100, burn_in=20).n_kept == 80
@@ -333,7 +332,7 @@ class TestQConditional:
         sampler.wstar = np.vstack([rng_w.standard_normal(9), np.zeros(9)])
         sampler._refresh_eta()
         start_q = np.array([[1.0, 0.0], [0.3, 1.0]])
-        tau = sampler.config.q_prior_sd
+        tau = Q_PRIOR_SD
 
         w1 = pp_basis(design.source_points, sampler.knots, sampler.theta[0]) @ sampler.wstar[0]
         R = design.Y - design.offset
@@ -994,9 +993,9 @@ class BasisOracleSampler(_Sampler):
             self._window_acc[k] += 1
             if not adapting:
                 self._kept_acc[k] += 1
-        if adapting and self._window_n[k] >= self.config.adapt_interval:
+        if adapting and self._window_n[k] >= ADAPT_INTERVAL:
             rate = self._window_acc[k] / self._window_n[k]
-            self._log_step[k] += 0.8 * (rate - self.config.target_accept)
+            self._log_step[k] += 0.8 * (rate - TARGET_ACCEPT)
             self._log_step[k] = float(np.clip(self._log_step[k], np.log(1e-3), np.log(100.0)))
             self._window_acc[k] = 0
             self._window_n[k] = 0
@@ -1027,7 +1026,7 @@ class BasisOracleSampler(_Sampler):
     def update_q(self):
         omega = self._omega()
         o00, o01, o11 = omega[0, 0], omega[0, 1], omega[1, 1]
-        tau2 = self.config.q_prior_sd**2
+        tau2 = Q_PRIOR_SD**2
         w1 = self.W1 @ self.wstar[0]
         w2 = self.W2 @ self.wstar[1]
         R = self._resid_no_eta()

@@ -359,9 +359,7 @@ class TestGreedyProjection:
         np.testing.assert_array_equal(Tessellation(sites=planar).assign(out.points),
                                       out.node_assignment)
 
-    def test_resolution_and_padding_validated(self):
+    def test_resolution_validated(self):
         model = make_model(np.zeros((2, 2)), lattice_coords(2))
         with pytest.raises(DataError):
             GreedyProjector(model, resolution=1)
-        with pytest.raises(DataError):
-            GreedyProjector(model, padding=-0.1)
