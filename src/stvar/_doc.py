@@ -5,8 +5,9 @@ naming the kind of document and the key at fault.
 Series, planar and chain files share one framing, written by `write_framed`
 and split by `read_framed`: a magic line naming the kind and version, one
 UTF-8 JSON metadata line with sorted keys, then a raw little-endian float64
-body of exactly the shape the metadata implies and no byte after it. Their
-loaders are wrapped in `names_path`, so each error names the file.
+body of exactly the shape the metadata implies and no byte after it. The
+loaders of these files and of the JSON map, tessellation and model-spec
+files are wrapped in `names_path`, so each error names the file once.
 
 Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 (any JSON number, NaN and Infinity included), ``bool``, ``list``, ``dict``,
@@ -58,8 +59,7 @@ RETIRED = {
 
 
 def names_path(load):
-    """`load(path)` with each DataError it raises ending in the path, as
-    `read_json`'s errors name theirs."""
+    """`load(path)` with each DataError it raises ending in the path."""
     @functools.wraps(load)
     def wrapper(path):
         try:
@@ -102,7 +102,7 @@ def loads(text: str, kind: str):
 
 
 def read_json(path, kind: str):
-    kind = f"{kind} {path}"
+    """The JSON document in file `path`; `kind` names it in errors."""
     return loads(utf8(Path(path).read_bytes(), kind), kind)
 
 

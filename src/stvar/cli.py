@@ -292,6 +292,7 @@ def _read_only(value):
     return value
 
 
+@_doc.names_path
 def _read_tessellation(path) -> Tessellation:
     doc = _doc.fields(_doc.read_json(path, "tessellation"), "tessellation", {"sites": list})
     return Tessellation(sites=_doc.array(doc["sites"], "tessellation", "sites", (None, 2)))
@@ -552,9 +553,7 @@ def cmd_predict(args, store: _Store) -> dict:
     series = store.load(load_planar, _need(args, "series"))
     pred = store.take(_prediction_key(chain_path, args))
     if pred is None:
-        pred = predict_series(
-            chain, series, n_draws=args.draws, seed=args.seed, include_noise=True
-        )
+        pred = predict_series(chain, series, n_draws=args.draws, seed=args.seed)
     lo, hi = draw_quantiles(pred.draws, [0.025, 0.975])
     mean = pred.mean
     n = mean.shape[0]
@@ -711,7 +710,7 @@ def cmd_pipeline(args, store: _Store) -> dict | None:
     if args.config is None:
         raise UsageError("pipeline needs --config pointing at a stage list")
     kind = "pipeline config"
-    cfg = _doc.fields(_doc.read_json(args.config, kind), kind,
+    cfg = _doc.fields(_doc.read_json(args.config, f"{kind} {args.config}"), kind,
                       optional={"stages": list, "seed": int, "out": str}, closed=True)
     seed, out = cfg.get("seed", args.seed), cfg.get("out", args.out)
     parser = build_parser()
@@ -785,8 +784,9 @@ def _run(parser, args, argv: list[str], store: _Store, stage: str | None = None)
     flag from the pipeline config, so a usage error there is a data error."""
     try:
         if args.config is not None and args.cmd != "pipeline":
-            doc = _doc.read_json(args.config, "config")
-            args = _parse_config(parser, argv[:1], doc, f"config {args.config}", argv[1:])
+            kind = f"config {args.config}"
+            args = _parse_config(parser, argv[:1], _doc.read_json(args.config, kind), kind,
+                                 argv[1:])
         Path(args.out).mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
         payload = _HANDLERS[args.cmd](args, store)

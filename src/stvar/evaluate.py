@@ -32,13 +32,10 @@ from .som import SomModel, lattice_shape
 MIN_COVERAGE_DRAWS = 100
 
 
-def rmspe(pred, actual=None) -> float:
+def rmspe(mean, actual) -> float:
     """Root mean squared Euclidean one-step error of the predictive mean."""
-    if isinstance(pred, SeriesPrediction):
-        mean, actual = pred.mean, pred.actual
-    else:
-        mean = np.asarray(pred, dtype=float)
-        actual = np.asarray(actual, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    actual = np.asarray(actual, dtype=float)
     if mean.shape != actual.shape:
         raise LengthMismatch(f"shapes {mean.shape} and {actual.shape} differ")
     return float(np.sqrt(np.mean(np.sum((mean - actual) ** 2, axis=-1))))
@@ -164,16 +161,18 @@ def dic(
 ) -> DicResult:
     """Deviance information criterion: mean deviance plus p_D.
 
-    p_D is the mean deviance minus the deviance at the posterior means
-    (covariance repaired to positive definite if averaging degrades it).
-    `means` may hold the draws' mean paths from `mean_paths`, and `design`
-    the chain's design on `series` from `chain_design`.
+    D-bar averages the deviances of the draws at
+    `chain.draw_indices(n_draws)`. p_D is D-bar minus the deviance at the
+    posterior means, draw 0 of `chain.posterior_mean()` (covariance
+    repaired to positive definite if averaging degrades it). `means` may
+    hold the draws' mean paths from `mean_paths`, and `design` the chain's
+    design on `series` from `chain_design`.
     """
     if design is None:
         design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
     if means is None:
-        means = mean_paths(chain, design, chain.draws(idx))
+        means = mean_paths(chain, design, idx)
     elif means.shape != (idx.size, design.n, 2):
         raise LengthMismatch(
             f"mean paths of shape {means.shape} do not match {idx.size} draws "
@@ -184,8 +183,8 @@ def dic(
     d_bar = float(devs.mean())
 
     pm = chain.posterior_mean()
-    d_hat = _gauss_deviance(design.Y - mean_paths(chain, design, [pm])[0],
-                            repair_pd(pm.sigma))
+    d_hat = _gauss_deviance(design.Y - mean_paths(pm, design, [0])[0],
+                            repair_pd(pm.sigma[0]))
 
     p_d = d_bar - d_hat
     return DicResult(dic=d_bar + p_d, p_d=p_d, d_bar=d_bar, d_hat=d_hat,
@@ -245,7 +244,7 @@ def score_model(
     `seed`; with `keep_prediction` the score carries them.
     """
     design = chain_design(chain, series, tess)
-    means = mean_paths(chain, design, chain.draws(scored_draws(chain, n_draws)))
+    means = mean_paths(chain, design, scored_draws(chain, n_draws))
     d = dic(chain, series, tess=tess, n_draws=n_draws, means=means, design=design)
     fit = rmspe(means.mean(axis=0), design.Y)
     pred = predict_series(chain, series, tess=tess, n_draws=n_draws, seed=seed, means=means)
@@ -350,9 +349,7 @@ def model_transitions(
     if t is None:
         raise DataError("transition matrices need a tessellation")
     select = _source_mask(select, series.n_days - 1)
-    pred = predict_series(
-        chain, series, tess=t, n_draws=n_draws, seed=seed, include_noise=True
-    )
+    pred = predict_series(chain, series, tess=t, n_draws=n_draws, seed=seed)
     B, n, _ = pred.draws.shape
     landed = t.assign(pred.draws.reshape(B * n, 2)).reshape(B, n)
     return _count_transitions(t.assign(series.points[:-1]), landed, t.n_cells, select)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -64,7 +64,6 @@ from .models import (
     DesignPair,
     ModelSpec,
     PredictiveProcess,
-    SpatialAdjust,
     build_design,
     chol_spd,
     coregionalize,
@@ -124,15 +123,6 @@ _BLOCK_NAMES = tuple(name for name, _ in _blocks(0, 0))
 _RHAT_SKIP = {"sigma": 2, "q": 1}  # flat index of sigma's symmetric copy, q's structural zero
 
 
-@dataclass(frozen=True)
-class PosteriorDraw:
-    """One joint draw, packaged for likelihood and prediction calls."""
-
-    phi: np.ndarray
-    sigma: np.ndarray
-    adjust: SpatialAdjust | None = None
-
-
 @dataclass
 class Chain:
     """Retained posterior draws plus everything needed to predict from them."""
@@ -166,10 +156,6 @@ class Chain:
     def info(self) -> DesignInfo:
         return DesignInfo(self.spec, self.a_keys, self.eta_keys)
 
-    @property
-    def column_map(self) -> tuple[str, ...]:
-        return self.info.column_map
-
     def tessellation(self, tess: Tessellation | None = None) -> Tessellation | None:
         """`tess` when given, else the tessellation the chain was fitted with."""
         if tess is not None:
@@ -185,20 +171,6 @@ class Chain:
         return np.hstack([getattr(self, name).reshape(self.n_draws, -1)
                           for name, _ in self._layout])
 
-    def _posterior(self, phi, sigma, **spatial) -> PosteriorDraw:
-        """The draw holding one value per block of the layout."""
-        adjust = None
-        if spatial:
-            adjust = SpatialAdjust(knots=self.knots, jitter=self.spec.jitter, **spatial)
-        return PosteriorDraw(phi=phi, sigma=sigma, adjust=adjust)
-
-    def draw(self, i: int) -> PosteriorDraw:
-        return self._posterior(**{name: getattr(self, name)[i] for name, _ in self._layout})
-
-    def draws(self, idx) -> list[PosteriorDraw]:
-        """The draws at indices `idx`, in order."""
-        return [self.draw(int(i)) for i in idx]
-
     def draw_indices(self, n_draws: int | None) -> np.ndarray:
         """Evenly spaced draw indices; all of them when n_draws is None."""
         if n_draws is None or n_draws >= self.n_draws:
@@ -207,13 +179,14 @@ class Chain:
             raise DataError("need at least one draw")
         return np.unique(np.linspace(0, self.n_draws - 1, n_draws).round().astype(int))
 
-    def posterior_mean(self) -> PosteriorDraw:
-        """Parameter-wise posterior means (covariances symmetrized)."""
+    def posterior_mean(self) -> Chain:
+        """The parameter-wise posterior means as a chain of one draw, draw 0
+        (sigma symmetrized, q's upper entry zero)."""
         mean = {name: getattr(self, name).mean(axis=0) for name, _ in self._layout}
         mean["sigma"] = 0.5 * (mean["sigma"] + mean["sigma"].T)
         if "q" in mean:
             mean["q"] = np.tril(mean["q"])
-        return self._posterior(**mean)
+        return replace(self, **{name: block[None] for name, block in mean.items()})
 
 
 def _pd2(mat: np.ndarray) -> bool:
@@ -680,25 +653,25 @@ def chain_design(chain: Chain, series: PlanarSeries, tess: Tessellation | None =
 _MEAN_BLOCK = 4  # draws per block gather in mean_paths
 
 
-def mean_paths(chain: Chain, design: DesignPair, draws: list[PosteriorDraw]) -> np.ndarray:
-    """One-step means offset + X phi + eta of each posterior draw on
-    `design`, shape (B, n, 2).
+def mean_paths(chain: Chain, design: DesignPair, idx) -> np.ndarray:
+    """One-step means offset + X phi + eta on `design` of the chain's draws
+    at indices `idx`, shape (B, n, 2).
 
-    The draws' phi are stacked and offset + X phi is taken for
-    `_MEAN_BLOCK` draws at a time, each draw's bytes those of a call on it
-    alone. With a spatial intercept the knot geometry is computed once per
-    call and each draw's eta is added in place, so no (B, m, n) kernel
+    The draws' phi are gathered from the chain and offset + X phi is taken
+    for `_MEAN_BLOCK` draws at a time, each draw's bytes those of a call on
+    it alone. With a spatial intercept the knot geometry is computed once
+    per call and each draw's eta is added in place, so no (B, m, n) kernel
     stack is formed.
     """
-    out = np.empty((len(draws), design.n, 2))
-    phis = np.stack([draw.phi for draw in draws])
-    for b0 in range(0, len(draws), _MEAN_BLOCK):
+    out = np.empty((len(idx), design.n, 2))
+    phis = chain.phi[idx]
+    for b0 in range(0, len(idx), _MEAN_BLOCK):
         b1 = b0 + _MEAN_BLOCK
         np.add(design.offset, design.xphi(phis[b0:b1]), out=out[b0:b1])
     if chain.is_spatial:
         pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
-        for b, draw in enumerate(draws):
-            out[b] += pp.eta(draw.adjust)
+        for b, i in enumerate(idx):
+            out[b] += pp.eta(chain.theta[i], chain.q[i], chain.wstar[i])
     return out
 
 
@@ -708,29 +681,30 @@ def predict_series(
     tess: Tessellation | None = None,
     n_draws: int | None = 500,
     seed: int = 0,
-    include_noise: bool = True,
     means: np.ndarray | None = None,
 ) -> SeriesPrediction:
-    """One-step-ahead draws for every transition in `series`.
+    """One-step-ahead predictive draws for every transition in `series`:
+    each draw's mean path plus its N(0, sigma) noise.
 
     Day t's prediction uses the observed day t-1, so draws[:, i] targets
-    series.points[i + 1]. `means` may hold the draws' mean paths from
-    `mean_paths`; the noisy draws are then written over them in place.
+    series.points[i + 1]. The draws are the chain's at
+    `chain.draw_indices(n_draws)`. `means` may hold their mean paths from
+    `mean_paths`, which are then overwritten in place; noise-free paths
+    come from `mean_paths` alone.
     """
     idx = chain.draw_indices(n_draws)
     if means is None:
-        means = mean_paths(chain, chain_design(chain, series, tess), chain.draws(idx))
+        means = mean_paths(chain, chain_design(chain, series, tess), idx)
     elif means.shape != (idx.size, series.n_days - 1, 2):
         raise LengthMismatch(
             f"mean paths of shape {means.shape} do not match {idx.size} draws "
             f"of {series.n_days - 1} steps"
         )
-    if include_noise:
-        rng = np.random.default_rng(seed)
-        n = means.shape[1]
-        for b, i in enumerate(idx):
-            L = np.linalg.cholesky(chain.sigma[i])
-            means[b] += rng.standard_normal((n, 2)) @ L.T
+    rng = np.random.default_rng(seed)
+    n = means.shape[1]
+    for b, i in enumerate(idx):
+        L = np.linalg.cholesky(chain.sigma[i])
+        means[b] += rng.standard_normal((n, 2)) @ L.T
     dates = series.dates[1:] if series.dates is not None else None
     return SeriesPrediction(draws=means, actual=series.points[1:].copy(), dates=dates)
 
@@ -796,6 +770,14 @@ def load_chain(path) -> Chain:
         raise DataError(f"draw {int(np.argmin(finite)) + 1}: non-finite value")
     blocks = {name: block.reshape(n_draws, *shape) for (name, shape), block
               in zip(layout, np.split(vals, np.cumsum(sizes)[:-1], axis=1))}
+    if knots is not None:
+        theta, q = blocks["theta"], blocks["q"]
+        for bad, what in (((theta <= 0.0).any(axis=1), "decay rates must be positive"),
+                          (q[:, 0, 1] != 0.0, "q must be lower triangular"),
+                          ((q[:, 0, 0] <= 0.0) | (q[:, 1, 1] <= 0.0),
+                           "q must have a positive diagonal")):
+            if bad.any():
+                raise DataError(f"draw {int(np.argmax(bad)) + 1}: {what}")
 
     return Chain(spec=spec, a_keys=a_keys, eta_keys=eta_keys,
                  **(dict.fromkeys(_BLOCK_NAMES) | blocks), knots=knots, tess_sites=tess_sites,

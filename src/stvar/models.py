@@ -236,6 +236,11 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     )
 
 
+@_doc.names_path
+def _read_spec(path) -> ModelSpec:
+    return spec_from_dict(_doc.read_json(path, "model spec"))
+
+
 def resolve_spec(source) -> ModelSpec:
     """Accept a ModelSpec, a ladder alias, or a path to a spec JSON file."""
     if isinstance(source, ModelSpec):
@@ -246,7 +251,7 @@ def resolve_spec(source) -> ModelSpec:
     if name in MODEL_ALIASES:
         return ModelSpec.from_name(name)
     if Path(name).exists():
-        return spec_from_dict(_doc.read_json(name, "model spec"))
+        return _read_spec(name)
     raise DataError(f"{name!r} is neither a model alias nor a spec file")
 
 
@@ -895,12 +900,13 @@ class PredictiveProcess:
         self._cross = self.cross(theta, out=self._cross)
         return self.interpolate(L, self._cross, wstar)
 
-    def eta(self, adjust: SpatialAdjust) -> np.ndarray:
+    def eta(self, theta: np.ndarray, q: np.ndarray, wstar: np.ndarray) -> np.ndarray:
         """The coregionalized spatial intercept Q (w1, w2)' at the points,
-        shape (n, 2)."""
-        w1 = self.field(float(adjust.theta[0]), adjust.wstar[0])
-        w2 = self.field(float(adjust.theta[1]), adjust.wstar[1])
-        return coregionalize(adjust.q, w1, w2)
+        shape (n, 2), of field k with decay theta[k] and knot values
+        wstar[k]."""
+        w1 = self.field(float(theta[0]), wstar[0])
+        w2 = self.field(float(theta[1]), wstar[1])
+        return coregionalize(q, w1, w2)
 
 
 def domain_diameter(points: np.ndarray) -> float:

@@ -390,6 +390,7 @@ def save_som(model: SomModel, path) -> None:
     Path(path).write_text(json.dumps(som_to_dict(model)))
 
 
+@_doc.names_path
 def load_som(path) -> SomModel:
     return som_from_dict(_doc.read_json(path, "map"))
 

@@ -26,15 +26,16 @@ def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
     return coregionalize(adjust.q, w1, w2)
 
 
-def mean_paths_per_draw(design, draws, pp=None) -> np.ndarray:
-    """One-step means offset + X phi (+ eta), shape (B, n, 2), one draw at
-    a time with X phi taken from each row's block of phi and, given the
-    PredictiveProcess `pp`, each draw's spatial intercept added last. The
-    library gathers offset + X phi for a block of draws at once."""
+def mean_paths_per_draw(chain, design, idx, pp=None) -> np.ndarray:
+    """One-step means offset + X phi (+ eta) of the chain's draws at `idx`,
+    shape (B, n, 2), one draw at a time with X phi taken from each row's
+    block of phi and, given the PredictiveProcess `pp`, each draw's spatial
+    intercept added last. The library gathers offset + X phi for a block of
+    draws at once."""
     info, S = design.info, design.source_points
-    out = np.empty((len(draws), design.n, 2))
-    for b, draw in enumerate(draws):
-        phi = draw.phi
+    out = np.empty((len(idx), design.n, 2))
+    for b, i in enumerate(idx):
+        phi = chain.phi[i]
         if info.n_a == 0:
             xphi = np.zeros((design.n, 2))
         elif info.n_a == 1:
@@ -46,7 +47,7 @@ def mean_paths_per_draw(design, draws, pp=None) -> np.ndarray:
             xphi += phi[2 * info.n_a + design.eta_idx]
         mean = design.offset + xphi
         if pp is not None:
-            mean = mean + pp.eta(draw.adjust)
+            mean = mean + pp.eta(chain.theta[i], chain.q[i], chain.wstar[i])
         out[b] = mean
     return out
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stvar.evaluate
+from conftest import src_env
 from stvar.cli import _g17, dispatch
 from stvar.data_model import GridSpec, RawSeries, StateSeries, load_series, save_series
 from stvar.mcmc import load_chain, predict_series
@@ -73,7 +74,7 @@ class TestDispatchBasics:
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stvar.cli", "--version"],
-            capture_output=True, text=True,
+            env=src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "stvar" in proc.stdout
@@ -400,7 +401,7 @@ class TestPredict:
     def reference_csv(chain_path, series_path, draws, seed) -> str:
         """predictions.csv as written one `_g17` text per value through csv.writer."""
         pred = predict_series(load_chain(chain_path), load_planar(series_path),
-                              n_draws=draws, seed=seed, include_noise=True)
+                              n_draws=draws, seed=seed)
         lo = np.quantile(pred.draws, 0.025, axis=0)
         hi = np.quantile(pred.draws, 0.975, axis=0)
         mean = pred.mean

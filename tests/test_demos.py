@@ -4,12 +4,12 @@ The demos import the package's public names, so a name removed from the
 package without its demo being updated fails here.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,8 +27,6 @@ def test_every_demo_is_listed():
 
 @pytest.mark.parametrize("demo", sorted(DEMOS))
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo), *DEMOS[demo]],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -9,7 +9,6 @@ generator state after each draw; the frozen hex values pin the chain bytes
 even if a later scipy.stats changes its own algorithm.
 """
 
-import os
 import subprocess
 import sys
 
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.stats import invwishart, truncnorm
 
-import stvar
+from conftest import src_env
 from stvar.mcmc import _invwishart, _truncnorm_positive
 
 SEEDS = range(540)  # 60 seeds for each of the 9 cases of either draw
@@ -81,10 +80,7 @@ def test_truncnorm_frozen(seed, mean, sd, hexed):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    src = os.path.dirname(os.path.dirname(stvar.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = "import sys, stvar, stvar.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"

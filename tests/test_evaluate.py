@@ -96,13 +96,6 @@ class TestRmspe:
         x = np.arange(10, dtype=float).reshape(5, 2)
         assert rmspe(x, x.copy()) == 0.0
 
-    def test_accepts_prediction_object(self):
-        draws = np.stack([np.full((3, 2), 1.0), np.full((3, 2), 3.0)])
-        actual = np.full((3, 2), 4.0)
-        pred = SeriesPrediction(draws=draws, actual=actual, dates=None)
-        # predictive mean is 2, so each day has squared error 4 + 4
-        assert rmspe(pred) == pytest.approx(np.sqrt(8.0), rel=1e-14)
-
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatch):
             rmspe(np.zeros((4, 2)), np.zeros((5, 2)))

@@ -404,11 +404,58 @@ class TestProbes:
         assert errors[0].startswith(f"data error: {where}")
         assert errors[0].endswith("NUL character in --series")
 
+    @pytest.mark.parametrize("probe", ["tess-sites-true", "som-node-word", "spec-n_x-text"])
+    def test_json_field_error_names_the_file_once(self, base, tmp_path, probe):
+        root, docs = base
+        name, make, _ = PROBES[probe]
+        prepare(root, tmp_path, name, make(root, docs))
+        code, err = quiet_dispatch(commands(root, tmp_path, name))
+        line = next(ln for ln in err.splitlines() if ln.startswith("data error:"))
+        assert code == 2 and line.count(str(tmp_path / name)) == 1, err
+
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base
         code, err = quiet_dispatch(["train-som", "--series", root / "state.series",
                                     "--phase-steps", "a,b", "--out", tmp_path])
         assert code == 2 and err.startswith("data error:"), err
+
+
+@pytest.fixture(scope="module")
+def spatial_chain(base):
+    """A saved model11 chain of 110 draws fitted to the base planar series."""
+    root, _ = base
+    spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        chain = run_chain(load_planar(root / "series.planar"), spec,
+                          McmcConfig(n_iter=130, burn_in=20))
+    save_chain(chain, root / "model11.chain")
+    return root / "model11.chain"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("block, at, value, named", [
+    (None, None, None, None),
+    ("q", (5, 0, 1), 0.3, "lower triangular"),
+    ("q", (5, 1, 1), -0.2, "positive diagonal"),
+    ("theta", (5, 0), 0.0, "decay rates must be positive"),
+], ids=["valid", "q-upper", "q-diagonal", "theta-zero"])
+def test_invalid_spatial_draw_is_data_error(base, spatial_chain, tmp_path, command,
+                                            block, at, value, named):
+    # every draw of a spatial intercept needs positive decay rates and a
+    # lower-triangular q with a positive diagonal, scored or not
+    root, _ = base
+    chain = load_chain(spatial_chain)
+    if block is not None:
+        getattr(chain, block)[at] = value
+    save_chain(chain, tmp_path / "bad.chain")
+    code, err = quiet_dispatch([command, "--chain", tmp_path / "bad.chain", "--series",
+                                root / "series.planar", "--out", tmp_path / "out"])
+    if block is None:
+        assert code == 0, err
+    else:
+        assert code == 2 and err.startswith("data error:") and named in err, err
+        assert "Traceback" not in err
 
 
 class TestConfigFlags:

@@ -31,7 +31,6 @@ from stvar.mcmc import (
     TARGET_ACCEPT,
     Chain,
     McmcConfig,
-    PosteriorDraw,
     SeriesPrediction,
     _Sampler,
     chain_design,
@@ -422,9 +421,6 @@ class TestRunChain:
         assert set(chain.acceptance) == {"theta1", "theta2"}
         upper = 300.0 / domain_diameter(series.points)
         assert chain.theta.max() <= upper
-        draw = chain.draw(3)
-        assert draw.adjust is not None
-        assert draw.adjust.wstar.shape == (2, 16)
 
     def test_cell_model_records_sites(self):
         tess = default_tessellation()
@@ -439,8 +435,13 @@ class TestRunChain:
         series = simulate_var(truth, n_days=80, seed=16)
         chain = run_chain(series, "model1", McmcConfig(n_iter=60, burn_in=20, seed=0))
         pm = chain.posterior_mean()
-        assert isinstance(pm, PosteriorDraw)
-        np.testing.assert_array_equal(pm.sigma, pm.sigma.T)
+        assert isinstance(pm, Chain) and pm.n_draws == 1
+        np.testing.assert_array_equal(pm.sigma[0], pm.sigma[0].T)
+
+
+def noise_free(chain, series, tess=None, n_draws=500):
+    """The mean paths of the draws predict_series would take."""
+    return mean_paths(chain, chain_design(chain, series, tess), chain.draw_indices(n_draws))
 
 
 def manual_chain(spec, a_keys, eta_keys, phi, sigma, n_draws=3, tess_sites=None):
@@ -467,21 +468,20 @@ class TestPrediction:
         A = np.array([[0.6, 0.1], [-0.2, 0.5]])
         chain = manual_chain(ModelSpec("constant"), [()], [], A.T, np.eye(2))
         series = PlanarSeries(points=np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]]))
-        pred = predict_series(chain, series, include_noise=False)
+        means = noise_free(chain, series)
         want = series.points[:-1] @ A.T
-        assert pred.draws.shape == (3, 2, 2)
+        assert means.shape == (3, 2, 2)
         for b in range(3):
-            np.testing.assert_allclose(pred.draws[b], want, atol=1e-12)
-        np.testing.assert_allclose(pred.mean, want, atol=1e-12)
-        np.testing.assert_array_equal(pred.actual, series.points[1:])
+            np.testing.assert_allclose(means[b], want, atol=1e-12)
+        np.testing.assert_allclose(means.mean(axis=0), want, atol=1e-12)
+        np.testing.assert_array_equal(predict_series(chain, series).actual, series.points[1:])
 
     def test_random_walk_mean_is_today(self):
         chain = manual_chain(
             ModelSpec("random_walk"), [], [], np.zeros((0, 2)), np.eye(2)
         )
         series = PlanarSeries(points=np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        pred = predict_series(chain, series, include_noise=False)
-        np.testing.assert_array_equal(pred.mean, series.points[:-1])
+        np.testing.assert_array_equal(noise_free(chain, series).mean(axis=0), series.points[:-1])
 
     def test_noise_uses_sigma(self):
         sigma = np.array([[4.0, 0.0], [0.0, 0.25]])
@@ -509,9 +509,9 @@ class TestPrediction:
             tess_sites=[[-1.0, 0.0], [1.0, 0.0]],
         )
         series = PlanarSeries(points=np.array([[-1.0, 0.5], [2.0, 0.0], [0.5, 0.5]]))
-        pred = predict_series(chain, series, include_noise=False)
-        np.testing.assert_allclose(pred.mean[0], A0 @ [-1.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(pred.mean[1], A1 @ [2.0, 0.0], atol=1e-12)
+        mean = noise_free(chain, series).mean(axis=0)
+        np.testing.assert_allclose(mean[0], A0 @ [-1.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(mean[1], A1 @ [2.0, 0.0], atol=1e-12)
 
     def test_unseen_block_raises(self):
         chain = manual_chain(ModelSpec("quarter"), [("DJF",)], [], np.eye(2), np.eye(2))
@@ -520,13 +520,13 @@ class TestPrediction:
             dates=(dt.date(2000, 7, 1), dt.date(2000, 7, 2)),
         )
         with pytest.raises(UnlabeledDate):
-            predict_series(chain, series, include_noise=False)
+            predict_series(chain, series)
 
     def test_one_step(self):
         A = np.array([[0.6, 0.1], [-0.2, 0.5]])
         chain = manual_chain(ModelSpec("constant"), [()], [], A.T, np.eye(2))
         series = PlanarSeries(points=np.array([[1.0, 2.0], [0.0, 0.0]]))
-        draws = predict_series(chain, series, include_noise=False).draws[:, 0]
+        draws = noise_free(chain, series)[:, 0]
         assert draws.shape == (3, 2)
         np.testing.assert_allclose(draws[0], A @ [1.0, 2.0], atol=1e-12)
 
@@ -601,7 +601,7 @@ class TestChainFiles:
         assert all(isinstance(k[0], int) for k in back.a_keys)
         np.testing.assert_array_equal(back.tess_sites, tess.sites)
         # a loaded chain predicts without the original objects
-        pred = predict_series(back, series, include_noise=False, n_draws=2)
+        pred = predict_series(back, series, n_draws=2)
         assert pred.draws.shape[1] == series.n_days - 1
 
     def test_lines_after_the_declared_draws(self, tmp_path):
@@ -763,6 +763,9 @@ def random_chain(model, seed, n_draws=40, constant=()):
     if p:
         blocks["phi"][:, 0] = blocks["phi"][0, 0]
     if m is not None:
+        # load_chain refuses a non-positive decay rate or q diagonal
+        blocks["theta"] = np.abs(blocks["theta"])
+        blocks["q"][:, [0, 1], [0, 1]] = np.abs(blocks["q"][:, [0, 1], [0, 1]])
         blocks["q"][:, 0, 1] = 0.0
         blocks["wstar"][:, 1] = blocks["wstar"][0, 1]
     return Chain(spec=stvar.models.resolve_spec(model), a_keys=tuple(a_keys),
@@ -1055,8 +1058,17 @@ class BasisOracleSampler(_Sampler):
         self._refresh_eta()
 
 
+def draw_adjust(chain, i):
+    """Draw i's spatial intercept, or None without one."""
+    if not chain.is_spatial:
+        return None
+    return SpatialAdjust(knots=chain.knots, theta=chain.theta[i], q=chain.q[i],
+                         wstar=chain.wstar[i], jitter=chain.spec.jitter)
+
+
 def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
-    """predict_series as one per-draw pass that forms the basis per draw."""
+    """predict_series, or with include_noise False mean_paths, as one
+    per-draw pass that forms the basis per draw."""
     design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
     out = np.empty((idx.size, design.n, 2))
@@ -1064,7 +1076,7 @@ def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
     for b, i in enumerate(idx):
         mean = design.offset + design.xphi(chain.phi[i])
         if chain.is_spatial:
-            mean = mean + coregional_eta(design.source_points, chain.draw(int(i)).adjust)
+            mean = mean + coregional_eta(design.source_points, draw_adjust(chain, i))
         if include_noise:
             L = np.linalg.cholesky(chain.sigma[i])
             mean = mean + rng.standard_normal((design.n, 2)) @ L.T
@@ -1087,10 +1099,10 @@ def three_pass_dic(chain, series, tess, n_draws):
 
     devs = np.empty(idx.size)
     for b, i in enumerate(idx):
-        devs[b] = deviance(chain.phi[i], chain.sigma[i], chain.draw(int(i)).adjust)
+        devs[b] = deviance(chain.phi[i], chain.sigma[i], draw_adjust(chain, i))
     d_bar = float(devs.mean())
     pm = chain.posterior_mean()
-    d_hat = deviance(pm.phi, repair_pd(pm.sigma), pm.adjust)
+    d_hat = deviance(pm.phi[0], repair_pd(pm.sigma[0]), draw_adjust(pm, 0))
     return d_bar + (d_bar - d_hat), d_bar - d_hat, d_bar, d_hat
 
 
@@ -1127,15 +1139,35 @@ class TestMeanPaths:
             pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
         assert chain.n_draws % stvar.mcmc._MEAN_BLOCK != 0
         for n_draws in (1, 7, None):
-            draws = chain.draws(chain.draw_indices(n_draws))
-            np.testing.assert_array_equal(mean_paths(chain, design, draws),
-                                          mean_paths_per_draw(design, draws, pp))
+            idx = chain.draw_indices(n_draws)
+            np.testing.assert_array_equal(mean_paths(chain, design, idx),
+                                          mean_paths_per_draw(chain, design, idx, pp))
         # dic's one call on the posterior mean
         pm = chain.posterior_mean()
-        mean = mean_paths(chain, design, [pm])
-        np.testing.assert_array_equal(mean, mean_paths_per_draw(design, [pm], pp))
+        mean = mean_paths(pm, design, [0])
+        np.testing.assert_array_equal(mean, mean_paths_per_draw(pm, design, [0], pp))
         d = dic(chain, series, tess=TESS4)
-        assert d.d_hat == _gauss_deviance(design.Y - mean[0], repair_pd(pm.sigma))
+        assert d.d_hat == _gauss_deviance(design.Y - mean[0], repair_pd(pm.sigma[0]))
+
+
+@pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+@pytest.mark.parametrize("model", ["model9", "model11"])
+def test_loaded_chain_scores_and_predicts_as_in_memory(model, tmp_path):
+    # a loaded chain's blocks are strided views of one payload, read-only in
+    # the command line's store; scoring and prediction gather from them
+    from stvar.cli import _read_only
+
+    series = ladder_series(model, 900, seed=42)
+    spec = SPATIAL_SPEC if model == "model11" else model
+    chain = run_chain(series, spec, McmcConfig(n_iter=150, burn_in=40, seed=6), tess=TESS4)
+    save_chain(chain, tmp_path / "a.chain")
+    back = _read_only(load_chain(tmp_path / "a.chain"))
+    assert not back.phi.flags.c_contiguous and not back.phi.flags.writeable
+    want, got = (score_model(c, series, tess=TESS4, n_draws=None, seed=3) for c in (chain, back))
+    assert (got.rmspe, got.dic, got.p_d, got.coverage) == (
+        want.rmspe, want.dic, want.p_d, want.coverage)
+    np.testing.assert_array_equal(predict_series(back, series, tess=TESS4, n_draws=None).draws,
+                                  predict_series(chain, series, tess=TESS4, n_draws=None).draws)
 
 
 SPATIAL_SPEC = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=4, n_y=4))
@@ -1168,12 +1200,14 @@ class TestPredictiveProcessOracle:
         score = score_model(chain, series, tess=TESS4, n_draws=120, seed=5)
         assert (score.rmspe, score.dic, score.p_d, score.coverage) == three_pass_score(
             chain, series, TESS4, 120, 5)
-        for noise in (True, False):
-            np.testing.assert_array_equal(
-                predict_series(chain, series, tess=TESS4, n_draws=120, seed=5,
-                               include_noise=noise).draws,
-                three_pass_draws(chain, series, TESS4, 120, 5, include_noise=noise),
-            )
+        np.testing.assert_array_equal(
+            predict_series(chain, series, tess=TESS4, n_draws=120, seed=5).draws,
+            three_pass_draws(chain, series, TESS4, 120, 5, include_noise=True),
+        )
+        np.testing.assert_array_equal(
+            noise_free(chain, series, tess=TESS4, n_draws=120),
+            three_pass_draws(chain, series, TESS4, 120, 5, include_noise=False),
+        )
         d = dic(chain, series, tess=TESS4, n_draws=120)
         assert (d.dic, d.p_d, d.d_bar, d.d_hat) == three_pass_dic(chain, series, TESS4, 120)
 
@@ -1192,12 +1226,12 @@ class TestPredictiveProcessOracle:
 
         design = chain_design(chain, series)
         pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
-        draws = chain.draws(chain.draw_indices(100))
-        means = mean_paths(chain, design, draws)
-        for b, draw in enumerate(draws):
-            eta = coregional_eta(design.source_points, draw.adjust)
-            assert max_block_diff(pp.eta(draw.adjust), eta) <= 1e-12
-            want = design.offset + design.xphi(draw.phi) + eta
+        idx = chain.draw_indices(100)
+        means = mean_paths(chain, design, idx)
+        for b, i in enumerate(idx):
+            eta = coregional_eta(design.source_points, draw_adjust(chain, i))
+            assert max_block_diff(pp.eta(chain.theta[i], chain.q[i], chain.wstar[i]), eta) <= 1e-12
+            want = design.offset + design.xphi(chain.phi[i]) + eta
             assert max_block_diff(means[b], want) <= 1e-12
 
     def test_cached_fields_follow_the_state(self):

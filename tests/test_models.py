@@ -433,7 +433,8 @@ class TestSpatialAdjust:
         w2 = pp_basis(pts, knots, 0.9) @ wstar[1]
         np.testing.assert_allclose(got[:, 0], 1.5 * w1, atol=1e-12)
         np.testing.assert_allclose(got[:, 1], -0.4 * w1 + 0.7 * w2, atol=1e-12)
-        np.testing.assert_allclose(PredictiveProcess(knots, pts).eta(adjust), got, atol=1e-12)
+        np.testing.assert_allclose(PredictiveProcess(knots, pts).eta(theta, q, wstar), got,
+                                   atol=1e-12)
 
     def test_field_reproduced_at_knots(self):
         rng = np.random.default_rng(71)
