@@ -709,20 +709,22 @@ def cmd_lag_scan(args, store: _Store) -> dict:
 def cmd_pipeline(args, store: _Store) -> dict | None:
     if args.config is None:
         raise UsageError("pipeline needs --config pointing at a stage list")
-    kind = "pipeline config"
-    cfg = _doc.fields(_doc.read_json(args.config, f"{kind} {args.config}"), kind,
+    kind = f"pipeline config {args.config}"
+    cfg = _doc.fields(_doc.read_json(args.config, kind), kind,
                       optional={"stages": list, "seed": int, "out": str}, closed=True)
     seed, out = cfg.get("seed", args.seed), cfg.get("out", args.out)
     parser = build_parser()
     stages = []
     for i, stage in enumerate(cfg.get("stages", [])):
-        stage = _doc.fields(stage, f"stage {i}", {"run": str}, {"args": dict}, closed=True)
+        stage = _doc.fields(stage, f"{kind}: stage {i}", {"run": str}, {"args": dict},
+                            closed=True)
         run = stage["run"]
         if run == "pipeline" or run not in _HANDLERS:
-            raise DataError(f"stage {i}: no such stage command {run!r}")
+            raise DataError(f"{kind}: stage {i}: no such stage command {run!r}")
         label = f"stage {i} ({run})"
         head = [run, f"--seed={seed}", f"--out={out}"]
-        stages.append((label, _parse_config(parser, head, stage.get("args", {}), label)))
+        stages.append((label, _parse_config(parser, head, stage.get("args", {}),
+                                            f"{kind}: {label}")))
     if not stages:
         return None
     for _, stage_args in stages:
@@ -732,7 +734,7 @@ def cmd_pipeline(args, store: _Store) -> dict | None:
     args.out = out
     Path(out).mkdir(parents=True, exist_ok=True)
     for i, (label, stage_args) in enumerate(stages):
-        code = _run(parser, stage_args, [], store, label)
+        code = _run(parser, stage_args, [], store, f"{kind}: {label}")
         if code != 0:
             print(f"pipeline: {label} failed", file=sys.stderr)
             raise _StageFailure(code)

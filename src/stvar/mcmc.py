@@ -57,6 +57,7 @@ from .errors import (
     MalformedHeader,
     NonConvergenceWarning,
     NonPDScale,
+    NonPositiveDecay,
     NumericalError,
 )
 from .models import (
@@ -123,6 +124,51 @@ _BLOCK_NAMES = tuple(name for name, _ in _blocks(0, 0))
 _RHAT_SKIP = {"sigma": 2, "q": 1}  # flat index of sigma's symmetric copy, q's structural zero
 
 
+def _pd2(mat: np.ndarray):
+    """Exact positive-definiteness test for symmetric 2x2 matrices, over
+    any leading axes."""
+    det = mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] * mat[..., 1, 0]
+    return (mat[..., 0, 0] > 0.0) & (det > 0.0)
+
+
+def check_draws(blocks: dict, p: int, m: int | None) -> None:
+    """Refuse parameter values that are no draw of the layout _blocks(p, m).
+
+    `blocks` maps each block name to its draws, stacked on a leading axis.
+    In every draw each value is finite, sigma is exactly symmetric and
+    positive definite, and with a spatial intercept the decay rates are
+    positive and q is lower triangular with a positive diagonal. The error
+    names the first bad draw, counting from 1.
+    """
+    layout = dict(_blocks(p, m))
+    if set(blocks) != set(layout):
+        raise DataError(f"draw blocks {sorted(blocks)} do not match the layout {list(layout)}")
+    for name, shape in layout.items():
+        if blocks[name].shape[1:] != shape:
+            raise DataError(f"{name} shape {blocks[name].shape[1:]} does not match the "
+                            f"layout {shape}")
+    n = blocks["phi"].shape[0]
+    finite = [np.isfinite(block).reshape(n, -1).all(axis=1) for block in blocks.values()]
+    sigma = blocks["sigma"]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan sigma: refused either way
+        rules = [
+            (~np.logical_and.reduce(finite), DataError, "non-finite value"),
+            (sigma[:, 0, 1] != sigma[:, 1, 0], DataError, "sigma must be symmetric"),
+            (~_pd2(sigma), DataError, "sigma must be positive definite"),
+        ]
+    if m is not None:
+        theta, q = blocks["theta"], blocks["q"]
+        rules += [((theta <= 0.0).any(axis=1), NonPositiveDecay, "decay rates must be positive"),
+                  (q[:, 0, 1] != 0.0, DataError, "q must be lower triangular"),
+                  ((q[:, 0, 0] <= 0.0) | (q[:, 1, 1] <= 0.0), DataError,
+                   "q must have a positive diagonal")]
+    bad = np.vstack([rule for rule, _, _ in rules])
+    if bad.any():
+        draw = int(np.argmax(bad.any(axis=0)))
+        _, error, what = rules[int(np.argmax(bad[:, draw]))]
+        raise error(f"draw {draw + 1}: {what}")
+
+
 @dataclass
 class Chain:
     """Retained posterior draws plus everything needed to predict from them."""
@@ -187,11 +233,6 @@ class Chain:
         if "q" in mean:
             mean["q"] = np.tril(mean["q"])
         return replace(self, **{name: block[None] for name, block in mean.items()})
-
-
-def _pd2(mat: np.ndarray) -> bool:
-    """Exact positive-definiteness test for a symmetric 2x2 matrix."""
-    return mat[0, 0] > 0.0 and mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] > 0.0
 
 
 def _sandwich(L_j: np.ndarray, M: np.ndarray, L_k: np.ndarray) -> np.ndarray:
@@ -761,23 +802,14 @@ def load_chain(path) -> Chain:
         raise MalformedHeader(f"{kind}: 'n_draws' must be at least 1, got {n_draws}")
     if (knots is None) == (spec.eta_structure == "spatial"):
         raise MalformedHeader(f"{kind}: 'knots' must be set just when eta_structure is 'spatial'")
-    layout = _blocks(2 * len(a_keys) + len(eta_keys), None if knots is None else knots.shape[0])
+    p, m = 2 * len(a_keys) + len(eta_keys), None if knots is None else knots.shape[0]
+    layout = _blocks(p, m)
     sizes = [int(np.prod(shape, dtype=int)) for _, shape in layout]
 
     vals = _doc.float64s(blob, offset, (n_draws, sum(sizes)))
-    finite = np.isfinite(vals).all(axis=1)
-    if not finite.all():
-        raise DataError(f"draw {int(np.argmin(finite)) + 1}: non-finite value")
     blocks = {name: block.reshape(n_draws, *shape) for (name, shape), block
               in zip(layout, np.split(vals, np.cumsum(sizes)[:-1], axis=1))}
-    if knots is not None:
-        theta, q = blocks["theta"], blocks["q"]
-        for bad, what in (((theta <= 0.0).any(axis=1), "decay rates must be positive"),
-                          (q[:, 0, 1] != 0.0, "q must be lower triangular"),
-                          ((q[:, 0, 0] <= 0.0) | (q[:, 1, 1] <= 0.0),
-                           "q must have a positive diagonal")):
-            if bad.any():
-                raise DataError(f"draw {int(np.argmax(bad)) + 1}: {what}")
+    check_draws(blocks, p, m)
 
     return Chain(spec=spec, a_keys=a_keys, eta_keys=eta_keys,
                  **(dict.fromkeys(_BLOCK_NAMES) | blocks), knots=knots, tess_sites=tess_sites,

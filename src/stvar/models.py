@@ -815,43 +815,6 @@ def pp_basis(
     return _lapack.cho_solve((L, True), cross).T
 
 
-@dataclass(frozen=True)
-class SpatialAdjust:
-    """Coregionalized two-field intercept: eta(s) = Q (w1(s), w2(s))'.
-
-    Q is lower triangular with positive diagonal; w_k(s) interpolates the
-    knot values wstar[k] with decay theta[k].
-    """
-
-    knots: np.ndarray
-    theta: np.ndarray
-    q: np.ndarray
-    wstar: np.ndarray
-    jitter: JitterPolicy = field(default_factory=JitterPolicy)
-
-    def __post_init__(self):
-        knots = _check_knots(self.knots)
-        theta = np.asarray(self.theta, dtype=float)
-        q = np.asarray(self.q, dtype=float)
-        wstar = np.asarray(self.wstar, dtype=float)
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "wstar", wstar)
-        if theta.shape != (2,):
-            raise DataError(f"theta must hold two decay rates, got shape {theta.shape}")
-        if np.any(theta <= 0.0):
-            raise NonPositiveDecay("decay rates must be positive")
-        if q.shape != (2, 2) or q[0, 1] != 0.0:
-            raise DataError("q must be 2x2 lower triangular")
-        if q[0, 0] <= 0.0 or q[1, 1] <= 0.0:
-            raise DataError("q must have a positive diagonal")
-        if wstar.shape != (2, knots.shape[0]):
-            raise DataError(
-                f"wstar must be (2, {knots.shape[0]}), got shape {wstar.shape}"
-            )
-
-
 def coregionalize(q: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """Q (w1(s), w2(s))' at every point, shape (n, 2)."""
     out = np.empty((w1.shape[0], 2))

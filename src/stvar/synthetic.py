@@ -21,12 +21,13 @@ import numpy as np
 from . import _lapack
 from .data_model import GridSpec, StateSeries
 from .errors import DataError, EmptySeries, ExplosiveWarning, UnlabeledDate
+from .mcmc import _BLOCK_NAMES, check_draws
 from .models import (
     DesignInfo,
     ModelSpec,
+    PredictiveProcess,
     SEASONS,
-    SpatialAdjust,
-    chol_spd,
+    _check_knots,
     exp_corr,
     resolve_spec,
 )
@@ -36,30 +37,34 @@ from .som import lattice_coords
 
 @dataclass(frozen=True)
 class TruthBundle:
-    """A model spec, a coefficient layout, and the generating parameters."""
+    """A model spec, a coefficient layout, and the generating parameters: one
+    valid draw of the layout's blocks. A spatial intercept eta(s) = Q (w1(s),
+    w2(s))' has knots, decay rates theta, q and knot values wstar; without
+    one these are None."""
 
     info: DesignInfo
     phi: np.ndarray
     sigma: np.ndarray
-    adjust: SpatialAdjust | None = None
+    knots: np.ndarray | None = None
+    theta: np.ndarray | None = None
+    q: np.ndarray | None = None
+    wstar: np.ndarray | None = None
     stationary: bool = True
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "sigma", sigma)
-        if phi.shape != (self.info.n_columns, 2):
-            raise DataError(
-                f"phi shape {phi.shape} does not match layout "
-                f"({self.info.n_columns} columns)"
-            )
-        if sigma.shape != (2, 2) or not np.allclose(sigma, sigma.T):
-            raise DataError("sigma must be symmetric 2x2")
-        if np.linalg.eigvalsh(sigma).min() <= 0.0:
-            raise DataError("sigma must be positive definite")
-        if (self.adjust is not None) != (self.info.spec.eta_structure == "spatial"):
-            raise DataError("spatial adjustment given iff eta_structure is spatial")
+        spatial = self.spec.eta_structure == "spatial"
+        if (self.knots is None) == spatial:
+            raise DataError("knots must be set just when eta_structure is 'spatial'")
+        blocks = {}
+        for name in _BLOCK_NAMES:
+            value = getattr(self, name)
+            if value is not None:
+                value = np.asarray(value, dtype=float)
+                object.__setattr__(self, name, value)
+                blocks[name] = value[None]
+        if spatial:
+            object.__setattr__(self, "knots", _check_knots(self.knots))
+        check_draws(blocks, self.info.n_columns, self.knots.shape[0] if spatial else None)
         if self.stationary:
             rho = self.spectral_radii()
             if rho.size and rho.max() >= 1.0:
@@ -116,15 +121,11 @@ def simulate_var(
 
     # spatial intercept: fold C*^{-1} into the knot values once, then each
     # step only needs the cross-correlation vector
-    spatial = None
-    if truth.adjust is not None:
-        adj = truth.adjust
-        v = []
-        for k in range(2):
-            cstar = exp_corr(adj.knots, adj.knots, float(adj.theta[k]))
-            Lk, _ = chol_spd(cstar, adj.jitter)
-            v.append(_lapack.cho_solve((Lk, True), adj.wstar[k]))
-        spatial = (adj, v)
+    v = None
+    if truth.knots is not None:
+        pp = PredictiveProcess(truth.knots, np.empty((0, 2)), spec.jitter)
+        v = [_lapack.cho_solve((pp.factor(float(truth.theta[k]))[0], True), truth.wstar[k])
+             for k in range(2)]
 
     info = truth.info
     n_a = info.n_a
@@ -139,13 +140,12 @@ def simulate_var(
         j = info.eta_index(date)
         if j is not None:
             mean = mean + truth.phi[2 * n_a + j]
-        if spatial is not None:
-            adj, v = spatial
+        if v is not None:
             eta = np.empty(2)
             for k in range(2):
-                c = exp_corr(s[None, :], adj.knots, float(adj.theta[k]))[0]
+                c = exp_corr(s[None, :], truth.knots, float(truth.theta[k]))[0]
                 eta[k] = c @ v[k]
-            mean = mean + adj.q @ eta
+            mean = mean + truth.q @ eta
         pts[t + 1] = mean + noise[t]
 
     assignment = tess.assign(pts) if tess is not None else None
@@ -217,23 +217,21 @@ def ladder_truth(
     for j in range(info.n_eta):
         phi[2 * info.n_a + j, :] = _intercept_block(j, info.n_eta)
 
-    adjust = None
+    spatial = {}
     if spec.eta_structure == "spatial":
         base = tess.sites if tess is not None else lattice_coords(12)
         knots = spec.knot_grid.build(base)
         kx, ky = knots[:, 0], knots[:, 1]
-        wstar = np.vstack([np.sin(kx) * np.cos(ky), np.cos(0.7 * kx + 0.3 * ky)])
-        adjust = SpatialAdjust(
+        spatial = dict(
             knots=knots,
             theta=np.array([0.5, 0.8]),
             q=np.array([[0.6, 0.0], [0.2, 0.5]]),
-            wstar=wstar,
-            jitter=spec.jitter,
+            wstar=np.vstack([np.sin(kx) * np.cos(ky), np.cos(0.7 * kx + 0.3 * ky)]),
         )
 
     return TruthBundle(
         info=info,
         phi=phi,
         sigma=DEFAULT_SIGMA.copy() if sigma is None else np.asarray(sigma, dtype=float),
-        adjust=adjust,
+        **spatial,
     )

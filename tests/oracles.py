@@ -6,7 +6,7 @@ thing faster and is held to these in the tests.
 
 import numpy as np
 
-from stvar.models import SpatialAdjust, coregionalize, pp_basis
+from stvar.models import JitterPolicy, coregionalize, pp_basis
 
 
 def find_winner(x: np.ndarray, nodes: np.ndarray) -> int:
@@ -16,14 +16,16 @@ def find_winner(x: np.ndarray, nodes: np.ndarray) -> int:
     return int(np.argmin(d2))
 
 
-def coregional_eta(points: np.ndarray, adjust: SpatialAdjust) -> np.ndarray:
-    """Spatial intercept at each point, shape (n, 2), from the explicit
-    pp_basis weights. The library evaluates it through PredictiveProcess,
-    which never forms the n x m basis."""
+def coregional_eta(points: np.ndarray, knots: np.ndarray, theta: np.ndarray, q: np.ndarray,
+                   wstar: np.ndarray, jitter: JitterPolicy = JitterPolicy()) -> np.ndarray:
+    """Spatial intercept at each point, shape (n, 2), of the draw with blocks
+    theta, q and wstar on `knots`, from the explicit pp_basis weights. The
+    library evaluates it through PredictiveProcess, which never forms the
+    n x m basis."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w1 = pp_basis(pts, adjust.knots, float(adjust.theta[0]), adjust.jitter) @ adjust.wstar[0]
-    w2 = pp_basis(pts, adjust.knots, float(adjust.theta[1]), adjust.jitter) @ adjust.wstar[1]
-    return coregionalize(adjust.q, w1, w2)
+    w1 = pp_basis(pts, knots, float(theta[0]), jitter) @ wstar[0]
+    w2 = pp_basis(pts, knots, float(theta[1]), jitter) @ wstar[1]
+    return coregionalize(q, w1, w2)
 
 
 def mean_paths_per_draw(chain, design, idx, pp=None) -> np.ndarray:

@@ -401,10 +401,14 @@ class TestProbes:
         assert code == 2, err
         errors = [ln for ln in err.splitlines() if ln.startswith("data error:")]
         assert len(errors) == 1 and "Traceback" not in err, err
-        assert errors[0].startswith(f"data error: {where}")
-        assert errors[0].endswith("NUL character in --series")
+        path = tmp_path / "c.json"
+        named = f"pipeline config {path}: {where}" if command == "pipeline" else f"{where} {path}"
+        assert errors[0] == f"data error: {named}: NUL character in --series"
 
-    @pytest.mark.parametrize("probe", ["tess-sites-true", "som-node-word", "spec-n_x-text"])
+    @pytest.mark.parametrize("probe", ["tess-sites-true", "som-node-word", "spec-n_x-text",
+                                       "pipeline-seed-text", "pipeline-out-list",
+                                       "pipeline-stage-args", "pipeline-seed-negative",
+                                       "pipeline-path-nul"])
     def test_json_field_error_names_the_file_once(self, base, tmp_path, probe):
         root, docs = base
         name, make, _ = PROBES[probe]
@@ -433,24 +437,32 @@ def spatial_chain(base):
     return root / "model11.chain"
 
 
-@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("command", ["evaluate", "predict", "transitions"])
 @pytest.mark.parametrize("block, at, value, named", [
     (None, None, None, None),
     ("q", (5, 0, 1), 0.3, "lower triangular"),
     ("q", (5, 1, 1), -0.2, "positive diagonal"),
     ("theta", (5, 0), 0.0, "decay rates must be positive"),
-], ids=["valid", "q-upper", "q-diagonal", "theta-zero"])
+    ("sigma", 5, [[1.0, 0.0], [0.0, -1.0]], "draw 6: sigma must be positive definite"),
+    ("sigma", 5, [[1.0, 0.5], [-0.5, 1.0]], "draw 6: sigma must be symmetric"),
+    ("sigma", 5, [[0.0, 0.0], [0.0, 0.0]], "draw 6: sigma must be positive definite"),
+], ids=["valid", "q-upper", "q-diagonal", "theta-zero", "sigma-non-pd", "sigma-asymmetric",
+        "sigma-zero"])
 def test_invalid_spatial_draw_is_data_error(base, spatial_chain, tmp_path, command,
                                             block, at, value, named):
-    # every draw of a spatial intercept needs positive decay rates and a
-    # lower-triangular q with a positive diagonal, scored or not
+    # every draw needs an exactly symmetric positive-definite sigma, and a
+    # spatial intercept's positive decay rates and lower-triangular q with a
+    # positive diagonal, scored or not; the chain holds enough draws for
+    # evaluate to reach its scoring
     root, _ = base
     chain = load_chain(spatial_chain)
     if block is not None:
         getattr(chain, block)[at] = value
     save_chain(chain, tmp_path / "bad.chain")
+    # the chain keeps no tessellation, and transitions needs one
+    tess = ["--tessellation", root / "tessellation.json"] if command == "transitions" else []
     code, err = quiet_dispatch([command, "--chain", tmp_path / "bad.chain", "--series",
-                                root / "series.planar", "--out", tmp_path / "out"])
+                                root / "series.planar", *tess, "--out", tmp_path / "out"])
     if block is None:
         assert code == 0, err
     else:
@@ -541,18 +553,29 @@ def byte_mutation(draw, blob):
 @st.composite
 def value_mutation(draw, blob):
     """A framed file with one body value made non-finite, 8 bytes dropped,
-    or one row (a draw or a day) duplicated."""
+    or one row (a draw or a day) duplicated; in a chain, also one draw's
+    sigma made finite but invalid."""
     magic, line, payload = blob.split(b"\n", 2)
     meta = json.loads(line)
     n_rows = meta.get("n_draws", meta.get("n_days"))
     rows = np.frombuffer(payload, "<f8").reshape(n_rows, -1).copy()
     row = draw(st.integers(0, rows.shape[0] - 1))
-    op = draw(st.sampled_from(["nan", "inf", "-inf", "drop", "duplicate"]))
+    ops = ["nan", "inf", "-inf", "drop", "duplicate"] + ["sigma"] * ("n_draws" in meta)
+    op = draw(st.sampled_from(ops))
     if op == "drop":
         at = 8 * draw(st.integers(0, rows.size - 1))
         payload = payload[:at] + payload[at + 8:]
     elif op == "duplicate":
         payload = np.insert(rows, row, rows[row], axis=0).tobytes()
+    elif op == "sigma":
+        # sigma's four values follow phi's; move the upper off-diagonal entry
+        # off its mirror, or make a diagonal entry <= 0
+        at = 2 * (2 * len(meta["a_keys"]) + len(meta["eta_keys"]))
+        if draw(st.booleans()):
+            rows[row, at + 1] = rows[row, at + 2] + draw(st.sampled_from([-1.0, 1e-12, 1e3]))
+        else:
+            rows[row, at + draw(st.sampled_from([0, 3]))] = -draw(st.floats(0.0, 1e300))
+        payload = rows.tobytes()
     else:
         rows[row, draw(st.integers(0, rows.shape[1] - 1))] = float(op)
         payload = rows.tobytes()
@@ -584,6 +607,19 @@ def all_finite(obj) -> bool:
     return True
 
 
+def sigmas_factor(chain) -> bool:
+    """Every sigma draw of `chain` is exactly symmetric and has a Cholesky
+    factor."""
+    sigma = chain.sigma
+    if (sigma != sigma.transpose(0, 2, 1)).any():
+        return False
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 READERS = ["state.series", SERIES_META, "series.planar", "model2.chain",
            "som.json", "tessellation.json", "spec.json", "config.json", "pipeline.json"]
 
@@ -601,6 +637,7 @@ def test_reader_fails_closed(base, name, data):
         except DataError:
             return
         assert isinstance(loaded, kind) and all_finite(loaded)
+        assert not isinstance(loaded, Chain) or sigmas_factor(loaded)
     else:
         code, err = quiet_dispatch(commands(root, work, name))
         assert code in (0, 2), err

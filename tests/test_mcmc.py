@@ -20,6 +20,7 @@ from stvar.errors import (
     MalformedHeader,
     NonConvergenceWarning,
     NonPDScale,
+    NonPositiveDecay,
     NumericalError,
     ShortRead,
     UnlabeledDate,
@@ -34,6 +35,7 @@ from stvar.mcmc import (
     SeriesPrediction,
     _Sampler,
     chain_design,
+    check_draws,
     load_chain,
     mean_paths,
     predict_series,
@@ -47,7 +49,6 @@ from stvar.models import (
     KnotGrid,
     ModelSpec,
     PredictiveProcess,
-    SpatialAdjust,
     build_design,
     chol_spd,
     domain_diameter,
@@ -762,8 +763,12 @@ def random_chain(model, seed, n_draws=40, constant=()):
         blocks[name] = draws
     if p:
         blocks["phi"][:, 0] = blocks["phi"][0, 0]
+    # load_chain refuses an asymmetric or non-positive-definite sigma, and a
+    # non-positive decay rate or q diagonal
+    sigma = blocks["sigma"]
+    blocks["sigma"] = sigma @ sigma.transpose(0, 2, 1) + np.eye(2)
+    blocks["sigma"][:, 1, 0] = blocks["sigma"][:, 0, 1]
     if m is not None:
-        # load_chain refuses a non-positive decay rate or q diagonal
         blocks["theta"] = np.abs(blocks["theta"])
         blocks["q"][:, [0, 1], [0, 1]] = np.abs(blocks["q"][:, [0, 1], [0, 1]])
         blocks["q"][:, 0, 1] = 0.0
@@ -806,6 +811,68 @@ class TestDrawLayout:
         (tmp_path / "a.chain").write_bytes(b"\n".join([magic, json.dumps(meta).encode(), payload]))
         with pytest.raises(MalformedHeader, match="'knots' must be set just when"):
             load_chain(tmp_path / "a.chain")
+
+
+def valid_draws(n_draws=4, m=6, p=2):
+    """Blocks of n_draws valid draws of the spatial layout with p columns."""
+    return {"phi": np.zeros((n_draws, p, 2)),
+            "sigma": np.tile([[1.0, 0.3], [0.3, 0.8]], (n_draws, 1, 1)),
+            "theta": np.tile([0.5, 1.0], (n_draws, 1)),
+            "q": np.tile([[1.0, 0.0], [0.2, 0.8]], (n_draws, 1, 1)),
+            "wstar": np.zeros((n_draws, 2, m))}
+
+
+class TestCheckDraws:
+    def test_spatial_rules(self):
+        check_draws(valid_draws(), 2, 6)
+        for name, at, value, error, what in [
+            ("theta", (2, 1), -1.0, NonPositiveDecay, "decay rates must be positive"),
+            ("q", (2, 0, 1), 0.3, DataError, "q must be lower triangular"),
+            ("q", (2, 0, 0), -1.0, DataError, "q must have a positive diagonal"),
+        ]:
+            blocks = valid_draws()
+            blocks[name][at] = value
+            with pytest.raises(error, match=f"^draw 3: {what}$"):
+                check_draws(blocks, 2, 6)
+        with pytest.raises(DataError, match=r"wstar shape \(2, 5\)"):
+            check_draws({**valid_draws(), "wstar": np.zeros((4, 2, 5))}, 2, 6)
+
+    @pytest.mark.parametrize("sigma, what", [
+        ([[1.0, 0.5], [-0.5, 1.0]], "sigma must be symmetric"),
+        ([[1.0, 0.0], [0.0, -1.0]], "sigma must be positive definite"),
+        ([[0.0, 0.0], [0.0, 0.0]], "sigma must be positive definite"),
+        ([[-1.0, 0.0], [0.0, -1.0]], "sigma must be positive definite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "sigma must be positive definite"),
+        ([[1.0, 1.0 + 2**-52], [1.0, 1.0]], "sigma must be symmetric"),
+    ])
+    def test_sigma_rules(self, sigma, what):
+        # sigma is checked exactly, with or without a spatial intercept
+        for m in (None, 6):
+            blocks = valid_draws()
+            if m is None:
+                blocks = {name: blocks[name] for name in ("phi", "sigma")}
+            blocks["sigma"][1] = sigma
+            with pytest.raises(DataError, match=f"^draw 2: {what}$"):
+                check_draws(blocks, 2, m)
+
+    def test_first_bad_draw_named_by_its_first_rule(self):
+        # draw 3 breaks q and sigma, draw 4 holds a NaN: draw 3's first rule wins
+        blocks = valid_draws()
+        blocks["q"][2, 0, 1] = 0.1
+        blocks["sigma"][2] = [[1.0, 0.0], [0.0, -1.0]]
+        blocks["phi"][3, 0, 0] = np.nan
+        with pytest.raises(DataError, match="^draw 3: sigma must be positive definite$"):
+            check_draws(blocks, 2, 6)
+
+    def test_blocks_must_match_the_layout(self):
+        with pytest.raises(DataError, match="do not match the layout"):
+            check_draws(valid_draws(), 2, None)
+        blocks = valid_draws()
+        del blocks["q"]
+        with pytest.raises(DataError, match="do not match the layout"):
+            check_draws(blocks, 2, 6)
+        with pytest.raises(DataError, match=r"phi shape \(3, 2\)"):
+            check_draws(valid_draws(p=3), 2, 6)
 
 
 class DenseOracleSampler(_Sampler):
@@ -1058,12 +1125,13 @@ class BasisOracleSampler(_Sampler):
         self._refresh_eta()
 
 
-def draw_adjust(chain, i):
-    """Draw i's spatial intercept, or None without one."""
+def draw_eta(chain, points, i):
+    """Draw i's spatial intercept at `points` from the explicit basis, or
+    None without one."""
     if not chain.is_spatial:
         return None
-    return SpatialAdjust(knots=chain.knots, theta=chain.theta[i], q=chain.q[i],
-                         wstar=chain.wstar[i], jitter=chain.spec.jitter)
+    return coregional_eta(points, chain.knots, chain.theta[i], chain.q[i], chain.wstar[i],
+                          chain.spec.jitter)
 
 
 def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
@@ -1076,7 +1144,7 @@ def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
     for b, i in enumerate(idx):
         mean = design.offset + design.xphi(chain.phi[i])
         if chain.is_spatial:
-            mean = mean + coregional_eta(design.source_points, draw_adjust(chain, i))
+            mean = mean + draw_eta(chain, design.source_points, i)
         if include_noise:
             L = np.linalg.cholesky(chain.sigma[i])
             mean = mean + rng.standard_normal((design.n, 2)) @ L.T
@@ -1091,18 +1159,18 @@ def three_pass_dic(chain, series, tess, n_draws):
     design = chain_design(chain, series, tess)
     idx = chain.draw_indices(n_draws)
 
-    def deviance(phi, sigma, adjust):
+    def deviance(phi, sigma, eta):
         mean = design.offset + design.xphi(phi)
-        if adjust is not None:
-            mean = mean + coregional_eta(design.source_points, adjust)
+        if eta is not None:
+            mean = mean + eta
         return _gauss_deviance(design.Y - mean, sigma)
 
     devs = np.empty(idx.size)
     for b, i in enumerate(idx):
-        devs[b] = deviance(chain.phi[i], chain.sigma[i], draw_adjust(chain, i))
+        devs[b] = deviance(chain.phi[i], chain.sigma[i], draw_eta(chain, design.source_points, i))
     d_bar = float(devs.mean())
     pm = chain.posterior_mean()
-    d_hat = deviance(pm.phi[0], repair_pd(pm.sigma[0]), draw_adjust(pm, 0))
+    d_hat = deviance(pm.phi[0], repair_pd(pm.sigma[0]), draw_eta(pm, design.source_points, 0))
     return d_bar + (d_bar - d_hat), d_bar - d_hat, d_bar, d_hat
 
 
@@ -1229,7 +1297,7 @@ class TestPredictiveProcessOracle:
         idx = chain.draw_indices(100)
         means = mean_paths(chain, design, idx)
         for b, i in enumerate(idx):
-            eta = coregional_eta(design.source_points, draw_adjust(chain, i))
+            eta = draw_eta(chain, design.source_points, i)
             assert max_block_diff(pp.eta(chain.theta[i], chain.q[i], chain.wstar[i]), eta) <= 1e-12
             want = design.offset + design.xphi(chain.phi[i]) + eta
             assert max_block_diff(means[b], want) <= 1e-12
@@ -1245,9 +1313,8 @@ class TestPredictiveProcessOracle:
         for _ in range(25):
             for step in steps:
                 step()
-                adjust = SpatialAdjust(knots=sampler.knots, theta=sampler.theta,
-                                       q=sampler.q, wstar=sampler.wstar)
-                want = coregional_eta(design.source_points, adjust)
+                want = coregional_eta(design.source_points, sampler.knots, sampler.theta,
+                                      sampler.q, sampler.wstar)
                 np.testing.assert_allclose(sampler.eta, want, rtol=0,
                                            atol=1e-12 * np.abs(want).max())
         assert (sampler.theta != start).all()

@@ -22,7 +22,6 @@ from stvar.models import (
     KnotGrid,
     ModelSpec,
     PredictiveProcess,
-    SpatialAdjust,
     block_indices,
     build_design,
     chol_spd,
@@ -405,30 +404,14 @@ class TestSpatialAdjust:
         knots = rng.uniform(size=(m, 2)) * 4.0
         return knots
 
-    def test_validation(self):
-        rng = np.random.default_rng(61)
-        knots = self.make(rng)
-        ok = dict(knots=knots, theta=np.array([0.5, 1.0]),
-                  q=np.array([[1.0, 0.0], [0.2, 0.8]]), wstar=np.zeros((2, 6)))
-        SpatialAdjust(**ok)
-        with pytest.raises(NonPositiveDecay):
-            SpatialAdjust(**{**ok, "theta": np.array([0.5, -1.0])})
-        with pytest.raises(DataError):
-            SpatialAdjust(**{**ok, "q": np.array([[1.0, 0.3], [0.2, 0.8]])})
-        with pytest.raises(DataError):
-            SpatialAdjust(**{**ok, "q": np.array([[-1.0, 0.0], [0.2, 0.8]])})
-        with pytest.raises(DataError):
-            SpatialAdjust(**{**ok, "wstar": np.zeros((2, 5))})
-
     def test_coregional_combination(self):
         rng = np.random.default_rng(67)
         knots = self.make(rng, m=8)
         wstar = rng.normal(size=(2, 8))
         theta = np.array([0.5, 0.9])
         q = np.array([[1.5, 0.0], [-0.4, 0.7]])
-        adjust = SpatialAdjust(knots=knots, theta=theta, q=q, wstar=wstar)
         pts = rng.uniform(size=(5, 2)) * 4.0
-        got = coregional_eta(pts, adjust)
+        got = coregional_eta(pts, knots, theta, q, wstar)
         w1 = pp_basis(pts, knots, 0.5) @ wstar[0]
         w2 = pp_basis(pts, knots, 0.9) @ wstar[1]
         np.testing.assert_allclose(got[:, 0], 1.5 * w1, atol=1e-12)
@@ -440,9 +423,7 @@ class TestSpatialAdjust:
         rng = np.random.default_rng(71)
         knots = self.make(rng, m=5)
         wstar = rng.normal(size=(2, 5))
-        adjust = SpatialAdjust(knots=knots, theta=np.array([1.0, 1.0]),
-                               q=np.eye(2), wstar=wstar)
-        got = coregional_eta(knots, adjust)
+        got = coregional_eta(knots, knots, np.array([1.0, 1.0]), np.eye(2), wstar)
         np.testing.assert_allclose(got[:, 0], wstar[0], atol=1e-7)
         np.testing.assert_allclose(got[:, 1], wstar[1], atol=1e-7)
 

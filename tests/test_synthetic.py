@@ -5,12 +5,17 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from stvar.errors import DataError, EmptySeries, ExplosiveWarning, UnlabeledDate
+from stvar.errors import (
+    DataError,
+    EmptySeries,
+    ExplosiveWarning,
+    NonPositiveDecay,
+    UnlabeledDate,
+)
 from stvar.models import (
     MODEL_ALIASES,
     DesignInfo,
     ModelSpec,
-    SpatialAdjust,
     build_design,
     exp_corr,
 )
@@ -46,6 +51,9 @@ class TestTruthBundle:
     def test_sigma_must_be_symmetric(self):
         with pytest.raises(DataError, match="symmetric"):
             constant_truth(0.5 * np.eye(2), [[1.0, 0.3], [0.2, 1.0]])
+        # exactly: one unit in the last place is refused too
+        with pytest.raises(DataError, match="symmetric"):
+            constant_truth(0.5 * np.eye(2), [[1.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
 
     def test_stationary_rejects_unit_root(self):
         with pytest.raises(DataError, match="spectral radius"):
@@ -57,16 +65,30 @@ class TestTruthBundle:
 
     def test_adjust_only_for_spatial(self):
         knots = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        adj = SpatialAdjust(
-            knots=knots,
-            theta=np.array([1.0, 1.0]),
-            q=np.eye(2),
-            wstar=np.zeros((2, 3)),
-        )
+        adj = dict(knots=knots, theta=np.array([1.0, 1.0]), q=np.eye(2), wstar=np.zeros((2, 3)))
+        constant_truth(0.5 * np.eye(2), np.eye(2), eta_structure="spatial", **adj)
         with pytest.raises(DataError, match="spatial"):
-            constant_truth(0.5 * np.eye(2), np.eye(2), adjust=adj)
+            constant_truth(0.5 * np.eye(2), np.eye(2), **adj)
         with pytest.raises(DataError, match="spatial"):
             constant_truth(0.5 * np.eye(2), np.eye(2), eta_structure="spatial")
+        # the intercept's blocks come with its knots, or not at all
+        with pytest.raises(DataError, match="do not match the layout"):
+            constant_truth(0.5 * np.eye(2), np.eye(2), theta=adj["theta"])
+        with pytest.raises(DataError, match="do not match the layout"):
+            constant_truth(0.5 * np.eye(2), np.eye(2), eta_structure="spatial",
+                           **{**adj, "wstar": None})
+
+    def test_spatial_draw_rules(self):
+        # the truth is one draw, checked by the rules a chain's draws meet
+        adj = dict(knots=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                   theta=np.array([1.0, 1.0]), q=np.eye(2), wstar=np.zeros((2, 3)))
+        for name, value, error in [("theta", [1.0, 0.0], NonPositiveDecay),
+                                   ("q", [[1.0, 0.5], [0.0, 1.0]], DataError),
+                                   ("q", [[1.0, 0.0], [0.0, -1.0]], DataError),
+                                   ("wstar", np.zeros((2, 4)), DataError)]:
+            with pytest.raises(error):
+                constant_truth(0.5 * np.eye(2), np.eye(2), eta_structure="spatial",
+                               **{**adj, name: np.asarray(value)})
 
     def test_a_block_transposes_rows(self):
         A = np.array([[0.5, 0.2], [-0.1, 0.4]])
@@ -124,13 +146,12 @@ class TestSimulateVar:
     def test_spatial_intercept_exact_at_knot(self):
         tess = default_tessellation()
         truth = ladder_truth("model11", tess=tess)
-        adj = truth.adjust
-        s0 = adj.knots[5]
+        s0 = truth.knots[5]
         series = simulate_var(truth, n_days=2, s0=s0, seed=9)
 
         rng = np.random.default_rng(9)
         noise = rng.standard_normal((1, 2)) @ np.linalg.cholesky(truth.sigma).T
-        eta = adj.q @ adj.wstar[:, 5]
+        eta = truth.q @ truth.wstar[:, 5]
         want = truth.a_block(0) @ s0 + eta + noise[0]
         np.testing.assert_allclose(series.points[1], want, rtol=0, atol=1e-10)
 
@@ -234,12 +255,13 @@ class TestLadderTruth:
     def test_spatial_truth_pieces(self):
         tess = default_tessellation()
         truth = ladder_truth("model11", tess=tess)
-        adj = truth.adjust
-        assert adj is not None
-        assert adj.knots.shape == (64, 2)
-        assert adj.wstar.shape == (2, 64)
-        np.testing.assert_array_equal(adj.theta, [0.5, 0.8])
-        assert adj.q[0, 1] == 0.0
+        assert truth.knots.shape == (64, 2)
+        assert truth.wstar.shape == (2, 64)
+        np.testing.assert_array_equal(truth.theta, [0.5, 0.8])
+        assert truth.q[0, 1] == 0.0
+        for model in ("model1", "model3"):
+            truth = ladder_truth(model)
+            assert truth.knots is truth.theta is truth.q is truth.wstar is None
 
     def test_intercept_blocks_on_circle(self):
         truth = ladder_truth("model3")
