@@ -30,6 +30,7 @@ from .projection import PlanarSeries, Tessellation
 from .som import SomModel, lattice_shape
 
 MIN_COVERAGE_DRAWS = 100
+_COVERAGE_BLOCK = 256  # days per block of coverage's ellipse thresholds
 
 
 def rmspe(mean, actual) -> float:
@@ -103,13 +104,18 @@ def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse
     if np.any(det <= 0.0):
         raise DegenerateDraws("a day's draw cloud is rank deficient")
 
-    def mahal2(dx, dy):
-        return (syy * dx**2 - 2.0 * sxy * dx * dy + sxx * dy**2) / det
+    def mahal2(b, dx, dy):
+        return (syy[b] * dx**2 - 2.0 * sxy[b] * dx * dy + sxx[b] * dy**2) / det[b]
 
-    d2_draws = mahal2(dev[..., 0], dev[..., 1])
-    d2_actual = mahal2(actual[:, 0] - centers[:, 0], actual[:, 1] - centers[:, 1])
-    threshold = draw_quantiles(d2_draws, level)
-    return float((d2_actual <= threshold).mean())
+    # Each day's threshold depends on that day's column alone, so blocks of
+    # days give the same result with a fraction of the temporaries.
+    inside = np.empty(len(actual), dtype=bool)
+    for i in range(0, len(actual), _COVERAGE_BLOCK):
+        b = slice(i, i + _COVERAGE_BLOCK)
+        d2_draws = mahal2(b, dev[:, b, 0], dev[:, b, 1])
+        d2_actual = mahal2(b, actual[b, 0] - centers[b, 0], actual[b, 1] - centers[b, 1])
+        inside[b] = d2_actual <= draw_quantiles(d2_draws, level)
+    return float(inside.mean())
 
 
 # ---------------------------------------------------------------------------

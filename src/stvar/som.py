@@ -138,9 +138,6 @@ class SomConfig:
     def alpha_at(self, i: int, n1: int, n2: int) -> float:
         return _two_phase(self.alpha, i, n1, n2)
 
-    def sigma_at(self, i: int, n1: int, n2: int) -> float:
-        return _two_phase(self.sigma_pairs(), i, n1, n2)
-
 
 @dataclass(frozen=True)
 class SomModel:
@@ -225,6 +222,7 @@ def train_online(data, config: SomConfig) -> tuple[SomModel, OnlineTrace]:
     planar = lattice_coords(config.n_nodes)
     planar_d2 = cdist(planar, planar, "sqeuclidean")
     use_map = config.neighborhood_space == "map"
+    sigmas = config.sigma_pairs()
 
     total = n1 + n2
     picks = rng.integers(0, T, size=total) if total else np.empty(0, dtype=int)
@@ -233,7 +231,7 @@ def train_online(data, config: SomConfig) -> tuple[SomModel, OnlineTrace]:
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(total):
             alpha = config.alpha_at(i, n1, n2)
-            sigma = config.sigma_at(i, n1, n2)
+            sigma = _two_phase(sigmas, i, n1, n2)
             xi = x[picks[i]]
             diff = xi - nodes
             c = int(np.argmin((diff * diff).sum(axis=1)))
@@ -253,9 +251,34 @@ def train_online(data, config: SomConfig) -> tuple[SomModel, OnlineTrace]:
     return model, OnlineTrace(displacements=np.asarray(displacements), n_steps=total)
 
 
+def _node_sums(x: np.ndarray, winners: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sum of the rows of x won by each node, shape (n_nodes, d): bit for bit
+    ``np.add.at(zeros, winners, x)``, which adds each node's rows one at a
+    time, in day order, starting from +0.0."""
+    sums = np.zeros((n_nodes, x.shape[1]))
+    for m in np.unique(winners):
+        rows = x[winners == m]  # a C-contiguous copy, whatever the layout of x
+        if x.shape[1] > 1:
+            # Over axis 0 of a C-contiguous array numpy's inner loop runs along
+            # a row, so each column is summed in day order from the initial
+            # +0.0. A reduction along a contiguous axis (one column) would use
+            # numpy's pairwise sum and change bits.
+            np.add.reduce(rows, axis=0, initial=0.0, out=sums[m])
+        else:
+            # accumulate is sequential; adding +0.0 turns the -0.0 an all -0.0
+            # column keeps into the +0.0 a sum started at +0.0 gives
+            sums[m] = np.add.accumulate(rows)[-1] + 0.0
+    return sums
+
+
 def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     """Epoch trainer; anneals through its phase budget, then iterates at the
-    final alpha/sigma until max node displacement < convergence_tol."""
+    final alpha/sigma until max node displacement < convergence_tol.
+
+    Summation order is part of the result: each epoch's per-node sums
+    (``_node_sums``) add every node's won rows one at a time, in day order,
+    starting from +0.0, exactly as ``np.add.at`` does. A sum step that
+    changes that order changes the map's bytes."""
     x = _checked_matrix(data)
     n1, n2 = config.phase_steps if config.phase_steps is not None else (10, 40)
     rng = np.random.default_rng(config.rng_seed)
@@ -264,17 +287,17 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     planar_d2 = cdist(planar, planar, "sqeuclidean")
     use_map = config.neighborhood_space == "map"
     M = config.n_nodes
+    sigmas = config.sigma_pairs()
 
     displacements = []
     empty = []
     converged = False
     epoch = 0
     while epoch < config.max_epochs:
-        sigma = config.sigma_at(epoch, n1, n2)
+        sigma = _two_phase(sigmas, epoch, n1, n2)
         winners = np.argmin(cdist(x, nodes, "sqeuclidean"), axis=1)
         counts = np.bincount(winners, minlength=M).astype(float)
-        sums = np.zeros_like(nodes)
-        np.add.at(sums, winners, x)
+        sums = _node_sums(x, winners, M)
         if use_map:
             d2 = planar_d2
         else:

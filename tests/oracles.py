@@ -60,3 +60,33 @@ def unique_rows(rows: np.ndarray):
     integer key and sorts those instead."""
     uniq, inv = np.unique(rows, axis=0, return_inverse=True)
     return uniq, inv.reshape(rows.shape[0])  # numpy 2.0.0 gives the inverse shape (n, 1)
+
+
+def node_sums_add_at(x: np.ndarray, winners: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Sum of the rows of x won by each node, shape (n_nodes, d), by
+    np.add.at: each node's rows added one at a time, in day order, from +0.0.
+    The library sums each node's rows with one reduction."""
+    sums = np.zeros((n_nodes, x.shape[1]))
+    np.add.at(sums, winners, x)
+    return sums
+
+
+def ellipse_coverage(pred, level: float) -> float:
+    """Share of actual positions inside the draw cloud's `level` ellipse, from
+    full (draws, days) arrays and np.quantile. The library thresholds the days
+    in blocks."""
+    draws, actual = pred.draws, pred.actual
+    B = draws.shape[0]
+    centers = draws.mean(axis=0)
+    dev = draws - centers
+    sxx = np.einsum("bn,bn->n", dev[..., 0], dev[..., 0]) / (B - 1)
+    syy = np.einsum("bn,bn->n", dev[..., 1], dev[..., 1]) / (B - 1)
+    sxy = np.einsum("bn,bn->n", dev[..., 0], dev[..., 1]) / (B - 1)
+    det = sxx * syy - sxy**2
+
+    def mahal2(dx, dy):
+        return (syy * dx**2 - 2.0 * sxy * dx * dy + sxx * dy**2) / det
+
+    d2_draws = mahal2(dev[..., 0], dev[..., 1])
+    d2_actual = mahal2(actual[:, 0] - centers[:, 0], actual[:, 1] - centers[:, 1])
+    return float((d2_actual <= np.quantile(d2_draws, level, axis=0)).mean())

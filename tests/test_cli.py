@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 import stvar.evaluate
+import stvar.som
 from conftest import src_env
+from oracles import node_sums_add_at
 from stvar.cli import _g17, dispatch
-from stvar.data_model import GridSpec, RawSeries, StateSeries, load_series, save_series
+from stvar.data_model import GridSpec, RawSeries, StateSeries, as_matrix, load_series, save_series
 from stvar.mcmc import load_chain, predict_series
 from stvar.projection import PlanarSeries, load_planar, save_planar
 
@@ -203,6 +205,25 @@ class TestSomPath:
             "--kind", "raw", "--out", tmp_path,
         )
         assert code == 2
+
+    def test_train_som_bytes_are_the_add_at_trainers(self, workspace, tmp_path, monkeypatch):
+        # The maps `train-som` writes are those of the library trainers with
+        # np.add.at's per-node sums, so a change to the sum step cannot
+        # silently change a map.
+        series = workspace / "series.state"
+        for mode in ("batch", "online"):
+            assert run(
+                "train-som", "--series", series, "--nodes", 5, "--mode", mode,
+                "--seed", 2, "--out", tmp_path / mode,
+            ) == 0
+        monkeypatch.setattr(stvar.som, "_node_sums", node_sums_add_at)
+        x = as_matrix(load_series(series))
+        config = stvar.som.SomConfig(n_nodes=5, rng_seed=2)
+        for mode, train in (("batch", stvar.som.train_batch), ("online", stvar.som.train_online)):
+            model, _ = train(x, config)
+            stvar.som.save_som(model, tmp_path / f"{mode}.json")
+            want = (tmp_path / f"{mode}.json").read_bytes()
+            assert (tmp_path / mode / "som.json").read_bytes() == want
 
     def test_bad_phase_steps(self, workspace, tmp_path):
         code = run(

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import stvar.evaluate
+from oracles import ellipse_coverage
 from stvar.data_model import GridSpec, Standardization
 from stvar.errors import (
     DataError,
@@ -164,6 +165,21 @@ class TestCoverage:
         pred = gaussian_pred(n_days=800, n_draws=2000, seed=3)
         got = coverage(pred, level=0.50, method="ellipse")
         assert abs(got - 0.50) < 0.045
+
+    @pytest.mark.parametrize("n_days", [100, 256, 700])
+    def test_blocked_ellipse_equals_unblocked(self, n_days):
+        # days of different spread and center, so a threshold or moment
+        # taken from the wrong day changes which days fall inside
+        pred = gaussian_pred(n_days=n_days, n_draws=150, seed=10, rho=0.4)
+        scale = np.exp(np.linspace(-3.0, 3.0, n_days))[:, None]
+        shift = np.linspace(-5.0, 5.0, n_days)[:, None]
+        pred = SeriesPrediction(
+            draws=pred.draws * scale + shift,
+            actual=pred.actual * scale[::-1] + shift,
+            dates=None,
+        )
+        for level in (0.5, 0.95):
+            assert coverage(pred, level=level, method="ellipse") == ellipse_coverage(pred, level)
 
     def test_ellipse_uses_correlation(self):
         # Draws lie along the diagonal; (1.5, -1.5) sits across it, far in

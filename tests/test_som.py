@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stvar.errors import DataError, EmptyData, MalformedHeader, NonFiniteUpdate
 from stvar.som import (
@@ -12,6 +14,7 @@ from stvar.som import (
     SomModel,
     _init,
     _kernel_row,
+    _node_sums,
     assign,
     lattice_coords,
     lattice_shape,
@@ -25,7 +28,7 @@ from stvar.som import (
     train_online,
 )
 
-from oracles import find_winner
+from oracles import find_winner, node_sums_add_at
 
 
 class TestLattice:
@@ -279,6 +282,45 @@ class TestBatchTrainer:
         a, _ = train_batch(data, cfg)
         b, _ = train_batch(data, cfg)
         np.testing.assert_array_equal(a.nodes, b.nodes)
+
+
+class TestNodeSums:
+    """The batch epoch's per-node sums hold to np.add.at's bit for bit."""
+
+    @given(
+        d=st.integers(1, 300),
+        n_days=st.integers(1, 120),
+        n_won=st.integers(1, 10),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one column with many days per node: a reduction along it goes pairwise
+    @example(d=1, n_days=100, n_won=2, layout="C", seed=0)
+    @example(d=9, n_days=120, n_won=3, layout="F", seed=1)
+    @example(d=300, n_days=60, n_won=1, layout="strided", seed=2)
+    def test_equals_add_at(self, d, n_days, n_won, layout, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes over 16 decades, so a change of summation order shows in the bits
+        values = rng.standard_normal((n_days, d)) * 10.0 ** rng.integers(-8, 9, (n_days, d))
+        values[rng.random((n_days, d)) < 0.1] = -0.0
+        values[:, rng.random(d) < 0.2] = -0.0  # whole columns of -0.0
+        if layout == "strided":
+            wide = np.zeros((n_days, 2 * d))
+            wide[:, ::2] = values
+            x = wide[:, ::2]
+        else:
+            x = np.array(values, order=layout)
+        x.flags.writeable = False  # as the pipeline store hands series out
+        # nodes 0..n_won-1 share the days but one, which node n_won + 1
+        # wins alone; node n_won wins none
+        winners = rng.integers(0, n_won, n_days)
+        winners[rng.integers(n_days)] = n_won + 1
+        n_nodes = n_won + 2
+
+        got = _node_sums(x, winners, n_nodes)
+        want = node_sums_add_at(x, winners, n_nodes)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestQuantization:
