@@ -26,9 +26,13 @@ A candidate's score depends only on its node ordering, and the C grid
 candidates share far fewer distinct orderings U: they are the cells of the
 ordered Voronoi diagram of the planar nodes (Okabe, Boots, Sugihara & Chiu,
 *Spatial Tessellations*), so U grows with the node count M and not with the
-grid resolution. The projector finds the distinct orderings once. It then
-scores days in blocks against each distinct ordering, one rank position at a
-time, for O(U * M) comparisons per day instead of O(C * M). The top-scoring
+grid resolution. The projector finds the distinct orderings once and keeps
+them in lexicographic order of node index. A day with no exact tie in its
+distances agrees with an ordering on exactly their common prefix, and the
+orderings that share a prefix are one contiguous run of the sorted list, so
+M binary searches, one per rank, find the top-scoring run: O(M log U) work
+per day instead of O(C * M). A day with a tie is scored against every
+distinct ordering, one rank position at a time: O(U * M). The top-scoring
 orderings are expanded back to their candidates, which are averaged in
 candidate order, so the result is bit for bit that of scoring every
 candidate.
@@ -320,6 +324,12 @@ def padded_grid(points: np.ndarray, padding: float, n_x: int, n_y: int) -> np.nd
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The ranges start, start + 1, ..., start + size - 1, one after another."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.arange(sizes.sum()) + np.repeat(starts - offsets, sizes)
+
+
 # Days are scored against the distinct orderings this many at a time, which
 # keeps the (days, orderings) work arrays to a few hundred kilobytes.
 _DAY_BLOCK = 64
@@ -342,12 +352,28 @@ class GreedyProjector:
         # holds group ids and prefix lengths, which never exceed M
         self._small_int = np.min_scalar_type(M)
         # rows as opaque byte strings: np.unique sorts those far faster than
-        # it sorts with axis=0
-        rows = self.cand_order.astype(self._small_int)
+        # it sorts with axis=0. Big-endian entries make the byte order of a
+        # row the lexicographic order of its node indices, for any M.
+        rows = self.cand_order.astype(self._small_int.newbyteorder(">"))
         keys = rows.view(np.dtype((np.void, rows.itemsize * M))).ravel()
-        _, first, ordering_of = np.unique(keys, return_index=True, return_inverse=True)
-        # (M, U): the node at each rank, one column per distinct ordering
+        # neighbouring candidates mostly share an ordering, so only the first
+        # row of each run of equal rows is sorted; it precedes the rest of its
+        # run, so the first occurrences and the inverse are those of all rows
+        run_start = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        _, first, ordering_of = np.unique(keys[run_start], return_index=True,
+                                          return_inverse=True)
+        first = run_start[first]
+        ordering_of = np.repeat(ordering_of, np.diff(run_start, append=len(keys)))
+        # (M, U): the node at each rank, one column per distinct ordering, the
+        # columns in lexicographic order
         self._orderings = np.ascontiguousarray(self.cand_order[first].T)
+        # (M, U): row p is group_p * M + the node at rank p, where group_p
+        # numbers the distinct prefixes of length p; each row is sorted
+        self._prefix_keys = np.empty((M, self._orderings.shape[1]), dtype=np.int64)
+        group = np.zeros(self._orderings.shape[1], dtype=np.int64)
+        for p, nodes_at_p in enumerate(self._orderings):
+            key = np.add(group * M, nodes_at_p, out=self._prefix_keys[p])
+            group[1:] = np.cumsum(key[1:] != key[:-1])
         # candidates grouped by ordering, in candidate order within a group
         self._members = np.argsort(ordering_of, kind="stable")
         self._n_members = np.bincount(ordering_of)
@@ -375,7 +401,7 @@ class GreedyProjector:
 
     def _project_block(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
-        M, U = self._orderings.shape
+        M = self._orderings.shape[0]
         # one node at a time keeps the temporary at (block, d); each entry is
         # the same sum, in the same order, as ((nodes - x) ** 2).sum(axis=1)
         d2 = np.empty((n, M))
@@ -386,21 +412,17 @@ class GreedyProjector:
         # group ids advance on strict increase, so exact ties share a group
         group_at_pos = np.zeros((n, M), dtype=self._small_int)
         np.cumsum(sorted_d2[:, 1:] > sorted_d2[:, :-1], axis=1, out=group_at_pos[:, 1:])
-        group_of_node = np.empty_like(group_at_pos)
-        np.put_along_axis(group_of_node, order, group_at_pos, axis=1)
-
-        agree = np.ones((n, U), dtype=bool)
-        plen = np.zeros((n, U), dtype=self._small_int)
-        for pos in range(M):
-            agree &= group_of_node[:, self._orderings[pos]] == group_at_pos[:, pos, None]
-            plen += agree
-        day, best = np.nonzero(plen == plen.max(axis=1, keepdims=True))
+        tied = np.flatnonzero(group_at_pos[:, -1] < M - 1)
+        free = np.flatnonzero(group_at_pos[:, -1] == M - 1)
+        day_f, best_f = self._walk(free, order[free])
+        day_t, best_t = self._agreement_loop(tied, order[tied], group_at_pos[tied])
+        day = np.concatenate([day_f, day_t])
+        best = np.concatenate([best_f, best_t])
 
         # every candidate of every top-scoring ordering, sorted by day and then
         # by candidate index
         sizes = self._n_members[best]
-        ends = np.cumsum(sizes)
-        slots = np.arange(ends[-1]) + np.repeat(self._first_member[best] - ends + sizes, sizes)
+        slots = _runs(self._first_member[best], sizes)
         C = self.candidates.shape[0]
         keys = np.sort(np.repeat(day, sizes) * C + self._members[slots])
         day, cand = np.divmod(keys, C)
@@ -409,6 +431,44 @@ class GreedyProjector:
         # changes no bits because linspace never yields a -0.0 grid value.
         sums = [np.bincount(day, weights=self.candidates[cand, k], minlength=n) for k in (0, 1)]
         return np.column_stack(sums) / np.bincount(day, minlength=n)[:, None]
+
+    def _walk(self, days: np.ndarray, order: np.ndarray):
+        """(day, ordering) pairs of the top-scoring orderings of days with no
+        tie in their distances, `order` holding each day's nodes nearest
+        first. Such a day agrees with an ordering on exactly their common
+        prefix, and the orderings that share a prefix are one contiguous run
+        of the sorted orderings, so one binary search per rank narrows the
+        run until the next rank matches none: O(M log U) per day."""
+        M, U = self._prefix_keys.shape
+        lo = np.zeros(len(days), dtype=np.intp)
+        hi = np.full(len(days), U)
+        alive = np.ones(len(days), dtype=bool)
+        for pos, keys in enumerate(self._prefix_keys):
+            # the run's prefix group at this rank, then the day's node after it
+            target = keys[lo] // M * M + order[:, pos]
+            new_lo = np.searchsorted(keys, target, "left")
+            new_hi = np.searchsorted(keys, target, "right")
+            alive &= new_lo < new_hi
+            if not alive.any():
+                break
+            lo = np.where(alive, new_lo, lo)
+            hi = np.where(alive, new_hi, hi)
+        return np.repeat(days, hi - lo), _runs(lo, hi - lo)
+
+    def _agreement_loop(self, days: np.ndarray, order: np.ndarray, group_at_pos: np.ndarray):
+        """(day, ordering) pairs of the top-scoring orderings of any days,
+        ties included: every ordering is scored one rank at a time, O(M U)
+        per day."""
+        M, U = self._orderings.shape
+        group_of_node = np.empty_like(group_at_pos)
+        np.put_along_axis(group_of_node, order, group_at_pos, axis=1)
+        agree = np.ones((len(days), U), dtype=bool)
+        plen = np.zeros((len(days), U), dtype=self._small_int)
+        for pos in range(M):
+            agree &= group_of_node[:, self._orderings[pos]] == group_at_pos[:, pos, None]
+            plen += agree
+        day, best = np.nonzero(plen == plen.max(axis=1, keepdims=True))
+        return days[day], best
 
 
 def project_series(

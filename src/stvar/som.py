@@ -34,7 +34,7 @@ from scipy.spatial.distance import cdist
 
 from . import _doc
 from .data_model import as_matrix
-from .errors import DataError, EmptyData, MalformedHeader, NonFiniteUpdate
+from .errors import DataError, DimensionMismatch, EmptyData, MalformedHeader, NonFiniteUpdate
 
 KERNELS = ("gaussian", "bubble")
 SPACES = ("map", "data")
@@ -271,6 +271,50 @@ def _node_sums(x: np.ndarray, winners: np.ndarray, n_nodes: int) -> np.ndarray:
     return sums
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row (inf where it overflows)."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", x, x)
+
+
+def _winners(x: np.ndarray, nodes: np.ndarray, x_norms: np.ndarray) -> np.ndarray:
+    """Index of the nearest node for every row of x, with x_norms =
+    ``_row_norms(x)``: exactly ``np.argmin(cdist(x, nodes, "sqeuclidean"),
+    axis=1)``, ties to the smallest index.
+
+    One GEMM screens every pair, ``s = |x|^2 + |w|^2 - 2 x.w``. With
+    ``S = |x|^2 + |w|^2`` and eps = 2^-52, the rounding errors of s and of
+    cdist's sum of d squared differences (in whatever order either adds) are
+    each below ``(d + 2) * eps * S + 2d * 2^-1074`` to first order (the
+    second term covers underflow), so
+
+        e = 4 (d + 2) * (eps * S + 2^-1074)
+
+    bounds both together, with room for higher-order terms and for the
+    rounding of S and of ``s +- e`` themselves. A row is certified when every
+    other node's ``s - e`` lies strictly above the screened winner's
+    ``s + e``: cdist's value for the winner is then below every other node's,
+    so its argmin is the same node. The other rows (near-ties, exact ties,
+    overflow or NaN, where a comparison comes out False or a bound is not
+    finite) are recomputed with cdist, on those rows alone."""
+    c = 4.0 * (x.shape[1] + 2)
+    # (M, n): a reduction over the M nodes then runs along whole rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = _row_norms(nodes)[:, None] + x_norms
+        s = S - 2.0 * (nodes @ x.T)
+        e = c * (np.finfo(float).eps * S + np.finfo(float).smallest_subnormal)
+        win = np.argmin(s, axis=0)
+        days = np.arange(x.shape[0])
+        hi = s + e
+        lo = s - e
+        lo[win, days] = np.inf
+        certified = (lo.min(axis=0) > hi[win, days]) & np.isfinite(hi).all(axis=0)
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        win[redo] = np.argmin(cdist(x[redo], nodes, "sqeuclidean"), axis=1)
+    return win
+
+
 def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     """Epoch trainer; anneals through its phase budget, then iterates at the
     final alpha/sigma until max node displacement < convergence_tol.
@@ -278,7 +322,12 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     Summation order is part of the result: each epoch's per-node sums
     (``_node_sums``) add every node's won rows one at a time, in day order,
     starting from +0.0, exactly as ``np.add.at`` does. A sum step that
-    changes that order changes the map's bytes."""
+    changes that order changes the map's bytes.
+
+    So is the winner search: every epoch's winners are exactly those of
+    ``np.argmin(cdist(x, nodes, "sqeuclidean"), axis=1)``. ``_winners``
+    screens them with one GEMM and an error bound and recomputes with cdist
+    the rows the bound cannot certify."""
     x = _checked_matrix(data)
     n1, n2 = config.phase_steps if config.phase_steps is not None else (10, 40)
     rng = np.random.default_rng(config.rng_seed)
@@ -288,6 +337,7 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     use_map = config.neighborhood_space == "map"
     M = config.n_nodes
     sigmas = config.sigma_pairs()
+    x_norms = _row_norms(x)
 
     displacements = []
     empty = []
@@ -295,7 +345,7 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     epoch = 0
     while epoch < config.max_epochs:
         sigma = _two_phase(sigmas, epoch, n1, n2)
-        winners = np.argmin(cdist(x, nodes, "sqeuclidean"), axis=1)
+        winners = _winners(x, nodes, x_norms)
         counts = np.bincount(winners, minlength=M).astype(float)
         sums = _node_sums(x, winners, M)
         if use_map:
@@ -331,6 +381,11 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     return model, trace
 
 
+def _check_dim(x: np.ndarray, model: SomModel) -> None:
+    if x.shape[1] != model.dim:
+        raise DimensionMismatch(f"data dim {x.shape[1]} != model dim {model.dim}")
+
+
 @dataclass(frozen=True)
 class QuantizationReport:
     overall: float
@@ -341,8 +396,7 @@ class QuantizationReport:
 def quantization_error(data, model: SomModel) -> QuantizationReport:
     """Mean distance from each day to its winning node, overall and per node."""
     x = _checked_matrix(data)
-    if x.shape[1] != model.dim:
-        raise DataError(f"data dim {x.shape[1]} != model dim {model.dim}")
+    _check_dim(x, model)
     d2 = cdist(x, model.nodes, "sqeuclidean")
     winners = np.argmin(d2, axis=1)
     dists = np.sqrt(d2[np.arange(x.shape[0]), winners])
@@ -358,9 +412,14 @@ def quantization_error(data, model: SomModel) -> QuantizationReport:
 
 
 def assign(data, model: SomModel) -> np.ndarray:
-    """Winning node index for every row of data."""
+    """Winning node index for every row of data: exactly
+    ``np.argmin(cdist(x, model.nodes, "sqeuclidean"), axis=1)``. ``_winners``
+    screens with one GEMM and recomputes with cdist the rows whose winner its
+    error bound ``4 (d + 2) * (eps * (|x|^2 + |w|^2) + 2^-1074)`` cannot
+    certify."""
     x = _checked_matrix(data)
-    return np.argmin(cdist(x, model.nodes, "sqeuclidean"), axis=1)
+    _check_dim(x, model)
+    return _winners(x, model.nodes, _row_norms(x))
 
 
 def som_to_dict(model: SomModel) -> dict:

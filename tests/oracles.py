@@ -5,6 +5,7 @@ thing faster and is held to these in the tests.
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from stvar.models import JitterPolicy, coregionalize, pp_basis
 
@@ -60,6 +61,21 @@ def unique_rows(rows: np.ndarray):
     integer key and sorts those instead."""
     uniq, inv = np.unique(rows, axis=0, return_inverse=True)
     return uniq, inv.reshape(rows.shape[0])  # numpy 2.0.0 gives the inverse shape (n, 1)
+
+
+def cdist_winners(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Nearest node of every row of x by cdist's squared distances; ties take
+    the smallest index. The library screens with one matrix product and
+    recomputes with cdist only the rows its error bound cannot certify."""
+    return np.argmin(cdist(x, nodes, "sqeuclidean"), axis=1)
+
+
+def walk_by_agreement_loop(projector, days: np.ndarray, order: np.ndarray):
+    """Top-scoring (day, ordering) pairs of tie-free days, by scoring every
+    distinct ordering one rank at a time: the group of the node at rank p is
+    p. The library walks the sorted orderings with binary searches instead."""
+    ranks = np.broadcast_to(np.arange(order.shape[1]), order.shape)
+    return projector._agreement_loop(days, order, ranks.astype(projector._small_int))
 
 
 def node_sums_add_at(x: np.ndarray, winners: np.ndarray, n_nodes: int) -> np.ndarray:

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import stvar.evaluate
+import stvar.projection
 import stvar.som
 from conftest import src_env
-from oracles import node_sums_add_at
+from oracles import cdist_winners, node_sums_add_at, walk_by_agreement_loop
 from stvar.cli import _g17, dispatch
 from stvar.data_model import GridSpec, RawSeries, StateSeries, as_matrix, load_series, save_series
 from stvar.mcmc import load_chain, predict_series
@@ -224,6 +225,31 @@ class TestSomPath:
             stvar.som.save_som(model, tmp_path / f"{mode}.json")
             want = (tmp_path / f"{mode}.json").read_bytes()
             assert (tmp_path / mode / "som.json").read_bytes() == want
+
+    def test_train_som_bytes_are_the_cdist_winners(self, workspace, tmp_path, monkeypatch):
+        # Every epoch's winners are cdist's, so the screened winner search
+        # cannot silently change a map.
+        series = workspace / "series.state"
+        assert run("train-som", "--series", series, "--nodes", 5, "--mode", "batch",
+                   "--seed", 2, "--out", tmp_path / "screened") == 0
+        monkeypatch.setattr(stvar.som, "_winners", lambda x, nodes, _: cdist_winners(x, nodes))
+        assert run("train-som", "--series", series, "--nodes", 5, "--mode", "batch",
+                   "--seed", 2, "--out", tmp_path / "cdist") == 0
+        assert ((tmp_path / "screened" / "som.json").read_bytes()
+                == (tmp_path / "cdist" / "som.json").read_bytes())
+
+    def test_project_bytes_are_the_agreement_loop(self, workspace, tmp_path, monkeypatch):
+        # The planar file `project` writes is the one made when every day is
+        # scored by the agreement loop and assigned by cdist, so neither the
+        # prefix walk nor the screened winner search can silently move a day.
+        args = ("project", "--som", workspace / "som_sammon.json",
+                "--series", workspace / "series.state")
+        assert run(*args, "--out", tmp_path / "walk") == 0
+        monkeypatch.setattr(stvar.projection.GreedyProjector, "_walk", walk_by_agreement_loop)
+        monkeypatch.setattr(stvar.som, "_winners", lambda x, nodes, _: cdist_winners(x, nodes))
+        assert run(*args, "--out", tmp_path / "loop") == 0
+        assert ((tmp_path / "walk" / "days.planar").read_bytes()
+                == (tmp_path / "loop" / "days.planar").read_bytes())
 
     def test_bad_phase_steps(self, workspace, tmp_path):
         code = run(

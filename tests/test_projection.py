@@ -28,7 +28,8 @@ from stvar.projection import (
 )
 from stvar.som import SomConfig, SomModel, lattice_coords
 
-from oracles import find_winner
+import stvar.projection
+from oracles import find_winner, unique_rows, walk_by_agreement_loop
 
 
 def write_planar(path, points, nodes, dates=None, magic=b"STVAR-PLANAR v2"):
@@ -280,6 +281,40 @@ class TestGreedyProjection:
         assert projector.project_many(days).tobytes() == want.tobytes()
         one_by_one = np.array([projector.project(x) for x in days])
         assert one_by_one.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n_nodes", [2, 12, 20, 300])
+    @pytest.mark.parametrize("ties", ["none", "some", "all"])
+    def test_walk_matches_agreement_loop(self, n_nodes, ties, monkeypatch):
+        rng = np.random.default_rng(n_nodes)
+        # distinct nodes at even integer coordinates: the midpoint of two of
+        # them is exactly as far from both, so it is a day with a tie
+        flat = rng.choice(41**4, size=n_nodes, replace=False)
+        nodes = 2.0 * (np.stack(np.unravel_index(flat, (41,) * 4), axis=1) - 20)
+        projector = GreedyProjector(make_model(nodes, rng.normal(size=(n_nodes, 2))),
+                                    resolution=21)
+        n_days = 100
+        pairs = np.array([rng.choice(n_nodes, 2, replace=False) for _ in range(n_days)])
+        midpoints = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
+        days = 20.0 * rng.normal(size=(n_days, 4))
+        if ties == "some":
+            days[::3] = midpoints[::3]
+        elif ties == "all":
+            days = midpoints
+        d2 = np.array([((nodes - x) ** 2).sum(axis=1) for x in days])
+        tied = (np.diff(np.sort(d2, axis=1), axis=1) == 0).any(axis=1)
+        assert tied.sum() == {"none": 0, "some": 34, "all": n_days}[ties]
+
+        # the orderings are sorted lexicographically, uint16 ones included
+        assert np.array_equal(projector._orderings.T, unique_rows(projector.cand_order)[0])
+        order = np.argsort(d2, axis=1, kind="stable")
+        free = np.flatnonzero(~tied)
+        got = projector._walk(free, order[free])
+        want = walk_by_agreement_loop(projector, free, order[free])
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+        walked = projector.project_many(days)
+        monkeypatch.setattr(stvar.projection.GreedyProjector, "_walk", walk_by_agreement_loop)
+        assert walked.tobytes() == projector.project_many(days).tobytes()
 
     def test_two_node_oracle(self):
         # independent enumeration of the same candidate grid: with two nodes a

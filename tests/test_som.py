@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from stvar.errors import DataError, EmptyData, MalformedHeader, NonFiniteUpdate
+from stvar.errors import (
+    DataError,
+    DimensionMismatch,
+    EmptyData,
+    MalformedHeader,
+    NonFiniteUpdate,
+)
 from stvar.som import (
     BatchTrace,
     SomConfig,
@@ -15,6 +21,8 @@ from stvar.som import (
     _init,
     _kernel_row,
     _node_sums,
+    _row_norms,
+    _winners,
     assign,
     lattice_coords,
     lattice_shape,
@@ -28,7 +36,7 @@ from stvar.som import (
     train_online,
 )
 
-from oracles import find_winner, node_sums_add_at
+from oracles import cdist_winners, find_winner, node_sums_add_at
 
 
 class TestLattice:
@@ -321,6 +329,70 @@ class TestNodeSums:
         want = node_sums_add_at(x, winners, n_nodes)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestWinners:
+    """The certified screen picks cdist's winners exactly."""
+
+    @given(
+        d=st.integers(1, 40),
+        n_nodes=st.integers(1, 9),
+        n_days=st.integers(1, 40),
+        scale=st.sampled_from([1.0, 1e-3, 1e5, 1e150, 1e154, 1e-160, 1e-310]),
+        layout=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, n_nodes=5, n_days=40, scale=1.0, layout="C", seed=0)
+    # |x|^2 overflows: every row falls back to cdist
+    @example(d=3, n_nodes=4, n_days=20, scale=1e154, layout="F", seed=1)
+    # squares of subnormal magnitude underflow
+    @example(d=7, n_nodes=6, n_days=30, scale=1e-160, layout="C", seed=2)
+    def test_equals_cdist_argmin(self, d, n_nodes, n_days, scale, layout, seed):
+        rng = np.random.default_rng(seed)
+        nodes = rng.standard_normal((n_nodes, d)) * scale
+        nodes[rng.random(n_nodes) < 0.3] = nodes[0]  # duplicate nodes
+        days = rng.standard_normal((n_days, d)) * scale
+        kind = rng.integers(0, 3, n_days)
+        on_node = nodes[rng.integers(0, n_nodes, n_days)]
+        pairs = rng.integers(0, n_nodes, (n_days, 2))
+        # midway between two nodes: equidistant, up to rounding
+        between = 0.5 * nodes[pairs[:, 0]] + 0.5 * nodes[pairs[:, 1]]
+        days[kind == 1] = on_node[kind == 1]
+        days[kind == 2] = between[kind == 2]
+        x = np.array(days, order=layout)
+        x.flags.writeable = False  # as the pipeline store hands series out
+        want = cdist_winners(x, nodes)
+        assert np.array_equal(_winners(x, nodes, _row_norms(x)), want)
+        model = SomModel(nodes=nodes, planar=lattice_coords(n_nodes),
+                         config=SomConfig(n_nodes=n_nodes))
+        assert np.array_equal(assign(x, model), want)
+
+    def test_near_ties_far_from_the_origin(self):
+        # Days and nodes share an offset of 2^26 per coordinate, plus small
+        # integers, so cdist's squared distances are exact small integers
+        # with many exact ties and gaps of one, while the screen's rounding
+        # is several units. A bound 100 times too small certifies wrong
+        # winners here.
+        rng = np.random.default_rng(5)
+        offset = 2.0**26 * np.ones(4)
+        nodes = offset + rng.integers(-3, 4, (8, 4))
+        x = offset + rng.integers(-3, 4, (500, 4))
+        assert np.array_equal(_winners(x, nodes, _row_norms(x)), cdist_winners(x, nodes))
+
+    def test_exact_ties_and_non_finite_rows(self):
+        nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0], [np.nan, 0.0],
+                      [np.inf, 0.0], [-np.inf, np.inf], [1e200, -1e200]])
+        want = cdist_winners(x, nodes)
+        assert np.array_equal(_winners(x, nodes, _row_norms(x)), want)
+
+    def test_assign_dimension_mismatch(self):
+        model = SomModel(nodes=np.zeros((3, 4)), planar=lattice_coords(3),
+                         config=SomConfig(n_nodes=3))
+        with pytest.raises(DimensionMismatch, match="data dim 5 != model dim 4"):
+            assign(np.zeros((2, 5)), model)
+        with pytest.raises(DimensionMismatch, match="data dim 5 != model dim 4"):
+            quantization_error(np.zeros((2, 5)), model)
 
 
 class TestQuantization:
