@@ -22,9 +22,8 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from . import __version__, _doc
+from . import __version__, _doc, _lapack
 from .data_model import StateSeries, as_matrix, load_series, save_series, standardize
 from .errors import DataError, EmptySeries, NumericalError
 from .evaluate import (
@@ -305,7 +304,8 @@ def _prediction_key(chain_path, args) -> tuple:
 
 
 class _Store:
-    """The files one `dispatch` call reads, each loaded and checked once,
+    """What the stages of one `dispatch` call share: its parser, which parses
+    a pipeline's stages, the files it reads, each loaded and checked once,
     and the predictive draws `evaluate` hands to a later `predict` stage.
 
     Files are keyed by loader and resolved path and handed out with read-only
@@ -316,7 +316,8 @@ class _Store:
     kept across runs.
     """
 
-    def __init__(self):
+    def __init__(self, parser: _Parser):
+        self.parser = parser
         self._files: dict = {}
         self._expected = Counter()  # prediction key -> predict stages yet to run
         self._predictions: dict = {}
@@ -493,7 +494,7 @@ def cmd_train_som(args, store: _Store) -> dict:
 
 def cmd_sammon(args, store: _Store) -> dict:
     som = store.load(load_som, _need(args, "som"))
-    distances = squareform(pdist(som.nodes))
+    distances = _lapack.cdist(som.nodes, som.nodes)
     result = sammon_embed(distances)
     out = Path(args.out)
     som_path = out / "som_sammon.json"
@@ -713,7 +714,7 @@ def cmd_pipeline(args, store: _Store) -> dict | None:
     cfg = _doc.fields(_doc.read_json(args.config, kind), kind,
                       optional={"stages": list, "seed": int, "out": str}, closed=True)
     seed, out = cfg.get("seed", args.seed), cfg.get("out", args.out)
-    parser = build_parser()
+    parser = store.parser
     stages = []
     for i, stage in enumerate(cfg.get("stages", [])):
         stage = _doc.fields(stage, f"{kind}: stage {i}", {"run": str}, {"args": dict},
@@ -777,7 +778,7 @@ def dispatch(argv=None) -> int:
     if args.cmd is None:
         parser.print_usage(sys.stderr)
         return 1
-    return _run(parser, args, argv, _Store())
+    return _run(parser, args, argv, _Store(parser))
 
 
 def _run(parser, args, argv: list[str], store: _Store, stage: str | None = None) -> int:

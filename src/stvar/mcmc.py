@@ -30,6 +30,10 @@ inverse-Wishart Cholesky goes to scipy's own potrs, trtrs and potrf through
 stvar._lapack, without scipy.linalg's Python wrappers, and the two-term
 log-sum-exp of the truncated-normal draw writes out scipy.special.logsumexp's
 arithmetic. The chain bytes are those the scipy calls give; tests pin that.
+Every scipy routine here (LAPACK, BLAS trsm/trmm, the normal-cdf functions
+and cdist) is reached through stvar._lapack, which imports scipy at the
+first call: importing this module loads numpy alone, and later calls cost
+what they would with scipy imported up front.
 
 Without the spatial intercept the regression target is fixed, so Phi is drawn
 around the least-squares fit phi_hat and the residual scale is
@@ -44,9 +48,6 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial.distance import pdist
-from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 
 from . import _doc, _lapack
 from .errors import (
@@ -241,9 +242,6 @@ def _sandwich(L_j: np.ndarray, M: np.ndarray, L_k: np.ndarray) -> np.ndarray:
     return _lapack.cho_solve((L_j, True), inner, check_finite=False)
 
 
-_TRSM, _TRMM = scipy.linalg.get_blas_funcs(("trsm", "trmm"), dtype=np.float64)
-
-
 @functools.cache
 def _strict_lower(dim: int) -> tuple:
     """Row and column indices below the diagonal of a dim x dim matrix, row by row."""
@@ -262,8 +260,8 @@ def _invwishart(rng, df: int, scale: np.ndarray) -> np.ndarray:
     A = np.zeros((dim, dim))
     A[_strict_lower(dim)] = rng.normal(size=(dim * (dim - 1) // 2,))
     A[np.diag_indices(dim)] = rng.chisquare(df - dim + 1 + np.arange(dim), size=(dim,)) ** 0.5
-    CA = _TRSM(1.0, A, C, side=1, lower=True)
-    return _TRMM(1.0, CA, CA, side=1, lower=True, trans_a=True)
+    CA = _lapack.trsm(1.0, A, C, side=1, lower=True)
+    return _lapack.trmm(1.0, CA, CA, side=1, lower=True, trans_a=True)
 
 
 def _logaddexp(x: float, y: float) -> float:
@@ -288,11 +286,11 @@ def _truncnorm_positive(rng, mean: float, sd: float) -> float:
     a = (0.0 - mean) / sd
     q = rng.uniform()
     if a < 0:
-        mass = log1p(-ndtr(a))
-        x = ndtri_exp(_logaddexp(log_ndtr(a), np.log(q) + mass))
+        mass = _lapack.log1p(-_lapack.ndtr(a))
+        x = _lapack.ndtri_exp(_logaddexp(_lapack.log_ndtr(a), np.log(q) + mass))
     else:
-        mass = log_ndtr(-a) if a > 0 else log1p(-ndtr(a))
-        x = -ndtri_exp(np.log1p(-q) + mass)
+        mass = _lapack.log_ndtr(-a) if a > 0 else _lapack.log1p(-_lapack.ndtr(a))
+        x = -_lapack.ndtri_exp(np.log1p(-q) + mass)
     return x * sd + mean
 
 
@@ -332,13 +330,13 @@ class _Sampler:
             self.knots = np.asarray(knots, dtype=float)
             self.m = self.knots.shape[0]
             self.upper = float(theta_upper)
-            d_med = float(np.median(pdist(self.knots)))
+            self.jitter = design.info.spec.jitter
+            self.pp = PredictiveProcess(self.knots, design.source_points, self.jitter)
+            d_med = float(np.median(self.pp.d_knots[np.triu_indices(self.m, k=1)]))
             t0 = min(3.0 / d_med, self.upper)
             self.theta = np.array([t0, t0])
             self.q = np.eye(2)
             self.wstar = np.zeros((2, self.m))
-            self.jitter = design.info.spec.jitter
-            self.pp = PredictiveProcess(self.knots, design.source_points, self.jitter)
             # a proposal's K is written here, and an accepted one swaps in
             # for the field's, whose array becomes the spare
             self._spare = np.empty_like(self.pp.d_points)
@@ -365,7 +363,7 @@ class _Sampler:
     # Field k is held by the Cholesky L_k of C*(theta_k) and the knot-to-day
     # correlations K_k = exp(-theta_k D); its values at the days are
     # w_k = K_k' C*^{-1} w*_k, and the basis W_k = (C*^{-1} K_k)' is never formed.
-    # Between updates eta equals coregionalize(q, *w).
+    # eta is coregionalize(q, *w) whenever it is read.
 
     def _factor(self, theta: float) -> np.ndarray:
         L, used = self.pp.factor(theta)
@@ -384,10 +382,23 @@ class _Sampler:
         self._set_field(k, self._factor(theta), self.pp.cross(theta))
 
     def _refresh_eta(self):
-        """Field values w_k from w*_k, and eta from them."""
+        """Field values w_k from w*_k; eta follows from them when next read."""
         self.w = [self.pp.interpolate(self.L1, self.K1, self.wstar[0]),
                   self.pp.interpolate(self.L2, self.K2, self.wstar[1])]
-        self.eta = coregionalize(self.q, *self.w)
+        self._eta = None
+
+    @property
+    def eta(self) -> np.ndarray:
+        """The intercept at the days, formed on the first read after w moves.
+        In a sweep nothing reads it between update_wstar and update_q, which
+        sets it, so the sweep never forms it there."""
+        if self._eta is None:
+            self._eta = coregionalize(self.q, *self.w)
+        return self._eta
+
+    @eta.setter
+    def eta(self, value: np.ndarray):
+        self._eta = value
 
     def _gram(self):
         """W_j' W_k = C_j^{-1} (K_j K_k') C_k^{-1} and the inverses C_k^{-1}.

@@ -31,8 +31,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial.distance import cdist
 
 from . import _doc, _lapack
 from .errors import (
@@ -473,10 +471,12 @@ def _dense_gram(design: "DesignPair") -> np.ndarray:
     xtx = np.zeros((design.p, design.p))
     if info.n_a == 1:
         # one block: the dense X's BLAS call gives the same bytes and is the
-        # fast path, one product in place of three bincounts and block_diag
+        # fast path, one product in place of three bincounts and their placement
         xtx[:2, :2] = S.T @ S
     else:
-        xtx[:k, :k] = scipy.linalg.block_diag(*_block_grams(S, a_idx, info.n_a))
+        # block b's 2x2 Gram goes to rows and columns 2b and 2b + 1
+        at = 2 * np.arange(info.n_a)[:, None, None]
+        xtx[at + np.arange(2)[:, None], at + np.arange(2)] = _block_grams(S, a_idx, info.n_a)
     if info.n_eta:
         e = design.eta_idx
         xtx[np.arange(k, design.p), np.arange(k, design.p)] = np.bincount(e, minlength=info.n_eta)
@@ -528,7 +528,7 @@ class Gram:
                 np.linalg.cholesky(self.xtx)
             else:
                 self.xtx = _dense_gram(design)
-                self.factor = scipy.linalg.cho_factor(self.xtx)
+                self.factor = (_lapack.cholesky(self.xtx), False)
         except np.linalg.LinAlgError:
             raise SingularDesign("X'X is singular") from None
 
@@ -759,7 +759,7 @@ def exp_corr(a: np.ndarray, b: np.ndarray, theta: float) -> np.ndarray:
     _check_decay(theta)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    return np.exp(-theta * cdist(a, b))
+    return np.exp(-theta * _lapack.cdist(a, b))
 
 
 def chol_spd(mat: np.ndarray, jitter: JitterPolicy = JitterPolicy()) -> tuple[np.ndarray, float]:
@@ -789,7 +789,7 @@ def _check_knots(knots: np.ndarray) -> np.ndarray:
     if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 1:
         raise DataError(f"knots must be (m, 2), got {knots.shape}")
     if knots.shape[0] > 1:
-        d = cdist(knots, knots)
+        d = _lapack.cdist(knots, knots)
         d[np.diag_indices_from(d)] = np.inf
         if d.min() == 0.0:
             raise DataError("knots must be distinct")
@@ -836,8 +836,8 @@ class PredictiveProcess:
                  jitter: JitterPolicy = JitterPolicy()):
         self.knots = _check_knots(knots)
         self.jitter = jitter
-        self.d_knots = cdist(self.knots, self.knots)
-        self.d_points = cdist(self.knots, np.atleast_2d(np.asarray(points, dtype=float)))
+        self.d_knots = _lapack.cdist(self.knots, self.knots)
+        self.d_points = _lapack.cdist(self.knots, np.atleast_2d(np.asarray(points, dtype=float)))
         self._cross = None  # field's m x n buffer, made on its first call
 
     def factor(self, theta: float) -> tuple[np.ndarray, float]:

@@ -49,9 +49,8 @@ import datetime as _dt
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from . import _doc
+from . import _doc, _lapack
 from .data_model import StateSeries, _check_dates, as_matrix
 from .errors import DataError, DegenerateDistances, DimensionMismatch
 from .som import SomModel, assign
@@ -140,7 +139,7 @@ def classical_scaling(distances: np.ndarray) -> np.ndarray:
 
 
 def _stress_raw(d_off: np.ndarray, c_norm: float, Y: np.ndarray, iu) -> float:
-    delta = cdist(Y, Y)[iu]
+    delta = _lapack.cdist(Y, Y)[iu]
     return float(((d_off - delta) ** 2 / d_off).sum() / c_norm)
 
 
@@ -160,7 +159,7 @@ def sammon_embed(distances: np.ndarray, config: SammonConfig = SammonConfig()) -
     eps = 1e-12
 
     for _ in range(config.max_iter):
-        delta = cdist(Y, Y)
+        delta = _lapack.cdist(Y, Y)
         np.fill_diagonal(delta, 1.0)
         delta = np.maximum(delta, eps)
         # pairwise helpers, zeroed on the diagonal
@@ -245,7 +244,8 @@ class Tessellation:
         cells = np.empty(pts.shape[0], dtype=np.intp)
         for i in range(0, pts.shape[0], _ASSIGN_BLOCK):
             block = slice(i, i + _ASSIGN_BLOCK)
-            np.argmin(cdist(pts[block], self.sites, "sqeuclidean"), axis=1, out=cells[block])
+            np.argmin(_lapack.cdist(pts[block], self.sites, "sqeuclidean"), axis=1,
+                      out=cells[block])
         return cells
 
     def assign_one(self, point) -> int:
@@ -345,7 +345,7 @@ class GreedyProjector:
         self.nodes = model.nodes
         self.planar = model.planar
         self.candidates = padded_grid(self.planar, PADDING, resolution, resolution)
-        d2 = cdist(self.candidates, self.planar, "sqeuclidean")
+        d2 = _lapack.cdist(self.candidates, self.planar, "sqeuclidean")
         self.cand_order = np.argsort(d2, axis=1, kind="stable")
 
         M = self.planar.shape[0]

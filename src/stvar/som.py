@@ -30,9 +30,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from . import _doc
+from . import _doc, _lapack
 from .data_model import as_matrix
 from .errors import DataError, DimensionMismatch, EmptyData, MalformedHeader, NonFiniteUpdate
 
@@ -131,7 +130,7 @@ class SomConfig:
         coords = lattice_coords(self.n_nodes)
         diameter = 0.0
         if self.n_nodes > 1:
-            diameter = float(np.max(cdist(coords, coords)))
+            diameter = float(np.max(_lapack.cdist(coords, coords)))
         start = max(diameter / 2.0, 1.0)
         return ((start, 1.0), (1.0, 1.0))
 
@@ -220,7 +219,7 @@ def train_online(data, config: SomConfig) -> tuple[SomModel, OnlineTrace]:
     rng = np.random.default_rng(config.rng_seed)
     nodes = _init(rng, x, config.n_nodes)
     planar = lattice_coords(config.n_nodes)
-    planar_d2 = cdist(planar, planar, "sqeuclidean")
+    planar_d2 = _lapack.cdist(planar, planar, "sqeuclidean")
     use_map = config.neighborhood_space == "map"
     sigmas = config.sigma_pairs()
 
@@ -311,7 +310,7 @@ def _winners(x: np.ndarray, nodes: np.ndarray, x_norms: np.ndarray) -> np.ndarra
         certified = (lo.min(axis=0) > hi[win, days]) & np.isfinite(hi).all(axis=0)
     redo = np.flatnonzero(~certified)
     if redo.size:
-        win[redo] = np.argmin(cdist(x[redo], nodes, "sqeuclidean"), axis=1)
+        win[redo] = np.argmin(_lapack.cdist(x[redo], nodes, "sqeuclidean"), axis=1)
     return win
 
 
@@ -333,7 +332,7 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     rng = np.random.default_rng(config.rng_seed)
     nodes = _init(rng, x, config.n_nodes)
     planar = lattice_coords(config.n_nodes)
-    planar_d2 = cdist(planar, planar, "sqeuclidean")
+    planar_d2 = _lapack.cdist(planar, planar, "sqeuclidean")
     use_map = config.neighborhood_space == "map"
     M = config.n_nodes
     sigmas = config.sigma_pairs()
@@ -351,7 +350,7 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
         if use_map:
             d2 = planar_d2
         else:
-            d2 = cdist(nodes, nodes, "sqeuclidean")
+            d2 = _lapack.cdist(nodes, nodes, "sqeuclidean")
         k = _kernel_row(d2, sigma, config.kernel)
         numer = k @ sums
         denom = k @ counts
@@ -397,7 +396,7 @@ def quantization_error(data, model: SomModel) -> QuantizationReport:
     """Mean distance from each day to its winning node, overall and per node."""
     x = _checked_matrix(data)
     _check_dim(x, model)
-    d2 = cdist(x, model.nodes, "sqeuclidean")
+    d2 = _lapack.cdist(x, model.nodes, "sqeuclidean")
     winners = np.argmin(d2, axis=1)
     dists = np.sqrt(d2[np.arange(x.shape[0]), winners])
     M = model.n_nodes

@@ -1319,6 +1319,19 @@ class TestPredictiveProcessOracle:
                                            atol=1e-12 * np.abs(want).max())
         assert (sampler.theta != start).all()
 
+    def test_wstar_update_leaves_eta_to_update_q(self, monkeypatch):
+        series = ladder_series("model11", 150, seed=39)
+        sampler, _ = make_sampler(series, SPATIAL_SPEC, McmcConfig(n_iter=10, burn_in=1, seed=8))
+        sampler.sweep(adapting=True)
+        calls = []
+        real = stvar.mcmc.coregionalize
+        monkeypatch.setattr(stvar.mcmc, "coregionalize",
+                            lambda *args: calls.append(args) or real(*args))
+        sampler.update_wstar()
+        sampler.update_q()
+        assert len(calls) == 1  # update_q's; update_wstar forms no eta
+        assert sampler.eta.tobytes() == real(sampler.q, *sampler.w).tobytes()
+
     def test_tuning_is_deterministic(self):
         series = ladder_series("model11", 200, seed=38)
         cfg = McmcConfig(n_iter=120, burn_in=60, seed=4)

@@ -20,7 +20,7 @@ import pytest
 
 import stvar
 import stvar.cli
-from stvar.cli import _Store, dispatch
+from stvar.cli import _Store, build_parser, dispatch
 from stvar.projection import load_planar
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +163,15 @@ def test_predict_with_other_draws_or_seed_predicts_anew(inputs, tmp_path, monkey
     assert len(calls) == 2  # the pipeline's predict stage, and the one run alone
 
 
+def test_a_pipeline_builds_one_parser(inputs, tmp_path, monkeypatch):
+    built = []
+    real = stvar.cli.build_parser
+    monkeypatch.setattr(stvar.cli, "build_parser", lambda: built.append(1) or real())
+    out = tmp_path / "run"
+    run_pipeline(workloads.stages("ladder", "tiny", inputs / "ladder", out), SEED, out)
+    assert built == [1]
+
+
 def test_nothing_is_kept_across_dispatches(inputs, tmp_path, monkeypatch):
     planars = counting(monkeypatch, "load_planar")
     series = inputs / "ladder" / "series.planar"
@@ -173,7 +182,7 @@ def test_nothing_is_kept_across_dispatches(inputs, tmp_path, monkeypatch):
 
 
 def test_store_hands_out_read_only_arrays(inputs):
-    store, path = _Store(), inputs / "ladder" / "series.planar"
+    store, path = _Store(build_parser()), inputs / "ladder" / "series.planar"
     series = store.load(load_planar, path)
     assert store.load(load_planar, inputs / "ladder" / ".." / "ladder" / path.name) is series
     with pytest.raises(ValueError, match="read-only"):
@@ -183,7 +192,7 @@ def test_store_hands_out_read_only_arrays(inputs):
 
 def test_store_keeps_a_file_while_a_later_stage_names_it(inputs, monkeypatch):
     planars = counting(monkeypatch, "load_planar")
-    store, path = _Store(), inputs / "ladder" / "series.planar"
+    store, path = _Store(build_parser()), inputs / "ladder" / "series.planar"
     store.load(stvar.cli.load_planar, path)
     store.retain([inputs / "ladder" / "." / path.name])
     store.load(stvar.cli.load_planar, path)
