@@ -150,13 +150,9 @@ def build_parser() -> _Parser:
     p.add_argument("--series", default=None, help="planar trajectory file")
     p.add_argument("--som", default=None, help="tessellation from this map")
     p.add_argument("--tessellation", default=None, help="JSON file with cell sites")
-    p.add_argument("--iters", type=int, default=10000)
-    p.add_argument("--burn-in", type=int, default=2000)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument(
-        "--sigma-mode", choices=("full_conditional", "fixed_scale"),
-        default="full_conditional",
-    )
+    p.add_argument("--iters", type=int, default=McmcConfig.n_iter)
+    p.add_argument("--burn-in", type=int, default=McmcConfig.burn_in)
+    p.add_argument("--thin", type=int, default=McmcConfig.thin)
 
     p = sub.add_parser(
         "predict", parents=[common], help="one-step predictive summaries per day"
@@ -530,7 +526,6 @@ def cmd_fit(args, store: _Store) -> dict:
         burn_in=args.burn_in,
         thin=args.thin,
         seed=args.seed,
-        sigma_mode=args.sigma_mode,
     )
     chain = run_chain(series, spec, config, tess=tess)
     slug = _spec_slug(spec)

@@ -85,10 +85,6 @@ class NonPDScale(NumericalError):
     """An inverse-Wishart scale matrix is not positive definite."""
 
 
-class InsufficientDf(DataError):
-    """Too few observations for the requested degrees of freedom."""
-
-
 # evaluation
 
 class LengthMismatch(DataError):

@@ -2,12 +2,11 @@
 
 Conditionals:
   Phi   | Sigma, eta   matrix normal around the current least-squares fit
-  Sigma | Phi,  eta    inverse Wishart ("full_conditional": scale from the
-                       current residuals, df = n, the exact conditional under
-                       a Jeffreys prior; "fixed_scale": scale frozen at the
-                       least-squares residuals, df = n + 1 - p)
+  Sigma | Phi,  eta    inverse Wishart with scale from the current residuals
+                       and df = n, the exact conditional under a Jeffreys prior
   theta_k              random-walk Metropolis on the log scale, uniform prior
-                       on (0, upper], proposal step tuned during burn-in
+                       on (0, 300 / domain_diameter], proposal step tuned
+                       during burn-in
   w*_k                 joint Gaussian over both knot-value vectors
   q_ij                 scalar Gaussians, diagonal entries truncated positive
 
@@ -16,8 +15,10 @@ PROPOSAL_SCALE = 0.5 and, every ADAPT_INTERVAL = 50 burn-in proposals, moves
 towards the acceptance rate TARGET_ACCEPT = 0.30; the q_ij have N(0, 10^2)
 priors (Q_PRIOR_SD); and a chain whose worst split R-hat exceeds
 RHAT_THRESHOLD = 1.2, the cut of Brooks & Gelman (JCGS 7:434, 1998), warns
-that it has not converged. Chain files written before these were constants
-carry them in their `config` object and are refused with the key named.
+that it has not converged. McmcConfig holds only the sweep counts and the
+seed. Chain files written before the tuning, the Sigma mode and the theta
+bound were fixed carry them in their `config` object and are refused with
+the key named.
 
 The inverse-Wishart draw is the Bartlett decomposition (Odell & Feiveson,
 JASA 61:199, 1966) and the truncated-normal draw is one uniform through the
@@ -53,7 +54,6 @@ from . import _doc, _lapack
 from .errors import (
     DataError,
     EmptySeries,
-    InsufficientDf,
     LengthMismatch,
     MalformedHeader,
     NonConvergenceWarning,
@@ -78,7 +78,6 @@ from .models import (
 )
 from .projection import PlanarSeries, Tessellation
 
-SIGMA_MODES = ("full_conditional", "fixed_scale")
 PROPOSAL_SCALE = 0.5  # initial log-scale step of each theta proposal
 TARGET_ACCEPT = 0.30  # acceptance rate the burn-in steers each theta towards
 ADAPT_INTERVAL = 50  # theta proposals per burn-in tuning window
@@ -88,24 +87,18 @@ RHAT_THRESHOLD = 1.2  # split R-hat above which a chain warns it has not converg
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sweep counts, seeding and the Sigma and theta settings of one chain."""
+    """Sweep counts and seeding of one chain."""
 
     n_iter: int = 10000
     burn_in: int = 2000
     thin: int = 1
     seed: int = 0
-    sigma_mode: str = "full_conditional"
-    theta_upper: float | None = None
 
     def __post_init__(self):
         if self.n_iter <= self.burn_in or self.burn_in < 0:
             raise DataError("need n_iter > burn_in >= 0")
         if self.thin < 1:
             raise DataError("thin must be at least 1")
-        if self.sigma_mode not in SIGMA_MODES:
-            raise DataError(f"sigma_mode must be one of {SIGMA_MODES}")
-        if self.theta_upper is not None and self.theta_upper <= 0:
-            raise DataError("theta_upper must be positive")
 
     @property
     def n_kept(self) -> int:
@@ -298,7 +291,7 @@ class _Sampler:
     """Mutable sweep state. Public code goes through run_chain."""
 
     def __init__(self, design: DesignPair, config: McmcConfig, rng,
-                 knots: np.ndarray | None, theta_upper: float | None):
+                 knots: np.ndarray | None, upper: float | None):
         self.design = design
         self.config = config
         self.rng = rng
@@ -308,19 +301,9 @@ class _Sampler:
         self.spatial = knots is not None
 
         self.gram = design.gram if self.p else None
-        if config.sigma_mode == "fixed_scale":
-            self.df = self.n + 1 - self.p
-            if self.df < 2:
-                raise InsufficientDf(
-                    f"fixed_scale needs n + 1 - p >= 2, got {self.df}"
-                )
-        else:
-            self.df = self.n
         # The residual scale at any Phi is S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat).
         self.phi_hat, sig0 = mle_var(design)
         self.S_hat = sig0 * self.n
-        if config.sigma_mode == "fixed_scale" and not _pd2(self.S_hat):
-            raise NonPDScale("least-squares residual scale is singular")
 
         self.phi = self.phi_hat
         self.sigma = self._pd_init(sig0)
@@ -329,9 +312,8 @@ class _Sampler:
         if self.spatial:
             self.knots = np.asarray(knots, dtype=float)
             self.m = self.knots.shape[0]
-            self.upper = float(theta_upper)
-            self.jitter = design.info.spec.jitter
-            self.pp = PredictiveProcess(self.knots, design.source_points, self.jitter)
+            self.upper = float(upper)
+            self.pp = PredictiveProcess(self.knots, design.source_points)
             d_med = float(np.median(self.pp.d_knots[np.triu_indices(self.m, k=1)]))
             t0 = min(3.0 / d_med, self.upper)
             self.theta = np.array([t0, t0])
@@ -429,9 +411,7 @@ class _Sampler:
         self.phi = phi_hat + self.gram.times_inv_factor(z) @ L_sig.T
 
     def update_sigma(self):
-        if self.config.sigma_mode == "fixed_scale":
-            scale = self.S_hat
-        elif self.spatial:
+        if self.spatial:
             resid = self.Yc - self.eta
             if self.p:
                 resid = resid - self.design.xphi(self.phi)
@@ -443,7 +423,7 @@ class _Sampler:
                 scale = scale + 0.5 * (quad + quad.T)
         if not _pd2(scale):
             raise NonPDScale("residual scale matrix is singular")
-        sig = _invwishart(self.rng, self.df, scale)
+        sig = _invwishart(self.rng, self.n, scale)
         self.sigma = 0.5 * (sig + sig.T)
 
     def _omega(self) -> np.ndarray:
@@ -527,7 +507,7 @@ class _Sampler:
             _lapack.cho_solve((self.L1, True), self.K1 @ (R @ (omega @ u))),
             _lapack.cho_solve((self.L2, True), self.K2 @ (R @ (omega @ v))),
         ])
-        Lp, used = chol_spd(P, self.jitter)
+        Lp, used = chol_spd(P)
         self.max_jitter = max(self.max_jitter, used)
         mean = _lapack.cho_solve((Lp, True), b)
         z = self.rng.standard_normal(2 * m)
@@ -630,9 +610,7 @@ def run_chain(
     knots = upper = None
     if spatial:
         knots = spec.knot_grid.build(series.points)
-        upper = config.theta_upper
-        if upper is None:
-            upper = 300.0 / domain_diameter(series.points)
+        upper = 300.0 / domain_diameter(series.points)
 
     rng = np.random.default_rng(config.seed)
     sampler = _Sampler(design, config, rng, knots, upper)
@@ -721,7 +699,7 @@ def mean_paths(chain: Chain, design: DesignPair, idx) -> np.ndarray:
         b1 = b0 + _MEAN_BLOCK
         np.add(design.offset, design.xphi(phis[b0:b1]), out=out[b0:b1])
     if chain.is_spatial:
-        pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
+        pp = PredictiveProcess(chain.knots, design.source_points)
         for b, i in enumerate(idx):
             out[b] += pp.eta(chain.theta[i], chain.q[i], chain.wstar[i])
     return out

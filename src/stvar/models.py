@@ -12,6 +12,10 @@ the two columns of its transition block (so Phi stores each 2x2 block A
 transposed) and a 1 in its intercept block column, if any. The random-walk
 model has an empty X and carries s_t as a fixed offset instead.
 
+A spec is its two structures and its knot grid; seasons are always
+meteorological. A knot correlation matrix that does not factor is retried
+with the fixed diagonal jitters of JITTER_LADDER.
+
 Named ladder (aliases accepted everywhere a model spec is):
 
     model0  random walk                  model6  A(quarter) + eta(year)
@@ -137,32 +141,10 @@ class KnotGrid:
 
 
 @dataclass(frozen=True)
-class JitterPolicy:
-    """Diagonal jitter ladder for barely-non-PD correlation matrices."""
-
-    initial: float = 1e-10
-    factor: float = 10.0
-    max: float = 1e-6
-
-    def __post_init__(self):
-        if not (0.0 < self.initial <= self.max < np.inf and self.factor > 1.0):
-            raise DataError("jitter ladder must increase from a positive start")
-
-    def ladder(self) -> list[float]:
-        out = []
-        j = self.initial
-        while j <= self.max * (1.0 + 1e-12):
-            out.append(j)
-            j *= self.factor
-        return out
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     a_structure: str
     eta_structure: str = "none"
     knot_grid: KnotGrid = field(default_factory=KnotGrid)
-    jitter: JitterPolicy = field(default_factory=JitterPolicy)
 
     def __post_init__(self):
         if self.a_structure not in A_STRUCTURES:
@@ -209,28 +191,18 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     return {
         "a_structure": spec.a_structure,
         "eta_structure": spec.eta_structure,
-        "season_calendar": "meteorological",
         "knot_grid": asdict(spec.knot_grid),
-        "jitter_policy": asdict(spec.jitter),
     }
 
 
 def spec_from_dict(doc: dict) -> ModelSpec:
     kind = "model spec"
-    doc = _doc.fields(
-        doc, kind, {"a_structure": str},
-        {"eta_structure": str, "season_calendar": str, "knot_grid": dict,
-         "jitter_policy": dict},
-        closed=True,
-    )
-    cal = doc.get("season_calendar", "meteorological")
-    if cal != "meteorological":
-        raise DataError(f"unknown season calendar {cal!r}")
+    doc = _doc.fields(doc, kind, {"a_structure": str}, {"eta_structure": str, "knot_grid": dict},
+                      closed=True)
     return ModelSpec(
         a_structure=doc["a_structure"],
         eta_structure=doc.get("eta_structure", "none"),
         knot_grid=_doc.record(KnotGrid, doc.get("knot_grid", {}), f"{kind} knot_grid"),
-        jitter=_doc.record(JitterPolicy, doc.get("jitter_policy", {}), f"{kind} jitter_policy"),
     )
 
 
@@ -762,11 +734,15 @@ def exp_corr(a: np.ndarray, b: np.ndarray, theta: float) -> np.ndarray:
     return np.exp(-theta * _lapack.cdist(a, b))
 
 
-def chol_spd(mat: np.ndarray, jitter: JitterPolicy = JitterPolicy()) -> tuple[np.ndarray, float]:
-    """Cholesky factor with an escalating diagonal jitter fallback.
+# Diagonal jitters tried, in order, on a correlation matrix that does not factor.
+JITTER_LADDER = (1e-10, 1e-09, 1e-08, 1e-07, 1e-06)
+
+
+def chol_spd(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Cholesky factor with the JITTER_LADDER fallback.
 
     Returns (L, jitter_used); raises IllConditioned when even the largest
-    allowed jitter cannot make the matrix factorizable.
+    jitter cannot make the matrix factorizable.
     """
     mat = np.asarray(mat, dtype=float)
     try:
@@ -774,13 +750,13 @@ def chol_spd(mat: np.ndarray, jitter: JitterPolicy = JitterPolicy()) -> tuple[np
     except np.linalg.LinAlgError:
         pass
     eye = np.eye(mat.shape[0])
-    for j in jitter.ladder():
+    for j in JITTER_LADDER:
         try:
             return np.linalg.cholesky(mat + j * eye), j
         except np.linalg.LinAlgError:
             continue
     raise IllConditioned(
-        f"correlation matrix not factorizable even with jitter {jitter.max}"
+        f"correlation matrix not factorizable even with jitter {JITTER_LADDER[-1]}"
     )
 
 
@@ -796,12 +772,7 @@ def _check_knots(knots: np.ndarray) -> np.ndarray:
     return knots
 
 
-def pp_basis(
-    points: np.ndarray,
-    knots: np.ndarray,
-    theta: float,
-    jitter: JitterPolicy = JitterPolicy(),
-) -> np.ndarray:
+def pp_basis(points: np.ndarray, knots: np.ndarray, theta: float) -> np.ndarray:
     """Predictive-process interpolation weights, shape (n, m).
 
     Row s solves w(s) = c(s)' C*^{-1}, so a field value at s is w(s) @ wstar.
@@ -810,7 +781,7 @@ def pp_basis(
     knots = _check_knots(knots)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cstar = exp_corr(knots, knots, theta)
-    L, _ = chol_spd(cstar, jitter)
+    L, _ = chol_spd(cstar)
     cross = exp_corr(knots, pts, theta)
     return _lapack.cho_solve((L, True), cross).T
 
@@ -832,10 +803,8 @@ class PredictiveProcess:
     pp_basis is never formed.
     """
 
-    def __init__(self, knots: np.ndarray, points: np.ndarray,
-                 jitter: JitterPolicy = JitterPolicy()):
+    def __init__(self, knots: np.ndarray, points: np.ndarray):
         self.knots = _check_knots(knots)
-        self.jitter = jitter
         self.d_knots = _lapack.cdist(self.knots, self.knots)
         self.d_points = _lapack.cdist(self.knots, np.atleast_2d(np.asarray(points, dtype=float)))
         self._cross = None  # field's m x n buffer, made on its first call
@@ -843,7 +812,7 @@ class PredictiveProcess:
     def factor(self, theta: float) -> tuple[np.ndarray, float]:
         """Cholesky of C*(theta) and the jitter chol_spd needed for it."""
         _check_decay(theta)
-        return chol_spd(np.exp(-theta * self.d_knots), self.jitter)
+        return chol_spd(np.exp(-theta * self.d_knots))
 
     def cross(self, theta: float, out: np.ndarray | None = None) -> np.ndarray:
         """Knot-to-point correlations exp(-theta D), shape (m, n), written

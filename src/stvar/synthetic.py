@@ -86,6 +86,17 @@ class TruthBundle:
         )
 
 
+def _day_span(start_date: _dt.date | str, n_days: int) -> tuple:
+    """The n_days dates from day 0 on `start_date` (a date or an ISO string);
+    a DataError names the first day past the last representable date."""
+    d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)
+    room = (_dt.date.max - d0).days
+    if n_days - 1 > room:
+        raise DataError(f"{n_days} days from {d0} run past {_dt.date.max}: day {room + 1} "
+                        f"(day 0 is the start date) is out of range")
+    return tuple(d0 + _dt.timedelta(days=i) for i in range(n_days))
+
+
 def simulate_var(
     truth: TruthBundle,
     n_days: int,
@@ -100,10 +111,7 @@ def simulate_var(
     spec = truth.spec
     if spec.needs_cells and tess is None:
         raise DataError("cell-dependent truth needs a tessellation")
-    dates = None
-    if start_date is not None:
-        d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)
-        dates = tuple(d0 + _dt.timedelta(days=i) for i in range(n_days))
+    dates = None if start_date is None else _day_span(start_date, n_days)
     if spec.needs_dates and dates is None:
         raise UnlabeledDate(f"{spec.a_structure}/{spec.eta_structure} needs a start date")
 
@@ -123,7 +131,7 @@ def simulate_var(
     # step only needs the cross-correlation vector
     v = None
     if truth.knots is not None:
-        pp = PredictiveProcess(truth.knots, np.empty((0, 2)), spec.jitter)
+        pp = PredictiveProcess(truth.knots, np.empty((0, 2)))
         v = [_lapack.cho_solve((pp.factor(float(truth.theta[k]))[0], True), truth.wstar[k])
              for k in range(2)]
 
@@ -203,10 +211,9 @@ def ladder_truth(
     if {"year", "season_year"} & set(spec.label_parts):
         if start_date is None or n_days is None:
             raise DataError("year-blocked truth needs start_date and n_days")
-        d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)
-        d1 = d0 + _dt.timedelta(days=n_days - 1)
-        years = tuple(range(d0.year, d1.year + 1))
-        season_years = tuple(range(d0.year, d1.year + 2))
+        dates = _day_span(start_date, n_days)
+        years = tuple(range(dates[0].year, dates[-1].year + 1))
+        season_years = tuple(range(dates[0].year, dates[-1].year + 2))
     info = DesignInfo.from_declared(
         spec, cells=cells, seasons=SEASONS, years=years, season_years=season_years
     )

@@ -7,7 +7,7 @@ thing faster and is held to these in the tests.
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from stvar.models import JitterPolicy, coregionalize, pp_basis
+from stvar.models import coregionalize, pp_basis
 
 
 def find_winner(x: np.ndarray, nodes: np.ndarray) -> int:
@@ -18,14 +18,14 @@ def find_winner(x: np.ndarray, nodes: np.ndarray) -> int:
 
 
 def coregional_eta(points: np.ndarray, knots: np.ndarray, theta: np.ndarray, q: np.ndarray,
-                   wstar: np.ndarray, jitter: JitterPolicy = JitterPolicy()) -> np.ndarray:
+                   wstar: np.ndarray) -> np.ndarray:
     """Spatial intercept at each point, shape (n, 2), of the draw with blocks
     theta, q and wstar on `knots`, from the explicit pp_basis weights. The
     library evaluates it through PredictiveProcess, which never forms the
     n x m basis."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w1 = pp_basis(pts, knots, float(theta[0]), jitter) @ wstar[0]
-    w2 = pp_basis(pts, knots, float(theta[1]), jitter) @ wstar[1]
+    w1 = pp_basis(pts, knots, float(theta[0])) @ wstar[0]
+    w2 = pp_basis(pts, knots, float(theta[1])) @ wstar[1]
     return coregionalize(q, w1, w2)
 
 

@@ -321,6 +321,18 @@ PROBES = {
                              "chain metadata config: unknown keys ['adapt_interval', "
                              "'proposal_scale', 'q_prior_sd', 'rhat_threshold', "
                              "'target_accept']"),
+    # a chain written while McmcConfig still had its Sigma mode and theta bound
+    "chain-config-sigma-retired": ("model2.chain", lambda r, d: meta_edited(
+        r / "model2.chain", lambda m: m["config"].update(
+            sigma_mode="full_conditional", theta_upper=None)),
+                                   "chain metadata config: unknown keys ['sigma_mode', "
+                                   "'theta_upper']"),
+    # a chain written while the model spec still had its calendar and jitter ladder
+    "chain-spec-retired": ("model2.chain", lambda r, d: meta_edited(
+        r / "model2.chain", lambda m: m["spec"].update(
+            season_calendar="meteorological",
+            jitter_policy={"initial": 1e-10, "factor": 10.0, "max": 1e-6})),
+                           "model spec: unknown keys ['jitter_policy', 'season_calendar']"),
 }
 
 
@@ -416,6 +428,13 @@ class TestProbes:
         code, err = quiet_dispatch(commands(root, tmp_path, name))
         line = next(ln for ln in err.splitlines() if ln.startswith("data error:"))
         assert code == 2 and line.count(str(tmp_path / name)) == 1, err
+
+    def test_start_date_past_the_calendar_is_data_error(self, tmp_path):
+        code, err = quiet_dispatch(["simulate", "--days", 50, "--start-date", "9999-12-20",
+                                    "--out", tmp_path])
+        assert code == 2 and "Traceback" not in err, err
+        assert err.startswith("data error: 50 days from 9999-12-20 run past 9999-12-31: "
+                              "day 12 "), err
 
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base

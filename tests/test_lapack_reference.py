@@ -181,10 +181,9 @@ def use_scipy_wrappers(m):
     m.setattr(stvar.mcmc, "coregionalize", coregionalize)
 
 
-@pytest.mark.parametrize("sigma_mode", ["full_conditional", "fixed_scale"])
-def test_chain_and_scores_equal_the_scipy_wrappers(monkeypatch, tmp_path, sigma_mode):
+def test_chain_and_scores_equal_the_scipy_wrappers(monkeypatch, tmp_path):
     series = model11_series(300, seed=41)
-    config = McmcConfig(n_iter=220, burn_in=100, seed=5, sigma_mode=sigma_mode)
+    config = McmcConfig(n_iter=220, burn_in=100, seed=5)
     blob, score = fit_and_score(series, config, tmp_path, "direct.chain")
     with monkeypatch.context() as m:
         use_scipy_wrappers(m)

@@ -16,7 +16,6 @@ from stvar.errors import (
     DataError,
     DimensionMismatch,
     EmptySeries,
-    InsufficientDf,
     MalformedHeader,
     NonConvergenceWarning,
     NonPDScale,
@@ -92,12 +91,6 @@ class TestMcmcConfig:
             McmcConfig(burn_in=-1)
         with pytest.raises(DataError):
             McmcConfig(thin=0)
-
-    def test_rejects_bad_mode_and_tuning(self):
-        with pytest.raises(DataError):
-            McmcConfig(sigma_mode="bogus")
-        with pytest.raises(DataError):
-            McmcConfig(theta_upper=0.0)
 
     def test_kept_count(self):
         assert McmcConfig(n_iter=100, burn_in=20).n_kept == 80
@@ -197,28 +190,6 @@ class TestSigmaConditional:
             np.abs(chain.phi.mean(axis=0) - phi_hat), 0.15 * phi_sd
         )
 
-    def test_fixed_scale_moments(self):
-        truth = ladder_truth("model1")
-        series = simulate_var(truth, n_days=300, seed=4)
-        cfg = McmcConfig(n_iter=2500, burn_in=500, seed=1, sigma_mode="fixed_scale")
-        chain = run_chain(series, "model1", cfg)
-        design = build_design(series, "model1")
-        phi_hat, sigma_mle = mle_var(design)
-        n, p = design.n, design.p
-        e_sigma = sigma_mle * n / (n + 1 - p - 3)
-        sig_mean = chain.sigma.mean(axis=0)
-        assert np.linalg.norm(sig_mean - e_sigma) < 0.04 * np.linalg.norm(e_sigma)
-        phi_sd = chain.phi.std(axis=0)
-        np.testing.assert_array_less(
-            np.abs(chain.phi.mean(axis=0) - phi_hat), 0.2 * phi_sd
-        )
-
-    def test_insufficient_df_for_fixed_scale(self):
-        series = PlanarSeries(points=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
-        cfg = McmcConfig(n_iter=10, burn_in=1, sigma_mode="fixed_scale")
-        with pytest.raises(InsufficientDf):
-            run_chain(series, ModelSpec("constant", "constant"), cfg)
-
     def test_collinear_increments_raise(self):
         series = PlanarSeries(points=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(NonPDScale):
@@ -272,10 +243,16 @@ class TestThetaKernelInvariance:
     def test_support_respected(self):
         spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
         series = cloud_series(n=50, seed=7)
-        cfg = McmcConfig(n_iter=120, burn_in=40, seed=2, theta_upper=0.9)
-        chain = run_chain(series, spec, cfg)
-        assert chain.theta.min() > 0.0
-        assert chain.theta.max() <= 0.9
+        design = build_design(series, spec)
+        cfg = McmcConfig(n_iter=120, burn_in=40, seed=2)
+        sampler = _Sampler(design, cfg, np.random.default_rng(cfg.seed),
+                           spec.knot_grid.build(series.points), 0.9)
+        theta = np.empty((cfg.n_iter, 2))
+        for i in range(cfg.n_iter):
+            sampler.sweep(adapting=i < cfg.burn_in)
+            theta[i] = sampler.theta
+        assert theta.min() > 0.0
+        assert theta.max() <= 0.9
 
 
 class TestWstarConditional:
@@ -881,8 +858,8 @@ class DenseOracleSampler(_Sampler):
     scale comes from the n x 2 residuals. The other conditionals are the
     sampler's own."""
 
-    def __init__(self, design, config, rng, knots, theta_upper):
-        super().__init__(design, config, rng, knots, theta_upper)
+    def __init__(self, design, config, rng, knots, upper):
+        super().__init__(design, config, rng, knots, upper)
         X = self.X = design.X
         self.xtx_factor = scipy.linalg.cho_factor(X.T @ X)
         inv = scipy.linalg.cho_solve(self.xtx_factor, np.eye(self.p))
@@ -891,7 +868,6 @@ class DenseOracleSampler(_Sampler):
         resid = self.Yc - X @ phi0
         sig0 = resid.T @ resid / self.n
         sig0 = 0.5 * (sig0 + sig0.T)
-        self.fixed_scale = sig0 * self.n
         self.phi = phi0
         self.sigma = self._pd_init(sig0)
 
@@ -903,13 +879,10 @@ class DenseOracleSampler(_Sampler):
         self.phi = phi_hat + self.L_xx @ z @ L_sig.T
 
     def update_sigma(self):
-        if self.config.sigma_mode == "fixed_scale":
-            scale = self.fixed_scale
-        else:
-            resid = self.Yc - self.eta if self.spatial else self.Yc.copy()
-            resid = resid - self.X @ self.phi
-            scale = resid.T @ resid
-        sig = invwishart.rvs(df=self.df, scale=scale, random_state=self.rng)
+        resid = self.Yc - self.eta if self.spatial else self.Yc.copy()
+        resid = resid - self.X @ self.phi
+        scale = resid.T @ resid
+        sig = invwishart.rvs(df=self.n, scale=scale, random_state=self.rng)
         self.sigma = 0.5 * (sig + sig.T)
 
     def _resid_no_eta(self):
@@ -937,15 +910,12 @@ def ladder_series(model, n_days, seed):
 class TestDenseOracle:
     """The sufficient-statistic sampler against the dense-X conditionals."""
 
-    @pytest.mark.parametrize("model,sigma_mode", [
-        ("model1", "full_conditional"),
-        ("model3", "full_conditional"),
-        ("model9", "full_conditional"),
-        ("model9", "fixed_scale"),
-    ])
-    def test_same_seed_chain_matches_to_rounding(self, monkeypatch, model, sigma_mode):
+    # Sigma is drawn from its full conditional in every case
+    @pytest.mark.parametrize("model", ["model1", "model3", "model9"],
+                             ids=lambda model: f"{model}-full_conditional")
+    def test_same_seed_chain_matches_to_rounding(self, monkeypatch, model):
         series = ladder_series(model, 1200, seed=31)
-        cfg = McmcConfig(n_iter=150, burn_in=50, seed=4, sigma_mode=sigma_mode)
+        cfg = McmcConfig(n_iter=150, burn_in=50, seed=4)
         chain = run_chain(series, model, cfg, tess=TESS4)
         oracle = dense_oracle_chain(monkeypatch, series, model, cfg, tess=TESS4)
         assert chain.phi.shape == oracle.phi.shape
@@ -975,9 +945,9 @@ class TestDenseOracle:
         assert np.isfinite(dic(chain, series, tess=TESS4).dic)
 
 
-def basis_factor(knots, points, theta, jitter):
+def basis_factor(knots, points, theta):
     """Cholesky of C*(theta) and the explicit n x m interpolation basis."""
-    L, _ = chol_spd(exp_corr(knots, knots, theta), jitter)
+    L, _ = chol_spd(exp_corr(knots, knots, theta))
     return L, scipy.linalg.cho_solve((L, True), exp_corr(knots, points, theta)).T
 
 
@@ -988,8 +958,7 @@ class BasisOracleSampler(_Sampler):
     The Phi and Sigma conditionals are the sampler's own."""
 
     def _refresh_field(self, k):
-        L, W = basis_factor(self.knots, self.design.source_points,
-                            float(self.theta[k]), self.jitter)
+        L, W = basis_factor(self.knots, self.design.source_points, float(self.theta[k]))
         if k == 0:
             self.L1, self.W1 = L, W
         else:
@@ -1041,9 +1010,7 @@ class BasisOracleSampler(_Sampler):
             L_cur = self.L1 if k == 0 else self.L2
             W_cur = self.W1 if k == 0 else self.W2
             try:
-                L_prop, W_prop = basis_factor(
-                    self.knots, self.design.source_points, prop, self.jitter
-                )
+                L_prop, W_prop = basis_factor(self.knots, self.design.source_points, prop)
             except NumericalError:
                 L_prop = None
             if L_prop is not None:
@@ -1086,7 +1053,7 @@ class BasisOracleSampler(_Sampler):
         P[m:, :m] = a12 * g12.T
         P[m:, m:] = a22 * g22 + c2inv
         b = np.concatenate([self.W1.T @ (R @ (omega @ u)), self.W2.T @ (R @ (omega @ v))])
-        Lp, _ = chol_spd(P, self.jitter)
+        Lp, _ = chol_spd(P)
         mean = scipy.linalg.cho_solve((Lp, True), b)
         z = self.rng.standard_normal(2 * m)
         draw = mean + scipy.linalg.solve_triangular(Lp.T, z, lower=False)
@@ -1130,8 +1097,7 @@ def draw_eta(chain, points, i):
     None without one."""
     if not chain.is_spatial:
         return None
-    return coregional_eta(points, chain.knots, chain.theta[i], chain.q[i], chain.wstar[i],
-                          chain.spec.jitter)
+    return coregional_eta(points, chain.knots, chain.theta[i], chain.q[i], chain.wstar[i])
 
 
 def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
@@ -1204,7 +1170,7 @@ class TestMeanPaths:
         design = chain_design(chain, series, TESS4)
         pp = None
         if chain.is_spatial:
-            pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
+            pp = PredictiveProcess(chain.knots, design.source_points)
         assert chain.n_draws % stvar.mcmc._MEAN_BLOCK != 0
         for n_draws in (1, 7, None):
             idx = chain.draw_indices(n_draws)
@@ -1293,7 +1259,7 @@ class TestPredictiveProcessOracle:
         assert np.isfinite(pred.draws).all()
 
         design = chain_design(chain, series)
-        pp = PredictiveProcess(chain.knots, design.source_points, chain.spec.jitter)
+        pp = PredictiveProcess(chain.knots, design.source_points)
         idx = chain.draw_indices(100)
         means = mean_paths(chain, design, idx)
         for b, i in enumerate(idx):

@@ -16,9 +16,9 @@ from stvar.errors import (
     UnlabeledDate,
 )
 from stvar.models import (
+    JITTER_LADDER,
     MODEL_ALIASES,
     Calendar,
-    JitterPolicy,
     KnotGrid,
     ModelSpec,
     PredictiveProcess,
@@ -87,7 +87,6 @@ class TestModelSpec:
             a_structure="tessellation",
             eta_structure="quarter",
             knot_grid=KnotGrid(n_x=4, n_y=5, padding=0.2),
-            jitter=JitterPolicy(initial=1e-9, factor=10.0, max=1e-5),
         )
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
@@ -359,10 +358,10 @@ class TestKrigingPieces:
         L, used = chol_spd(pd)
         np.testing.assert_allclose(L @ L.T, pd)
         assert used == 0.0
-        # singular matrix becomes factorizable at the first rung
-        ones = np.ones((3, 3))
-        L, used = chol_spd(ones)
-        assert used == pytest.approx(1e-10)
+        # ones - (r/2) I has eigenvalues -r/2 twice, so rung r is the first to factor it
+        for rung in JITTER_LADDER:
+            L, used = chol_spd(np.ones((3, 3)) - 0.5 * rung * np.eye(3))
+            assert used == rung
         with pytest.raises(IllConditioned):
             chol_spd(-np.eye(2))
 

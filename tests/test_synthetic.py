@@ -236,6 +236,12 @@ class TestLadderTruth:
         with pytest.raises(DataError, match="start_date"):
             ladder_truth("model6")
 
+    def test_span_past_the_last_date_raises(self):
+        # days 0-11 end on 9999-12-31, the last date; day 12 would fall after it
+        assert ladder_truth("model6", start_date="9999-12-20", n_days=12).info.n_eta == 1
+        with pytest.raises(DataError, match=r"day 12 \(day 0 is the start date\)"):
+            ladder_truth("model6", start_date=dt.date(9999, 12, 20), n_days=13)
+
     def test_layout_matches_observed_fit(self):
         # a long stationary run visits every cell, so the observation-driven
         # layout agrees with the declared one
