@@ -36,10 +36,13 @@ and cdist) is reached through stvar._lapack, which imports scipy at the
 first call: importing this module loads numpy alone, and later calls cost
 what they would with scipy imported up front.
 
-Without the spatial intercept the regression target is fixed, so Phi is drawn
-around the least-squares fit phi_hat and the residual scale is
-S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat), both computed once: a sweep
-costs O(p) whatever the number of days.
+_Sampler draws Phi and Sigma. _Field holds the spatial conditionals of
+model11's predictive process (Banerjee et al., JRSS-B 70:825, 2008) and
+their caches; a sampler without knots builds none. Without it the
+regression target is fixed, so Phi is drawn around the least-squares fit
+phi_hat and the residual scale is S_hat + (Phi - phi_hat)' X'X (Phi -
+phi_hat), both computed once: a sweep costs O(p) whatever the number of
+days.
 """
 
 from __future__ import annotations
@@ -287,65 +290,41 @@ def _truncnorm_positive(rng, mean: float, sd: float) -> float:
     return x * sd + mean
 
 
-class _Sampler:
-    """Mutable sweep state. Public code goes through run_chain."""
+class _Field:
+    """The spatial intercept eta = Q (w1, w2)' at the design's days: the
+    decay rates theta, the coregionalization q and the knot values w*, their
+    Metropolis and Gibbs updates, and the caches those updates share.
 
-    def __init__(self, design: DesignPair, config: McmcConfig, rng,
-                 knots: np.ndarray | None, upper: float | None):
-        self.design = design
-        self.config = config
+    Field k is held by the Cholesky L[k] of C*(theta_k) and the knot-to-day
+    correlations K[k] = exp(-theta_k D); its values at the days are
+    w[k] = K[k]' C*^{-1} w*_k, and the basis W_k = (C*^{-1} K[k])' is never
+    formed. Every update reads R = Yc - X Phi and Omega = Sigma^{-1} from the
+    sweep, which holds both fixed from the Sigma update to the next Phi one.
+    """
+
+    def __init__(self, knots: np.ndarray, points: np.ndarray, upper: float, rng):
         self.rng = rng
-        self.n = design.n
-        self.p = design.p
-        self.Yc = design.Y - design.offset
-        self.spatial = knots is not None
-
-        self.gram = design.gram if self.p else None
-        # The residual scale at any Phi is S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat).
-        self.phi_hat, sig0 = mle_var(design)
-        self.S_hat = sig0 * self.n
-
-        self.phi = self.phi_hat
-        self.sigma = self._pd_init(sig0)
-        self.eta = np.zeros_like(self.Yc)
-
-        if self.spatial:
-            self.knots = np.asarray(knots, dtype=float)
-            self.m = self.knots.shape[0]
-            self.upper = float(upper)
-            self.pp = PredictiveProcess(self.knots, design.source_points)
-            d_med = float(np.median(self.pp.d_knots[np.triu_indices(self.m, k=1)]))
-            t0 = min(3.0 / d_med, self.upper)
-            self.theta = np.array([t0, t0])
-            self.q = np.eye(2)
-            self.wstar = np.zeros((2, self.m))
-            # a proposal's K is written here, and an accepted one swaps in
-            # for the field's, whose array becomes the spare
-            self._spare = np.empty_like(self.pp.d_points)
-            self.max_jitter = 0.0
-            self._log_step = np.log([PROPOSAL_SCALE] * 2)
-            self._window_acc = np.zeros(2, dtype=int)
-            self._window_n = np.zeros(2, dtype=int)
-            self._kept_acc = np.zeros(2, dtype=int)
-            self._kept_n = np.zeros(2, dtype=int)
-            self._own_grams = [None, None]
-            self._refresh_field(0)
-            self._refresh_field(1)
-            self._refresh_eta()
-
-    @staticmethod
-    def _pd_init(sigma: np.ndarray) -> np.ndarray:
-        """Initialization-only ridge so the first Phi draw can factor Sigma."""
-        lo = float(np.linalg.eigvalsh(sigma).min())
-        if lo <= 0.0:
-            sigma = sigma + (abs(lo) + 1e-10) * np.eye(2)
-        return sigma
-
-    # -- spatial caches ------------------------------------------------
-    # Field k is held by the Cholesky L_k of C*(theta_k) and the knot-to-day
-    # correlations K_k = exp(-theta_k D); its values at the days are
-    # w_k = K_k' C*^{-1} w*_k, and the basis W_k = (C*^{-1} K_k)' is never formed.
-    # eta is coregionalize(q, *w) whenever it is read.
+        self.upper = float(upper)
+        self.pp = PredictiveProcess(knots, points)
+        self.m = self.pp.knots.shape[0]
+        d_med = float(np.median(self.pp.d_knots[np.triu_indices(self.m, k=1)]))
+        t0 = min(3.0 / d_med, self.upper)
+        self.theta = np.array([t0, t0])
+        self.q = np.eye(2)
+        self.wstar = np.zeros((2, self.m))
+        # a proposal's K is written here, and an accepted one swaps in
+        # for the field's, whose array becomes the spare
+        self._spare = np.empty_like(self.pp.d_points)
+        self.max_jitter = 0.0
+        self._log_step = np.log([PROPOSAL_SCALE] * 2)
+        self._window_acc = np.zeros(2, dtype=int)
+        self._window_n = np.zeros(2, dtype=int)
+        self._kept_acc = np.zeros(2, dtype=int)
+        self._kept_n = np.zeros(2, dtype=int)
+        self.L, self.K, self._own_grams = [None, None], [None, None], [None, None]
+        self._refresh_field(0)
+        self._refresh_field(1)
+        self._refresh_eta()
 
     def _factor(self, theta: float) -> np.ndarray:
         L, used = self.pp.factor(theta)
@@ -353,10 +332,7 @@ class _Sampler:
         return L
 
     def _set_field(self, k: int, L: np.ndarray, K: np.ndarray):
-        if k == 0:
-            self.L1, self.K1 = L, K
-        else:
-            self.L2, self.K2 = L, K
+        self.L[k], self.K[k] = L, K
         self._own_grams[k] = self._cross_gram = None
 
     def _refresh_field(self, k: int):
@@ -364,9 +340,8 @@ class _Sampler:
         self._set_field(k, self._factor(theta), self.pp.cross(theta))
 
     def _refresh_eta(self):
-        """Field values w_k from w*_k; eta follows from them when next read."""
-        self.w = [self.pp.interpolate(self.L1, self.K1, self.wstar[0]),
-                  self.pp.interpolate(self.L2, self.K2, self.wstar[1])]
+        """Field values w[k] from w*_k; eta follows from them when next read."""
+        self.w = [self.pp.interpolate(self.L[k], self.K[k], self.wstar[k]) for k in (0, 1)]
         self._eta = None
 
     @property
@@ -378,17 +353,13 @@ class _Sampler:
             self._eta = coregionalize(self.q, *self.w)
         return self._eta
 
-    @eta.setter
-    def eta(self, value: np.ndarray):
-        self._eta = value
-
     def _gram(self):
         """W_j' W_k = C_j^{-1} (K_j K_k') C_k^{-1} and the inverses C_k^{-1}.
 
         Each block is kept until a field it reads moves: W_k' W_k and
         C_k^{-1} per field k, W_1' W_2 until either field moves.
         """
-        L, K = (self.L1, self.L2), (self.K1, self.K2)
+        L, K = self.L, self.K
         for k in (0, 1):
             if self._own_grams[k] is None:
                 self._own_grams[k] = (_sandwich(L[k], K[k] @ K[k].T, L[k]),
@@ -398,46 +369,7 @@ class _Sampler:
         (g11, c1inv), (g22, c2inv) = self._own_grams
         return g11, g22, self._cross_gram, c1inv, c2inv
 
-    # -- conditional updates -------------------------------------------
-
-    def update_phi(self):
-        if not self.p:
-            return
-        phi_hat = self.phi_hat
-        if self.spatial:
-            phi_hat = self.gram.solve(self.design.xt(self.Yc - self.eta))
-        z = self.rng.standard_normal((self.p, 2))
-        L_sig = np.linalg.cholesky(self.sigma)
-        self.phi = phi_hat + self.gram.times_inv_factor(z) @ L_sig.T
-
-    def update_sigma(self):
-        if self.spatial:
-            resid = self.Yc - self.eta
-            if self.p:
-                resid = resid - self.design.xphi(self.phi)
-            scale = resid.T @ resid
-        else:
-            scale = self.S_hat
-            if self.p:
-                quad = self.gram.quad(self.phi - self.phi_hat)
-                scale = scale + 0.5 * (quad + quad.T)
-        if not _pd2(scale):
-            raise NonPDScale("residual scale matrix is singular")
-        sig = _invwishart(self.rng, self.n, scale)
-        self.sigma = 0.5 * (sig + sig.T)
-
-    def _omega(self) -> np.ndarray:
-        s = self.sigma
-        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-        return np.array([[s[1, 1], -s[0, 1]], [-s[0, 1], s[0, 0]]]) / det
-
-    def _resid_no_eta(self) -> np.ndarray:
-        R = self.Yc
-        if self.p:
-            R = R - self.design.xphi(self.phi)
-        return R
-
-    def _field_logpost(self, k, L, eta, R, omega):
+    def _logpost(self, k, L, eta, R, omega):
         """Joint log density terms that move with theta_k (constants dropped),
         for field k at factor L and the intercept eta it gives."""
         e = R - eta
@@ -446,41 +378,35 @@ class _Sampler:
         logprior = -0.5 * float(v @ v) - float(np.log(np.diag(L)).sum())
         return loglik + logprior
 
-    def update_theta(self, k: int, adapting: bool):
+    def update_theta(self, k: int, R: np.ndarray, omega: np.ndarray, adapting: bool):
         cur = float(self.theta[k])
         step = float(np.exp(self._log_step[k]))
         prop = cur * float(np.exp(step * self.rng.standard_normal()))
         self._window_n[k] += 1
         if not adapting:
             self._kept_n[k] += 1
-        accepted = False
         if 0.0 < prop <= self.upper:
-            R = self._resid_no_eta()
-            omega = self._omega()
-            L_cur = self.L1 if k == 0 else self.L2
             try:
                 L_prop = self._factor(prop)
-            except NumericalError:
-                L_prop = None
-            if L_prop is not None:
+            except NumericalError:  # C*(prop) cannot be factored: reject
+                pass
+            else:
                 K_prop = self.pp.cross(prop, out=self._spare)
                 w = list(self.w)
                 w[k] = self.pp.interpolate(L_prop, K_prop, self.wstar[k])
                 eta_prop = coregionalize(self.q, *w)
-                lp_prop = self._field_logpost(k, L_prop, eta_prop, R, omega)
-                lp_cur = self._field_logpost(k, L_cur, self.eta, R, omega)
+                lp_prop = self._logpost(k, L_prop, eta_prop, R, omega)
+                lp_cur = self._logpost(k, self.L[k], self.eta, R, omega)
                 # log-normal proposal: Hastings term log(prop/cur)
                 log_alpha = lp_prop - lp_cur + np.log(prop) - np.log(cur)
                 if np.log(self.rng.uniform()) < log_alpha:
                     self.theta[k] = prop
-                    self._spare = self.K1 if k == 0 else self.K2
+                    self._spare = self.K[k]
                     self._set_field(k, L_prop, K_prop)
-                    self.w, self.eta = w, eta_prop
-                    accepted = True
-        if accepted:
-            self._window_acc[k] += 1
-            if not adapting:
-                self._kept_acc[k] += 1
+                    self.w, self._eta = w, eta_prop
+                    self._window_acc[k] += 1
+                    if not adapting:
+                        self._kept_acc[k] += 1
         if adapting and self._window_n[k] >= ADAPT_INTERVAL:
             rate = self._window_acc[k] / self._window_n[k]
             self._log_step[k] += 0.8 * (rate - TARGET_ACCEPT)
@@ -488,15 +414,13 @@ class _Sampler:
             self._window_acc[k] = 0
             self._window_n[k] = 0
 
-    def update_wstar(self):
-        omega = self._omega()
+    def update_wstar(self, R: np.ndarray, omega: np.ndarray):
         u = self.q[:, 0]
         v = self.q[:, 1]
         a11 = float(u @ omega @ u)
         a12 = float(u @ omega @ v)
         a22 = float(v @ omega @ v)
         g11, g22, g12, c1inv, c2inv = self._gram()
-        R = self._resid_no_eta()
         m = self.m
         P = np.empty((2 * m, 2 * m))
         P[:m, :m] = a11 * g11 + c1inv
@@ -504,8 +428,8 @@ class _Sampler:
         P[m:, :m] = a12 * g12.T
         P[m:, m:] = a22 * g22 + c2inv
         b = np.concatenate([
-            _lapack.cho_solve((self.L1, True), self.K1 @ (R @ (omega @ u))),
-            _lapack.cho_solve((self.L2, True), self.K2 @ (R @ (omega @ v))),
+            _lapack.cho_solve((self.L[0], True), self.K[0] @ (R @ (omega @ u))),
+            _lapack.cho_solve((self.L[1], True), self.K[1] @ (R @ (omega @ v))),
         ])
         Lp, used = chol_spd(P)
         self.max_jitter = max(self.max_jitter, used)
@@ -515,12 +439,10 @@ class _Sampler:
         self.wstar = draw.reshape(2, m)
         self._refresh_eta()
 
-    def update_q(self):
-        omega = self._omega()
+    def update_q(self, R: np.ndarray, omega: np.ndarray):
         o00, o01, o11 = omega[0, 0], omega[0, 1], omega[1, 1]
         tau2 = Q_PRIOR_SD**2
         w1, w2 = self.w
-        R = self._resid_no_eta()
         rx, ry = R[:, 0], R[:, 1]
         tiny = np.finfo(float).tiny
 
@@ -539,20 +461,9 @@ class _Sampler:
         lin = o11 * float(w2 @ (ry - self.q[1, 0] * w1)) + o01 * float(w2 @ e_x)
         mean, sd = lin / prec, 1.0 / np.sqrt(prec)
         self.q[1, 1] = max(float(_truncnorm_positive(self.rng, mean, sd)), tiny)
-        self.eta = coregionalize(self.q, w1, w2)
-
-    def sweep(self, adapting: bool):
-        self.update_phi()
-        self.update_sigma()
-        if self.spatial:
-            self.update_theta(0, adapting)
-            self.update_theta(1, adapting)
-            self.update_wstar()
-            self.update_q()
+        self._eta = coregionalize(self.q, w1, w2)
 
     def acceptance_rates(self) -> dict:
-        if not self.spatial:
-            return {}
         out = {}
         for k, name in enumerate(("theta1", "theta2")):
             n = self._kept_n[k]
@@ -561,13 +472,85 @@ class _Sampler:
 
     def tuning(self) -> dict:
         """Final Metropolis log-steps and the largest chol_spd jitter used."""
-        if not self.spatial:
-            return {}
         return {
             "theta_log_step": {name: float(self._log_step[k])
                                for k, name in enumerate(("theta1", "theta2"))},
             "max_jitter": float(self.max_jitter),
         }
+
+
+class _Sampler:
+    """Mutable sweep state: Phi, Sigma and, with knots, the spatial field.
+    Public code goes through run_chain. `config` is not read; the sweep
+    counts and seed reach the sampler through run_chain's loop and `rng`."""
+
+    def __init__(self, design: DesignPair, config: McmcConfig, rng,
+                 knots: np.ndarray | None, upper: float | None):
+        self.design = design
+        self.rng = rng
+        self.n = design.n
+        self.p = design.p
+        self.Yc = design.Y - design.offset
+
+        self.gram = design.gram if self.p else None
+        # The residual scale at any Phi is S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat).
+        self.phi_hat, sig0 = mle_var(design)
+        self.S_hat = sig0 * self.n
+
+        self.phi = self.phi_hat
+        self.sigma = self._pd_init(sig0)
+        self.field = None if knots is None else _Field(knots, design.source_points, upper, rng)
+
+    @staticmethod
+    def _pd_init(sigma: np.ndarray) -> np.ndarray:
+        """Initialization-only ridge so the first Phi draw can factor Sigma."""
+        lo = float(np.linalg.eigvalsh(sigma).min())
+        if lo <= 0.0:
+            sigma = sigma + (abs(lo) + 1e-10) * np.eye(2)
+        return sigma
+
+    def update_phi(self):
+        if not self.p:
+            return
+        phi_hat = self.phi_hat
+        if self.field is not None:
+            phi_hat = self.gram.solve(self.design.xt(self.Yc - self.field.eta))
+        z = self.rng.standard_normal((self.p, 2))
+        L_sig = np.linalg.cholesky(self.sigma)
+        self.phi = phi_hat + self.gram.times_inv_factor(z) @ L_sig.T
+
+    def update_sigma(self):
+        if self.field is not None:
+            resid = self.Yc - self.field.eta
+            if self.p:
+                resid = resid - self.design.xphi(self.phi)
+            scale = resid.T @ resid
+        else:
+            scale = self.S_hat
+            if self.p:
+                quad = self.gram.quad(self.phi - self.phi_hat)
+                scale = scale + 0.5 * (quad + quad.T)
+        if not _pd2(scale):
+            raise NonPDScale("residual scale matrix is singular")
+        sig = _invwishart(self.rng, self.n, scale)
+        self.sigma = 0.5 * (sig + sig.T)
+
+    def _field_inputs(self) -> tuple:
+        """R = Yc - X Phi and Omega = Sigma^{-1}, the field updates' inputs."""
+        R = self.Yc - self.design.xphi(self.phi) if self.p else self.Yc
+        s = self.sigma
+        det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+        return R, np.array([[s[1, 1], -s[0, 1]], [-s[0, 1], s[0, 0]]]) / det
+
+    def sweep(self, adapting: bool):
+        self.update_phi()
+        self.update_sigma()
+        if self.field is not None:
+            R, omega = self._field_inputs()
+            self.field.update_theta(0, R, omega, adapting)
+            self.field.update_theta(1, R, omega, adapting)
+            self.field.update_wstar(R, omega)
+            self.field.update_q(R, omega)
 
 
 def split_rhat(x: np.ndarray) -> float | np.ndarray:
@@ -606,24 +589,24 @@ def run_chain(
     """Fit one model to one trajectory and keep the post-burn-in draws."""
     spec = resolve_spec(spec)
     design = build_design(series, spec, tess=tess)
-    spatial = spec.eta_structure == "spatial"
     knots = upper = None
-    if spatial:
+    if spec.eta_structure == "spatial":
         knots = spec.knot_grid.build(series.points)
         upper = 300.0 / domain_diameter(series.points)
 
     rng = np.random.default_rng(config.seed)
     sampler = _Sampler(design, config, rng, knots, upper)
+    field = sampler.field
 
     kept = {name: np.empty((config.n_kept, *shape))
-            for name, shape in _blocks(design.p, sampler.m if spatial else None)}
+            for name, shape in _blocks(design.p, None if field is None else field.m)}
 
     j = 0
     for i in range(config.n_iter):
         sampler.sweep(adapting=i < config.burn_in)
         if i >= config.burn_in and (i - config.burn_in) % config.thin == 0:
             for name, block in kept.items():
-                block[j] = getattr(sampler, name)
+                block[j] = getattr(sampler if name in ("phi", "sigma") else field, name)
             j += 1
 
     sites = None if tess is None else np.asarray(tess.sites, dtype=float)
@@ -637,8 +620,8 @@ def run_chain(
         tess_sites=sites,
         n_obs=design.n,
         config=config,
-        acceptance=sampler.acceptance_rates(),
-        tuning=sampler.tuning(),
+        acceptance={} if field is None else field.acceptance_rates(),
+        tuning={} if field is None else field.tuning(),
     )
     chain.rhat_max = _chain_rhat(chain)
     chain.converged = not (chain.rhat_max > RHAT_THRESHOLD)

@@ -380,9 +380,16 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
     return model, trace
 
 
-def _check_dim(x: np.ndarray, model: SomModel) -> None:
+def _rows_to_map(data, model: SomModel) -> np.ndarray:
+    """`data` as a matrix of finite rows of the model's dimension; a DataError
+    names the first row holding NaN or inf, which no node may win."""
+    x = _checked_matrix(data)
     if x.shape[1] != model.dim:
         raise DimensionMismatch(f"data dim {x.shape[1]} != model dim {model.dim}")
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        raise DataError(f"data row {int(np.argmax(bad))} (row 0 is the first) is not finite")
+    return x
 
 
 @dataclass(frozen=True)
@@ -394,8 +401,7 @@ class QuantizationReport:
 
 def quantization_error(data, model: SomModel) -> QuantizationReport:
     """Mean distance from each day to its winning node, overall and per node."""
-    x = _checked_matrix(data)
-    _check_dim(x, model)
+    x = _rows_to_map(data, model)
     d2 = _lapack.cdist(x, model.nodes, "sqeuclidean")
     winners = np.argmin(d2, axis=1)
     dists = np.sqrt(d2[np.arange(x.shape[0]), winners])
@@ -416,8 +422,7 @@ def assign(data, model: SomModel) -> np.ndarray:
     screens with one GEMM and recomputes with cdist the rows whose winner its
     error bound ``4 (d + 2) * (eps * (|x|^2 + |w|^2) + 2^-1074)`` cannot
     certify."""
-    x = _checked_matrix(data)
-    _check_dim(x, model)
+    x = _rows_to_map(data, model)
     return _winners(x, model.nodes, _row_norms(x))
 
 

@@ -88,8 +88,12 @@ class TruthBundle:
 
 def _day_span(start_date: _dt.date | str, n_days: int) -> tuple:
     """The n_days dates from day 0 on `start_date` (a date or an ISO string);
-    a DataError names the first day past the last representable date."""
-    d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)
+    a DataError names a malformed string or the first day past the last
+    representable date."""
+    try:
+        d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)
+    except ValueError as exc:
+        raise DataError(f"bad start date {start_date!r}: {exc}") from exc
     room = (_dt.date.max - d0).days
     if n_days - 1 > room:
         raise DataError(f"{n_days} days from {d0} run past {_dt.date.max}: day {room + 1} "
@@ -108,6 +112,8 @@ def simulate_var(
     """Roll the recursion s_{t+1} = A s_t + eta + eps forward from s0."""
     if n_days < 2:
         raise EmptySeries("need at least 2 days to simulate")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
     spec = truth.spec
     if spec.needs_cells and tess is None:
         raise DataError("cell-dependent truth needs a tessellation")

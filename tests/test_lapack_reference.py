@@ -213,13 +213,14 @@ def test_spare_kernel_buffer_is_never_a_field_kernel():
     config = McmcConfig(n_iter=30, burn_in=1, seed=6)
     sampler = _Sampler(design, config, np.random.default_rng(6), knots,
                        300.0 / domain_diameter(series.points))
-    start = sampler.theta.copy()
+    field = sampler.field
+    start = field.theta.copy()
     kernels = set()
     for _ in range(25):
         sampler.sweep(adapting=True)
-        assert not np.shares_memory(sampler._spare, sampler.K1)
-        assert not np.shares_memory(sampler._spare, sampler.K2)
-        kernels.add(id(sampler._spare))
+        assert not np.shares_memory(field._spare, field.K[0])
+        assert not np.shares_memory(field._spare, field.K[1])
+        kernels.add(id(field._spare))
     # both decays moved, so accepted proposals swapped the spare in and out
-    assert (sampler.theta != start).all()
+    assert (field.theta != start).all()
     assert len(kernels) > 1

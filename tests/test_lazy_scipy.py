@@ -178,4 +178,4 @@ def test_first_decay_rate_is_the_pdist_median():
     sampler = _Sampler(build_design(series, spec), McmcConfig(n_iter=2, burn_in=1),
                        np.random.default_rng(0), knots, upper)
     t0 = min(3.0 / float(np.median(pdist(knots))), upper)
-    assert sampler.theta.tobytes() == np.array([t0, t0]).tobytes()
+    assert sampler.field.theta.tobytes() == np.array([t0, t0]).tobytes()

@@ -32,6 +32,7 @@ from stvar.mcmc import (
     Chain,
     McmcConfig,
     SeriesPrediction,
+    _Field,
     _Sampler,
     chain_design,
     check_draws,
@@ -215,22 +216,24 @@ class TestThetaKernelInvariance:
         for r in range(R):
             rng = np.random.default_rng(10_000 + r)
             sampler = _Sampler(design, cfg, rng, knots, upper)
-            sampler.q = np.zeros((2, 2))
+            field = sampler.field
+            field.q = np.zeros((2, 2))
             sampler.sigma = np.eye(2)
             sampler.phi = np.zeros((design.p, 2))
-            sampler.theta = rng.uniform(0.0, upper, 2)
-            sampler._refresh_field(0)
-            sampler._refresh_field(1)
-            sampler.wstar = np.vstack(
-                [sampler.L1 @ rng.standard_normal(9), sampler.L2 @ rng.standard_normal(9)]
+            field.theta = rng.uniform(0.0, upper, 2)
+            field._refresh_field(0)
+            field._refresh_field(1)
+            field.wstar = np.vstack(
+                [field.L[0] @ rng.standard_normal(9), field.L[1] @ rng.standard_normal(9)]
             )
-            sampler._refresh_eta()
-            before = sampler.theta.copy()
-            sampler.update_theta(0, adapting=False)
-            sampler.update_theta(1, adapting=False)
-            sampler.update_wstar()
-            kept[r] = sampler.theta
-            moved += int(not np.array_equal(before, sampler.theta))
+            field._refresh_eta()
+            before = field.theta.copy()
+            resid, omega = sampler._field_inputs()
+            field.update_theta(0, resid, omega, adapting=False)
+            field.update_theta(1, resid, omega, adapting=False)
+            field.update_wstar(resid, omega)
+            kept[r] = field.theta
+            moved += int(not np.array_equal(before, field.theta))
 
         # the kernel must actually move for the invariance check to bite
         assert moved / R > 0.25
@@ -250,7 +253,7 @@ class TestThetaKernelInvariance:
         theta = np.empty((cfg.n_iter, 2))
         for i in range(cfg.n_iter):
             sampler.sweep(adapting=i < cfg.burn_in)
-            theta[i] = sampler.theta
+            theta[i] = sampler.field.theta
         assert theta.min() > 0.0
         assert theta.max() <= 0.9
 
@@ -262,14 +265,16 @@ class TestWstarConditional:
         spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
         series = cloud_series(n=40, seed=8)
         sampler, design = make_sampler(series, spec)
-        sampler.q = np.eye(2)
+        field = sampler.field
+        field.q = np.eye(2)
         sampler.sigma = np.eye(2)
         sampler.phi = np.zeros((design.p, 2))
-        sampler.theta = np.array([0.7, 1.1])
-        sampler._refresh_field(0)
-        sampler._refresh_field(1)
+        field.theta = np.array([0.7, 1.1])
+        field._refresh_field(0)
+        field._refresh_field(1)
+        resid, omega = sampler._field_inputs()
 
-        knots = sampler.knots
+        knots = field.pp.knots
         R = design.Y - design.offset
 
         def oracle(theta, y):
@@ -285,8 +290,8 @@ class TestWstarConditional:
         B = 4000
         draws = np.empty((B, 2, 9))
         for b in range(B):
-            sampler.update_wstar()
-            draws[b] = sampler.wstar
+            field.update_wstar(resid, omega)
+            draws[b] = field.wstar
 
         for k, (m, c) in enumerate([(m1, c1), (m2, c2)]):
             sd = np.sqrt(np.diag(c))
@@ -303,15 +308,17 @@ class TestQConditional:
         spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
         series = cloud_series(n=40, seed=9)
         sampler, design = make_sampler(series, spec)
+        field = sampler.field
         sampler.sigma = np.eye(2)
         sampler.phi = np.zeros((design.p, 2))
         rng_w = np.random.default_rng(99)
-        sampler.wstar = np.vstack([rng_w.standard_normal(9), np.zeros(9)])
-        sampler._refresh_eta()
+        field.wstar = np.vstack([rng_w.standard_normal(9), np.zeros(9)])
+        field._refresh_eta()
+        resid, omega = sampler._field_inputs()
         start_q = np.array([[1.0, 0.0], [0.3, 1.0]])
         tau = Q_PRIOR_SD
 
-        w1 = pp_basis(design.source_points, sampler.knots, sampler.theta[0]) @ sampler.wstar[0]
+        w1 = pp_basis(design.source_points, field.pp.knots, field.theta[0]) @ field.wstar[0]
         R = design.Y - design.offset
         rx, ry = R[:, 0], R[:, 1]
         prec1 = float(w1 @ w1) + 1.0 / tau**2
@@ -319,9 +326,9 @@ class TestQConditional:
         B = 4000
         draws = np.empty((B, 3))
         for b in range(B):
-            sampler.q = start_q.copy()
-            sampler.update_q()
-            draws[b] = sampler.q[0, 0], sampler.q[1, 0], sampler.q[1, 1]
+            field.q = start_q.copy()
+            field.update_q(resid, omega)
+            draws[b] = field.q[0, 0], field.q[1, 0], field.q[1, 1]
 
         # q00: truncated normal around the regression of Rx on w1
         mean = float(w1 @ rx) / prec1
@@ -399,6 +406,19 @@ class TestRunChain:
         assert set(chain.acceptance) == {"theta1", "theta2"}
         upper = 300.0 / domain_diameter(series.points)
         assert chain.theta.max() <= upper
+
+    @pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
+    def test_only_a_spatial_fit_builds_a_field(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a spatial field was built")
+
+        monkeypatch.setattr(stvar.mcmc, "_Field", refuse)
+        cfg = McmcConfig(n_iter=40, burn_in=10, seed=1)
+        for model in ("model1", "model9"):
+            chain = run_chain(ladder_series(model, 300, seed=17), model, cfg, tess=TESS4)
+            assert chain.theta is None and chain.acceptance == {} and chain.tuning == {}
+        with pytest.raises(AssertionError, match="a spatial field was built"):
+            run_chain(ladder_series("model11", 300, seed=17), SPATIAL_SPEC, cfg)
 
     def test_cell_model_records_sites(self):
         tess = default_tessellation()
@@ -855,8 +875,8 @@ class TestCheckDraws:
 class DenseOracleSampler(_Sampler):
     """The Phi and Sigma conditionals computed from the dense n x p X: Phi
     is drawn around a least-squares refit on every sweep and the Sigma
-    scale comes from the n x 2 residuals. The other conditionals are the
-    sampler's own."""
+    scale comes from the n x 2 residuals. The field's conditionals are its
+    own, fed the residuals Yc - X Phi of the dense X."""
 
     def __init__(self, design, config, rng, knots, upper):
         super().__init__(design, config, rng, knots, upper)
@@ -872,21 +892,21 @@ class DenseOracleSampler(_Sampler):
         self.sigma = self._pd_init(sig0)
 
     def update_phi(self):
-        Yeff = self.Yc - self.eta if self.spatial else self.Yc
+        Yeff = self.Yc if self.field is None else self.Yc - self.field.eta
         phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.X.T @ Yeff)
         z = self.rng.standard_normal((self.p, 2))
         L_sig = np.linalg.cholesky(self.sigma)
         self.phi = phi_hat + self.L_xx @ z @ L_sig.T
 
     def update_sigma(self):
-        resid = self.Yc - self.eta if self.spatial else self.Yc.copy()
+        resid = self.Yc.copy() if self.field is None else self.Yc - self.field.eta
         resid = resid - self.X @ self.phi
         scale = resid.T @ resid
         sig = invwishart.rvs(df=self.n, scale=scale, random_state=self.rng)
         self.sigma = 0.5 * (sig + sig.T)
 
-    def _resid_no_eta(self):
-        return self.Yc - self.X @ self.phi
+    def _field_inputs(self):
+        return self.Yc - self.X @ self.phi, super()._field_inputs()[1]
 
 
 def dense_oracle_chain(monkeypatch, *args, **kwargs):
@@ -951,42 +971,44 @@ def basis_factor(knots, points, theta):
     return L, scipy.linalg.cho_solve((L, True), exp_corr(knots, points, theta)).T
 
 
-class BasisOracleSampler(_Sampler):
+class BasisOracleField(_Field):
     """The spatial conditionals through the explicit n x m basis
     W_k = (C*^{-1} K_k)', rebuilt on every theta proposal: field values are
     W_k w*_k, the w* Gram blocks W_j' W_k and its right-hand side W_k' r.
-    The Phi and Sigma conditionals are the sampler's own."""
+    Patched in as stvar.mcmc._Field it replaces the field alone: the Phi and
+    Sigma conditionals are the sampler's own."""
+
+    def __init__(self, knots, points, upper, rng):
+        self.points, self.W = points, [None, None]
+        super().__init__(knots, points, upper, rng)
 
     def _refresh_field(self, k):
-        L, W = basis_factor(self.knots, self.design.source_points, float(self.theta[k]))
-        if k == 0:
-            self.L1, self.W1 = L, W
-        else:
-            self.L2, self.W2 = L, W
+        self.L[k], self.W[k] = basis_factor(self.pp.knots, self.points, float(self.theta[k]))
         self._grams = None
 
     def _gram(self):
         if self._grams is None:
             eye = np.eye(self.m)
+            (W1, W2), (L1, L2) = self.W, self.L
             self._grams = (
-                self.W1.T @ self.W1,
-                self.W2.T @ self.W2,
-                self.W1.T @ self.W2,
-                scipy.linalg.cho_solve((self.L1, True), eye),
-                scipy.linalg.cho_solve((self.L2, True), eye),
+                W1.T @ W1,
+                W2.T @ W2,
+                W1.T @ W2,
+                scipy.linalg.cho_solve((L1, True), eye),
+                scipy.linalg.cho_solve((L2, True), eye),
             )
         return self._grams
 
     def _refresh_eta(self):
-        w1 = self.W1 @ self.wstar[0]
-        w2 = self.W2 @ self.wstar[1]
-        self.eta = np.column_stack(
+        w1 = self.W[0] @ self.wstar[0]
+        w2 = self.W[1] @ self.wstar[1]
+        self._eta = np.column_stack(
             [self.q[0, 0] * w1, self.q[1, 0] * w1 + self.q[1, 1] * w2]
         )
 
-    def _field_logpost(self, k, L, W, R, omega):
-        w1 = (W if k == 0 else self.W1) @ self.wstar[0]
-        w2 = (W if k == 1 else self.W2) @ self.wstar[1]
+    def _logpost(self, k, L, W, R, omega):
+        w1 = (W if k == 0 else self.W[0]) @ self.wstar[0]
+        w2 = (W if k == 1 else self.W[1]) @ self.wstar[1]
         eta = np.column_stack(
             [self.q[0, 0] * w1, self.q[1, 0] * w1 + self.q[1, 1] * w2]
         )
@@ -996,7 +1018,7 @@ class BasisOracleSampler(_Sampler):
         logprior = -0.5 * float(v @ v) - float(np.log(np.diag(L)).sum())
         return loglik + logprior
 
-    def update_theta(self, k, adapting):
+    def update_theta(self, k, R, omega, adapting):
         cur = float(self.theta[k])
         step = float(np.exp(self._log_step[k]))
         prop = cur * float(np.exp(step * self.rng.standard_normal()))
@@ -1005,24 +1027,17 @@ class BasisOracleSampler(_Sampler):
             self._kept_n[k] += 1
         accepted = False
         if 0.0 < prop <= self.upper:
-            R = self._resid_no_eta()
-            omega = self._omega()
-            L_cur = self.L1 if k == 0 else self.L2
-            W_cur = self.W1 if k == 0 else self.W2
             try:
-                L_prop, W_prop = basis_factor(self.knots, self.design.source_points, prop)
+                L_prop, W_prop = basis_factor(self.pp.knots, self.points, prop)
             except NumericalError:
                 L_prop = None
             if L_prop is not None:
-                lp_prop = self._field_logpost(k, L_prop, W_prop, R, omega)
-                lp_cur = self._field_logpost(k, L_cur, W_cur, R, omega)
+                lp_prop = self._logpost(k, L_prop, W_prop, R, omega)
+                lp_cur = self._logpost(k, self.L[k], self.W[k], R, omega)
                 log_alpha = lp_prop - lp_cur + np.log(prop) - np.log(cur)
                 if np.log(self.rng.uniform()) < log_alpha:
                     self.theta[k] = prop
-                    if k == 0:
-                        self.L1, self.W1 = L_prop, W_prop
-                    else:
-                        self.L2, self.W2 = L_prop, W_prop
+                    self.L[k], self.W[k] = L_prop, W_prop
                     self._grams = None
                     self._refresh_eta()
                     accepted = True
@@ -1037,22 +1052,20 @@ class BasisOracleSampler(_Sampler):
             self._window_acc[k] = 0
             self._window_n[k] = 0
 
-    def update_wstar(self):
-        omega = self._omega()
+    def update_wstar(self, R, omega):
         u = self.q[:, 0]
         v = self.q[:, 1]
         a11 = float(u @ omega @ u)
         a12 = float(u @ omega @ v)
         a22 = float(v @ omega @ v)
         g11, g22, g12, c1inv, c2inv = self._gram()
-        R = self._resid_no_eta()
         m = self.m
         P = np.empty((2 * m, 2 * m))
         P[:m, :m] = a11 * g11 + c1inv
         P[:m, m:] = a12 * g12
         P[m:, :m] = a12 * g12.T
         P[m:, m:] = a22 * g22 + c2inv
-        b = np.concatenate([self.W1.T @ (R @ (omega @ u)), self.W2.T @ (R @ (omega @ v))])
+        b = np.concatenate([self.W[0].T @ (R @ (omega @ u)), self.W[1].T @ (R @ (omega @ v))])
         Lp, _ = chol_spd(P)
         mean = scipy.linalg.cho_solve((Lp, True), b)
         z = self.rng.standard_normal(2 * m)
@@ -1060,13 +1073,11 @@ class BasisOracleSampler(_Sampler):
         self.wstar = draw.reshape(2, m)
         self._refresh_eta()
 
-    def update_q(self):
-        omega = self._omega()
+    def update_q(self, R, omega):
         o00, o01, o11 = omega[0, 0], omega[0, 1], omega[1, 1]
         tau2 = Q_PRIOR_SD**2
-        w1 = self.W1 @ self.wstar[0]
-        w2 = self.W2 @ self.wstar[1]
-        R = self._resid_no_eta()
+        w1 = self.W[0] @ self.wstar[0]
+        w2 = self.W[1] @ self.wstar[1]
         rx, ry = R[:, 0], R[:, 1]
         tiny = np.finfo(float).tiny
 
@@ -1217,7 +1228,7 @@ class TestPredictiveProcessOracle:
         cfg = McmcConfig(n_iter=150, burn_in=50, seed=7)
         chain = run_chain(series, SPATIAL_SPEC, cfg)
         with monkeypatch.context() as m:
-            m.setattr(stvar.mcmc, "_Sampler", BasisOracleSampler)
+            m.setattr(stvar.mcmc, "_Field", BasisOracleField)
             oracle = run_chain(series, SPATIAL_SPEC, cfg)
         # the Metropolis steps must both accept and reject for this to bite
         assert all(0.0 < r < 1.0 for r in chain.acceptance.values())
@@ -1271,32 +1282,35 @@ class TestPredictiveProcessOracle:
     def test_cached_fields_follow_the_state(self):
         series = ladder_series("model11", 300, seed=39)
         sampler, design = make_sampler(series, SPATIAL_SPEC, McmcConfig(n_iter=10, burn_in=1, seed=8))
-        start = sampler.theta.copy()
+        field = sampler.field
+        start = field.theta.copy()
         steps = [sampler.update_phi, sampler.update_sigma,
-                 lambda: sampler.update_theta(0, adapting=True),
-                 lambda: sampler.update_theta(1, adapting=True),
-                 sampler.update_wstar, sampler.update_q]
+                 lambda: field.update_theta(0, *sampler._field_inputs(), adapting=True),
+                 lambda: field.update_theta(1, *sampler._field_inputs(), adapting=True),
+                 lambda: field.update_wstar(*sampler._field_inputs()),
+                 lambda: field.update_q(*sampler._field_inputs())]
         for _ in range(25):
             for step in steps:
                 step()
-                want = coregional_eta(design.source_points, sampler.knots, sampler.theta,
-                                      sampler.q, sampler.wstar)
-                np.testing.assert_allclose(sampler.eta, want, rtol=0,
+                want = coregional_eta(design.source_points, field.pp.knots, field.theta,
+                                      field.q, field.wstar)
+                np.testing.assert_allclose(field.eta, want, rtol=0,
                                            atol=1e-12 * np.abs(want).max())
-        assert (sampler.theta != start).all()
+        assert (field.theta != start).all()
 
     def test_wstar_update_leaves_eta_to_update_q(self, monkeypatch):
         series = ladder_series("model11", 150, seed=39)
         sampler, _ = make_sampler(series, SPATIAL_SPEC, McmcConfig(n_iter=10, burn_in=1, seed=8))
         sampler.sweep(adapting=True)
+        field, (R, omega) = sampler.field, sampler._field_inputs()
         calls = []
         real = stvar.mcmc.coregionalize
         monkeypatch.setattr(stvar.mcmc, "coregionalize",
                             lambda *args: calls.append(args) or real(*args))
-        sampler.update_wstar()
-        sampler.update_q()
+        field.update_wstar(R, omega)
+        field.update_q(R, omega)
         assert len(calls) == 1  # update_q's; update_wstar forms no eta
-        assert sampler.eta.tobytes() == real(sampler.q, *sampler.w).tobytes()
+        assert field.eta.tobytes() == real(field.q, *field.w).tobytes()
 
     def test_tuning_is_deterministic(self):
         series = ladder_series("model11", 200, seed=38)
@@ -1316,22 +1330,23 @@ class TestPredictiveProcessOracle:
 def test_gram_blocks_cached_per_field():
     series = ladder_series("model11", 300, seed=40)
     sampler, _ = make_sampler(series, SPATIAL_SPEC, McmcConfig(n_iter=10, burn_in=1, seed=9))
-    start = sampler.theta.copy()
+    field = sampler.field
+    start = field.theta.copy()
     for _ in range(25):
         sampler.sweep(adapting=True)
-    assert (sampler.theta != start).all()
-    cached = sampler._gram()
-    sampler._own_grams, sampler._cross_gram = [None, None], None
-    fresh = sampler._gram()
+    assert (field.theta != start).all()
+    cached = field._gram()
+    field._own_grams, field._cross_gram = [None, None], None
+    fresh = field._gram()
     for got, want in zip(cached, fresh):
         np.testing.assert_array_equal(got, want)
     # a theta_1 move rebuilds W_1'W_1, W_1'W_2 and C_1^{-1}; field 2's blocks survive
-    sampler._set_field(0, sampler.L1, sampler.K1)
-    g11, g22, g12, c1inv, c2inv = sampler._gram()
+    field._set_field(0, field.L[0], field.K[0])
+    g11, g22, g12, c1inv, c2inv = field._gram()
     assert g22 is fresh[1] and c2inv is fresh[4]
     assert g11 is not fresh[0] and g12 is not fresh[2] and c1inv is not fresh[3]
-    sampler._set_field(1, sampler.L2, sampler.K2)
-    after = sampler._gram()
+    field._set_field(1, field.L[1], field.K[1])
+    after = field._gram()
     assert after[0] is g11 and after[3] is c1inv and after[1] is not g22
 
 

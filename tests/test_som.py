@@ -394,6 +394,19 @@ class TestWinners:
         with pytest.raises(DimensionMismatch, match="data dim 5 != model dim 4"):
             quantization_error(np.zeros((2, 5)), model)
 
+    @pytest.mark.parametrize("func", [assign, quantization_error],
+                             ids=["assign", "quantization_error"])
+    def test_non_finite_rows_are_refused(self, func):
+        nodes = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+        model = SomModel(nodes=nodes, planar=lattice_coords(3), config=SomConfig(n_nodes=3))
+        x = np.array([[1.0, 1.0], [1.0, np.nan], [np.inf, 0.0], [0.0, 2.0]])
+        with pytest.raises(DataError, match=r"^data row 1 \(row 0 is the first\) is not finite$"):
+            func(x, model)
+        with pytest.raises(DataError, match="data row 0 "):
+            func(x[2:], model)
+        # finite rows are mapped, even one whose distances all overflow to inf
+        assert np.array_equal(assign(np.array([[1e200, -1e200], [0.0, 1.9]]), model), [0, 2])
+
 
 class TestQuantization:
     def test_zero_error_when_data_equals_nodes(self):

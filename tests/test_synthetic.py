@@ -220,6 +220,13 @@ class TestSimulateVar:
         truth = constant_truth(0.5 * np.eye(2), np.eye(2))
         assert simulate_var(truth, n_days=5, seed=0).node_assignment is None
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        truth = ladder_truth("model1")
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(DataError, match="seed must be a non-negative integer"):
+                simulate_var(truth, 10, seed=seed)
+        assert simulate_var(truth, 10, seed=np.int64(3)).points.shape == (10, 2)
+
 
 class TestLadderTruth:
     def test_every_alias_simulates(self):
@@ -241,6 +248,12 @@ class TestLadderTruth:
         assert ladder_truth("model6", start_date="9999-12-20", n_days=12).info.n_eta == 1
         with pytest.raises(DataError, match=r"day 12 \(day 0 is the start date\)"):
             ladder_truth("model6", start_date=dt.date(9999, 12, 20), n_days=13)
+
+    def test_malformed_start_date_is_data_error(self):
+        with pytest.raises(DataError, match="bad start date '2001-13-01'"):
+            ladder_truth("model6", start_date="2001-13-01", n_days=10)
+        with pytest.raises(DataError, match="bad start date '2001-13-01'"):
+            simulate_var(ladder_truth("model1"), 10, start_date="2001-13-01")
 
     def test_layout_matches_observed_fit(self):
         # a long stationary run visits every cell, so the observation-driven
