@@ -38,7 +38,7 @@ what they would with scipy imported up front.
 
 _Sampler draws Phi and Sigma. _Field holds the spatial conditionals of
 model11's predictive process (Banerjee et al., JRSS-B 70:825, 2008) and
-their caches; a sampler without knots builds none. Without it the
+their caches; a sampler without knots builds none. Without a field the
 regression target is fixed, so Phi is drawn around the least-squares fit
 phi_hat and the residual scale is S_hat + (Phi - phi_hat)' X'X (Phi -
 phi_hat), both computed once: a sweep costs O(p) whatever the number of

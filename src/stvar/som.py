@@ -417,7 +417,7 @@ def quantization_error(data, model: SomModel) -> QuantizationReport:
 
 
 def assign(data, model: SomModel) -> np.ndarray:
-    """Winning node index for every row of data: exactly
+    """Winning node index for every row of data, all finite: exactly
     ``np.argmin(cdist(x, model.nodes, "sqeuclidean"), axis=1)``. ``_winners``
     screens with one GEMM and recomputes with cdist the rows whose winner its
     error bound ``4 (d + 2) * (eps * (|x|^2 + |w|^2) + 2^-1074)`` cannot
