@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _doc
 from .data_model import GridSpec, StateSeries, destandardize, unflatten
 from .errors import (
     DataError,
@@ -127,6 +128,8 @@ REL_FLOOR = 1e-12  # smallest eigenvalue repair_pd keeps, relative to max(larges
 
 def repair_pd(sigma: np.ndarray) -> np.ndarray:
     """Floor tiny/negative eigenvalues so a posterior-mean covariance factors."""
+    if not np.isfinite(sigma).all():
+        raise DataError("covariance to repair has a non-finite entry")
     sigma = 0.5 * (sigma + sigma.T)
     lam, vec = np.linalg.eigh(sigma)
     floor = max(float(lam.max()), 1.0) * REL_FLOOR
@@ -249,6 +252,7 @@ def score_model(
     paths. Those draws are `predict_series`' with the same `n_draws` and
     `seed`; with `keep_prediction` the score carries them.
     """
+    _doc.nonneg_int(seed, "seed")
     design = chain_design(chain, series, tess)
     means = mean_paths(chain, design, scored_draws(chain, n_draws))
     d = dic(chain, series, tess=tess, n_draws=n_draws, means=means, design=design)
@@ -351,6 +355,7 @@ def model_transitions(
     Each source day contributes its predictive draws' landing cells; rows
     pool source days lying in the same cell.
     """
+    _doc.nonneg_int(seed, "seed")
     t = chain.tessellation(tess)
     if t is None:
         raise DataError("transition matrices need a tessellation")

@@ -1,9 +1,8 @@
-"""Metropolis-within-Gibbs sampling for the planar VAR ladder.
-
-Conditionals:
+"""Posterior sampling for the planar VAR ladder, under a flat prior on Phi
+and a Jeffreys prior on Sigma (Zellner 1971, ch. 8):
+  Sigma                IW(S_hat, n - p), its marginal, without a field
+  Sigma | Phi,  eta    IW(current residual scale, n), with a field
   Phi   | Sigma, eta   matrix normal around the current least-squares fit
-  Sigma | Phi,  eta    inverse Wishart with scale from the current residuals
-                       and df = n, the exact conditional under a Jeffreys prior
   theta_k              random-walk Metropolis on the log scale, uniform prior
                        on (0, 300 / domain_diameter], proposal step tuned
                        during burn-in
@@ -38,11 +37,11 @@ what they would with scipy imported up front.
 
 _Sampler draws Phi and Sigma. _Field holds the spatial conditionals of
 model11's predictive process (Banerjee et al., JRSS-B 70:825, 2008) and
-their caches; a sampler without knots builds none. Without a field the
-regression target is fixed, so Phi is drawn around the least-squares fit
-phi_hat and the residual scale is S_hat + (Phi - phi_hat)' X'X (Phi -
-phi_hat), both computed once: a sweep costs O(p) whatever the number of
-days.
+their caches; a sampler without knots builds none. Without a field phi_hat
+and S_hat are computed once and a sweep draws Sigma, then Phi | Sigma: an
+exact, independent posterior draw in O(p) whatever the number of days. With
+one a sweep draws Phi, Sigma, then the field. Both refuse n - p < 2 (n days
+regressed on p columns), where Sigma's posterior is improper.
 """
 
 from __future__ import annotations
@@ -98,7 +97,9 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_iter <= self.burn_in or self.burn_in < 0:
+        for name in ("n_iter", "burn_in", "thin", "seed"):
+            _doc.nonneg_int(getattr(self, name), name)
+        if self.n_iter <= self.burn_in:
             raise DataError("need n_iter > burn_in >= 0")
         if self.thin < 1:
             raise DataError("thin must be at least 1")
@@ -492,14 +493,17 @@ class _Sampler:
         self.p = design.p
         self.Yc = design.Y - design.offset
 
+        if self.n - self.p < 2:
+            raise DataError(f"n - p = {self.n} - {self.p} < 2: Sigma's posterior is improper")
         self.gram = design.gram if self.p else None
-        # The residual scale at any Phi is S_hat + (Phi - phi_hat)' X'X (Phi - phi_hat).
         self.phi_hat, sig0 = mle_var(design)
         self.S_hat = sig0 * self.n
+        self.field = None if knots is None else _Field(knots, design.source_points, upper, rng)
+        if self.field is None and not _pd2(self.S_hat):
+            raise NonPDScale("residual scale matrix is singular")
 
         self.phi = self.phi_hat
         self.sigma = self._pd_init(sig0)
-        self.field = None if knots is None else _Field(knots, design.source_points, upper, rng)
 
     @staticmethod
     def _pd_init(sigma: np.ndarray) -> np.ndarray:
@@ -520,19 +524,16 @@ class _Sampler:
         self.phi = phi_hat + self.gram.times_inv_factor(z) @ L_sig.T
 
     def update_sigma(self):
-        if self.field is not None:
+        if self.field is None:
+            sig = _invwishart(self.rng, self.n - self.p, self.S_hat)
+        else:
             resid = self.Yc - self.field.eta
             if self.p:
                 resid = resid - self.design.xphi(self.phi)
             scale = resid.T @ resid
-        else:
-            scale = self.S_hat
-            if self.p:
-                quad = self.gram.quad(self.phi - self.phi_hat)
-                scale = scale + 0.5 * (quad + quad.T)
-        if not _pd2(scale):
-            raise NonPDScale("residual scale matrix is singular")
-        sig = _invwishart(self.rng, self.n, scale)
+            if not _pd2(scale):
+                raise NonPDScale("residual scale matrix is singular")
+            sig = _invwishart(self.rng, self.n, scale)
         self.sigma = 0.5 * (sig + sig.T)
 
     def _field_inputs(self) -> tuple:
@@ -543,14 +544,17 @@ class _Sampler:
         return R, np.array([[s[1, 1], -s[0, 1]], [-s[0, 1], s[0, 0]]]) / det
 
     def sweep(self, adapting: bool):
+        if self.field is None:  # an exact, independent draw of (Sigma, Phi)
+            self.update_sigma()
+            self.update_phi()
+            return
         self.update_phi()
         self.update_sigma()
-        if self.field is not None:
-            R, omega = self._field_inputs()
-            self.field.update_theta(0, R, omega, adapting)
-            self.field.update_theta(1, R, omega, adapting)
-            self.field.update_wstar(R, omega)
-            self.field.update_q(R, omega)
+        R, omega = self._field_inputs()
+        self.field.update_theta(0, R, omega, adapting)
+        self.field.update_theta(1, R, omega, adapting)
+        self.field.update_wstar(R, omega)
+        self.field.update_q(R, omega)
 
 
 def split_rhat(x: np.ndarray) -> float | np.ndarray:
@@ -705,6 +709,7 @@ def predict_series(
     `mean_paths`, which are then overwritten in place; noise-free paths
     come from `mean_paths` alone.
     """
+    _doc.nonneg_int(seed, "seed")
     idx = chain.draw_indices(n_draws)
     if means is None:
         means = mean_paths(chain, chain_design(chain, series, tess), idx)

@@ -482,7 +482,7 @@ def _block_singular_values(S: np.ndarray, a_idx: np.ndarray, G: np.ndarray):
 
 
 class Gram:
-    """X'X of a design, factored once for least squares and Gibbs draws.
+    """X'X of a design, factored once for least squares and posterior draws.
 
     With several transition blocks and no intercept columns, X'X is block
     diagonal and is kept as a stack of 2x2 blocks, so each operation costs
@@ -527,12 +527,6 @@ class Gram:
         if self.blocked:
             return np.matmul(self.inv_factor, self._stacked(z)).reshape(self.p, -1)
         return self.inv_factor @ z
-
-    def quad(self, D: np.ndarray) -> np.ndarray:
-        """D' X'X D for D of shape (p, k)."""
-        if self.blocked:
-            return D.T @ np.matmul(self.xtx, self._stacked(D)).reshape(self.p, -1)
-        return D.T @ (self.xtx @ D)
 
 
 @dataclass(frozen=True)

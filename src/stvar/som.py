@@ -117,6 +117,7 @@ class SomConfig:
                 for s in phase:
                     if s < 0.0:
                         raise DataError("sigma values must be >= 0")
+        _doc.nonneg_int(self.rng_seed, "rng_seed")
         if self.phase_steps is not None and any(n < 0 for n in self.phase_steps):
             raise DataError("phase step counts must be >= 0")
         if not self.convergence_tol > 0.0:

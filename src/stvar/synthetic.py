@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _lapack
+from . import _doc, _lapack
 from .data_model import GridSpec, StateSeries
 from .errors import DataError, EmptySeries, ExplosiveWarning, UnlabeledDate
 from .mcmc import _BLOCK_NAMES, check_draws
@@ -112,8 +112,7 @@ def simulate_var(
     """Roll the recursion s_{t+1} = A s_t + eta + eps forward from s0."""
     if n_days < 2:
         raise EmptySeries("need at least 2 days to simulate")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    _doc.nonneg_int(seed, "seed")
     spec = truth.spec
     if spec.needs_cells and tess is None:
         raise DataError("cell-dependent truth needs a tessellation")
@@ -170,6 +169,7 @@ def simulate_uniform_cloud(n: int, rect=(0.0, 1.0, 0.0, 1.0), seed: int = 0) -> 
     """n independent uniform draws over (xmin, xmax, ymin, ymax)."""
     if n < 1:
         raise EmptySeries("need at least one point")
+    _doc.nonneg_int(seed, "seed")
     xmin, xmax, ymin, ymax = (float(v) for v in rect)
     if not (xmax > xmin and ymax > ymin):
         raise DataError("rectangle must have positive width and height")

@@ -2,10 +2,12 @@
 
 Each case fits one model to a fixed simulated series and pins the sha256 of
 the file `save_chain` writes. The pins hold the sampler to its exact random
-number order and float arithmetic, spatial intercept included, independently
-of the sampler classes the oracle tests derive from it. A pin changes only in
-a change that alters chain bytes on purpose and names that change, with the
-outputs it moves, in CHANGES.md.
+number order and float arithmetic, independently of the sampler classes the
+oracle tests derive from it, on each form of X'X: one dense block (model1),
+dense with intercept columns (model5) and blocked (model9), and with the
+spatial intercept (model11). A pin changes only in a change that alters chain
+bytes on purpose and names that change, with the outputs it moves, in
+CHANGES.md.
 """
 
 import hashlib
@@ -21,13 +23,17 @@ SPATIAL_SPEC = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=4, n_y=4)
 
 PINS = {
     ("model1", 3):
-        "e784ca3ecce85e875f7056a049e5b45e4ee36be1612e7dcc0e853a5bae24d720",
+        "a8c1cb008cb6023af975e0191c327024baa388f6c9b66e1bd9da9d9d446e555a",
     ("model1", 7):
-        "10366a5742dad9412425916da64264a223c28b603b6f5080b45059d3861918fa",
+        "fdbf5affb7a3a45413cc53946a1489cf07f1581c1064c2d1b0236dcd8b24e141",
+    ("model5", 3):
+        "f57be696714a50b456b35c3077da40d0d0ce348ae0337a41e38c8129789d8abd",
+    ("model5", 7):
+        "24ac0fcf645ce91c6ad9786bf71d2f473dd15a92e3ec49cb1b9f3482db8204e3",
     ("model9", 3):
-        "1a62284f9a094ca6d90f08d5d91d2bb326f6bde8066f9b032d79a7230d796275",
+        "4a16cf6ca65568c950367b7146b673510addb0c86281f3ac82cb08f91d633f14",
     ("model9", 7):
-        "d674a1c71a15f0bc89ed8e2d276cc36c8e42414df0b6bd84ca2c396490db855c",
+        "1b9a4b8e947891aabb45f679360e1536b3572e8ed3c32a51bf0afdc94ee7d6ea",
     ("model11", 3):
         "3bf040e20d81930c2d8c0acd9daad5c800dfa42a40b9102fea66c471455b0022",
     ("model11", 7):

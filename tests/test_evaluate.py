@@ -233,6 +233,12 @@ class TestRepairPd:
         np.testing.assert_allclose(fixed, fixed.T, atol=0)
         assert np.linalg.eigvalsh(fixed).min() > 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, bad):
+        for sigma in (np.full((2, 2), bad), np.array([[1.0, 0.0], [0.0, bad]])):
+            with pytest.raises(DataError, match="non-finite"):
+                repair_pd(sigma)
+
     def test_asymmetric_input_symmetrized(self):
         sigma = np.array([[2.0, 0.4], [0.2, 1.0]])
         fixed = repair_pd(sigma)

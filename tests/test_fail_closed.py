@@ -27,11 +27,17 @@ from hypothesis import strategies as st
 from stvar.cli import dispatch
 from stvar.data_model import RawSeries, GridSpec, StateSeries, load_series, save_series, standardize
 from stvar.errors import DataError
-from stvar.mcmc import Chain, McmcConfig, load_chain, run_chain, save_chain
+from stvar.evaluate import model_transitions, score_model
+from stvar.mcmc import Chain, McmcConfig, load_chain, predict_series, run_chain, save_chain
 from stvar.models import KnotGrid, ModelSpec, resolve_spec, spec_to_dict
 from stvar.projection import PlanarSeries, load_planar, save_planar
 from stvar.som import SomConfig, SomModel, load_som, save_som, train_batch
-from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
+from stvar.synthetic import (
+    default_tessellation,
+    ladder_truth,
+    simulate_uniform_cloud,
+    simulate_var,
+)
 
 START = "2001-01-01"
 
@@ -327,6 +333,13 @@ PROBES = {
             sigma_mode="full_conditional", theta_upper=None)),
                                    "chain metadata config: unknown keys ['sigma_mode', "
                                    "'theta_upper']"),
+    # a seed numpy's generators cannot take
+    "chain-seed-negative": ("model2.chain", lambda r, d: meta_edited(
+        r / "model2.chain", lambda m: m["config"].update(seed=-1)),
+                            "seed must be a non-negative integer, got -1"),
+    "som-seed-negative": ("som.json", lambda r, d: edited(
+        d, "som.json", lambda m: m["config"].update(rng_seed=-1)),
+                          "rng_seed must be a non-negative integer, got -1"),
     # a chain written while the model spec still had its calendar and jitter ladder
     "chain-spec-retired": ("model2.chain", lambda r, d: meta_edited(
         r / "model2.chain", lambda m: m["spec"].update(
@@ -436,11 +449,44 @@ class TestProbes:
         assert err.startswith("data error: 50 days from 9999-12-20 run past 9999-12-31: "
                               "day 12 "), err
 
+    def test_fit_without_residual_df_is_data_error(self, tmp_path):
+        # 4 days give n = 3 transitions and model1 has p = 2 columns
+        truth = ladder_truth("model1")
+        series = simulate_var(truth, 4, tess=default_tessellation(4), seed=2)
+        save_planar(series, tmp_path / "short.planar")
+        code, err = quiet_dispatch(["fit", "--spec", "model1", "--series",
+                                    tmp_path / "short.planar", "--out", tmp_path / "out"])
+        assert code == 2 and "Traceback" not in err, err
+        assert err.startswith("data error: n - p = 3 - 2 < 2: Sigma's posterior is "
+                              "improper"), err
+
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base
         code, err = quiet_dispatch(["train-som", "--series", root / "state.series",
                                     "--phase-steps", "a,b", "--out", tmp_path])
         assert code == 2 and err.startswith("data error:"), err
+
+
+# every library entry point that takes a seed, called with seed -1
+SEED_ENTRY_POINTS = {
+    "McmcConfig": lambda r: McmcConfig(seed=-1),
+    "SomConfig": lambda r: SomConfig(n_nodes=4, rng_seed=-1),
+    "simulate_var": lambda r: simulate_var(ladder_truth("model1"), 10, seed=-1),
+    "simulate_uniform_cloud": lambda r: simulate_uniform_cloud(10, seed=-1),
+    "predict_series": lambda r: predict_series(load_chain(r / "model2.chain"),
+                                               load_planar(r / "series.planar"), seed=-1),
+    "score_model": lambda r: score_model(load_chain(r / "model2.chain"),
+                                         load_planar(r / "series.planar"), seed=-1),
+    "model_transitions": lambda r: model_transitions(load_chain(r / "model2.chain"),
+                                                     load_planar(r / "series.planar"), seed=-1),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+def test_negative_seed_is_data_error(base, entry):
+    root, _ = base
+    with pytest.raises(DataError, match="seed must be a non-negative integer, got -1"):
+        SEED_ENTRY_POINTS[entry](root)
 
 
 @pytest.fixture(scope="module")

@@ -93,6 +93,15 @@ class TestMcmcConfig:
         with pytest.raises(DataError):
             McmcConfig(thin=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_iter", 200.5), ("burn_in", 100.0), ("thin", 1.5), ("n_iter", True),
+        ("seed", -1), ("seed", 1.5), ("seed", "3"),
+    ])
+    def test_counts_and_seed_must_be_non_negative_integers(self, field, value):
+        kwargs = {"n_iter": 200, "burn_in": 100} | {field: value}
+        with pytest.raises(DataError, match=f"{field} must be a non-negative integer"):
+            McmcConfig(**kwargs)
+
     def test_kept_count(self):
         assert McmcConfig(n_iter=100, burn_in=20).n_kept == 80
         assert McmcConfig(n_iter=100, burn_in=20, thin=3).n_kept == 27
@@ -158,19 +167,21 @@ class TestPhiConditional:
 
 
 class TestSigmaConditional:
-    def test_full_conditional_plumbing(self):
-        # the update must call the inverse Wishart with df = n and the
-        # residual scale of the CURRENT Phi
+    def test_marginal_plumbing(self):
+        # without a field the update must call the inverse Wishart with
+        # df = n - p and the least-squares residual scale, whatever the
+        # current Phi
         series = cloud_series(n=40, seed=2)
         sampler, design = make_sampler(series, ("constant", "none"),
                                        McmcConfig(n_iter=10, burn_in=1, seed=5))
         sampler.phi = np.array([[0.3, -0.1], [0.2, 0.4]])
-        resid = (design.Y - design.offset) - design.X @ sampler.phi
+        phi_hat = np.linalg.lstsq(design.X, design.Y - design.offset, rcond=None)[0]
+        resid = (design.Y - design.offset) - design.X @ phi_hat
         scale = resid.T @ resid
 
         sampler.update_sigma()
         oracle = invwishart.rvs(
-            df=design.n, scale=scale, random_state=np.random.default_rng(5)
+            df=design.n - design.p, scale=scale, random_state=np.random.default_rng(5)
         )
         np.testing.assert_allclose(sampler.sigma, 0.5 * (oracle + oracle.T), rtol=1e-12)
 
@@ -195,6 +206,17 @@ class TestSigmaConditional:
         series = PlanarSeries(points=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         with pytest.raises(NonPDScale):
             run_chain(series, "model0", McmcConfig(n_iter=10, burn_in=1))
+
+    @pytest.mark.parametrize("spec, n_days", [
+        ("model1", 4), ("model1", 3),
+        (ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=2, n_y=2)), 4),
+    ], ids=["model1", "model1-n=p", "model11"])
+    def test_fewer_than_two_residual_df_is_refused(self, spec, n_days):
+        # the posterior of Sigma is improper when n - p < 2
+        series = cloud_series(n=n_days, seed=4)
+        n, p = n_days - 1, 2
+        with pytest.raises(DataError, match=f"n - p = {n} - {p} < 2"):
+            run_chain(series, spec, McmcConfig(n_iter=10, burn_in=1))
 
 
 class TestThetaKernelInvariance:
@@ -873,10 +895,11 @@ class TestCheckDraws:
 
 
 class DenseOracleSampler(_Sampler):
-    """The Phi and Sigma conditionals computed from the dense n x p X: Phi
-    is drawn around a least-squares refit on every sweep and the Sigma
-    scale comes from the n x 2 residuals. The field's conditionals are its
-    own, fed the residuals Yc - X Phi of the dense X."""
+    """The Phi and Sigma draws computed from the dense n x p X: Phi is drawn
+    around a least-squares refit on every sweep and the Sigma scale comes
+    from the n x 2 residuals, at the least-squares fit with df n - p without
+    a field and at the current Phi with df n with one. The field's
+    conditionals are its own, fed the residuals Yc - X Phi of the dense X."""
 
     def __init__(self, design, config, rng, knots, upper):
         super().__init__(design, config, rng, knots, upper)
@@ -899,10 +922,13 @@ class DenseOracleSampler(_Sampler):
         self.phi = phi_hat + self.L_xx @ z @ L_sig.T
 
     def update_sigma(self):
-        resid = self.Yc.copy() if self.field is None else self.Yc - self.field.eta
-        resid = resid - self.X @ self.phi
+        if self.field is None:
+            phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.X.T @ self.Yc)
+            resid, df = self.Yc - self.X @ phi_hat, self.n - self.p
+        else:
+            resid, df = self.Yc - self.field.eta - self.X @ self.phi, self.n
         scale = resid.T @ resid
-        sig = invwishart.rvs(df=self.n, scale=scale, random_state=self.rng)
+        sig = invwishart.rvs(df=df, scale=scale, random_state=self.rng)
         self.sigma = 0.5 * (sig + sig.T)
 
     def _field_inputs(self):
@@ -930,7 +956,8 @@ def ladder_series(model, n_days, seed):
 class TestDenseOracle:
     """The sufficient-statistic sampler against the dense-X conditionals."""
 
-    # Sigma is drawn from its full conditional in every case
+    # Phi is drawn from its full conditional given Sigma in every case, and
+    # Sigma from its marginal
     @pytest.mark.parametrize("model", ["model1", "model3", "model9"],
                              ids=lambda model: f"{model}-full_conditional")
     def test_same_seed_chain_matches_to_rounding(self, monkeypatch, model):
@@ -963,6 +990,49 @@ class TestDenseOracle:
         pred = predict_series(chain, series, tess=TESS4, n_draws=20)
         assert np.isfinite(pred.draws).all()
         assert np.isfinite(dic(chain, series, tess=TESS4).dic)
+
+
+class TestExactPosterior:
+    """Without a field every kept draw is an exact, independent draw of the
+    normal-inverse-Wishart posterior under the flat prior (Zellner 1971,
+    ch. 8): Sigma ~ IW(S_hat, n - p), then vec Phi | Sigma ~ N(vec phi_hat,
+    Sigma kron (X'X)^{-1})."""
+
+    N = 4000
+
+    # model1: one dense block; model5: dense with an intercept column;
+    # model9: blocked X'X
+    @pytest.mark.parametrize("model", ["model1", "model5", "model9"])
+    def test_moments_and_independence(self, model):
+        series = ladder_series(model, 600, seed=41)
+        config = McmcConfig(n_iter=self.N + 10, burn_in=10, seed=12)
+        chain = run_chain(series, model, config, tess=TESS4)
+        design = build_design(series, model, tess=TESS4)
+        phi_hat, sigma_mle = mle_var(design)
+        n, p, N = design.n, design.p, chain.n_draws
+        assert N == self.N
+        e_sigma = sigma_mle * n / (n - p - 3)
+
+        # E[Sigma] = S_hat / (n - p - 3) and E[Phi] = phi_hat: every entry
+        # within 4.5 Monte Carlo standard errors
+        for draws, want in ((chain.sigma, e_sigma), (chain.phi, phi_hat)):
+            se = draws.std(axis=0, ddof=1) / np.sqrt(N)
+            np.testing.assert_array_less(np.abs(draws.mean(axis=0) - want), 4.5 * se)
+
+        # Cov(vec Phi) = E[Sigma] kron (X'X)^{-1}, vec stacking columns; a
+        # sample covariance entry has variance (K_ii K_jj + K_ij^2) / N for
+        # normal draws, and every entry is held within 5 such sds
+        K = np.kron(e_sigma, np.linalg.inv(design.X.T @ design.X))
+        flat = chain.phi.transpose(0, 2, 1).reshape(N, -1)
+        tol = 5.0 * np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / N)
+        np.testing.assert_array_less(np.abs(np.cov(flat, rowvar=False) - K), tol)
+
+        # consecutive kept draws are independent: the lag-1 autocorrelation
+        # of every free scalar is within 4 / sqrt(N) of 0
+        z = np.hstack([flat, chain.sigma.reshape(N, 4)[:, [0, 1, 3]]])
+        z = z - z.mean(axis=0)
+        r1 = (z[1:] * z[:-1]).sum(axis=0) / (z * z).sum(axis=0)
+        assert np.abs(r1).max() <= 4.0 / np.sqrt(N)
 
 
 def basis_factor(knots, points, theta):

@@ -291,7 +291,6 @@ class TestBlockProducts:
         np.testing.assert_allclose(design.xt(M), X.T @ M, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(design.xphi(B), X @ B, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(design.gram.solve(B), np.linalg.solve(xtx, B), rtol=1e-9)
-        np.testing.assert_allclose(design.gram.quad(B), B.T @ xtx @ B, rtol=1e-12)
         L = design.gram.times_inv_factor(np.eye(p))
         np.testing.assert_allclose(np.tril(L), L, atol=0)
         np.testing.assert_allclose(L @ L.T, np.linalg.inv(xtx), rtol=1e-9, atol=1e-15)
