@@ -12,7 +12,7 @@ files are wrapped in `names_path`, so each error names the file once.
 Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 (any JSON number, NaN and Infinity included), ``bool``, ``list``, ``dict``,
 ``None`` for null, or a tuple of them. `nonneg_int` is the one rule for a
-seed or a sweep count, which a caller and a file share.
+seed or a count, which a caller and a file share.
 """
 
 from __future__ import annotations
@@ -124,12 +124,14 @@ def check(value, kind: str, key, types):
     raise MalformedHeader(f"{where} must be {want}, not {type(value).__name__}")
 
 
-def nonneg_int(value, name: str) -> None:
-    """Refuse `value` unless it is a non-negative integer (a bool is not
-    one): the rule for a seed, which numpy's generators need, and for a
-    sweep count, whether a caller or a file gives it."""
+def nonneg_int(value, name: str) -> int:
+    """`value` as a Python int, refused unless it is a non-negative integer
+    (a numpy integer is one, a bool is not): the rule for a seed, which
+    numpy's generators need, and for a count, whether a caller or a file
+    gives it."""
     if not (_is(value, int) or isinstance(value, np.integer)) or value < 0:
         raise DataError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def fields(doc, kind: str, required: dict | None = None,

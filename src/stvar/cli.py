@@ -39,7 +39,7 @@ from .evaluate import (
     var_lag_aic,
 )
 from .mcmc import McmcConfig, SeriesPrediction, load_chain, predict_series, run_chain, save_chain
-from .models import SEASONS, Calendar, resolve_spec
+from .models import SEASONS, _label_codes, resolve_spec
 from .projection import (
     Tessellation,
     load_planar,
@@ -625,10 +625,7 @@ def cmd_transitions(args, store: _Store) -> dict:
     if args.season:
         if series.dates is None:
             raise DataError("--season needs a dated series")
-        cal = Calendar()
-        select = np.array(
-            [cal.season(d) == args.season for d in series.dates[:-1]], dtype=bool
-        )
+        select = _label_codes(None, series.dates[:-1])["season"] == SEASONS.index(args.season)
 
     out = Path(args.out)
     labels = [str(k) for k in range(n_cells)]

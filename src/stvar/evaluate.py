@@ -469,6 +469,7 @@ def var_lag_aic(series: PlanarSeries, max_lag: int) -> LagScanResult:
     aic(L) = ln det(Sigma-hat_L) + 2 * (4L) / (T - L), counting the 4L mean
     parameters; smaller is better.
     """
+    max_lag = _doc.nonneg_int(max_lag, "max_lag")
     if max_lag < 1:
         raise DataError("max_lag must be at least 1")
     pts = series.points

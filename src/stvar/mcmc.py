@@ -98,7 +98,7 @@ class McmcConfig:
 
     def __post_init__(self):
         for name in ("n_iter", "burn_in", "thin", "seed"):
-            _doc.nonneg_int(getattr(self, name), name)
+            object.__setattr__(self, name, _doc.nonneg_int(getattr(self, name), name))
         if self.n_iter <= self.burn_in:
             raise DataError("need n_iter > burn_in >= 0")
         if self.thin < 1:
@@ -217,7 +217,7 @@ class Chain:
 
     def draw_indices(self, n_draws: int | None) -> np.ndarray:
         """Evenly spaced draw indices; all of them when n_draws is None."""
-        if n_draws is None or n_draws >= self.n_draws:
+        if n_draws is None or _doc.nonneg_int(n_draws, "n_draws") >= self.n_draws:
             return np.arange(self.n_draws)
         if n_draws < 1:
             raise DataError("need at least one draw")

@@ -28,7 +28,6 @@ Named ladder (aliases accepted everywhere a model spec is):
 
 from __future__ import annotations
 
-import datetime as _dt
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -61,12 +60,11 @@ A_STRUCTURES = (
 ETA_STRUCTURES = ("none", "constant", "quarter", "year", "spatial")
 
 SEASONS = ("DJF", "MAM", "JJA", "SON")
-_SEASON_OF_MONTH = {
-    12: "DJF", 1: "DJF", 2: "DJF",
-    3: "MAM", 4: "MAM", 5: "MAM",
-    6: "JJA", 7: "JJA", 8: "JJA",
-    9: "SON", 10: "SON", 11: "SON",
-}
+# The date rule of every block label: the meteorological season of each
+# month, January first, as its place in SEASONS. Where seasons and years
+# cross, December joins the following year's winter; the plain yearly
+# blocks use the calendar year unchanged (see _label_codes).
+_SEASON_OF_MONTH = np.array([0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 0])
 
 MODEL_ALIASES = {
     "model0": ("random_walk", "none"),
@@ -84,27 +82,10 @@ MODEL_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class Calendar:
-    """Meteorological seasons. December belongs to the following year's
-    winter when seasons and years are crossed; the plain yearly blocks use
-    the calendar year unchanged."""
-
-    def season(self, date: _dt.date) -> str:
-        return _SEASON_OF_MONTH[date.month]
-
-    def year(self, date: _dt.date) -> int:
-        return date.year
-
-    def season_year(self, date: _dt.date) -> int:
-        return date.year + 1 if date.month == 12 else date.year
-
-
-_CALENDAR = Calendar()
-
 # The parts of a block label, per structure. "cell" is the tessellation cell;
-# "season", "year" and "season_year" name the Calendar method that labels a
-# date. Labels sort by their parts in this order, seasons in SEASONS order.
+# "season", "year" and "season_year" label a date by the rule of
+# _label_codes. Labels sort by their parts in this order, seasons in SEASONS
+# order.
 # The random walk has no transition blocks, and "none" and "spatial" no
 # intercept blocks.
 _A_PARTS = {
@@ -128,6 +109,8 @@ class KnotGrid:
     padding: float = 0.10
 
     def __post_init__(self):
+        for name in ("n_x", "n_y"):
+            object.__setattr__(self, name, _doc.nonneg_int(getattr(self, name), name))
         if self.n_x < 2 or self.n_y < 2:
             raise DataError("knot grid needs at least 2 knots per axis")
         if not 0.0 <= self.padding < np.inf:
@@ -229,27 +212,17 @@ def resolve_spec(source) -> ModelSpec:
 # Block labeling and design matrices
 
 
+@dataclass(frozen=True)
 class DesignInfo:
-    """Maps (cell, date) to transition-block and intercept-block columns.
+    """A spec's transition-block and intercept-block labels, in column order.
 
     Block labels are canonical: cells ascending, seasons in DJF/MAM/JJA/SON
     order, years ascending, crossed structures sorted major key first.
     """
 
-    def __init__(self, spec: ModelSpec, a_keys, eta_keys):
-        self.spec = spec
-        self.a_keys = tuple(a_keys)
-        self.eta_keys = tuple(eta_keys)
-        self._a_lookup = {k: i for i, k in enumerate(self.a_keys)}
-        self._eta_lookup = {k: i for i, k in enumerate(self.eta_keys)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DesignInfo)
-            and self.spec == other.spec
-            and self.a_keys == other.a_keys
-            and self.eta_keys == other.eta_keys
-        )
+    spec: ModelSpec
+    a_keys: tuple
+    eta_keys: tuple
 
     @property
     def n_a(self) -> int:
@@ -277,48 +250,6 @@ class DesignInfo:
     def eta_labels(self) -> tuple[str, ...]:
         return tuple(self._label(k) for k in self.eta_keys)
 
-    @property
-    def column_map(self) -> tuple[str, ...]:
-        cols = []
-        for lab in self.a_labels:
-            cols.append(f"A[{lab}].sx")
-            cols.append(f"A[{lab}].sy")
-        for lab in self.eta_labels:
-            cols.append(f"eta[{lab}]")
-        return tuple(cols)
-
-    def a_index(self, cell: int | None, date: _dt.date | None) -> int | None:
-        """Transition block of one day; None for the random walk."""
-        return self._day_block(_A_PARTS.get(self.spec.a_structure), self._a_lookup, cell, date,
-                               "transition")
-
-    def eta_index(self, date: _dt.date | None) -> int | None:
-        """Intercept block of one day; None without intercept columns."""
-        return self._day_block(_ETA_PARTS.get(self.spec.eta_structure), self._eta_lookup,
-                               None, date, "intercept")
-
-    @staticmethod
-    def _day_block(parts, lookup, cell, date, what) -> int | None:
-        """One day's block, by the rule of block_indices. simulate_var labels
-        each day as the recursion reaches it, and _label_codes' array set-up
-        would cost more per day than this loop."""
-        if parts is None:
-            return None
-        key = []
-        for part in parts:
-            if part == "cell":
-                if cell is None:
-                    raise DataError("a tessellation-dependent block needs a cell index")
-                key.append(int(cell))
-            elif date is None:
-                raise UnlabeledDate(f"{what} blocks by {part} need dated observations")
-            else:
-                key.append(getattr(_CALENDAR, part)(date))
-        try:
-            return lookup[tuple(key)]
-        except KeyError:
-            raise UnlabeledDate(f"no fitted {what} block for {tuple(key)}") from None
-
     @classmethod
     def from_declared(cls, spec, *, cells=(), seasons=(), years=(),
                       season_years=()) -> "DesignInfo":
@@ -339,22 +270,19 @@ class DesignInfo:
 
 
 def _label_codes(cells, dates) -> dict[str, np.ndarray]:
-    """Integer code of every label part for each day; a season is coded by
-    its place in SEASONS. Calendar labels depend on the month alone, so the
-    calendar is asked once per distinct month."""
+    """Integer code of every label part for each day: a season by its place
+    in SEASONS, a year as itself. This is the one statement of the date rule:
+    the season comes from the month alone, and a season's year is the
+    calendar year, plus one in December."""
     codes = {}
     if cells is not None:
         codes["cell"] = np.asarray(cells, dtype=np.int64)
-    if dates is not None:
-        month = np.fromiter((12 * d.year + d.month - 1 for d in dates),
-                            dtype=np.int64, count=len(dates))
-        months, inv = np.unique(month, return_inverse=True)
-        firsts = [_dt.date(int(m) // 12, int(m) % 12 + 1, 1) for m in months]
-        codes["season"] = np.array([SEASONS.index(_CALENDAR.season(d)) for d in firsts],
-                                   dtype=np.int64)[inv]
-        for part in ("year", "season_year"):
-            label = getattr(_CALENDAR, part)
-            codes[part] = np.array([label(d) for d in firsts], dtype=np.int64)[inv]
+    if dates is not None:  # months count from 0, January first
+        year, month = np.divmod(np.fromiter((12 * d.year + d.month - 1 for d in dates),
+                                            dtype=np.int64, count=len(dates)), 12)
+        codes["season"] = _SEASON_OF_MONTH[month]
+        codes["year"] = year
+        codes["season_year"] = year + (month == 11)
     return codes
 
 
@@ -424,6 +352,30 @@ def block_indices(spec: ModelSpec, n: int, cells, dates, info: DesignInfo | None
     if info is None:
         info = DesignInfo(spec, a_keys, eta_keys)
     return info, a_idx, eta_idx
+
+
+def block_table(info: DesignInfo, n: int, n_cells: int, dates):
+    """Blocks of n source days for every cell a day may start in, labeled
+    before the cells are known, as simulate_var needs them.
+
+    Returns (a_of, eta_of): a_of[t, c] is the transition block of day t in
+    cell c, shape (n, n_cells), and eta_of[t] the intercept block of day t;
+    each is None where the spec has no such blocks. `dates` holds the n
+    dates; n_cells is 1 when the spec has no cell blocks. A (cell, day) pair
+    without a block in `info` raises UnlabeledDate.
+    """
+    spec = info.spec
+    days = _label_codes(None, dates if spec.needs_dates else None)
+    rows = {part: np.repeat(code, n_cells) for part, code in days.items()}
+    rows["cell"] = np.tile(np.arange(n_cells), n)
+    a_of = eta_of = None
+    if spec.a_structure in _A_PARTS:
+        a_of = _index_blocks(_A_PARTS[spec.a_structure], rows, n * n_cells, info.a_keys,
+                             "transition")[1].reshape(n, n_cells)
+    if spec.eta_structure in _ETA_PARTS:
+        eta_of = _index_blocks(_ETA_PARTS[spec.eta_structure], days, n, info.eta_keys,
+                               "intercept")[1]
+    return a_of, eta_of
 
 
 def _block_grams(S: np.ndarray, a_idx: np.ndarray, n_a: int) -> np.ndarray:

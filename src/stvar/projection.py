@@ -72,6 +72,7 @@ class SammonConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter", _doc.nonneg_int(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise DataError("max_iter must be positive")
         if self.tol <= 0.0:
@@ -248,9 +249,6 @@ class Tessellation:
                       out=cells[block])
         return cells
 
-    def assign_one(self, point) -> int:
-        return int(self.assign(np.asarray(point, dtype=float)[None, :])[0])
-
 # ---------------------------------------------------------------------------
 # Planar trajectory container and file format
 
@@ -339,7 +337,7 @@ class GreedyProjector:
     """Caches the candidate grid and its distinct node orderings for one model."""
 
     def __init__(self, model: SomModel, resolution: int = 201):
-        if resolution < 2:
+        if _doc.nonneg_int(resolution, "resolution") < 2:
             raise DataError("resolution must be >= 2")
         self.model = model
         self.nodes = model.nodes

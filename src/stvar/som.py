@@ -47,7 +47,7 @@ def lattice_coords(n_nodes: int) -> np.ndarray:
     Node k sits at row ``k // n_cols``, column ``k % n_cols``, rows counted
     upward, so node 0 is the bottom-left corner.
     """
-    if n_nodes < 1:
+    if _doc.nonneg_int(n_nodes, "n_nodes") < 1:
         raise DataError("need at least one node")
     n_cols = max(1, int(math.floor(math.sqrt(n_nodes))))
     rows = np.arange(n_nodes) // n_cols
@@ -100,6 +100,11 @@ class SomConfig:
     max_epochs: int = 1000
 
     def __post_init__(self):
+        for name in ("n_nodes", "rng_seed", "max_epochs"):
+            object.__setattr__(self, name, _doc.nonneg_int(getattr(self, name), name))
+        if self.phase_steps is not None:
+            object.__setattr__(self, "phase_steps", tuple(
+                _doc.nonneg_int(n, "phase step count") for n in self.phase_steps))
         if self.n_nodes < 1:
             raise DataError("n_nodes must be >= 1")
         if self.kernel not in KERNELS:
@@ -117,9 +122,6 @@ class SomConfig:
                 for s in phase:
                     if s < 0.0:
                         raise DataError("sigma values must be >= 0")
-        _doc.nonneg_int(self.rng_seed, "rng_seed")
-        if self.phase_steps is not None and any(n < 0 for n in self.phase_steps):
-            raise DataError("phase step counts must be >= 0")
         if not self.convergence_tol > 0.0:
             raise DataError("convergence_tol must be positive")
         if self.max_epochs < 1:

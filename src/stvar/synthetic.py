@@ -28,6 +28,7 @@ from .models import (
     PredictiveProcess,
     SEASONS,
     _check_knots,
+    block_table,
     exp_corr,
     resolve_spec,
 )
@@ -110,7 +111,7 @@ def simulate_var(
     seed: int = 0,
 ) -> PlanarSeries:
     """Roll the recursion s_{t+1} = A s_t + eta + eps forward from s0."""
-    if n_days < 2:
+    if _doc.nonneg_int(n_days, "n_days") < 2:
         raise EmptySeries("need at least 2 days to simulate")
     _doc.nonneg_int(seed, "seed")
     spec = truth.spec
@@ -140,19 +141,23 @@ def simulate_var(
         v = [_lapack.cho_solve((pp.factor(float(truth.theta[k]))[0], True), truth.wstar[k])
              for k in range(2)]
 
+    # every source day is labeled once, up front; only its cell waits for the path
     info = truth.info
-    n_a = info.n_a
+    cells = tess if spec.needs_cells else None
+    a_of, eta_of = block_table(info, n_days - 1, 1 if cells is None else cells.n_cells,
+                               None if dates is None else dates[:-1])
+    blocks = [truth.a_block(i) for i in range(info.n_a)]
+    intercepts = truth.phi[2 * info.n_a:]
     pts = np.empty((n_days, 2))
     pts[0] = np.asarray(s0, dtype=float)
     for t in range(n_days - 1):
         s = pts[t]
-        date = dates[t] if dates is not None else None
-        cell = tess.assign_one(s) if spec.needs_cells else None
-        i = info.a_index(cell, date)
-        mean = s.copy() if i is None else truth.a_block(i) @ s
-        j = info.eta_index(date)
-        if j is not None:
-            mean = mean + truth.phi[2 * n_a + j]
+        if a_of is None:
+            mean = s.copy()
+        else:
+            mean = blocks[a_of[t, 0 if cells is None else cells.assign(s[None, :])[0]]] @ s
+        if eta_of is not None:
+            mean = mean + intercepts[eta_of[t]]
         if v is not None:
             eta = np.empty(2)
             for k in range(2):
@@ -167,7 +172,7 @@ def simulate_var(
 
 def simulate_uniform_cloud(n: int, rect=(0.0, 1.0, 0.0, 1.0), seed: int = 0) -> StateSeries:
     """n independent uniform draws over (xmin, xmax, ymin, ymax)."""
-    if n < 1:
+    if _doc.nonneg_int(n, "n") < 1:
         raise EmptySeries("need at least one point")
     _doc.nonneg_int(seed, "seed")
     xmin, xmax, ymin, ymax = (float(v) for v in rect)

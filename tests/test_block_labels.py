@@ -23,7 +23,6 @@ from stvar.models import (
     ETA_STRUCTURES,
     MODEL_ALIASES,
     SEASONS,
-    Calendar,
     DesignInfo,
     KnotGrid,
     ModelSpec,
@@ -72,18 +71,22 @@ def declared_reference(spec, cells=(), seasons=(), years=(), season_years=()):
     return sort_keys(set(a_keys)), sort_keys(set(eta_keys))
 
 
+SEASON_OF_MONTH = {12: "DJF", 1: "DJF", 2: "DJF", 3: "MAM", 4: "MAM", 5: "MAM",
+                   6: "JJA", 7: "JJA", 8: "JJA", 9: "SON", 10: "SON", 11: "SON"}
+
+
 def frequencies_reference(assignment, n_cells, dates, by):
-    cal = Calendar()
+    # meteorological seasons; December counts in the next year's winter
     a = np.asarray(assignment)
     order = {s: i for i, s in enumerate(SEASONS)}
     if by == "season":
-        labels = [cal.season(d) for d in dates]
+        labels = [SEASON_OF_MONTH[d.month] for d in dates]
         keys = sorted(set(labels), key=lambda s: order[s])
     elif by == "year":
-        labels = [cal.year(d) for d in dates]
+        labels = [d.year for d in dates]
         keys = sorted(set(labels))
     else:
-        labels = [f"{cal.season_year(d)}/{cal.season(d)}" for d in dates]
+        labels = [f"{d.year + (d.month == 12)}/{SEASON_OF_MONTH[d.month]}" for d in dates]
         keys = sorted(set(labels), key=lambda k: (int(k.split("/")[0]), order[k.split("/")[1]]))
     labels = np.asarray(labels, dtype=object)
     return {str(k): np.bincount(a[labels == k], minlength=n_cells).astype(float) for k in keys}

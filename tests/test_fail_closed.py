@@ -27,11 +27,11 @@ from hypothesis import strategies as st
 from stvar.cli import dispatch
 from stvar.data_model import RawSeries, GridSpec, StateSeries, load_series, save_series, standardize
 from stvar.errors import DataError
-from stvar.evaluate import model_transitions, score_model
+from stvar.evaluate import model_transitions, score_model, var_lag_aic
 from stvar.mcmc import Chain, McmcConfig, load_chain, predict_series, run_chain, save_chain
 from stvar.models import KnotGrid, ModelSpec, resolve_spec, spec_to_dict
-from stvar.projection import PlanarSeries, load_planar, save_planar
-from stvar.som import SomConfig, SomModel, load_som, save_som, train_batch
+from stvar.projection import GreedyProjector, PlanarSeries, SammonConfig, load_planar, save_planar
+from stvar.som import SomConfig, SomModel, lattice_coords, load_som, save_som, train_batch
 from stvar.synthetic import (
     default_tessellation,
     ladder_truth,
@@ -487,6 +487,36 @@ def test_negative_seed_is_data_error(base, entry):
     root, _ = base
     with pytest.raises(DataError, match="seed must be a non-negative integer, got -1"):
         SEED_ENTRY_POINTS[entry](root)
+
+
+# every library count that is not a seed, called with a value that is not an
+# integer; the chain-reading entry points take n_draws
+COUNT_ENTRY_POINTS = {
+    "SomConfig.n_nodes": lambda r: SomConfig(n_nodes=2.5),
+    "SomConfig.max_epochs": lambda r: SomConfig(n_nodes=4, max_epochs=2.5),
+    "SomConfig.phase_steps": lambda r: SomConfig(n_nodes=4, phase_steps=(1.5, 2)),
+    "KnotGrid.n_x": lambda r: KnotGrid(n_x=2.5),
+    "SammonConfig.max_iter": lambda r: SammonConfig(max_iter=2.5),
+    "lattice_coords": lambda r: lattice_coords(2.5),
+    "predict_series": lambda r: predict_series(load_chain(r / "model2.chain"),
+                                               load_planar(r / "series.planar"), n_draws=2.5),
+    "score_model": lambda r: score_model(load_chain(r / "model2.chain"),
+                                         load_planar(r / "series.planar"), n_draws=2.5),
+    "model_transitions": lambda r: model_transitions(load_chain(r / "model2.chain"),
+                                                     load_planar(r / "series.planar"),
+                                                     n_draws=2.5),
+    "GreedyProjector": lambda r: GreedyProjector(load_som(r / "som.json"), resolution=2.5),
+    "var_lag_aic": lambda r: var_lag_aic(load_planar(r / "series.planar"), 1.5),
+    "simulate_var": lambda r: simulate_var(ladder_truth("model1"), 100.5),
+    "simulate_uniform_cloud": lambda r: simulate_uniform_cloud(2.5),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+def test_fractional_count_is_data_error(base, entry):
+    root, _ = base
+    with pytest.raises(DataError, match=r"must be a non-negative integer, got \d+\.5"):
+        COUNT_ENTRY_POINTS[entry](root)
 
 
 @pytest.fixture(scope="module")

@@ -596,6 +596,15 @@ class TestChainFiles:
         assert back.n_obs == chain.n_obs
         assert back.rhat_max == pytest.approx(chain.rhat_max, nan_ok=True)
 
+    def test_numpy_counts_round_trip_as_ints(self, tmp_path):
+        series = simulate_var(ladder_truth("model1"), n_days=80, seed=17)
+        config = McmcConfig(n_iter=np.int64(150), burn_in=10, seed=np.int64(3))
+        chain = run_chain(series, "model1", config)
+        save_chain(chain, tmp_path / "chain.bin")
+        back = load_chain(tmp_path / "chain.bin")
+        assert back.config == McmcConfig(n_iter=150, burn_in=10, seed=3)
+        assert all(type(v) is int for v in dataclasses.astuple(back.config))
+
     def test_round_trip_spatial(self, tmp_path):
         spec = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=3, n_y=3))
         series = cloud_series(n=60, seed=18)

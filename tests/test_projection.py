@@ -147,7 +147,7 @@ class TestTessellation:
 
     def test_tie_takes_smallest_index(self):
         tess = Tessellation(sites=np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert tess.assign_one(np.array([1.0, 0.0])) == 0
+        np.testing.assert_array_equal(tess.assign(np.array([1.0, 0.0])), [0])
 
     def test_blocks_match_one_distance_matrix(self):
         # more points than one block, on a lattice where many are equidistant
@@ -355,7 +355,7 @@ class TestGreedyProjection:
             for _ in range(4):
                 x = rng.normal(size=5)
                 p = projector.project(x)
-                assert tess.assign_one(p) == find_winner(x, nodes)
+                assert tess.assign(p)[0] == find_winner(x, nodes)
 
     def test_full_rank_agreement_recovers_node_position(self):
         # candidates right at a node agree with that node's own ranking, so
@@ -367,7 +367,7 @@ class TestGreedyProjection:
         projector = GreedyProjector(model, resolution=401)
         for m in range(6):
             p = projector.project(nodes[m])
-            assert Tessellation(sites=planar).assign_one(p) == m
+            assert Tessellation(sites=planar).assign(p)[0] == m
 
     def test_dimension_mismatch(self):
         model = make_model(np.zeros((3, 4)), lattice_coords(3))

@@ -449,6 +449,17 @@ class TestSomFiles:
         assert back.config == model.config
         assert back.provenance == model.provenance
 
+    def test_numpy_counts_round_trip_as_ints(self, tmp_path):
+        config = SomConfig(n_nodes=np.int64(4), rng_seed=np.int64(3),
+                           phase_steps=(np.int64(2), 3), max_epochs=np.int32(6))
+        model, _ = train_batch(np.random.default_rng(12).normal(size=(20, 3)), config)
+        save_som(model, tmp_path / "map.json")
+        back = load_som(tmp_path / "map.json")
+        assert back.config == SomConfig(n_nodes=4, rng_seed=3, phase_steps=(2, 3), max_epochs=6)
+        assert all(type(v) is int
+                   for v in (back.config.n_nodes, back.config.rng_seed, back.config.max_epochs,
+                             *back.config.phase_steps))
+
     def test_rejects_wrong_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))

@@ -16,6 +16,7 @@ from stvar.models import (
     MODEL_ALIASES,
     DesignInfo,
     ModelSpec,
+    block_indices,
     build_design,
     exp_corr,
 )
@@ -174,9 +175,10 @@ class TestSimulateVar:
         )
         assert len(series.dates) == 40
         # December 2001 shares a block with January 2002
-        i_dec = truth.info.a_index(None, dt.date(2001, 12, 25))
-        i_jan = truth.info.a_index(None, dt.date(2002, 1, 5))
+        dates = (dt.date(2001, 12, 25), dt.date(2002, 1, 5))
+        _, (i_dec, i_jan), _ = block_indices(truth.spec, 2, None, dates, truth.info)
         assert i_dec == i_jan
+        assert truth.info.a_labels[i_dec] == "2002/DJF"
 
     def test_explosive_warns(self):
         truth = constant_truth(1.1 * np.eye(2), 0.01 * np.eye(2), stationary=False)
@@ -189,6 +191,20 @@ class TestSimulateVar:
         truth = ladder_truth("model2", tess=tess)
         with pytest.raises(DataError, match="tessellation"):
             simulate_var(truth, n_days=10)
+
+    def test_layout_missing_a_cell_is_refused_up_front(self):
+        # the path stays in cell 0, far from site 1, yet a layout without a
+        # block for cell 1 is refused before the recursion
+        tess = Tessellation(sites=np.array([[0.0, 0.0], [100.0, 0.0]]))
+        spec = ModelSpec(a_structure="tessellation")
+        both = TruthBundle(info=DesignInfo.from_declared(spec, cells=(0, 1)),
+                           phi=np.vstack([0.5 * np.eye(2)] * 2), sigma=np.eye(2))
+        path = simulate_var(both, n_days=200, tess=tess, seed=5)
+        assert not path.node_assignment.any()
+        cell0 = TruthBundle(info=DesignInfo.from_declared(spec, cells=(0,)),
+                            phi=0.5 * np.eye(2), sigma=np.eye(2))
+        with pytest.raises(UnlabeledDate, match=r"\(1,\)"):
+            simulate_var(cell0, n_days=200, tess=tess, seed=5)
 
     def test_missing_dates_raise(self):
         truth = ladder_truth("model4", start_date="2000-01-01", n_days=10)
