@@ -109,9 +109,5 @@ class RankWarning(StvarWarning):
     """Design matrix is rank deficient; least squares still proceeds."""
 
 
-class ExplosiveWarning(StvarWarning):
-    """A transition block has spectral radius >= 1; simulation may diverge."""
-
-
 class NonConvergenceWarning(StvarWarning):
     """A sampler or optimizer finished without passing its diagnostic."""

@@ -299,7 +299,7 @@ class _Field:
     Field k is held by the Cholesky L[k] of C*(theta_k) and the knot-to-day
     correlations K[k] = exp(-theta_k D); its values at the days are
     w[k] = K[k]' C*^{-1} w*_k, and the basis W_k = (C*^{-1} K[k])' is never
-    formed. Every update reads R = Yc - X Phi and Omega = Sigma^{-1} from the
+    formed. Every update reads R = Y - X Phi and Omega = Sigma^{-1} from the
     sweep, which holds both fixed from the Sigma update to the next Phi one.
     """
 
@@ -491,7 +491,6 @@ class _Sampler:
         self.rng = rng
         self.n = design.n
         self.p = design.p
-        self.Yc = design.Y - design.offset
 
         if self.n - self.p < 2:
             raise DataError(f"n - p = {self.n} - {self.p} < 2: Sigma's posterior is improper")
@@ -518,7 +517,7 @@ class _Sampler:
             return
         phi_hat = self.phi_hat
         if self.field is not None:
-            phi_hat = self.gram.solve(self.design.xt(self.Yc - self.field.eta))
+            phi_hat = self.gram.solve(self.design.xt(self.design.Y - self.field.eta))
         z = self.rng.standard_normal((self.p, 2))
         L_sig = np.linalg.cholesky(self.sigma)
         self.phi = phi_hat + self.gram.times_inv_factor(z) @ L_sig.T
@@ -527,9 +526,7 @@ class _Sampler:
         if self.field is None:
             sig = _invwishart(self.rng, self.n - self.p, self.S_hat)
         else:
-            resid = self.Yc - self.field.eta
-            if self.p:
-                resid = resid - self.design.xphi(self.phi)
+            resid = self.design.Y - self.field.eta - self.design.xphi(self.phi)
             scale = resid.T @ resid
             if not _pd2(scale):
                 raise NonPDScale("residual scale matrix is singular")
@@ -537,8 +534,8 @@ class _Sampler:
         self.sigma = 0.5 * (sig + sig.T)
 
     def _field_inputs(self) -> tuple:
-        """R = Yc - X Phi and Omega = Sigma^{-1}, the field updates' inputs."""
-        R = self.Yc - self.design.xphi(self.phi) if self.p else self.Yc
+        """R = Y - X Phi and Omega = Sigma^{-1}, the field updates' inputs."""
+        R = self.design.Y - self.design.xphi(self.phi)
         s = self.sigma
         det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
         return R, np.array([[s[1, 1], -s[0, 1]], [-s[0, 1], s[0, 0]]]) / det
@@ -671,12 +668,13 @@ _MEAN_BLOCK = 4  # draws per block gather in mean_paths
 
 
 def mean_paths(chain: Chain, design: DesignPair, idx) -> np.ndarray:
-    """One-step means offset + X phi + eta on `design` of the chain's draws
-    at indices `idx`, shape (B, n, 2).
+    """One-step means X phi + eta on `design` of the chain's draws at
+    indices `idx`, shape (B, n, 2); the random walk's X phi is the source
+    points.
 
-    The draws' phi are gathered from the chain and offset + X phi is taken
-    for `_MEAN_BLOCK` draws at a time, each draw's bytes those of a call on
-    it alone. With a spatial intercept the knot geometry is computed once
+    The draws' phi are gathered from the chain and X phi is taken for
+    `_MEAN_BLOCK` draws at a time, each draw's bytes those of a call on it
+    alone. With a spatial intercept the knot geometry is computed once
     per call and each draw's eta is added in place, so no (B, m, n) kernel
     stack is formed.
     """
@@ -684,7 +682,7 @@ def mean_paths(chain: Chain, design: DesignPair, idx) -> np.ndarray:
     phis = chain.phi[idx]
     for b0 in range(0, len(idx), _MEAN_BLOCK):
         b1 = b0 + _MEAN_BLOCK
-        np.add(design.offset, design.xphi(phis[b0:b1]), out=out[b0:b1])
+        out[b0:b1] = design.xphi(phis[b0:b1])
     if chain.is_spatial:
         pp = PredictiveProcess(chain.knots, design.source_points)
         for b, i in enumerate(idx):

@@ -12,15 +12,16 @@ iterates never increases. Initialization is classical scaling, and both lay
 the nodes out in N_COMPONENTS = 2 dimensions: the plane.
 
 ``GreedyProjector`` drops a d-dimensional day onto the embedded plane: every
-candidate position on a dense grid over the node bounding box, widened on
-each side by PADDING = 0.25 of its extent, ranks the planar nodes by
-distance, the day ranks the codebook vectors in data space, and a candidate
-scores the length of the leading run on which the two rankings agree. The
-projected position is the average of the top-scoring candidates. Rank ties
-in the day's own distances form groups: a candidate agrees at position k
-when its k-th nearest node belongs to the day's tie group for that position.
-By construction the projected point always agrees with the day's data-space
-winner at rank one, so it falls inside the winner's planar tessellation cell.
+candidate position on a grid of RESOLUTION = 201 points per axis over the
+node bounding box, widened on each side by PADDING = 0.25 of its extent,
+ranks the planar nodes by distance, the day ranks the codebook vectors in
+data space, and a candidate scores the length of the leading run on which
+the two rankings agree. The projected position is the average of the
+top-scoring candidates. Rank ties in the day's own distances form groups: a
+candidate agrees at position k when its k-th nearest node belongs to the
+day's tie group for that position. By construction the projected point
+always agrees with the day's data-space winner at rank one, so it falls
+inside the winner's planar tessellation cell.
 
 A candidate's score depends only on its node ordering, and the C grid
 candidates share far fewer distinct orderings U: they are the cells of the
@@ -60,6 +61,7 @@ N_COMPONENTS = 2  # dimensions of the embedding: the plane
 STEP_FACTOR = 0.35  # Sammon's magic factor on the diagonal-Newton step
 MAX_HALVINGS = 20  # step halvings tried before an iterate counts as stuck
 PADDING = 0.25  # candidate grid margin per side, as a fraction of the node extent
+RESOLUTION = 201  # candidate grid points per axis
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +106,6 @@ def _checked_distances(distances: np.ndarray) -> np.ndarray:
     if np.any(off <= 0.0):
         raise DegenerateDistances("off-diagonal target distances must be positive")
     return 0.5 * (D + D.T)
-
-
-def sammon_stress(distances: np.ndarray, coords: np.ndarray) -> float:
-    """Sammon stress of a configuration against target distances."""
-    D = _checked_distances(distances)
-    Y = np.asarray(coords, dtype=float)
-    if Y.ndim != 2 or Y.shape[0] != D.shape[0]:
-        raise DimensionMismatch(
-            f"coords shape {Y.shape} does not match {D.shape[0]} items"
-        )
-    iu = np.triu_indices(D.shape[0], k=1)
-    d = D[iu]
-    return _stress_raw(d, float(d.sum()), Y, iu)
 
 
 def classical_scaling(distances: np.ndarray) -> np.ndarray:
@@ -240,6 +229,16 @@ class Tessellation:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != 2:
             raise DimensionMismatch(f"points must be (N, 2), got {pts.shape}")
+        finite = np.isfinite(pts)
+        if not finite.all():
+            row = int(np.argmin(finite.all(axis=1)))
+            raise DataError(f"point {row} (row 0 is the first) is not finite")
+        return self._nearest(pts)
+
+    def _nearest(self, pts: np.ndarray) -> np.ndarray:
+        """Cells of an (N, 2) float array of finite points, unchecked: the
+        path of simulate_var, whose points are finite by construction, takes
+        this one point at a time."""
         # blocks of points bound the distance matrix; each row's argmin is
         # the one a single (N, M) matrix gives
         cells = np.empty(pts.shape[0], dtype=np.intp)
@@ -336,13 +335,11 @@ _DAY_BLOCK = 64
 class GreedyProjector:
     """Caches the candidate grid and its distinct node orderings for one model."""
 
-    def __init__(self, model: SomModel, resolution: int = 201):
-        if _doc.nonneg_int(resolution, "resolution") < 2:
-            raise DataError("resolution must be >= 2")
+    def __init__(self, model: SomModel):
         self.model = model
         self.nodes = model.nodes
         self.planar = model.planar
-        self.candidates = padded_grid(self.planar, PADDING, resolution, resolution)
+        self.candidates = padded_grid(self.planar, PADDING, RESOLUTION, RESOLUTION)
         d2 = _lapack.cdist(self.candidates, self.planar, "sqeuclidean")
         self.cand_order = np.argsort(d2, axis=1, kind="stable")
 
@@ -469,17 +466,13 @@ class GreedyProjector:
         return days[day], best
 
 
-def project_series(
-    series: StateSeries | np.ndarray,
-    model: SomModel,
-    resolution: int = 201,
-) -> PlanarSeries:
+def project_series(series: StateSeries | np.ndarray, model: SomModel) -> PlanarSeries:
     """Project every day and record its data-space winning node; the dates
     of a series that has them are kept."""
     X = as_matrix(series)
     if X.shape[1] != model.dim:
         raise DimensionMismatch(f"data dim {X.shape[1]} != model dim {model.dim}")
-    projector = GreedyProjector(model, resolution=resolution)
+    projector = GreedyProjector(model)
     points = projector.project_many(X)
     winners = assign(X, model)
     dates = getattr(series, "dates", None)

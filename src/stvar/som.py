@@ -79,6 +79,13 @@ def _two_phase(pairs: tuple[Pair, Pair], i: int, n1: int, n2: int) -> float:
     return e2
 
 
+def _has_shape(value, shape: tuple) -> bool:
+    try:
+        return np.shape(value) == shape
+    except ValueError:  # a ragged nesting has no shape
+        return False
+
+
 @dataclass(frozen=True)
 class SomConfig:
     """Training hyperparameters.
@@ -102,6 +109,12 @@ class SomConfig:
     def __post_init__(self):
         for name in ("n_nodes", "rng_seed", "max_epochs"):
             object.__setattr__(self, name, _doc.nonneg_int(getattr(self, name), name))
+        for name, shape, what in (("alpha", (2, 2), "two (start, end) phases"),
+                                  ("sigma", (2, 2), "two (start, end) phases"),
+                                  ("phase_steps", (2,), "two counts")):
+            value = getattr(self, name)
+            if value is not None and not _has_shape(value, shape):
+                raise DataError(f"{name} must be {what}, got {value!r}")
         if self.phase_steps is not None:
             object.__setattr__(self, "phase_steps", tuple(
                 _doc.nonneg_int(n, "phase step count") for n in self.phase_steps))

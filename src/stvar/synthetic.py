@@ -13,14 +13,13 @@ and intercept block j of K' gets 0.8 * (cos(2 pi j / K'), sin(2 pi j / K')).
 from __future__ import annotations
 
 import datetime as _dt
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _doc, _lapack
 from .data_model import GridSpec, StateSeries
-from .errors import DataError, EmptySeries, ExplosiveWarning, UnlabeledDate
+from .errors import DataError, EmptySeries, UnlabeledDate
 from .mcmc import _BLOCK_NAMES, check_draws
 from .models import (
     DesignInfo,
@@ -39,9 +38,10 @@ from .som import lattice_coords
 @dataclass(frozen=True)
 class TruthBundle:
     """A model spec, a coefficient layout, and the generating parameters: one
-    valid draw of the layout's blocks. A spatial intercept eta(s) = Q (w1(s),
-    w2(s))' has knots, decay rates theta, q and knot values wstar; without
-    one these are None."""
+    valid draw of the layout's blocks whose transition blocks all have
+    spectral radius below 1. A spatial intercept eta(s) = Q (w1(s), w2(s))'
+    has knots, decay rates theta, q and knot values wstar; without one these
+    are None."""
 
     info: DesignInfo
     phi: np.ndarray
@@ -50,7 +50,6 @@ class TruthBundle:
     theta: np.ndarray | None = None
     q: np.ndarray | None = None
     wstar: np.ndarray | None = None
-    stationary: bool = True
 
     def __post_init__(self):
         spatial = self.spec.eta_structure == "spatial"
@@ -66,12 +65,9 @@ class TruthBundle:
         if spatial:
             object.__setattr__(self, "knots", _check_knots(self.knots))
         check_draws(blocks, self.info.n_columns, self.knots.shape[0] if spatial else None)
-        if self.stationary:
-            rho = self.spectral_radii()
-            if rho.size and rho.max() >= 1.0:
-                raise DataError(
-                    f"stationary truth has a block with spectral radius {rho.max():.3f}"
-                )
+        rho = self.spectral_radii()
+        if rho.size and rho.max() >= 1.0:
+            raise DataError(f"truth has a block with spectral radius {rho.max():.3f}")
 
     @property
     def spec(self) -> ModelSpec:
@@ -121,14 +117,6 @@ def simulate_var(
     if spec.needs_dates and dates is None:
         raise UnlabeledDate(f"{spec.a_structure}/{spec.eta_structure} needs a start date")
 
-    rho = truth.spectral_radii()
-    if rho.size and rho.max() >= 1.0:
-        warnings.warn(
-            f"transition block with spectral radius {rho.max():.3f} >= 1",
-            ExplosiveWarning,
-            stacklevel=2,
-        )
-
     rng = np.random.default_rng(seed)
     L = np.linalg.cholesky(truth.sigma)
     noise = rng.standard_normal((n_days - 1, 2)) @ L.T
@@ -155,7 +143,7 @@ def simulate_var(
         if a_of is None:
             mean = s.copy()
         else:
-            mean = blocks[a_of[t, 0 if cells is None else cells.assign(s[None, :])[0]]] @ s
+            mean = blocks[a_of[t, 0 if cells is None else cells._nearest(s[None, :])[0]]] @ s
         if eta_of is not None:
             mean = mean + intercepts[eta_of[t]]
         if v is not None:
@@ -184,9 +172,9 @@ def simulate_uniform_cloud(n: int, rect=(0.0, 1.0, 0.0, 1.0), seed: int = 0) -> 
     return StateSeries(matrix=pts, grid=grid)
 
 
-def default_tessellation(n_nodes: int = 12, scale: float = 1.0) -> Tessellation:
+def default_tessellation(n_nodes: int = 12) -> Tessellation:
     """Lattice-site tessellation matching an untrained map's layout."""
-    return Tessellation(sites=scale * lattice_coords(n_nodes))
+    return Tessellation(sites=lattice_coords(n_nodes))
 
 
 def _rotation_block(i: int, k: int) -> np.ndarray:

@@ -5,7 +5,7 @@ thing faster and is held to these in the tests.
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from stvar.models import coregionalize, pp_basis
 
@@ -30,17 +30,17 @@ def coregional_eta(points: np.ndarray, knots: np.ndarray, theta: np.ndarray, q: 
 
 
 def mean_paths_per_draw(chain, design, idx, pp=None) -> np.ndarray:
-    """One-step means offset + X phi (+ eta) of the chain's draws at `idx`,
-    shape (B, n, 2), one draw at a time with X phi taken from each row's
-    block of phi and, given the PredictiveProcess `pp`, each draw's spatial
-    intercept added last. The library gathers offset + X phi for a block of
-    draws at once."""
+    """One-step means X phi (+ eta) of the chain's draws at `idx`, shape
+    (B, n, 2), one draw at a time with X phi taken from each row's block of
+    phi (the random walk's mean is the source point) and, given the
+    PredictiveProcess `pp`, each draw's spatial intercept added last. The
+    library gathers X phi for a block of draws at once."""
     info, S = design.info, design.source_points
     out = np.empty((len(idx), design.n, 2))
     for b, i in enumerate(idx):
         phi = chain.phi[i]
         if info.n_a == 0:
-            xphi = np.zeros((design.n, 2))
+            xphi = S.copy()
         elif info.n_a == 1:
             xphi = S @ phi[:2]
         else:
@@ -48,11 +48,17 @@ def mean_paths_per_draw(chain, design, idx, pp=None) -> np.ndarray:
             xphi = S[:, :1] * blocks[design.a_idx, 0] + S[:, 1:] * blocks[design.a_idx, 1]
         if info.n_eta:
             xphi += phi[2 * info.n_a + design.eta_idx]
-        mean = design.offset + xphi
-        if pp is not None:
-            mean = mean + pp.eta(chain.theta[i], chain.q[i], chain.wstar[i])
-        out[b] = mean
+        out[b] = xphi if pp is None else xphi + pp.eta(chain.theta[i], chain.q[i], chain.wstar[i])
     return out
+
+
+def sammon_stress(distances: np.ndarray, coords: np.ndarray) -> float:
+    """Sammon stress sum_{i<j} (d_ij - |y_i - y_j|)^2 / d_ij / sum_{i<j} d_ij
+    of a layout against a distance matrix, over its condensed upper
+    triangle."""
+    d = np.asarray(distances, dtype=float)[np.triu_indices(len(distances), k=1)]
+    delta = pdist(np.asarray(coords, dtype=float))
+    return float(((d - delta) ** 2 / d).sum() / d.sum())
 
 
 def unique_rows(rows: np.ndarray):

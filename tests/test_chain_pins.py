@@ -3,11 +3,11 @@
 Each case fits one model to a fixed simulated series and pins the sha256 of
 the file `save_chain` writes. The pins hold the sampler to its exact random
 number order and float arithmetic, independently of the sampler classes the
-oracle tests derive from it, on each form of X'X: one dense block (model1),
-dense with intercept columns (model5) and blocked (model9), and with the
-spatial intercept (model11). A pin changes only in a change that alters chain
-bytes on purpose and names that change, with the outputs it moves, in
-CHANGES.md.
+oracle tests derive from it, on the random walk (model0, no columns) and on
+each form of X'X: one dense block (model1), dense with intercept columns
+(model5) and blocked (model9), and with the spatial intercept (model11). A
+pin changes only in a change that alters chain bytes on purpose and names
+that change, with the outputs it moves, in CHANGES.md.
 """
 
 import hashlib
@@ -22,6 +22,10 @@ TESS4 = default_tessellation(4)
 SPATIAL_SPEC = ModelSpec("constant", "spatial", knot_grid=KnotGrid(n_x=4, n_y=4))
 
 PINS = {
+    ("model0", 3):
+        "712cc00147c56c7f10e6368c98c64232442e60db6cb899bd4338a213e62ba995",
+    ("model0", 7):
+        "17ec60537aae0e905f8c348264ec335bd7d18942fec66dace8682a01ea46857e",
     ("model1", 3):
         "a8c1cb008cb6023af975e0191c327024baa388f6c9b66e1bd9da9d9d446e555a",
     ("model1", 7):

@@ -30,7 +30,7 @@ from stvar.errors import DataError
 from stvar.evaluate import model_transitions, score_model, var_lag_aic
 from stvar.mcmc import Chain, McmcConfig, load_chain, predict_series, run_chain, save_chain
 from stvar.models import KnotGrid, ModelSpec, resolve_spec, spec_to_dict
-from stvar.projection import GreedyProjector, PlanarSeries, SammonConfig, load_planar, save_planar
+from stvar.projection import PlanarSeries, SammonConfig, Tessellation, load_planar, save_planar
 from stvar.som import SomConfig, SomModel, lattice_coords, load_som, save_som, train_batch
 from stvar.synthetic import (
     default_tessellation,
@@ -505,7 +505,6 @@ COUNT_ENTRY_POINTS = {
     "model_transitions": lambda r: model_transitions(load_chain(r / "model2.chain"),
                                                      load_planar(r / "series.planar"),
                                                      n_draws=2.5),
-    "GreedyProjector": lambda r: GreedyProjector(load_som(r / "som.json"), resolution=2.5),
     "var_lag_aic": lambda r: var_lag_aic(load_planar(r / "series.planar"), 1.5),
     "simulate_var": lambda r: simulate_var(ladder_truth("model1"), 100.5),
     "simulate_uniform_cloud": lambda r: simulate_uniform_cloud(2.5),
@@ -517,6 +516,29 @@ def test_fractional_count_is_data_error(base, entry):
     root, _ = base
     with pytest.raises(DataError, match=r"must be a non-negative integer, got \d+\.5"):
         COUNT_ENTRY_POINTS[entry](root)
+
+
+# values of the wrong shape: map schedules that are not two phases of two
+# values (or two counts), and points no tessellation cell can hold
+SHAPE_PROBES = {
+    "SomConfig.alpha": (lambda: SomConfig(n_nodes=4, alpha=((0.5, 0.05),)),
+                        r"alpha must be two \(start, end\) phases"),
+    "SomConfig.sigma": (lambda: SomConfig(n_nodes=4, sigma=((1.0, 1.0),)),
+                        r"sigma must be two \(start, end\) phases"),
+    "SomConfig.phase_steps-short": (lambda: SomConfig(n_nodes=4, phase_steps=(1,)),
+                                    "phase_steps must be two counts"),
+    "SomConfig.phase_steps-long": (lambda: SomConfig(n_nodes=4, phase_steps=(1, 2, 3)),
+                                   "phase_steps must be two counts"),
+    "Tessellation.assign": (lambda: Tessellation(sites=[[0.0, 0.0], [1.0, 0.0]]).assign(
+        [[2.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]]), "point 1 .* is not finite"),
+}
+
+
+@pytest.mark.parametrize("entry", SHAPE_PROBES)
+def test_wrong_shape_is_data_error(entry):
+    call, message = SHAPE_PROBES[entry]
+    with pytest.raises(DataError, match=message):
+        call()
 
 
 @pytest.fixture(scope="module")

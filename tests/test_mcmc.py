@@ -175,8 +175,8 @@ class TestSigmaConditional:
         sampler, design = make_sampler(series, ("constant", "none"),
                                        McmcConfig(n_iter=10, burn_in=1, seed=5))
         sampler.phi = np.array([[0.3, -0.1], [0.2, 0.4]])
-        phi_hat = np.linalg.lstsq(design.X, design.Y - design.offset, rcond=None)[0]
-        resid = (design.Y - design.offset) - design.X @ phi_hat
+        phi_hat = np.linalg.lstsq(design.X, design.Y, rcond=None)[0]
+        resid = design.Y - design.X @ phi_hat
         scale = resid.T @ resid
 
         sampler.update_sigma()
@@ -297,7 +297,7 @@ class TestWstarConditional:
         resid, omega = sampler._field_inputs()
 
         knots = field.pp.knots
-        R = design.Y - design.offset
+        R = design.Y
 
         def oracle(theta, y):
             C = np.exp(-theta * cdist(knots, knots))
@@ -341,7 +341,7 @@ class TestQConditional:
         tau = Q_PRIOR_SD
 
         w1 = pp_basis(design.source_points, field.pp.knots, field.theta[0]) @ field.wstar[0]
-        R = design.Y - design.offset
+        R = design.Y
         rx, ry = R[:, 0], R[:, 1]
         prec1 = float(w1 @ w1) + 1.0 / tau**2
 
@@ -908,7 +908,7 @@ class DenseOracleSampler(_Sampler):
     around a least-squares refit on every sweep and the Sigma scale comes
     from the n x 2 residuals, at the least-squares fit with df n - p without
     a field and at the current Phi with df n with one. The field's
-    conditionals are its own, fed the residuals Yc - X Phi of the dense X."""
+    conditionals are its own, fed the residuals Y - X Phi of the dense X."""
 
     def __init__(self, design, config, rng, knots, upper):
         super().__init__(design, config, rng, knots, upper)
@@ -916,15 +916,15 @@ class DenseOracleSampler(_Sampler):
         self.xtx_factor = scipy.linalg.cho_factor(X.T @ X)
         inv = scipy.linalg.cho_solve(self.xtx_factor, np.eye(self.p))
         self.L_xx = np.linalg.cholesky(0.5 * (inv + inv.T))
-        phi0 = scipy.linalg.cho_solve(self.xtx_factor, X.T @ self.Yc)
-        resid = self.Yc - X @ phi0
+        phi0 = scipy.linalg.cho_solve(self.xtx_factor, X.T @ self.design.Y)
+        resid = self.design.Y - X @ phi0
         sig0 = resid.T @ resid / self.n
         sig0 = 0.5 * (sig0 + sig0.T)
         self.phi = phi0
         self.sigma = self._pd_init(sig0)
 
     def update_phi(self):
-        Yeff = self.Yc if self.field is None else self.Yc - self.field.eta
+        Yeff = self.design.Y if self.field is None else self.design.Y - self.field.eta
         phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.X.T @ Yeff)
         z = self.rng.standard_normal((self.p, 2))
         L_sig = np.linalg.cholesky(self.sigma)
@@ -932,16 +932,16 @@ class DenseOracleSampler(_Sampler):
 
     def update_sigma(self):
         if self.field is None:
-            phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.X.T @ self.Yc)
-            resid, df = self.Yc - self.X @ phi_hat, self.n - self.p
+            phi_hat = scipy.linalg.cho_solve(self.xtx_factor, self.X.T @ self.design.Y)
+            resid, df = self.design.Y - self.X @ phi_hat, self.n - self.p
         else:
-            resid, df = self.Yc - self.field.eta - self.X @ self.phi, self.n
+            resid, df = self.design.Y - self.field.eta - self.X @ self.phi, self.n
         scale = resid.T @ resid
         sig = invwishart.rvs(df=df, scale=scale, random_state=self.rng)
         self.sigma = 0.5 * (sig + sig.T)
 
     def _field_inputs(self):
-        return self.Yc - self.X @ self.phi, super()._field_inputs()[1]
+        return self.design.Y - self.X @ self.phi, super()._field_inputs()[1]
 
 
 def dense_oracle_chain(monkeypatch, *args, **kwargs):
@@ -1198,7 +1198,7 @@ def three_pass_draws(chain, series, tess, n_draws, seed, include_noise):
     out = np.empty((idx.size, design.n, 2))
     rng = np.random.default_rng(seed)
     for b, i in enumerate(idx):
-        mean = design.offset + design.xphi(chain.phi[i])
+        mean = design.xphi(chain.phi[i])
         if chain.is_spatial:
             mean = mean + draw_eta(chain, design.source_points, i)
         if include_noise:
@@ -1216,7 +1216,7 @@ def three_pass_dic(chain, series, tess, n_draws):
     idx = chain.draw_indices(n_draws)
 
     def deviance(phi, sigma, eta):
-        mean = design.offset + design.xphi(phi)
+        mean = design.xphi(phi)
         if eta is not None:
             mean = mean + eta
         return _gauss_deviance(design.Y - mean, sigma)
@@ -1247,8 +1247,15 @@ def max_block_diff(a, b):
 
 
 class TestMeanPaths:
-    """Block-gathered mean paths against the per-draw offset + X phi + eta
-    loop."""
+    """Block-gathered mean paths against the per-draw X phi + eta loop."""
+
+    def test_random_walk_mean_is_the_source_point(self):
+        series = ladder_series("model0", 200, seed=40)
+        chain = run_chain(series, "model0", McmcConfig(n_iter=30, burn_in=10, seed=5))
+        design = chain_design(chain, series)
+        idx = chain.draw_indices(None)
+        means = mean_paths(chain, design, idx)
+        np.testing.assert_array_equal(means, np.broadcast_to(series.points[:-1], means.shape))
 
     @pytest.mark.filterwarnings("ignore::stvar.errors.NonConvergenceWarning")
     @pytest.mark.parametrize("model", [f"model{i}" for i in range(12)])
@@ -1355,7 +1362,7 @@ class TestPredictiveProcessOracle:
         for b, i in enumerate(idx):
             eta = draw_eta(chain, design.source_points, i)
             assert max_block_diff(pp.eta(chain.theta[i], chain.q[i], chain.wstar[i]), eta) <= 1e-12
-            want = design.offset + design.xphi(chain.phi[i]) + eta
+            want = design.xphi(chain.phi[i]) + eta
             assert max_block_diff(means[b], want) <= 1e-12
 
     def test_cached_fields_follow_the_state(self):

@@ -174,7 +174,6 @@ class TestBuildDesign:
             [0.0, 0.0, 1.5, -0.5],
         ])
         np.testing.assert_array_equal(design.X, want)
-        np.testing.assert_array_equal(design.offset, 0.0)
         assert design.info.a_labels == ("0", "1")
 
     def test_tessellation_argument_overrides_assignments(self):
@@ -183,7 +182,9 @@ class TestBuildDesign:
         series = PlanarSeries(points=pts, node_assignment=np.zeros(6, dtype=int))
         tess = Tessellation(sites=np.array([[1.0, 0.0], [-1.0, 0.0]]))
         design = build_design(series, ModelSpec(a_structure="tessellation"), tess)
-        np.testing.assert_array_equal(design.source_cells, [0, 1, 0, 1, 0])
+        # blocks "0" and "1" are cells 0 and 1
+        np.testing.assert_array_equal(design.a_idx, [0, 1, 0, 1, 0])
+        assert design.info.a_labels == ("0", "1")
         assert not design.rank_deficient
 
     def test_random_walk_design_is_an_offset(self):
@@ -191,7 +192,10 @@ class TestBuildDesign:
         series = PlanarSeries(points=pts)
         design = build_design(series, "model0")
         assert design.p == 0
-        np.testing.assert_array_equal(design.offset, pts[:-1])
+        # A is I and fixed, so the mean X Phi is the source point itself
+        np.testing.assert_array_equal(design.xphi(np.zeros((0, 2))), pts[:-1])
+        np.testing.assert_array_equal(design.xphi(np.zeros((3, 0, 2))),
+                                      np.broadcast_to(pts[:-1], (3, 2, 2)))
 
     def test_eta_columns(self):
         pts = np.array([[1.0, 2.0], [0.5, -1.0], [0.25, 0.5], [1.5, 0.75]])
@@ -340,6 +344,18 @@ class TestMle:
         _, sigma = mle_var(build_design(series, "model0"))
         d = pts[1:] - pts[:-1]
         np.testing.assert_allclose(sigma, d.T @ d / d.shape[0], atol=1e-12)
+
+    def test_rw_mle_is_the_step_covariance(self):
+        # the random walk's mean is its source point, so the residuals are
+        # the steps Y - S
+        rng = np.random.default_rng(43)
+        pts = rng.normal(size=(30, 2)).cumsum(axis=0)
+        design = build_design(PlanarSeries(points=pts), "model0")
+        phi, sigma = mle_var(design)
+        assert phi.shape == (0, 2)
+        steps = design.Y - design.source_points
+        want = steps.T @ steps / design.n
+        np.testing.assert_array_equal(sigma, 0.5 * (want + want.T))
 
     def test_singular_design_raises(self):
         with pytest.warns(RankWarning):

@@ -23,13 +23,12 @@ from stvar.projection import (
     load_planar,
     project_series,
     sammon_embed,
-    sammon_stress,
     save_planar,
 )
 from stvar.som import SomConfig, SomModel, lattice_coords
 
 import stvar.projection
-from oracles import find_winner, unique_rows, walk_by_agreement_loop
+from oracles import find_winner, sammon_stress, unique_rows, walk_by_agreement_loop
 
 
 def write_planar(path, points, nodes, dates=None, magic=b"STVAR-PLANAR v2"):
@@ -54,6 +53,9 @@ def make_model(nodes, planar):
 
 
 class TestSammonStress:
+    """The stress oracle on layouts of known stress, then sammon_embed's
+    refusals of distance matrices that no layout can be scored against."""
+
     def test_collapsed_configuration_scores_one(self):
         # with all coords equal every delta is 0, so E = sum d / sum d = 1
         D = pairwise(np.array([[0.0], [1.0], [3.0]]))
@@ -67,17 +69,17 @@ class TestSammonStress:
     def test_rejects_asymmetry(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(DataError):
-            sammon_stress(D, np.zeros((2, 2)))
+            sammon_embed(D)
 
     def test_rejects_zero_offdiagonal(self):
         D = np.array([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DegenerateDistances):
-            sammon_stress(D, np.zeros((2, 2)))
+            sammon_embed(D)
 
     def test_rejects_nonzero_diagonal(self):
         D = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(DataError):
-            sammon_stress(D, np.zeros((2, 2)))
+            sammon_embed(D)
 
 
 class TestSammonEmbed:
@@ -101,6 +103,15 @@ class TestSammonEmbed:
         D = pairwise(np.array([[0.0], [1.0], [2.5], [4.0]]))
         result = sammon_embed(D)
         np.testing.assert_allclose(pairwise(result.coords), D, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_reported_stress_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        D = pairwise(rng.normal(size=(9, 5)))
+        result = sammon_embed(D)
+        assert result.stress == pytest.approx(sammon_stress(D, result.coords), rel=1e-9)
+        assert result.stress_history[0] == pytest.approx(
+            sammon_stress(D, classical_scaling(D)), rel=1e-9)
 
     def test_stress_history_monotone(self):
         rng = np.random.default_rng(2)
@@ -261,7 +272,8 @@ def rank_agreement_oracle(projector, x):
 
 class TestGreedyProjection:
     @pytest.mark.parametrize("n_nodes", [2, 6, 12, 20])
-    def test_matches_per_candidate_oracle_bitwise(self, n_nodes):
+    def test_matches_per_candidate_oracle_bitwise(self, n_nodes, monkeypatch):
+        monkeypatch.setattr(stvar.projection, "RESOLUTION", 21)
         rng = np.random.default_rng(100 + n_nodes)
         nodes = rng.normal(size=(n_nodes, 4))
         planar = rng.normal(size=(n_nodes, 2))
@@ -270,7 +282,7 @@ class TestGreedyProjection:
             nodes[1] = nodes[0]
             planar[n_nodes - 1] = planar[n_nodes - 2]
         model = make_model(nodes, planar)
-        projector = GreedyProjector(model, resolution=21)
+        projector = GreedyProjector(model)
         pairs = rng.integers(0, n_nodes, size=(30, 2))
         days = np.concatenate([
             rng.normal(size=(40, 4)),
@@ -285,13 +297,13 @@ class TestGreedyProjection:
     @pytest.mark.parametrize("n_nodes", [2, 12, 20, 300])
     @pytest.mark.parametrize("ties", ["none", "some", "all"])
     def test_walk_matches_agreement_loop(self, n_nodes, ties, monkeypatch):
+        monkeypatch.setattr(stvar.projection, "RESOLUTION", 21)
         rng = np.random.default_rng(n_nodes)
         # distinct nodes at even integer coordinates: the midpoint of two of
         # them is exactly as far from both, so it is a day with a tie
         flat = rng.choice(41**4, size=n_nodes, replace=False)
         nodes = 2.0 * (np.stack(np.unravel_index(flat, (41,) * 4), axis=1) - 20)
-        projector = GreedyProjector(make_model(nodes, rng.normal(size=(n_nodes, 2))),
-                                    resolution=21)
+        projector = GreedyProjector(make_model(nodes, rng.normal(size=(n_nodes, 2))))
         n_days = 100
         pairs = np.array([rng.choice(n_nodes, 2, replace=False) for _ in range(n_days)])
         midpoints = 0.5 * (nodes[pairs[:, 0]] + nodes[pairs[:, 1]])
@@ -357,14 +369,15 @@ class TestGreedyProjection:
                 p = projector.project(x)
                 assert tess.assign(p)[0] == find_winner(x, nodes)
 
-    def test_full_rank_agreement_recovers_node_position(self):
+    def test_full_rank_agreement_recovers_node_position(self, monkeypatch):
         # candidates right at a node agree with that node's own ranking, so
         # projecting the codebook vector itself lands near its planar site
+        monkeypatch.setattr(stvar.projection, "RESOLUTION", 401)
         rng = np.random.default_rng(13)
         nodes = rng.normal(size=(6, 4))
         planar = 3.0 * rng.normal(size=(6, 2))
         model = make_model(nodes, planar)
-        projector = GreedyProjector(model, resolution=401)
+        projector = GreedyProjector(model)
         for m in range(6):
             p = projector.project(nodes[m])
             assert Tessellation(sites=planar).assign(p)[0] == m
@@ -393,8 +406,3 @@ class TestGreedyProjection:
         )
         np.testing.assert_array_equal(Tessellation(sites=planar).assign(out.points),
                                       out.node_assignment)
-
-    def test_resolution_validated(self):
-        model = make_model(np.zeros((2, 2)), lattice_coords(2))
-        with pytest.raises(DataError):
-            GreedyProjector(model, resolution=1)

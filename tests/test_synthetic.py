@@ -8,7 +8,6 @@ import pytest
 from stvar.errors import (
     DataError,
     EmptySeries,
-    ExplosiveWarning,
     NonPositiveDecay,
     UnlabeledDate,
 )
@@ -60,9 +59,10 @@ class TestTruthBundle:
         with pytest.raises(DataError, match="spectral radius"):
             constant_truth(np.eye(2), np.eye(2))
 
-    def test_explosive_allowed_when_flagged(self):
-        truth = constant_truth(1.2 * np.eye(2), np.eye(2), stationary=False)
-        assert truth.spectral_radii()[0] == pytest.approx(1.2)
+    def test_explosive_truth_is_refused(self):
+        # no truth may leave the unit circle: simulate_var never diverges
+        with pytest.raises(DataError, match="spectral radius 1.200"):
+            constant_truth(1.2 * np.eye(2), np.eye(2))
 
     def test_adjust_only_for_spatial(self):
         knots = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -179,12 +179,6 @@ class TestSimulateVar:
         _, (i_dec, i_jan), _ = block_indices(truth.spec, 2, None, dates, truth.info)
         assert i_dec == i_jan
         assert truth.info.a_labels[i_dec] == "2002/DJF"
-
-    def test_explosive_warns(self):
-        truth = constant_truth(1.1 * np.eye(2), 0.01 * np.eye(2), stationary=False)
-        with pytest.warns(ExplosiveWarning):
-            series = simulate_var(truth, n_days=200, s0=(1.0, 0.0), seed=0)
-        assert np.abs(series.points[-1]).max() > np.abs(series.points[0]).max()
 
     def test_missing_tessellation_raises(self):
         tess = default_tessellation()
@@ -328,7 +322,3 @@ class TestDefaultTessellation:
     def test_sites_are_lattice(self):
         tess = default_tessellation()
         np.testing.assert_array_equal(tess.sites, lattice_coords(12))
-
-    def test_scaled(self):
-        tess = default_tessellation(scale=2.0)
-        np.testing.assert_array_equal(tess.sites, 2.0 * lattice_coords(12))
