@@ -12,7 +12,8 @@ files are wrapped in `names_path`, so each error names the file once.
 Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 (any JSON number, NaN and Infinity included), ``bool``, ``list``, ``dict``,
 ``None`` for null, or a tuple of them. `nonneg_int` is the one rule for a
-seed or a count, which a caller and a file share.
+seed or a count, and `finite_real` for a real-valued setting, which a caller
+and a file share.
 """
 
 from __future__ import annotations
@@ -132,6 +133,19 @@ def nonneg_int(value, name: str) -> int:
     if not (_is(value, int) or isinstance(value, np.integer)) or value < 0:
         raise DataError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def finite_real(value, name: str) -> float:
+    """`value` as a Python float, refused unless it is a finite real number
+    (a numpy number is one, a bool or a string is not): the rule for a
+    real-valued setting, checked before its range."""
+    real = _is(value, float) or isinstance(value, (np.integer, np.floating))
+    try:
+        if real and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise DataError(f"{name} must be a finite real number, got {value!r}")
 
 
 def fields(doc, kind: str, required: dict | None = None,

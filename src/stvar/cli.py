@@ -364,15 +364,6 @@ def _load_tessellation(args, store: _Store) -> Tessellation | None:
     return None
 
 
-def _parse_date(text):
-    if text is None:
-        return None
-    try:
-        return _dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise DataError(f"bad date {text!r}: {exc}") from exc
-
-
 def _spec_slug(spec) -> str:
     label = spec.name or f"{spec.a_structure}-{spec.eta_structure}"
     return label.replace("/", "-")
@@ -421,16 +412,13 @@ def _cells(series, tess: Tessellation | None, nodes: int | None) -> tuple[np.nda
 
 def cmd_simulate(args, store: _Store) -> dict:
     spec = resolve_spec(_need(args, "model"))
-    if args.days < 2:
-        raise DataError("--days must be at least 2")
     tess = default_tessellation(args.cells)
-    start = _parse_date(args.start_date)
     sigma = None if args.sigma_scale == 1.0 else args.sigma_scale * DEFAULT_SIGMA
     truth = ladder_truth(
-        spec, tess=tess, start_date=start, n_days=args.days, sigma=sigma
+        spec, tess=tess, start_date=args.start_date, n_days=args.days, sigma=sigma
     )
     series = simulate_var(
-        truth, args.days, tess=tess, start_date=start, seed=args.seed
+        truth, args.days, tess=tess, start_date=args.start_date, seed=args.seed
     )
     out = Path(args.out)
     series_path = out / "series.planar"

@@ -91,18 +91,25 @@ class Standardization:
             raise DataError("standardization scales must be positive")
 
 
+def _parse_dates(values, what: str = "date") -> tuple[_dt.date, ...]:
+    """Each of `values` as a date: a date stays one, anything else is read
+    as an ISO string through str. The one date parser of the package; a
+    DataError says "bad {what}"."""
+    try:
+        try:  # ISO strings, as files hold them, in one C-level pass
+            return tuple(map(_dt.date.fromisoformat, values))
+        except TypeError:  # dates, or values read through str
+            return tuple(
+                d if isinstance(d, _dt.date) else _dt.date.fromisoformat(str(d)) for d in values
+            )
+    except ValueError as exc:
+        raise DataError(f"bad {what}: {exc}") from None
+
+
 def _check_dates(dates, n: int) -> tuple[_dt.date, ...] | None:
     if dates is None:
         return None
-    try:
-        try:  # ISO strings, as files hold them, in one C-level pass
-            out = tuple(map(_dt.date.fromisoformat, dates))
-        except TypeError:  # dates, or values read through str
-            out = tuple(
-                d if isinstance(d, _dt.date) else _dt.date.fromisoformat(str(d)) for d in dates
-            )
-    except ValueError as exc:
-        raise DataError(f"bad date: {exc}") from None
+    out = _parse_dates(dates)
     if len(out) != n:
         raise DimensionMismatch(f"{len(out)} dates for {n} days")
     if not all(map(operator.lt, out, out[1:])):

@@ -8,14 +8,13 @@ tessellation cells, both as observed and as a fitted model implies.
 
 from __future__ import annotations
 
-import datetime as _dt
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _doc
-from .data_model import GridSpec, StateSeries, destandardize, unflatten
+from .data_model import GridSpec, StateSeries, _parse_dates, destandardize, unflatten
 from .errors import (
     DataError,
     DegenerateDraws,
@@ -398,10 +397,7 @@ def node_frequencies(assignment, n_cells: int, dates=None, by: str | None = None
         raise LengthMismatch("dates and assignment lengths differ")
     if by not in _SPLITS:
         raise DataError(f"unknown split {by!r}")
-    dates = [
-        d if isinstance(d, _dt.date) else _dt.date.fromisoformat(d) for d in dates
-    ]
-    info, block, _ = block_indices(ModelSpec(_SPLITS[by]), a.size, None, dates)
+    info, block, _ = block_indices(ModelSpec(_SPLITS[by]), a.size, None, _parse_dates(dates))
     counts = np.bincount(block * n_cells + a, minlength=info.n_a * n_cells)
     return dict(zip(info.a_labels, counts.reshape(info.n_a, n_cells).astype(float)))
 

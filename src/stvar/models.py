@@ -113,8 +113,8 @@ class KnotGrid:
             object.__setattr__(self, name, _doc.nonneg_int(getattr(self, name), name))
         if self.n_x < 2 or self.n_y < 2:
             raise DataError("knot grid needs at least 2 knots per axis")
-        if not 0.0 <= self.padding < np.inf:
-            raise DataError("knot padding must be finite and >= 0")
+        if _doc.finite_real(self.padding, "padding") < 0.0:
+            raise DataError("knot padding must be >= 0")
 
     def build(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

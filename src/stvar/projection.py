@@ -77,7 +77,7 @@ class SammonConfig:
         object.__setattr__(self, "max_iter", _doc.nonneg_int(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise DataError("max_iter must be positive")
-        if self.tol <= 0.0:
+        if _doc.finite_real(self.tol, "tol") <= 0.0:
             raise DataError("tol must be positive")
 
 

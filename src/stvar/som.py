@@ -128,14 +128,14 @@ class SomConfig:
             )
         for phase in self.alpha:
             for a in phase:
-                if not 0.0 < a <= 1.0:
+                if not 0.0 < _doc.finite_real(a, "alpha") <= 1.0:
                     raise DataError("alpha values must be in (0, 1]")
         if self.sigma is not None:
             for phase in self.sigma:
                 for s in phase:
-                    if s < 0.0:
+                    if _doc.finite_real(s, "sigma") < 0.0:
                         raise DataError("sigma values must be >= 0")
-        if not self.convergence_tol > 0.0:
+        if _doc.finite_real(self.convergence_tol, "convergence_tol") <= 0.0:
             raise DataError("convergence_tol must be positive")
         if self.max_epochs < 1:
             raise DataError("max_epochs must be >= 1")

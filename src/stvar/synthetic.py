@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _doc, _lapack
-from .data_model import GridSpec, StateSeries
+from .data_model import GridSpec, StateSeries, _parse_dates
 from .errors import DataError, EmptySeries, UnlabeledDate
 from .mcmc import _BLOCK_NAMES, check_draws
 from .models import (
@@ -78,19 +78,20 @@ class TruthBundle:
         return self.phi[2 * i : 2 * i + 2, :].T
 
     def spectral_radii(self) -> np.ndarray:
-        return np.array(
-            [np.abs(np.linalg.eigvals(self.a_block(i))).max() for i in range(self.info.n_a)]
-        )
+        """Each transition block's spectral radius, from one `eigvals` over
+        the (n_a, 2, 2) stack of blocks."""
+        stack = self.phi[: 2 * self.info.n_a].reshape(-1, 2, 2).transpose(0, 2, 1)
+        return np.abs(np.linalg.eigvals(stack)).max(axis=1)
 
 
 def _day_span(start_date: _dt.date | str, n_days: int) -> tuple:
-    """The n_days dates from day 0 on `start_date` (a date or an ISO string);
-    a DataError names a malformed string or the first day past the last
-    representable date."""
-    try:
-        d0 = start_date if isinstance(start_date, _dt.date) else _dt.date.fromisoformat(start_date)
-    except ValueError as exc:
-        raise DataError(f"bad start date {start_date!r}: {exc}") from exc
+    """The n_days dates from day 0 on `start_date` (a date or an ISO string):
+    the one rule for a simulated span. A DataError names a count that is not
+    a positive integer, a malformed start date or the first day past the
+    last representable date."""
+    if _doc.nonneg_int(n_days, "n_days") < 1:
+        raise EmptySeries("a simulated span needs at least one day")
+    (d0,) = _parse_dates([start_date], f"start date {start_date!r}")
     room = (_dt.date.max - d0).days
     if n_days - 1 > room:
         raise DataError(f"{n_days} days from {d0} run past {_dt.date.max}: day {room + 1} "

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from stvar.cli import dispatch
 from stvar.data_model import RawSeries, GridSpec, StateSeries, load_series, save_series, standardize
 from stvar.errors import DataError
-from stvar.evaluate import model_transitions, score_model, var_lag_aic
+from stvar.evaluate import model_transitions, node_frequencies, score_model, var_lag_aic
 from stvar.mcmc import Chain, McmcConfig, load_chain, predict_series, run_chain, save_chain
 from stvar.models import KnotGrid, ModelSpec, resolve_spec, spec_to_dict
 from stvar.projection import PlanarSeries, SammonConfig, Tessellation, load_planar, save_planar
@@ -460,6 +460,12 @@ class TestProbes:
         assert err.startswith("data error: n - p = 3 - 2 < 2: Sigma's posterior is "
                               "improper"), err
 
+    def test_empty_dated_span_is_data_error(self, tmp_path):
+        code, err = quiet_dispatch(["simulate", "--model", "model9", "--start-date", "1990-01-01",
+                                    "--days", 0, "--out", tmp_path])
+        assert code == 2 and "Traceback" not in err, err
+        assert err.startswith("data error:"), err
+
     def test_phase_steps_word_is_data_error(self, base, tmp_path):
         root, _ = base
         code, err = quiet_dispatch(["train-som", "--series", root / "state.series",
@@ -538,6 +544,62 @@ SHAPE_PROBES = {
 def test_wrong_shape_is_data_error(entry):
     call, message = SHAPE_PROBES[entry]
     with pytest.raises(DataError, match=message):
+        call()
+
+
+def _split(dates):
+    return node_frequencies(np.array([0, 1]), 2, dates=dates, by="season")
+
+
+def _year_truth(n_days, start_date="1990-01-01"):
+    return ladder_truth("model9", tess=default_tessellation(4), start_date=start_date,
+                        n_days=n_days)
+
+
+# dates and simulated spans, each refused by the date rule of stvar.data_model
+# or the span rule of synthetic._day_span
+DATE_PROBES = {
+    "node_frequencies-month-13": (lambda: _split(["2001-01-01", "2001-13-01"]), "bad date"),
+    "node_frequencies-number": (lambda: _split(["2001-01-01", 5]), "bad date"),
+    "ladder_truth-no-days": (lambda: _year_truth(0), "at least one day"),
+    "ladder_truth-negative-days": (lambda: _year_truth(-1), "n_days must be a non-negative"),
+    "ladder_truth-fractional-days": (lambda: _year_truth(1.5), "n_days must be a non-negative"),
+    "ladder_truth-text-days": (lambda: _year_truth("10"), "n_days must be a non-negative"),
+    "ladder_truth-number-start": (lambda: _year_truth(10, start_date=5), "bad start date 5"),
+    "simulate_var-number-start": (lambda: simulate_var(ladder_truth("model1"), 10, start_date=5),
+                                  "bad start date 5"),
+}
+
+
+@pytest.mark.parametrize("entry", DATE_PROBES)
+def test_bad_date_or_span_is_data_error(entry):
+    call, message = DATE_PROBES[entry]
+    with pytest.raises(DataError, match=message):
+        call()
+
+
+# real-valued settings that are not finite numbers, each refused by name
+# before its range is checked
+REAL_PROBES = {
+    "SomConfig.sigma-nan": (lambda: SomConfig(n_nodes=4, sigma=((math.nan, 1.0), (1.0, 1.0))),
+                            "sigma"),
+    "SomConfig.sigma-inf": (lambda: SomConfig(n_nodes=4, sigma=((math.inf, 1.0), (1.0, 1.0))),
+                            "sigma"),
+    "SomConfig.alpha-word": (lambda: SomConfig(n_nodes=4, alpha=(("a", "b"), (0.1, 0.1))),
+                             "alpha"),
+    "SomConfig.convergence_tol-word": (lambda: SomConfig(n_nodes=4, convergence_tol="x"),
+                                       "convergence_tol"),
+    "SammonConfig.tol-nan": (lambda: SammonConfig(tol=math.nan), "tol"),
+    "SammonConfig.tol-inf": (lambda: SammonConfig(tol=math.inf), "tol"),
+    "SammonConfig.tol-word": (lambda: SammonConfig(tol="x"), "tol"),
+    "KnotGrid.padding-word": (lambda: KnotGrid(padding="x"), "padding"),
+}
+
+
+@pytest.mark.parametrize("entry", REAL_PROBES)
+def test_non_finite_setting_is_data_error(entry):
+    call, name = REAL_PROBES[entry]
+    with pytest.raises(DataError, match=f"^{name} must be a finite real number, got "):
         call()
 
 

@@ -25,3 +25,14 @@ def test_every_error_class_is_used():
     unused = [cls.__name__ for cls in classes
               if cls not in bases and not re.search(rf"\b{cls.__name__}\b", others)]
     assert unused == []
+
+
+def test_only_data_model_parses_dates():
+    # data_model holds the one date parser: any other module that names
+    # fromisoformat reads dates by a rule of its own
+    from pathlib import Path
+
+    package = Path(stvar.__file__).parent
+    parsers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "data_model.py" and "fromisoformat" in path.read_text()]
+    assert parsers == []

@@ -5,14 +5,17 @@ on a four-cell tessellation, over a dated span that crosses two Decembers, and
 pins the sha256 of the file `save_planar` writes. The pins hold
 `simulate_var` to its exact random number order, block labeling and float
 arithmetic: a December day takes the following year's winter block where
-seasons and years cross. A pin changes only in a change that alters simulated
-bytes on purpose and names that change in CHANGES.md.
+seasons and years cross. The command pins do the same for `stvar simulate` on
+its default twelve-cell tessellation, and also pin the truth file it writes,
+so the spectral radii there keep their bits. A pin changes only in a change
+that alters simulated bytes on purpose and names that change in CHANGES.md.
 """
 
 import hashlib
 
 import pytest
 
+from stvar.cli import dispatch
 from stvar.projection import save_planar
 from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
 
@@ -77,3 +80,66 @@ def test_simulated_bytes_are_pinned(model, seed, tmp_path):
     series = simulate_var(truth, N_DAYS, tess=TESS4, start_date=START, seed=seed)
     save_planar(series, tmp_path / "a.planar")
     assert hashlib.sha256((tmp_path / "a.planar").read_bytes()).hexdigest() == PINS[model, seed]
+
+
+# (truth.json, series.planar) of `stvar simulate --seed 3` over the same span
+COMMAND_PINS = {
+    "model0": (
+        "56ace4659b780f51c69455025bd6d65a44750c3a6ffbbc2780178e4801132bda",
+        "af4ef6858a92cd4247afe866a5659207c64151ea5d91b32d1f1d53abf3d55dbe",
+    ),
+    "model1": (
+        "c32e9e82128f1bdf2980af40fe4ee18d97a736b6143a23d36f0cfd20ab870610",
+        "5493559b6f73eb21d4a1ee98638bae0beb8ca2f75fea0bdb4955dc8b2ee2b16b",
+    ),
+    "model2": (
+        "4b0bca01562edfdc65cdee0c0fea5db2ae46009ddbfb9a0a20e52a88988a3caf",
+        "cb39bd7ff90795eed5819e33e39280bc62462f21ec579c28f93ac52ae9548579",
+    ),
+    "model3": (
+        "137a59c565e363ceb2343c211c59b06358f9e763c8a23cbe7057f71c8f2a3cc4",
+        "86a8a0f7a8dbef9885b0b9726f8f0624938e8d496dc3412d3b8c8018b5983642",
+    ),
+    "model4": (
+        "9db66a1ceaa336ee23aa62e06201e43ebecd081cb53269c93b6bd9cb59af8c5e",
+        "2542f173a62326935cbee583f386b11a73c231e32f680dab8610f76af6835282",
+    ),
+    "model5": (
+        "3d4d6163855af2729f1f2048ca1659aaffeda549e3965abe6af9930b1740c80d",
+        "8c949561566bc8c67669628f9310c2e7e1e6166f09f9c9d7d5969f9c36bda859",
+    ),
+    "model6": (
+        "c309d37c65f5f2304b9dade586e20861820215b5562102e682e4babc44a0e5f4",
+        "042b54abd26acc69eefb2d9d7f651fe3af1e81dd826e1f347d5a5ed8f0097f5a",
+    ),
+    "model7": (
+        "83bc0dce48f02bbc8853ff7eeb6559917c0349b42ab9d42e78e7fd3480472aa8",
+        "689c5eb0825e333b3f48ac99d95969e3b4bb4029f87dcffc26d69b650e628e0a",
+    ),
+    "model8": (
+        "b5d71fa19c4db380575e9f7c43d028fc2b54c9d28bf6e8ae89bd947e90725681",
+        "3dd276968a03f409c96f14954c6db86de7a50608956e09eddac1bc9673a50634",
+    ),
+    "model9": (
+        "ac2581f0763c86b93250992c6365a70ed76ad9ed13112148c524a84b67330604",
+        "4e3dbe31855c121330ba77b01d768b3f6c57defb6c04f17fb8009fa39756398e",
+    ),
+    "model10": (
+        "f73f45de1e908675f9898447e525b7e83b803f45167cab86b8a2de12859390c6",
+        "f54302b353ef6b98d88442fd9b96a0c267a0e1ea4344c4bbd28c0b7b2cb8eb4c",
+    ),
+    "model11": (
+        "a8b752b93f6279bb1826c060ba42ab40f32b46f3c750290d3b1f9114bc91fb5b",
+        "692db1cc2315278c49eba3e068afc12b58ab72f5446519d33d4e489f8ab2e4d5",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(COMMAND_PINS))
+def test_simulate_command_bytes_are_pinned(model, tmp_path):
+    code = dispatch(["simulate", "--model", model, "--days", str(N_DAYS), "--start-date", START,
+                     "--seed", "3", "--out", str(tmp_path)])
+    assert code == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("truth.json", "series.planar"))
+    assert digests == COMMAND_PINS[model]
