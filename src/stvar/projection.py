@@ -203,6 +203,14 @@ def sammon_embed(distances: np.ndarray, config: SammonConfig = SammonConfig()) -
 _ASSIGN_BLOCK = 8192  # points per distance block in Tessellation.assign
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """`value` as a float array; a DataError if numpy cannot read it as one."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):  # text, or a ragged nesting
+        raise DataError(f"{name} must be an array of numbers") from None
+
+
 @dataclass(frozen=True)
 class Tessellation:
     """Nearest-site partition of the plane; ties take the smallest index."""
@@ -210,7 +218,7 @@ class Tessellation:
     sites: np.ndarray
 
     def __post_init__(self):
-        sites = np.asarray(self.sites, dtype=float)
+        sites = _floats(self.sites, "sites")
         object.__setattr__(self, "sites", sites)
         if sites.ndim != 2 or sites.shape[1] != 2 or sites.shape[0] < 1:
             raise DimensionMismatch(f"sites must be (M, 2), got {sites.shape}")
@@ -226,7 +234,7 @@ class Tessellation:
         return self.sites.shape[0]
 
     def assign(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_floats(points, "points"))
         if pts.shape[1] != 2:
             raise DimensionMismatch(f"points must be (N, 2), got {pts.shape}")
         finite = np.isfinite(pts)
@@ -238,7 +246,17 @@ class Tessellation:
     def _nearest(self, pts: np.ndarray) -> np.ndarray:
         """Cells of an (N, 2) float array of finite points, unchecked: the
         path of simulate_var, whose points are finite by construction, takes
-        this one point at a time."""
+        this one point at a time.
+
+        One point is measured in numpy, as dx*dx + dy*dy: cdist's bits, so
+        argmin gives its cell and ties go to the smallest index, without
+        importing scipy.spatial. Every other count keeps cdist, which is
+        faster on many points; in numpy, the pipeline's many-point assigns
+        would also put off its import of scipy.spatial to a later stage,
+        whose peak memory it would raise."""
+        if pts.shape[0] == 1:
+            diff = self.sites - pts
+            return np.argmin(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1], keepdims=True)
         # blocks of points bound the distance matrix; each row's argmin is
         # the one a single (N, M) matrix gives
         cells = np.empty(pts.shape[0], dtype=np.intp)

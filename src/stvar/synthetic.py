@@ -26,6 +26,7 @@ from .models import (
     ModelSpec,
     PredictiveProcess,
     SEASONS,
+    _A_PARTS,
     _check_knots,
     block_table,
     exp_corr,
@@ -84,19 +85,44 @@ class TruthBundle:
         return np.abs(np.linalg.eigvals(stack)).max(axis=1)
 
 
+def _span_length(n_days) -> int:
+    """`n_days` as the length of a simulated span: a positive integer."""
+    n_days = _doc.nonneg_int(n_days, "n_days")
+    if n_days < 1:
+        raise EmptySeries("a simulated span needs at least one day")
+    return n_days
+
+
+def _start_day(start_date) -> _dt.date:
+    """`start_date` (a date or an ISO string) as a date, by the date rule of
+    stvar.data_model."""
+    (d0,) = _parse_dates([start_date], f"start date {start_date!r}")
+    return d0
+
+
 def _day_span(start_date: _dt.date | str, n_days: int) -> tuple:
     """The n_days dates from day 0 on `start_date` (a date or an ISO string):
     the one rule for a simulated span. A DataError names a count that is not
     a positive integer, a malformed start date or the first day past the
     last representable date."""
-    if _doc.nonneg_int(n_days, "n_days") < 1:
-        raise EmptySeries("a simulated span needs at least one day")
-    (d0,) = _parse_dates([start_date], f"start date {start_date!r}")
+    n_days = _span_length(n_days)
+    d0 = _start_day(start_date)
     room = (_dt.date.max - d0).days
     if n_days - 1 > room:
         raise DataError(f"{n_days} days from {d0} run past {_dt.date.max}: day {room + 1} "
                         f"(day 0 is the start date) is out of range")
     return tuple(d0 + _dt.timedelta(days=i) for i in range(n_days))
+
+
+def _finite_reals(value, n: int, name: str) -> list:
+    """`value` as n Python floats, each by `_doc.finite_real`."""
+    try:
+        values = tuple(value)
+    except TypeError:  # not a sequence
+        values = ()
+    if len(values) != n:
+        raise DataError(f"{name} must be {n} finite real numbers, got {value!r}")
+    return [_doc.finite_real(v, name) for v in values]
 
 
 def simulate_var(
@@ -107,13 +133,28 @@ def simulate_var(
     start_date: _dt.date | str | None = None,
     seed: int = 0,
 ) -> PlanarSeries:
-    """Roll the recursion s_{t+1} = A s_t + eta + eps forward from s0."""
+    """Roll the recursion s_{t+1} = A s_t + eta + eps forward from s0, a
+    pair of finite reals.
+
+    With `tess`, node_assignment holds each day's cell. A spec with cell
+    blocks finds the cell of each day on its walk, one point at a time (in
+    numpy, so without scipy.spatial), and those cells are the assignment;
+    the truth may name no cell past the tessellation's. Other specs assign
+    the finished path in one `tess.assign`.
+    """
     if _doc.nonneg_int(n_days, "n_days") < 2:
         raise EmptySeries("need at least 2 days to simulate")
     _doc.nonneg_int(seed, "seed")
+    start = _finite_reals(s0, 2, "s0")
     spec = truth.spec
-    if spec.needs_cells and tess is None:
-        raise DataError("cell-dependent truth needs a tessellation")
+    if spec.needs_cells:
+        if tess is None:
+            raise DataError("cell-dependent truth needs a tessellation")
+        at = _A_PARTS[spec.a_structure].index("cell")
+        last = max((key[at] for key in truth.info.a_keys), default=-1)
+        if last >= tess.n_cells:
+            raise DataError(f"truth has a transition block for cell {last}, past the "
+                            f"tessellation's {tess.n_cells} cells")
     dates = None if start_date is None else _day_span(start_date, n_days)
     if spec.needs_dates and dates is None:
         raise UnlabeledDate(f"{spec.a_structure}/{spec.eta_structure} needs a start date")
@@ -138,13 +179,16 @@ def simulate_var(
     blocks = [truth.a_block(i) for i in range(info.n_a)]
     intercepts = truth.phi[2 * info.n_a:]
     pts = np.empty((n_days, 2))
-    pts[0] = np.asarray(s0, dtype=float)
+    pts[0] = start
+    assignment = None if cells is None else np.empty(n_days, dtype=np.intp)
     for t in range(n_days - 1):
         s = pts[t]
+        if cells is not None:
+            assignment[t] = cells._nearest(s[None, :])[0]
         if a_of is None:
             mean = s.copy()
         else:
-            mean = blocks[a_of[t, 0 if cells is None else cells._nearest(s[None, :])[0]]] @ s
+            mean = blocks[a_of[t, 0 if cells is None else assignment[t]]] @ s
         if eta_of is not None:
             mean = mean + intercepts[eta_of[t]]
         if v is not None:
@@ -155,7 +199,10 @@ def simulate_var(
             mean = mean + truth.q @ eta
         pts[t + 1] = mean + noise[t]
 
-    assignment = tess.assign(pts) if tess is not None else None
+    if cells is not None:
+        assignment[-1] = cells._nearest(pts[-1:])[0]
+    elif tess is not None:
+        assignment = tess.assign(pts)
     return PlanarSeries(points=pts, node_assignment=assignment, dates=dates)
 
 
@@ -164,7 +211,7 @@ def simulate_uniform_cloud(n: int, rect=(0.0, 1.0, 0.0, 1.0), seed: int = 0) -> 
     if _doc.nonneg_int(n, "n") < 1:
         raise EmptySeries("need at least one point")
     _doc.nonneg_int(seed, "seed")
-    xmin, xmax, ymin, ymax = (float(v) for v in rect)
+    xmin, xmax, ymin, ymax = _finite_reals(rect, 4, "rect")
     if not (xmax > xmin and ymax > ymin):
         raise DataError("rectangle must have positive width and height")
     rng = np.random.default_rng(seed)
@@ -207,11 +254,17 @@ def ladder_truth(
     """
     spec = resolve_spec(spec)
     cells = range(tess.n_cells) if (tess is not None and spec.needs_cells) else ()
+    dates = None
+    if start_date is not None and n_days is not None:
+        dates = _day_span(start_date, n_days)
+    elif start_date is not None:  # a lone value has its own rule
+        _start_day(start_date)
+    elif n_days is not None:
+        _span_length(n_days)
     years = season_years = ()
     if {"year", "season_year"} & set(spec.label_parts):
-        if start_date is None or n_days is None:
+        if dates is None:
             raise DataError("year-blocked truth needs start_date and n_days")
-        dates = _day_span(start_date, n_days)
         years = tuple(range(dates[0].year, dates[-1].year + 1))
         season_years = tuple(range(dates[0].year, dates[-1].year + 2))
     info = DesignInfo.from_declared(

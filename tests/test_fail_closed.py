@@ -524,8 +524,16 @@ def test_fractional_count_is_data_error(base, entry):
         COUNT_ENTRY_POINTS[entry](root)
 
 
+def _model9(cells, n_days=30, **kw):
+    """A model9 draw: a truth for 4 cells, walked over `cells`."""
+    truth = ladder_truth("model9", tess=default_tessellation(4), start_date=START, n_days=n_days)
+    return simulate_var(truth, n_days, tess=cells, start_date=START, **kw)
+
+
 # values of the wrong shape: map schedules that are not two phases of two
-# values (or two counts), and points no tessellation cell can hold
+# values (or two counts), points no tessellation cell can hold, start points
+# and rectangles of the wrong length, and a truth with more cells than its
+# tessellation
 SHAPE_PROBES = {
     "SomConfig.alpha": (lambda: SomConfig(n_nodes=4, alpha=((0.5, 0.05),)),
                         r"alpha must be two \(start, end\) phases"),
@@ -537,6 +545,18 @@ SHAPE_PROBES = {
                                    "phase_steps must be two counts"),
     "Tessellation.assign": (lambda: Tessellation(sites=[[0.0, 0.0], [1.0, 0.0]]).assign(
         [[2.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]]), "point 1 .* is not finite"),
+    "Tessellation.sites-words": (lambda: Tessellation(sites=[["a", "b"]]),
+                                 "sites must be an array of numbers"),
+    "Tessellation.assign-words": (lambda: Tessellation(sites=[[0.0, 0.0]]).assign([["a", "b"]]),
+                                  "points must be an array of numbers"),
+    "simulate_var.s0-three": (lambda: simulate_var(ladder_truth("model1"), 10,
+                                                   s0=(1.0, 2.0, 3.0)),
+                              "s0 must be 2 finite real numbers"),
+    "simulate_var.tess-too-few-cells": (lambda: _model9(default_tessellation(3)),
+                                        "transition block for cell 3, past the tessellation's "
+                                        "3 cells"),
+    "simulate_uniform_cloud.rect-three": (lambda: simulate_uniform_cloud(5, rect=(0, 1, 0)),
+                                          "rect must be 4 finite real numbers"),
 }
 
 
@@ -568,6 +588,20 @@ DATE_PROBES = {
     "ladder_truth-number-start": (lambda: _year_truth(10, start_date=5), "bad start date 5"),
     "simulate_var-number-start": (lambda: simulate_var(ladder_truth("model1"), 10, start_date=5),
                                   "bad start date 5"),
+    # a span is checked whatever the spec, and a lone start or count alone
+    "ladder_truth-model4-both-bad": (lambda: ladder_truth("model4", tess=default_tessellation(4),
+                                                          start_date=5, n_days=-1),
+                                     "n_days must be a non-negative"),
+    "ladder_truth-model1-both-bad": (lambda: ladder_truth("model1", start_date="2001-13-01",
+                                                          n_days=1.5),
+                                     "n_days must be a non-negative"),
+    "ladder_truth-model3-number-start": (lambda: ladder_truth("model3",
+                                                              tess=default_tessellation(4),
+                                                              start_date=5, n_days=10),
+                                         "bad start date 5"),
+    "ladder_truth-lone-start": (lambda: ladder_truth("model1", start_date="2001-13-01"),
+                                "bad start date '2001-13-01'"),
+    "ladder_truth-lone-days": (lambda: ladder_truth("model1", n_days=0), "at least one day"),
 }
 
 
@@ -593,6 +627,11 @@ REAL_PROBES = {
     "SammonConfig.tol-inf": (lambda: SammonConfig(tol=math.inf), "tol"),
     "SammonConfig.tol-word": (lambda: SammonConfig(tol="x"), "tol"),
     "KnotGrid.padding-word": (lambda: KnotGrid(padding="x"), "padding"),
+    "simulate_var.s0-words": (lambda: simulate_var(ladder_truth("model1"), 10, s0=("a", "b")),
+                              "s0"),
+    "simulate_uniform_cloud.rect-inf": (lambda: simulate_uniform_cloud(5,
+                                                                       rect=(0, math.inf, 0, 1)),
+                                        "rect"),
 }
 
 
@@ -601,6 +640,14 @@ def test_non_finite_setting_is_data_error(entry):
     call, name = REAL_PROBES[entry]
     with pytest.raises(DataError, match=f"^{name} must be a finite real number, got "):
         call()
+
+
+# a cell model's walk from a start point that is not finite: once refused by
+# the assign of the finished path, now before the recursion
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_point_is_data_error(value):
+    with pytest.raises(DataError):
+        _model9(default_tessellation(4), s0=(0.0, value))
 
 
 @pytest.fixture(scope="module")

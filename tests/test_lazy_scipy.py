@@ -81,6 +81,12 @@ NUMPY_ONLY = {
     "transitions": ["transitions", "--series", "{root}/series.planar", "--season", "DJF"],
     "lag-scan": ["lag-scan", "--series", "{root}/series.planar", "--max-lag", "3"],
     "maps": ["maps", "--som", "{root}/som.json", "--series", "{root}/series.state"],
+    # a cell model's walk finds each day's cell in numpy; model1 assigns its
+    # finished path through cdist, and model11's kriging needs scipy
+    "simulate-model3": ["simulate", "--model", "model3", "--cells", "4",
+                        "--start-date", "1990-01-01", "--days", "400"],
+    "simulate-model9": ["simulate", "--model", "model9", "--cells", "4",
+                        "--start-date", "1990-01-01", "--days", "400"],
     "help": ["--help"],
 }
 

@@ -5,6 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from stvar import _lapack
 from stvar.errors import (
     DataError,
     EmptySeries,
@@ -200,6 +201,32 @@ class TestSimulateVar:
         with pytest.raises(UnlabeledDate, match=r"\(1,\)"):
             simulate_var(cell0, n_days=200, tess=tess, seed=5)
 
+    @pytest.mark.parametrize("model", ["model2", "model3", "model9", "model10"])
+    def test_walk_cells_are_the_assignment(self, model):
+        # a cell spec keeps the cells its walk found, one point at a time;
+        # they are the cells of one assign over the finished path
+        tess = default_tessellation(12)
+        truth = ladder_truth(model, tess=tess, start_date="1990-01-01", n_days=800)
+        for seed in (0, 1, 2):
+            series = simulate_var(truth, 800, tess=tess, start_date="1990-01-01", seed=seed)
+            assert series.node_assignment.tolist() == tess.assign(series.points).tolist()
+
+    def test_cell_walk_takes_no_cdist(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cdist called")
+
+        monkeypatch.setattr(_lapack, "cdist", refuse)
+        tess = default_tessellation(4)
+        truth = ladder_truth("model9", tess=tess, start_date="1990-01-01", n_days=400)
+        simulate_var(truth, 400, tess=tess, start_date="1990-01-01", seed=3)
+        with pytest.raises(AssertionError, match="cdist called"):  # the non-cell path
+            simulate_var(ladder_truth("model1"), 400, tess=tess, seed=3)
+
+    def test_truth_without_cells_is_refused(self):
+        # a cell spec laid out without a tessellation has no transition block
+        with pytest.raises(UnlabeledDate):
+            simulate_var(ladder_truth("model2"), 10, tess=default_tessellation(3))
+
     def test_missing_dates_raise(self):
         truth = ladder_truth("model4", start_date="2000-01-01", n_days=10)
         with pytest.raises(UnlabeledDate):
@@ -236,6 +263,17 @@ class TestSimulateVar:
             with pytest.raises(DataError, match="seed must be a non-negative integer"):
                 simulate_var(truth, 10, seed=seed)
         assert simulate_var(truth, 10, seed=np.int64(3)).points.shape == (10, 2)
+
+    def test_start_point_is_two_finite_reals(self):
+        truth = ladder_truth("model1")
+        for s0 in ((np.nan, 0.0), (0.0, -np.inf), (1.0, True)):
+            with pytest.raises(DataError, match="^s0 must be a finite real number"):
+                simulate_var(truth, 10, s0=s0)
+        for s0 in ((1.0,), 3.0, [[1.0, 2.0]]):
+            with pytest.raises(DataError, match="^s0 must be 2 finite real numbers"):
+                simulate_var(truth, 10, s0=s0)
+        start = simulate_var(truth, 3, s0=np.array([1.0, 2.0])).points[0]
+        assert start.tolist() == [1.0, 2.0]
 
 
 class TestLadderTruth:
