@@ -13,7 +13,9 @@ Types are Python types: ``str``, ``int`` (a bool is not an int), ``float``
 (any JSON number, NaN and Infinity included), ``bool``, ``list``, ``dict``,
 ``None`` for null, or a tuple of them. `nonneg_int` is the one rule for a
 seed or a count, and `finite_real` for a real-valued setting, which a caller
-and a file share.
+and a file share. `reals` is the one rule for an array a caller passes, and
+`array` for one a file holds; the two share their test of what is a number
+and what fits a shape.
 """
 
 from __future__ import annotations
@@ -187,22 +189,57 @@ def _holds_bool(nested, depth: int) -> bool:
     """Whether a list nested `depth` deep holds a bool among its entries."""
     for _ in range(depth - 1):
         nested = itertools.chain.from_iterable(nested)
-    return bool in set(map(type, nested))
+    return not {bool, np.bool_}.isdisjoint(map(type, nested))
+
+
+def _numbers(value, kinds: str) -> np.ndarray | None:
+    """`value` as an array of numbers whose dtype kind is one of `kinds`, an
+    array that is one as it is; None for text, a bool or a ragged nesting.
+    numpy reads a bool among numbers as 1 or 0, so nested lists are searched
+    for one."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.size and (arr.dtype.kind not in kinds or arr.ndim and not isinstance(value, np.ndarray)
+                     and _holds_bool(value, arr.ndim)):
+        return None
+    return arr
+
+
+def _fits(arr: np.ndarray, shape: tuple) -> bool:
+    return arr.ndim == len(shape) and all(n is None or n == m for n, m in zip(shape, arr.shape))
+
+
+def _dims(shape: tuple) -> str:
+    return "(" + ", ".join("n" if n is None else str(n) for n in shape) + ")"
 
 
 def array(value, kind: str, key: str, shape: tuple, dtype=float) -> np.ndarray:
     """A finite numeric array of `shape` (None matches any length) from a
     JSON list; ``dtype=int`` admits integers only. A JSON true or false is
-    not a number, although numpy would read it as 1 or 0."""
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged nesting
-        arr = np.array(None)
-    if (arr.size and arr.dtype.kind not in ("iu" if dtype is int else "iuf")
-            or arr.ndim != len(shape)
-            or any(n is not None and n != m for n, m in zip(shape, arr.shape))
-            or not np.all(np.isfinite(arr))
-            or arr.size and _holds_bool(value, arr.ndim)):
-        dims = ", ".join("n" if n is None else str(n) for n in shape)
-        raise MalformedHeader(f"{kind}: {key!r} must be a finite numeric array of shape ({dims})")
+    not a number."""
+    arr = _numbers(value, "iu" if dtype is int else "iuf")
+    if arr is None or not _fits(arr, shape) or not np.isfinite(arr).all():
+        raise MalformedHeader(f"{kind}: {key!r} must be a finite numeric array of shape "
+                              f"{_dims(shape)}")
     return arr.astype(dtype)
+
+
+def reals(value, name: str, shape: tuple | None) -> np.ndarray:
+    """`value` as a float array of `shape` (None matches any length, and a
+    shape of None any shape): the rule for an array a library caller passes.
+    Text, a bool or a ragged nesting is a DataError, another shape a
+    DimensionMismatch, and a NaN or an infinity a DataError naming the first
+    row that holds one. An array of floats is taken as it is, uncopied."""
+    arr = _numbers(value, "iuf")
+    if arr is None:
+        raise DataError(f"{name} must be an array of real numbers")
+    if shape is not None and not _fits(arr, shape):
+        raise DimensionMismatch(f"{name} must have shape {_dims(shape)}, got {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row = np.argmin(finite.reshape(len(arr), -1).all(axis=1)) if arr.ndim else 0
+        raise DataError(f"{name} row {row} (row 0 is the first) is not finite")
+    return arr

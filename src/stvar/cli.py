@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _doc, _lapack
-from .data_model import StateSeries, as_matrix, load_series, save_series, standardize
+from .data_model import StateSeries, load_series, save_series, standardize
 from .errors import DataError, EmptySeries, NumericalError
 from .evaluate import (
     draw_quantiles,
@@ -469,7 +469,7 @@ def cmd_train_som(args, store: _Store) -> dict:
         rng_seed=args.seed,
     )
     train = train_batch if args.mode == "batch" else train_online
-    model, _ = train(as_matrix(data), config)
+    model, _ = train(data, config)
     out_path = Path(args.out) / "som.json"
     save_som(model, out_path)
     print(f"trained {args.nodes}-node map ({args.mode})")

@@ -43,8 +43,14 @@ class GridSpec:
     variables: tuple[str, ...]
 
     def __post_init__(self):
+        for name in ("n_rows", "n_cols"):
+            object.__setattr__(self, name, _doc.nonneg_int(getattr(self, name), name))
         if self.n_rows < 1 or self.n_cols < 1:
             raise DataError("grid must have at least one row and one column")
+        if not (isinstance(self.variables, (tuple, list))
+                and all(isinstance(name, str) for name in self.variables)):
+            raise DataError(f"variables must be a sequence of strings, got {self.variables!r}")
+        object.__setattr__(self, "variables", tuple(self.variables))
         if len(self.variables) < 1:
             raise DataError("grid needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
@@ -76,17 +82,9 @@ class Standardization:
     per_cell: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "sd", np.asarray(self.sd, dtype=float))
-        if self.mean.shape != self.sd.shape:
-            raise DimensionMismatch("mean and sd shapes differ")
-        want_ndim = 2 if self.per_cell else 1
-        if self.mean.ndim != want_ndim:
-            raise DimensionMismatch(
-                f"expected {want_ndim}-d standardization constants, got {self.mean.ndim}-d"
-            )
-        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.sd)):
-            raise DataError("standardization constants must be finite")
+        mean = _doc.reals(self.mean, "mean", (None, None) if self.per_cell else (None,))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "sd", _doc.reals(self.sd, "sd", mean.shape))
         if np.any(self.sd <= 0.0):
             raise DataError("standardization scales must be positive")
 
@@ -126,21 +124,12 @@ class RawSeries:
     dates: tuple[_dt.date, ...] | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        grid = self.grid
+        values = _doc.reals(self.values, "values", (None, grid.n_variables, grid.n_cells))
         object.__setattr__(self, "values", values)
-        if values.ndim != 3:
-            raise DimensionMismatch(f"values must be (T, V, cells), got {values.shape}")
-        T, V, C = values.shape
-        if T < 1:
+        if len(values) < 1:
             raise EmptySeries("series has no days")
-        if V != self.grid.n_variables or C != self.grid.n_cells:
-            raise DimensionMismatch(
-                f"values shape {values.shape} does not match grid "
-                f"({self.grid.n_variables} variables, {self.grid.n_cells} cells)"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DataError("series contains non-finite values")
-        object.__setattr__(self, "dates", _check_dates(self.dates, T))
+        object.__setattr__(self, "dates", _check_dates(self.dates, len(values)))
 
     @property
     def n_days(self) -> int:
@@ -157,19 +146,11 @@ class StateSeries:
     dates: tuple[_dt.date, ...] | None = None
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
+        matrix = _doc.reals(self.matrix, "matrix", (None, self.grid.d))
         object.__setattr__(self, "matrix", matrix)
-        if matrix.ndim != 2:
-            raise DimensionMismatch(f"matrix must be (T, d), got {matrix.shape}")
-        if matrix.shape[0] < 1:
+        if len(matrix) < 1:
             raise EmptySeries("series has no days")
-        if matrix.shape[1] != self.grid.d:
-            raise DimensionMismatch(
-                f"state dimension {matrix.shape[1]} does not match grid d={self.grid.d}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise DataError("series contains non-finite values")
-        object.__setattr__(self, "dates", _check_dates(self.dates, matrix.shape[0]))
+        object.__setattr__(self, "dates", _check_dates(self.dates, len(matrix)))
 
     @property
     def n_days(self) -> int:
@@ -196,12 +177,13 @@ def unflatten(matrix: np.ndarray, grid: GridSpec) -> np.ndarray:
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce a StateSeries, RawSeries, or array to a (T, d) float matrix."""
+    """A StateSeries' matrix, a RawSeries flattened, or an array of finite
+    reals as a (T, d) float matrix; a 1-d array is one column."""
     if isinstance(data, StateSeries):
         return data.matrix
     if isinstance(data, RawSeries):
         return flatten(data.values)
-    out = np.asarray(data, dtype=float)
+    out = _doc.reals(data, "data", None)
     if out.ndim == 1:
         out = out[:, None]
     if out.ndim != 2:

@@ -75,6 +75,14 @@ def draw_quantiles(draws, qs) -> np.ndarray:
     return out
 
 
+def _level(level) -> float:
+    """`level` as a coverage level: a finite real in (0, 1)."""
+    level = _doc.finite_real(level, "level")
+    if not 0.0 < level < 1.0:
+        raise DataError("level must be in (0, 1)")
+    return level
+
+
 def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse") -> float:
     """Share of actual next-day positions inside their predictive region.
 
@@ -82,8 +90,7 @@ def coverage(pred: SeriesPrediction, level: float = 0.95, method: str = "ellipse
     draw cloud's own mean and covariance) at the draws' empirical `level`
     quantile; "rect" uses per-coordinate equal-tail intervals.
     """
-    if not 0.0 < level < 1.0:
-        raise DataError("level must be in (0, 1)")
+    level = _level(level)
     draws, actual = pred.draws, pred.actual
     B = draws.shape[0]
     if B < MIN_COVERAGE_DRAWS:
@@ -126,9 +133,9 @@ REL_FLOOR = 1e-12  # smallest eigenvalue repair_pd keeps, relative to max(larges
 
 
 def repair_pd(sigma: np.ndarray) -> np.ndarray:
-    """Floor tiny/negative eigenvalues so a posterior-mean covariance factors."""
-    if not np.isfinite(sigma).all():
-        raise DataError("covariance to repair has a non-finite entry")
+    """Floor tiny/negative eigenvalues so a 2 x 2 posterior-mean covariance
+    factors."""
+    sigma = _doc.reals(sigma, "sigma", (2, 2))
     sigma = 0.5 * (sigma + sigma.T)
     lam, vec = np.linalg.eigh(sigma)
     floor = max(float(lam.max()), 1.0) * REL_FLOOR
@@ -252,6 +259,7 @@ def score_model(
     `seed`; with `keep_prediction` the score carries them.
     """
     _doc.nonneg_int(seed, "seed")
+    level = _level(level)
     design = chain_design(chain, series, tess)
     means = mean_paths(chain, design, scored_draws(chain, n_draws))
     d = dic(chain, series, tess=tess, n_draws=n_draws, means=means, design=design)

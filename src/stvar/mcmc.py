@@ -78,7 +78,7 @@ from .models import (
     spec_to_dict,
     stack_design,
 )
-from .projection import PlanarSeries, Tessellation
+from .projection import PlanarSeries, Tessellation, _checked_tess
 
 PROPOSAL_SCALE = 0.5  # initial log-scale step of each theta proposal
 TARGET_ACCEPT = 0.30  # acceptance rate the burn-in steers each theta towards
@@ -203,7 +203,7 @@ class Chain:
     def tessellation(self, tess: Tessellation | None = None) -> Tessellation | None:
         """`tess` when given, else the tessellation the chain was fitted with."""
         if tess is not None:
-            return tess
+            return _checked_tess(tess)
         return None if self.tess_sites is None else Tessellation(sites=self.tess_sites)
 
     @property
@@ -610,15 +610,13 @@ def run_chain(
                 block[j] = getattr(sampler if name in ("phi", "sigma") else field, name)
             j += 1
 
-    sites = None if tess is None else np.asarray(tess.sites, dtype=float)
-
     chain = Chain(
         spec=spec,
         a_keys=design.info.a_keys,
         eta_keys=design.info.eta_keys,
         **(dict.fromkeys(_BLOCK_NAMES) | kept),
         knots=knots,
-        tess_sites=sites,
+        tess_sites=None if tess is None else tess.sites,
         n_obs=design.n,
         config=config,
         acceptance={} if field is None else field.acceptance_rates(),

@@ -45,7 +45,7 @@ from .errors import (
     SingularDesign,
     UnlabeledDate,
 )
-from .projection import PlanarSeries, Tessellation, padded_grid
+from .projection import PlanarSeries, Tessellation, _checked_tess, padded_grid
 
 A_STRUCTURES = (
     "random_walk",
@@ -117,10 +117,8 @@ class KnotGrid:
             raise DataError("knot padding must be >= 0")
 
     def build(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DataError(f"points must be (n, 2), got {pts.shape}")
-        return padded_grid(pts, self.padding, self.n_x, self.n_y)
+        return padded_grid(_doc.reals(points, "points", (None, 2)), self.padding, self.n_x,
+                           self.n_y)
 
 
 @dataclass(frozen=True)
@@ -592,6 +590,7 @@ def source_cells(spec: ModelSpec, series: PlanarSeries, tess: Tessellation | Non
     """Tessellation cell of each source day (every day but the last), or
     None when the spec has no cell blocks. Cells come from `tess` when it is
     given, otherwise from the series' node assignments."""
+    tess = _checked_tess(tess)
     if not spec.needs_cells:
         return None
     if tess is not None:
@@ -696,10 +695,10 @@ def chol_spd(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _check_knots(knots: np.ndarray) -> np.ndarray:
-    knots = np.asarray(knots, dtype=float)
-    if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 1:
-        raise DataError(f"knots must be (m, 2), got {knots.shape}")
-    if knots.shape[0] > 1:
+    knots = _doc.reals(knots, "knots", (None, 2))
+    if len(knots) < 1:
+        raise DataError("need at least one knot")
+    if len(knots) > 1:
         d = _lapack.cdist(knots, knots)
         d[np.diag_indices_from(d)] = np.inf
         if d.min() == 0.0:

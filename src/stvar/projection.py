@@ -91,13 +91,11 @@ class SammonResult:
 
 
 def _checked_distances(distances: np.ndarray) -> np.ndarray:
-    D = np.asarray(distances, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+    D = _doc.reals(distances, "distances", (None, None))
+    if D.shape[0] != D.shape[1]:
         raise DimensionMismatch(f"distance matrix must be square, got {D.shape}")
     if D.shape[0] < 2:
         raise DataError("need at least two items to embed")
-    if not np.all(np.isfinite(D)):
-        raise DataError("distances contain non-finite values")
     if not np.allclose(D, D.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.abs(D).max()))):
         raise DataError("distance matrix is not symmetric")
     if np.any(np.abs(np.diag(D)) > 0.0):
@@ -203,14 +201,6 @@ def sammon_embed(distances: np.ndarray, config: SammonConfig = SammonConfig()) -
 _ASSIGN_BLOCK = 8192  # points per distance block in Tessellation.assign
 
 
-def _floats(value, name: str) -> np.ndarray:
-    """`value` as a float array; a DataError if numpy cannot read it as one."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):  # text, or a ragged nesting
-        raise DataError(f"{name} must be an array of numbers") from None
-
-
 @dataclass(frozen=True)
 class Tessellation:
     """Nearest-site partition of the plane; ties take the smallest index."""
@@ -218,15 +208,15 @@ class Tessellation:
     sites: np.ndarray
 
     def __post_init__(self):
-        sites = _floats(self.sites, "sites")
+        sites = _doc.reals(self.sites, "sites", (None, 2))
         object.__setattr__(self, "sites", sites)
-        if sites.ndim != 2 or sites.shape[1] != 2 or sites.shape[0] < 1:
-            raise DimensionMismatch(f"sites must be (M, 2), got {sites.shape}")
-        if not np.all(np.isfinite(sites)):
-            raise DataError("sites must be finite")
+        if sites.shape[0] < 1:
+            raise DimensionMismatch("a tessellation needs at least one site")
 
     @classmethod
     def from_som(cls, model: SomModel) -> "Tessellation":
+        if not isinstance(model, SomModel):
+            raise DataError(f"a tessellation is made from a SomModel, not {type(model).__name__}")
         return cls(sites=model.planar)
 
     @property
@@ -234,13 +224,9 @@ class Tessellation:
         return self.sites.shape[0]
 
     def assign(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(_floats(points, "points"))
-        if pts.shape[1] != 2:
+        pts = np.atleast_2d(_doc.reals(points, "points", None))
+        if pts.ndim != 2 or pts.shape[1] != 2:
             raise DimensionMismatch(f"points must be (N, 2), got {pts.shape}")
-        finite = np.isfinite(pts)
-        if not finite.all():
-            row = int(np.argmin(finite.all(axis=1)))
-            raise DataError(f"point {row} (row 0 is the first) is not finite")
         return self._nearest(pts)
 
     def _nearest(self, pts: np.ndarray) -> np.ndarray:
@@ -266,6 +252,14 @@ class Tessellation:
                       out=cells[block])
         return cells
 
+def _checked_tess(tess) -> Tessellation | None:
+    """`tess` as an optional tessellation: a DataError unless it is None or
+    a Tessellation."""
+    if tess is None or isinstance(tess, Tessellation):
+        return tess
+    raise DataError(f"tess must be a Tessellation, not {type(tess).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Planar trajectory container and file format
 
@@ -279,21 +273,13 @@ class PlanarSeries:
     dates: tuple[_dt.date, ...] | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _doc.reals(self.points, "points", (None, 2))
         object.__setattr__(self, "points", pts)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DimensionMismatch(f"points must be (T, 2), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise DataError("points contain non-finite values")
         if self.node_assignment is not None:
-            idx = np.asarray(self.node_assignment, dtype=int)
-            object.__setattr__(self, "node_assignment", idx)
-            if idx.shape != (pts.shape[0],):
-                raise DimensionMismatch(
-                    f"{idx.shape} assignments for {pts.shape[0]} points"
-                )
-            if np.any(idx < 0):
-                raise DataError("node assignments must be non-negative")
+            idx = _doc.reals(self.node_assignment, "node_assignment", (pts.shape[0],))
+            if np.any((idx < 0) | (idx != np.floor(idx))):
+                raise DataError("node assignments must be non-negative integers")
+            object.__setattr__(self, "node_assignment", idx.astype(int))
         object.__setattr__(self, "dates", _check_dates(self.dates, pts.shape[0]))
 
     @property
@@ -486,12 +472,9 @@ class GreedyProjector:
 
 def project_series(series: StateSeries | np.ndarray, model: SomModel) -> PlanarSeries:
     """Project every day and record its data-space winning node; the dates
-    of a series that has them are kept."""
-    X = as_matrix(series)
-    if X.shape[1] != model.dim:
-        raise DimensionMismatch(f"data dim {X.shape[1]} != model dim {model.dim}")
-    projector = GreedyProjector(model)
-    points = projector.project_many(X)
-    winners = assign(X, model)
+    of a series that has them are kept. A StateSeries' matrix is used as
+    it is; an array is checked by `as_matrix` in each of the two passes."""
+    points = GreedyProjector(model).project_many(series)
+    winners = assign(series, model)
     dates = getattr(series, "dates", None)
     return PlanarSeries(points=points, node_assignment=winners, dates=dates)

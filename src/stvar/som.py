@@ -164,16 +164,9 @@ class SomModel:
     provenance: str = ""
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        planar = np.asarray(self.planar, dtype=float)
+        nodes = _doc.reals(self.nodes, "nodes", (None, None))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "planar", planar)
-        if nodes.ndim != 2:
-            raise DataError(f"nodes must be (M, d), got shape {nodes.shape}")
-        if planar.shape != (nodes.shape[0], 2):
-            raise DataError(
-                f"planar must be ({nodes.shape[0]}, 2), got shape {planar.shape}"
-            )
+        object.__setattr__(self, "planar", _doc.reals(self.planar, "planar", (len(nodes), 2)))
 
     @property
     def n_nodes(self) -> int:
@@ -397,14 +390,11 @@ def train_batch(data, config: SomConfig) -> tuple[SomModel, BatchTrace]:
 
 
 def _rows_to_map(data, model: SomModel) -> np.ndarray:
-    """`data` as a matrix of finite rows of the model's dimension; a DataError
-    names the first row holding NaN or inf, which no node may win."""
+    """`data` as a matrix of finite rows (`as_matrix`) of the model's
+    dimension."""
     x = _checked_matrix(data)
     if x.shape[1] != model.dim:
         raise DimensionMismatch(f"data dim {x.shape[1]} != model dim {model.dim}")
-    bad = ~np.isfinite(x).all(axis=1)
-    if bad.any():
-        raise DataError(f"data row {int(np.argmax(bad))} (row 0 is the first) is not finite")
     return x
 
 
@@ -499,4 +489,4 @@ def load_som(path) -> SomModel:
 
 def replace_planar(model: SomModel, planar: np.ndarray) -> SomModel:
     """New model with the lattice positions swapped for an embedding."""
-    return replace(model, planar=np.asarray(planar, dtype=float))
+    return replace(model, planar=planar)

@@ -20,7 +20,7 @@ import numpy as np
 from . import _doc, _lapack
 from .data_model import GridSpec, StateSeries, _parse_dates
 from .errors import DataError, EmptySeries, UnlabeledDate
-from .mcmc import _BLOCK_NAMES, check_draws
+from .mcmc import _BLOCK_NAMES, _blocks, check_draws
 from .models import (
     DesignInfo,
     ModelSpec,
@@ -32,7 +32,7 @@ from .models import (
     exp_corr,
     resolve_spec,
 )
-from .projection import PlanarSeries, Tessellation
+from .projection import PlanarSeries, Tessellation, _checked_tess
 from .som import lattice_coords
 
 
@@ -56,16 +56,17 @@ class TruthBundle:
         spatial = self.spec.eta_structure == "spatial"
         if (self.knots is None) == spatial:
             raise DataError("knots must be set just when eta_structure is 'spatial'")
-        blocks = {}
-        for name in _BLOCK_NAMES:
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=float)
-                object.__setattr__(self, name, value)
-                blocks[name] = value[None]
         if spatial:
             object.__setattr__(self, "knots", _check_knots(self.knots))
-        check_draws(blocks, self.info.n_columns, self.knots.shape[0] if spatial else None)
+        m = len(self.knots) if spatial else None
+        # check_draws refuses the blocks given if they are not the layout's
+        blocks = dict.fromkeys(name for name in _BLOCK_NAMES if getattr(self, name) is not None)
+        for name, shape in _blocks(self.info.n_columns, m):
+            if name in blocks:
+                value = _doc.reals(getattr(self, name), name, shape)
+                object.__setattr__(self, name, value)
+                blocks[name] = value[None]
+        check_draws(blocks, self.info.n_columns, m)
         rho = self.spectral_radii()
         if rho.size and rho.max() >= 1.0:
             raise DataError(f"truth has a block with spectral radius {rho.max():.3f}")
@@ -114,17 +115,6 @@ def _day_span(start_date: _dt.date | str, n_days: int) -> tuple:
     return tuple(d0 + _dt.timedelta(days=i) for i in range(n_days))
 
 
-def _finite_reals(value, n: int, name: str) -> list:
-    """`value` as n Python floats, each by `_doc.finite_real`."""
-    try:
-        values = tuple(value)
-    except TypeError:  # not a sequence
-        values = ()
-    if len(values) != n:
-        raise DataError(f"{name} must be {n} finite real numbers, got {value!r}")
-    return [_doc.finite_real(v, name) for v in values]
-
-
 def simulate_var(
     truth: TruthBundle,
     n_days: int,
@@ -145,7 +135,8 @@ def simulate_var(
     if _doc.nonneg_int(n_days, "n_days") < 2:
         raise EmptySeries("need at least 2 days to simulate")
     _doc.nonneg_int(seed, "seed")
-    start = _finite_reals(s0, 2, "s0")
+    start = _doc.reals(s0, "s0", (2,))
+    tess = _checked_tess(tess)
     spec = truth.spec
     if spec.needs_cells:
         if tess is None:
@@ -211,7 +202,7 @@ def simulate_uniform_cloud(n: int, rect=(0.0, 1.0, 0.0, 1.0), seed: int = 0) -> 
     if _doc.nonneg_int(n, "n") < 1:
         raise EmptySeries("need at least one point")
     _doc.nonneg_int(seed, "seed")
-    xmin, xmax, ymin, ymax = _finite_reals(rect, 4, "rect")
+    xmin, xmax, ymin, ymax = _doc.reals(rect, "rect", (4,))
     if not (xmax > xmin and ymax > ymin):
         raise DataError("rectangle must have positive width and height")
     rng = np.random.default_rng(seed)
@@ -253,6 +244,7 @@ def ladder_truth(
     (start_date, n_days) will visit, so the layout never runs out of labels.
     """
     spec = resolve_spec(spec)
+    tess = _checked_tess(tess)
     cells = range(tess.n_cells) if (tess is not None and spec.needs_cells) else ()
     dates = None
     if start_date is not None and n_days is not None:
@@ -292,6 +284,6 @@ def ladder_truth(
     return TruthBundle(
         info=info,
         phi=phi,
-        sigma=DEFAULT_SIGMA.copy() if sigma is None else np.asarray(sigma, dtype=float),
+        sigma=DEFAULT_SIGMA.copy() if sigma is None else sigma,
         **spatial,
     )

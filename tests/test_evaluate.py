@@ -236,7 +236,7 @@ class TestRepairPd:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_refused(self, bad):
         for sigma in (np.full((2, 2), bad), np.array([[1.0, 0.0], [0.0, bad]])):
-            with pytest.raises(DataError, match="non-finite"):
+            with pytest.raises(DataError, match="^sigma row . .* is not finite"):
                 repair_pd(sigma)
 
     def test_asymmetric_input_symmetrized(self):

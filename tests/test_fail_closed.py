@@ -25,14 +25,47 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stvar.cli import dispatch
-from stvar.data_model import RawSeries, GridSpec, StateSeries, load_series, save_series, standardize
-from stvar.errors import DataError
-from stvar.evaluate import model_transitions, node_frequencies, score_model, var_lag_aic
-from stvar.mcmc import Chain, McmcConfig, load_chain, predict_series, run_chain, save_chain
-from stvar.models import KnotGrid, ModelSpec, resolve_spec, spec_to_dict
-from stvar.projection import PlanarSeries, SammonConfig, Tessellation, load_planar, save_planar
+from stvar.data_model import (
+    GridSpec,
+    RawSeries,
+    StateSeries,
+    Standardization,
+    as_matrix,
+    load_series,
+    save_series,
+    standardize,
+)
+from stvar.errors import DataError, DimensionMismatch
+from stvar.evaluate import (
+    coverage,
+    model_transitions,
+    node_frequencies,
+    repair_pd,
+    score_model,
+    var_lag_aic,
+)
+from stvar.mcmc import (
+    Chain,
+    McmcConfig,
+    chain_design,
+    load_chain,
+    predict_series,
+    run_chain,
+    save_chain,
+)
+from stvar.models import DesignInfo, KnotGrid, ModelSpec, build_design, resolve_spec, spec_to_dict
+from stvar.projection import (
+    PlanarSeries,
+    SammonConfig,
+    Tessellation,
+    load_planar,
+    sammon_embed,
+    save_planar,
+)
 from stvar.som import SomConfig, SomModel, lattice_coords, load_som, save_som, train_batch
 from stvar.synthetic import (
+    DEFAULT_SIGMA,
+    TruthBundle,
     default_tessellation,
     ladder_truth,
     simulate_uniform_cloud,
@@ -544,19 +577,19 @@ SHAPE_PROBES = {
     "SomConfig.phase_steps-long": (lambda: SomConfig(n_nodes=4, phase_steps=(1, 2, 3)),
                                    "phase_steps must be two counts"),
     "Tessellation.assign": (lambda: Tessellation(sites=[[0.0, 0.0], [1.0, 0.0]]).assign(
-        [[2.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]]), "point 1 .* is not finite"),
+        [[2.0, 0.0], [math.nan, 0.0], [math.inf, 0.0]]), "points row 1 .* is not finite"),
     "Tessellation.sites-words": (lambda: Tessellation(sites=[["a", "b"]]),
-                                 "sites must be an array of numbers"),
+                                 "sites must be an array of real numbers"),
     "Tessellation.assign-words": (lambda: Tessellation(sites=[[0.0, 0.0]]).assign([["a", "b"]]),
-                                  "points must be an array of numbers"),
+                                  "points must be an array of real numbers"),
     "simulate_var.s0-three": (lambda: simulate_var(ladder_truth("model1"), 10,
                                                    s0=(1.0, 2.0, 3.0)),
-                              "s0 must be 2 finite real numbers"),
+                              r"s0 must have shape \(2\), got \(3,\)"),
     "simulate_var.tess-too-few-cells": (lambda: _model9(default_tessellation(3)),
                                         "transition block for cell 3, past the tessellation's "
                                         "3 cells"),
     "simulate_uniform_cloud.rect-three": (lambda: simulate_uniform_cloud(5, rect=(0, 1, 0)),
-                                          "rect must be 4 finite real numbers"),
+                                          r"rect must have shape \(4\), got \(3,\)"),
 }
 
 
@@ -627,11 +660,6 @@ REAL_PROBES = {
     "SammonConfig.tol-inf": (lambda: SammonConfig(tol=math.inf), "tol"),
     "SammonConfig.tol-word": (lambda: SammonConfig(tol="x"), "tol"),
     "KnotGrid.padding-word": (lambda: KnotGrid(padding="x"), "padding"),
-    "simulate_var.s0-words": (lambda: simulate_var(ladder_truth("model1"), 10, s0=("a", "b")),
-                              "s0"),
-    "simulate_uniform_cloud.rect-inf": (lambda: simulate_uniform_cloud(5,
-                                                                       rect=(0, math.inf, 0, 1)),
-                                        "rect"),
 }
 
 
@@ -640,6 +668,156 @@ def test_non_finite_setting_is_data_error(entry):
     call, name = REAL_PROBES[entry]
     with pytest.raises(DataError, match=f"^{name} must be a finite real number, got "):
         call()
+
+
+# Every array a library caller passes goes through one rule, stvar._doc.reals:
+# each argument below, given its valid value or that value made malformed,
+# constructs or ends as a DataError naming it (a DimensionMismatch for a shape).
+_SITES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_GRID = GridSpec(n_rows=1, n_cols=2, variables=("u", "v"))
+
+
+def _som(nodes=np.zeros((3, 4)), planar=_SITES):
+    return SomModel(nodes=nodes, planar=planar, config=SomConfig(n_nodes=3))
+
+
+def _spatial_truth(**blocks):
+    """A model11-style truth with three knots, some blocks replaced."""
+    spec = ModelSpec("constant", "spatial")
+    valid = dict(phi=0.5 * np.eye(2), sigma=DEFAULT_SIGMA, knots=_SITES,
+                 theta=np.array([1.0, 1.0]), q=np.eye(2), wstar=np.zeros((2, 3)))
+    return TruthBundle(info=DesignInfo.from_declared(spec), **(valid | blocks))
+
+
+_DISTANCES = np.sqrt(((_SITES[:, None] - _SITES[None]) ** 2).sum(axis=-1))
+
+# argument: (call taking the value, valid value, name in the error, whether
+# another trailing length is wrong); as_matrix and SomModel take any dimension
+ARRAY_ARGUMENTS = {
+    "Tessellation.sites": (lambda v: Tessellation(sites=v), _SITES, "sites", True),
+    "Tessellation.assign": (lambda v: Tessellation(sites=_SITES).assign(v), _SITES, "points",
+                            True),
+    "PlanarSeries.points": (lambda v: PlanarSeries(points=v), _SITES, "points", True),
+    "PlanarSeries.node_assignment": (lambda v: PlanarSeries(points=_SITES, node_assignment=v),
+                                     np.array([0, 1, 2]), "node_assignment", True),
+    "SomModel.nodes": (lambda v: _som(nodes=v), np.zeros((3, 4)), "nodes", False),
+    "SomModel.planar": (lambda v: _som(planar=v), _SITES, "planar", True),
+    "RawSeries.values": (lambda v: RawSeries(values=v, grid=_GRID), np.ones((3, 2, 2)),
+                         "values", True),
+    "StateSeries.matrix": (lambda v: StateSeries(matrix=v, grid=_GRID), np.ones((3, 4)),
+                           "matrix", True),
+    "Standardization.mean": (lambda v: Standardization(mean=v, sd=np.ones(2)), np.zeros(2),
+                             "mean", True),
+    "Standardization.sd": (lambda v: Standardization(mean=np.zeros(2), sd=v), np.ones(2), "sd",
+                           True),
+    "as_matrix": (as_matrix, np.ones((3, 4)), "data", False),
+    **{f"TruthBundle.{name}": ((lambda name: lambda v: _spatial_truth(**{name: v}))(name),
+                               value, name, True)
+       for name, value in [("phi", 0.5 * np.eye(2)), ("sigma", DEFAULT_SIGMA),
+                           ("knots", _SITES), ("theta", np.array([1.0, 1.0])),
+                           ("q", np.eye(2)), ("wstar", np.zeros((2, 3)))]},
+    "ladder_truth.sigma": (lambda v: ladder_truth("model1", sigma=v), DEFAULT_SIGMA, "sigma",
+                           True),
+    "KnotGrid.build": (KnotGrid().build, _SITES, "points", True),
+    "simulate_var.s0": (lambda v: simulate_var(ladder_truth("model1"), 5, s0=v),
+                        np.array([0.0, 0.0]), "s0", True),
+    "simulate_uniform_cloud.rect": (lambda v: simulate_uniform_cloud(5, rect=v),
+                                    np.array([0.0, 1.0, 0.0, 1.0]), "rect", True),
+    "sammon_embed.distances": (sammon_embed, _DISTANCES, "distances", True),
+    "repair_pd": (repair_pd, DEFAULT_SIGMA, "sigma", True),
+}
+
+
+def _with_entry(valid, index, entry):
+    """`valid` as nested lists with the entry at flat `index` replaced."""
+    a = np.array(valid, dtype=object)
+    a.flat[index] = entry
+    return a.tolist()
+
+
+def _ragged(valid):
+    rows = valid.tolist()
+    rows[0] = rows[0] + rows[0][:1] if valid.ndim > 1 else [rows[0], rows[0]]
+    return rows
+
+
+# case: (the valid value made malformed, the error class, its message)
+MALFORMED = {
+    "text": (lambda v: v.astype(str).tolist(), DataError, "{} must be an array of real numbers"),
+    "bool": (lambda v: _with_entry(v, 0, True), DataError, "{} must be an array of real numbers"),
+    "ragged": (_ragged, DataError, "{} must be an array of real numbers"),
+    "nan": (lambda v: _with_entry(v, -1, math.nan), DataError,
+            r"{} row \d+ \(row 0 is the first\) is not finite"),
+    "inf": (lambda v: _with_entry(v, -1, math.inf), DataError,
+            r"{} row \d+ \(row 0 is the first\) is not finite"),
+    "trailing": (lambda v: np.concatenate([v, v[..., :1]], axis=-1), DimensionMismatch, None),
+    "ndim": (lambda v: v[None], DimensionMismatch, None),
+}
+ARRAY_CASES = [(arg, case) for arg, (*_, trailing) in ARRAY_ARGUMENTS.items()
+               for case in ["valid", *MALFORMED] if trailing or case != "trailing"]
+
+
+@pytest.mark.parametrize("arg, case", ARRAY_CASES, ids=[f"{a}-{c}" for a, c in ARRAY_CASES])
+def test_array_argument_fails_closed(arg, case):
+    call, valid, name, _ = ARRAY_ARGUMENTS[arg]
+    if case == "valid":
+        call(valid)
+        return
+    make, error, message = MALFORMED[case]
+    with pytest.raises(error, match=message and message.format(re.escape(name))):
+        call(make(valid))
+
+
+# values of the wrong type where the package wants a Tessellation, a grid's
+# counts and variable names, a coverage level or node indices
+TYPE_PROBES = {
+    **{name: (call, "tess must be a Tessellation, not str") for name, call in {
+        "ladder_truth.tess": lambda r: ladder_truth("model2", tess="x"),
+        "simulate_var.tess": lambda r: simulate_var(ladder_truth("model1"), 5, tess="x"),
+        "build_design.tess": lambda r: build_design(load_planar(r / "series.planar"), "model1",
+                                                    tess="x"),
+        "run_chain.tess": lambda r: run_chain(load_planar(r / "series.planar"), "model1",
+                                              McmcConfig(n_iter=10, burn_in=0), tess="x"),
+        "chain_design.tess": lambda r: chain_design(load_chain(r / "model2.chain"),
+                                                    load_planar(r / "series.planar"), tess="x"),
+        "predict_series.tess": lambda r: predict_series(load_chain(r / "model2.chain"),
+                                                        load_planar(r / "series.planar"),
+                                                        tess="x"),
+        "score_model.tess": lambda r: score_model(load_chain(r / "model2.chain"),
+                                                  load_planar(r / "series.planar"), tess="x"),
+        "model_transitions.tess": lambda r: model_transitions(load_chain(r / "model2.chain"),
+                                                              load_planar(r / "series.planar"),
+                                                              tess="x"),
+    }.items()},
+    "Tessellation.from_som": (lambda r: Tessellation.from_som("x"),
+                              "made from a SomModel, not str"),
+    "GridSpec.n_rows-fractional": (lambda r: GridSpec(1.5, 1, ("v",)),
+                                   "n_rows must be a non-negative integer, got 1.5"),
+    "GridSpec.n_rows-text": (lambda r: GridSpec("a", 1, ("v",)),
+                             "n_rows must be a non-negative integer, got 'a'"),
+    "GridSpec.variables-number": (lambda r: GridSpec(1, 1, ("v", 5)),
+                                  "variables must be a sequence of strings"),
+    "GridSpec.variables-text": (lambda r: GridSpec(1, 1, "abc"),
+                                "variables must be a sequence of strings"),
+    "PlanarSeries.node_assignment-fractional": (
+        lambda r: PlanarSeries(points=_SITES, node_assignment=[0.0, 0.5, 1.0]),
+        "node assignments must be non-negative integers"),
+    "coverage.level": (lambda r: coverage(predict_series(load_chain(r / "model2.chain"),
+                                                         load_planar(r / "series.planar"),
+                                                         n_draws=100), level="x"),
+                       "level must be a finite real number, got 'x'"),
+    "score_model.level": (lambda r: score_model(load_chain(r / "model2.chain"),
+                                                load_planar(r / "series.planar"), level="x"),
+                          "level must be a finite real number, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("entry", TYPE_PROBES)
+def test_wrong_type_is_data_error(base, entry):
+    root, _ = base
+    call, message = TYPE_PROBES[entry]
+    with pytest.raises(DataError, match=message):
+        call(root)
 
 
 # a cell model's walk from a start point that is not finite: once refused by

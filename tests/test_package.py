@@ -36,3 +36,14 @@ def test_only_data_model_parses_dates():
     parsers = [path.name for path in sorted(package.glob("*.py"))
                if path.name != "data_model.py" and "fromisoformat" in path.read_text()]
     assert parsers == []
+
+
+def test_no_constructor_converts_its_own_arrays():
+    # an array a caller passes is converted and checked by stvar._doc.reals:
+    # a container that converts a field itself takes it around that rule
+    from pathlib import Path
+
+    package = Path(stvar.__file__).parent
+    converters = [path.name for path in sorted(package.glob("*.py"))
+                  if "np.asarray(self." in path.read_text()]
+    assert converters == []

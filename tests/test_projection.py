@@ -266,8 +266,8 @@ class TestPlanarFiles:
             load_planar(path)
 
     @pytest.mark.parametrize("nodes, dates, point, match", [
-        pytest.param([0, 1], None, np.nan, "points contain non-finite", id="point-nan"),
-        pytest.param([0, 1], None, -np.inf, "points contain non-finite", id="point-inf"),
+        pytest.param([0, 1], None, np.nan, "points row 1 .* is not finite", id="point-nan"),
+        pytest.param([0, 1], None, -np.inf, "points row 1 .* is not finite", id="point-inf"),
         pytest.param([0, "x"], None, 0.0, "'nodes' must be a finite numeric", id="node-word"),
         pytest.param([0, 1.5], None, 0.0, "'nodes' must be a finite numeric", id="node-fraction"),
         pytest.param([0, -1], None, 0.0, "must be non-negative", id="node-negative"),

@@ -214,9 +214,13 @@ class TestOnlineTrainer:
         assert trace.displacements[-1] < trace.displacements[0]
 
     def test_non_finite_input_raises(self):
-        data = np.array([[0.0], [np.inf]])
-        with pytest.raises(NonFiniteUpdate):
-            train_online(data, SomConfig(n_nodes=2, phase_steps=(4, 0)))
+        # finite data whose range overflows makes a non-finite node; a
+        # non-finite day is refused before training, by the array rule
+        config = SomConfig(n_nodes=2, phase_steps=(4, 0))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteUpdate):
+            train_online(np.array([[-1e308], [1e308]]), config)
+        with pytest.raises(DataError, match=r"^data row 1 \(row 0 is the first\) is not finite"):
+            train_online(np.array([[0.0], [np.inf]]), config)
 
 
 class TestBatchTrainer:

@@ -42,7 +42,7 @@ class TestTruthBundle:
     def test_phi_shape_checked(self):
         spec = ModelSpec(a_structure="constant")
         info = DesignInfo.from_declared(spec)
-        with pytest.raises(DataError, match="phi shape"):
+        with pytest.raises(DataError, match=r"phi must have shape \(2, 2\)"):
             TruthBundle(info=info, phi=np.zeros((3, 2)), sigma=np.eye(2))
 
     def test_sigma_must_be_pd(self):
@@ -266,11 +266,13 @@ class TestSimulateVar:
 
     def test_start_point_is_two_finite_reals(self):
         truth = ladder_truth("model1")
-        for s0 in ((np.nan, 0.0), (0.0, -np.inf), (1.0, True)):
-            with pytest.raises(DataError, match="^s0 must be a finite real number"):
+        for s0 in ((np.nan, 0.0), (0.0, -np.inf)):
+            with pytest.raises(DataError, match=r"^s0 row \d \(row 0 is the first\) is not finite"):
                 simulate_var(truth, 10, s0=s0)
+        with pytest.raises(DataError, match="^s0 must be an array of real numbers"):
+            simulate_var(truth, 10, s0=(1.0, True))
         for s0 in ((1.0,), 3.0, [[1.0, 2.0]]):
-            with pytest.raises(DataError, match="^s0 must be 2 finite real numbers"):
+            with pytest.raises(DataError, match=r"^s0 must have shape \(2\)"):
                 simulate_var(truth, 10, s0=s0)
         start = simulate_var(truth, 3, s0=np.array([1.0, 2.0])).points[0]
         assert start.tolist() == [1.0, 2.0]
