@@ -10,24 +10,53 @@ routines of scipy's own build as scipy would, and so give the same bits; a
 are scipy's BLAS routines themselves.
 
 Importing stvar imports numpy only. Each module-level routine here starts as
-a stand-in whose first call imports its scipy subpackage (scipy.linalg,
-scipy.special or scipy.spatial.distance), replaces the stand-ins of that
-subpackage with scipy's routines and forwards the call. From then on a call
-costs one global lookup, as a module-level import would.
+a stand-in whose first call binds the scipy routines of its kind, replaces
+the stand-ins of that kind with them and forwards the call. From then on a
+call costs one global lookup, as a module-level import would. The LAPACK and
+BLAS routines come from scipy.linalg's compiled modules _flapack and _fblas,
+loaded from their files with no Python code of scipy run: some milliseconds,
+against a few tenths of a second for `import scipy.linalg`, which also
+imports scipy.special and scipy.sparse. The special functions import
+scipy.special and cdist imports scipy.spatial.distance.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+from importlib.machinery import PathFinder
+
 import numpy as np
+
+
+def _compiled(name: str):
+    """scipy.linalg's compiled module `name`, loaded from its file.
+
+    A module this load registers is taken out of sys.modules again, so a
+    later `import scipy.linalg` loads and registers its own. CPython keeps
+    one copy of such a module's contents, so that module's routines are the
+    objects bound here, and scipy.linalg.get_lapack_funcs returns them too.
+    Without scipy this raises the ModuleNotFoundError of `import scipy`."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    full = f"scipy.linalg.{name}"
+    registered = full in sys.modules
+    spec = PathFinder.find_spec(full, [os.path.join(path, "linalg")
+                                       for path in scipy.submodule_search_locations])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if not registered:
+        del sys.modules[full]
+    return module
 
 
 def _bind_linalg() -> None:
     global _POTRF, _POTRS, _TRTRS, trsm, trmm
-    import scipy.linalg
-
-    _POTRF, _POTRS, _TRTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"),
-                                                            dtype=np.float64)
-    trsm, trmm = scipy.linalg.get_blas_funcs(("trsm", "trmm"), dtype=np.float64)
+    lapack, blas = _compiled("_flapack"), _compiled("_fblas")
+    _POTRF, _POTRS, _TRTRS = lapack.dpotrf, lapack.dpotrs, lapack.dtrtrs
+    trsm, trmm = blas.dtrsm, blas.dtrmm
 
 
 def _bind_special() -> None:

@@ -30,10 +30,12 @@ inverse-Wishart Cholesky goes to scipy's own potrs, trtrs and potrf through
 stvar._lapack, without scipy.linalg's Python wrappers, and the two-term
 log-sum-exp of the truncated-normal draw writes out scipy.special.logsumexp's
 arithmetic. The chain bytes are those the scipy calls give; tests pin that.
-Every scipy routine here (LAPACK, BLAS trsm/trmm, the normal-cdf functions
-and cdist) is reached through stvar._lapack, which imports scipy at the
-first call: importing this module loads numpy alone, and later calls cost
-what they would with scipy imported up front.
+Every scipy routine here (LAPACK, BLAS trsm/trmm and the normal-cdf
+functions) is reached through stvar._lapack, which binds it at the first
+call: LAPACK and BLAS from scipy's compiled modules, loaded without any
+scipy package, and the normal-cdf functions from scipy.special. Importing
+this module loads numpy alone, and later calls cost what they would with
+scipy imported up front.
 
 _Sampler draws Phi and Sigma. _Field holds the spatial conditionals of
 model11's predictive process (Banerjee et al., JRSS-B 70:825, 2008) and

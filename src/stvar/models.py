@@ -45,7 +45,7 @@ from .errors import (
     SingularDesign,
     UnlabeledDate,
 )
-from .projection import PlanarSeries, Tessellation, _checked_tess, padded_grid
+from .projection import PlanarSeries, Tessellation, _checked_tess, _points, padded_grid
 
 A_STRUCTURES = (
     "random_walk",
@@ -117,8 +117,10 @@ class KnotGrid:
             raise DataError("knot padding must be >= 0")
 
     def build(self, points: np.ndarray) -> np.ndarray:
-        return padded_grid(_doc.reals(points, "points", (None, 2)), self.padding, self.n_x,
-                           self.n_y)
+        points = _doc.reals(points, "points", (None, 2))
+        if len(points) < 1:
+            raise DataError("a knot grid needs at least one point to span")
+        return padded_grid(points, self.padding, self.n_x, self.n_y)
 
 
 @dataclass(frozen=True)
@@ -660,12 +662,22 @@ def _check_decay(theta: float) -> None:
         raise NonPositiveDecay(f"decay rate must be positive, got {theta}")
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances from each of the (n, 2) points `a` to each of the
+    (m, 2) points `b`, shape (n, m): scipy's cdist adds the squared
+    differences of the two axes in this order, so these are its bits."""
+    d = np.subtract.outer(a[:, 0], b[:, 0])
+    dy = np.subtract.outer(a[:, 1], b[:, 1])
+    d *= d
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
+
+
 def exp_corr(a: np.ndarray, b: np.ndarray, theta: float) -> np.ndarray:
-    """exp(-theta * distance), elementwise over two point sets."""
+    """exp(-theta * distance), elementwise over two planar point sets."""
     _check_decay(theta)
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return np.exp(-theta * _lapack.cdist(a, b))
+    return np.exp(-theta * _distances(_points(a, "a"), _points(b, "b")))
 
 
 # Diagonal jitters tried, in order, on a correlation matrix that does not factor.
@@ -699,7 +711,7 @@ def _check_knots(knots: np.ndarray) -> np.ndarray:
     if len(knots) < 1:
         raise DataError("need at least one knot")
     if len(knots) > 1:
-        d = _lapack.cdist(knots, knots)
+        d = _distances(knots, knots)
         d[np.diag_indices_from(d)] = np.inf
         if d.min() == 0.0:
             raise DataError("knots must be distinct")
@@ -713,7 +725,7 @@ def pp_basis(points: np.ndarray, knots: np.ndarray, theta: float) -> np.ndarray:
     At a knot the weights reduce to that knot's unit vector.
     """
     knots = _check_knots(knots)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, "points")
     cstar = exp_corr(knots, knots, theta)
     L, _ = chol_spd(cstar)
     cross = exp_corr(knots, pts, theta)
@@ -739,8 +751,8 @@ class PredictiveProcess:
 
     def __init__(self, knots: np.ndarray, points: np.ndarray):
         self.knots = _check_knots(knots)
-        self.d_knots = _lapack.cdist(self.knots, self.knots)
-        self.d_points = _lapack.cdist(self.knots, np.atleast_2d(np.asarray(points, dtype=float)))
+        self.d_knots = _distances(self.knots, self.knots)
+        self.d_points = _distances(self.knots, _points(points, "points"))
         self._cross = None  # field's m x n buffer, made on its first call
 
     def factor(self, theta: float) -> tuple[np.ndarray, float]:

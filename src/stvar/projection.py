@@ -201,6 +201,15 @@ def sammon_embed(distances: np.ndarray, config: SammonConfig = SammonConfig()) -
 _ASSIGN_BLOCK = 8192  # points per distance block in Tessellation.assign
 
 
+def _points(value, name: str) -> np.ndarray:
+    """`value` as an (N, 2) array of finite planar points, by the rule of
+    stvar._doc.reals; a lone pair is one point."""
+    pts = np.atleast_2d(_doc.reals(value, name, None))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise DimensionMismatch(f"{name} must be (N, 2), got {pts.shape}")
+    return pts
+
+
 @dataclass(frozen=True)
 class Tessellation:
     """Nearest-site partition of the plane; ties take the smallest index."""
@@ -224,25 +233,29 @@ class Tessellation:
         return self.sites.shape[0]
 
     def assign(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(_doc.reals(points, "points", None))
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise DimensionMismatch(f"points must be (N, 2), got {pts.shape}")
-        return self._nearest(pts)
+        return self._nearest(_points(points, "points"))
+
+    def _cell(self, point: np.ndarray) -> np.intp:
+        """Cell of one finite point, a (2,) float array, unchecked: every
+        walk of simulate_var, whose points are finite by construction, finds
+        its cells with this.
+
+        The point is measured in numpy, as dx*dx + dy*dy: cdist's bits, so
+        argmin gives its cell and ties go to the smallest index, without
+        importing scipy.spatial."""
+        d = self.sites - point
+        d *= d
+        return (d[:, 0] + d[:, 1]).argmin()
 
     def _nearest(self, pts: np.ndarray) -> np.ndarray:
-        """Cells of an (N, 2) float array of finite points, unchecked: the
-        path of simulate_var, whose points are finite by construction, takes
-        this one point at a time.
+        """Cells of an (N, 2) float array of finite points, unchecked.
 
-        One point is measured in numpy, as dx*dx + dy*dy: cdist's bits, so
-        argmin gives its cell and ties go to the smallest index, without
-        importing scipy.spatial. Every other count keeps cdist, which is
+        One point goes to _cell. Every other count keeps cdist, which is
         faster on many points; in numpy, the pipeline's many-point assigns
         would also put off its import of scipy.spatial to a later stage,
         whose peak memory it would raise."""
         if pts.shape[0] == 1:
-            diff = self.sites - pts
-            return np.argmin(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1], keepdims=True)
+            return np.array([self._cell(pts[0])])
         # blocks of points bound the distance matrix; each row's argmin is
         # the one a single (N, M) matrix gives
         cells = np.empty(pts.shape[0], dtype=np.intp)
@@ -379,11 +392,7 @@ class GreedyProjector:
         self._first_member = np.cumsum(self._n_members) - self._n_members
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.nodes.shape[1],):
-            raise DimensionMismatch(
-                f"point has shape {x.shape}, model dimension is {self.nodes.shape[1]}"
-            )
+        x = _doc.reals(x, "point", (self.nodes.shape[1],))
         return self.project_many(x[None])[0]
 
     def project_many(self, X: np.ndarray) -> np.ndarray:

@@ -28,8 +28,8 @@ from .models import (
     SEASONS,
     _A_PARTS,
     _check_knots,
+    _distances,
     block_table,
-    exp_corr,
     resolve_spec,
 )
 from .projection import PlanarSeries, Tessellation, _checked_tess
@@ -126,11 +126,11 @@ def simulate_var(
     """Roll the recursion s_{t+1} = A s_t + eta + eps forward from s0, a
     pair of finite reals.
 
-    With `tess`, node_assignment holds each day's cell. A spec with cell
-    blocks finds the cell of each day on its walk, one point at a time (in
-    numpy, so without scipy.spatial), and those cells are the assignment;
-    the truth may name no cell past the tessellation's. Other specs assign
-    the finished path in one `tess.assign`.
+    With `tess`, node_assignment holds each day's cell, found on the walk
+    one point at a time (in numpy, so without scipy.spatial): the cells
+    `tess.assign` gives the finished path. A spec with cell blocks takes
+    each day's transition block from its cell, and its truth may name no
+    cell past the tessellation's.
     """
     if _doc.nonneg_int(n_days, "n_days") < 2:
         raise EmptySeries("need at least 2 days to simulate")
@@ -154,46 +154,43 @@ def simulate_var(
     L = np.linalg.cholesky(truth.sigma)
     noise = rng.standard_normal((n_days - 1, 2)) @ L.T
 
-    # spatial intercept: fold C*^{-1} into the knot values once, then each
-    # step only needs the cross-correlation vector
-    v = None
+    # spatial intercept: fold C*^{-1} into the knot values of each field
+    # once; each step then needs only its point's knot distances, whose
+    # exp(-theta * distance) are exp_corr's cross-correlations
+    fields = ()
     if truth.knots is not None:
         pp = PredictiveProcess(truth.knots, np.empty((0, 2)))
-        v = [_lapack.cho_solve((pp.factor(float(truth.theta[k]))[0], True), truth.wstar[k])
-             for k in range(2)]
+        fields = [(theta, _lapack.cho_solve((pp.factor(theta)[0], True), wstar))
+                  for theta, wstar in zip(map(float, truth.theta), truth.wstar)]
 
     # every source day is labeled once, up front; only its cell waits for the path
     info = truth.info
-    cells = tess if spec.needs_cells else None
-    a_of, eta_of = block_table(info, n_days - 1, 1 if cells is None else cells.n_cells,
+    by_cell = spec.needs_cells
+    a_of, eta_of = block_table(info, n_days - 1, tess.n_cells if by_cell else 1,
                                None if dates is None else dates[:-1])
     blocks = [truth.a_block(i) for i in range(info.n_a)]
     intercepts = truth.phi[2 * info.n_a:]
     pts = np.empty((n_days, 2))
     pts[0] = start
-    assignment = None if cells is None else np.empty(n_days, dtype=np.intp)
+    assignment = None if tess is None else np.empty(n_days, dtype=np.intp)
     for t in range(n_days - 1):
         s = pts[t]
-        if cells is not None:
-            assignment[t] = cells._nearest(s[None, :])[0]
+        if tess is not None:
+            assignment[t] = tess._cell(s)
         if a_of is None:
             mean = s.copy()
         else:
-            mean = blocks[a_of[t, 0 if cells is None else assignment[t]]] @ s
+            mean = blocks[a_of[t, assignment[t] if by_cell else 0]] @ s
         if eta_of is not None:
             mean = mean + intercepts[eta_of[t]]
-        if v is not None:
-            eta = np.empty(2)
-            for k in range(2):
-                c = exp_corr(s[None, :], truth.knots, float(truth.theta[k]))[0]
-                eta[k] = c @ v[k]
+        if fields:
+            d = _distances(s[None, :], truth.knots)[0]
+            eta = np.array([np.exp(-theta * d) @ v for theta, v in fields])
             mean = mean + truth.q @ eta
         pts[t + 1] = mean + noise[t]
 
-    if cells is not None:
-        assignment[-1] = cells._nearest(pts[-1:])[0]
-    elif tess is not None:
-        assignment = tess.assign(pts)
+    if tess is not None:
+        assignment[-1] = tess._cell(pts[-1])
     return PlanarSeries(points=pts, node_assignment=assignment, dates=dates)
 
 

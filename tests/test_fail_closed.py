@@ -53,8 +53,19 @@ from stvar.mcmc import (
     run_chain,
     save_chain,
 )
-from stvar.models import DesignInfo, KnotGrid, ModelSpec, build_design, resolve_spec, spec_to_dict
+from stvar.models import (
+    DesignInfo,
+    KnotGrid,
+    ModelSpec,
+    PredictiveProcess,
+    build_design,
+    exp_corr,
+    pp_basis,
+    resolve_spec,
+    spec_to_dict,
+)
 from stvar.projection import (
+    GreedyProjector,
     PlanarSeries,
     SammonConfig,
     Tessellation,
@@ -590,6 +601,8 @@ SHAPE_PROBES = {
                                         "3 cells"),
     "simulate_uniform_cloud.rect-three": (lambda: simulate_uniform_cloud(5, rect=(0, 1, 0)),
                                           r"rect must have shape \(4\), got \(3,\)"),
+    "KnotGrid.build-no-points": (lambda: KnotGrid().build(np.empty((0, 2))),
+                                 "a knot grid needs at least one point to span"),
 }
 
 
@@ -689,6 +702,7 @@ def _spatial_truth(**blocks):
     return TruthBundle(info=DesignInfo.from_declared(spec), **(valid | blocks))
 
 
+_NODES = np.arange(12.0).reshape(3, 4) ** 2
 _DISTANCES = np.sqrt(((_SITES[:, None] - _SITES[None]) ** 2).sum(axis=-1))
 
 # argument: (call taking the value, valid value, name in the error, whether
@@ -719,6 +733,11 @@ ARRAY_ARGUMENTS = {
     "ladder_truth.sigma": (lambda v: ladder_truth("model1", sigma=v), DEFAULT_SIGMA, "sigma",
                            True),
     "KnotGrid.build": (KnotGrid().build, _SITES, "points", True),
+    "GreedyProjector.project": (lambda v: GreedyProjector(_som(nodes=_NODES)).project(v),
+                                _NODES[1], "point", True),
+    "pp_basis.points": (lambda v: pp_basis(v, _SITES, 1.0), _SITES, "points", True),
+    "PredictiveProcess.points": (lambda v: PredictiveProcess(_SITES, v), _SITES, "points", True),
+    "exp_corr.a": (lambda v: exp_corr(v, _SITES, 1.0), _SITES, "a", True),
     "simulate_var.s0": (lambda v: simulate_var(ladder_truth("model1"), 5, s0=v),
                         np.array([0.0, 0.0]), "s0", True),
     "simulate_uniform_cloud.rect": (lambda v: simulate_uniform_cloud(5, rect=v),

@@ -1,21 +1,25 @@
 """stvar imports scipy only when a routine needs it, with the same results.
 
 `import stvar` loads numpy alone: `stvar._lapack` binds each scipy routine
-at its first call. The commands that call none of them run with scipy
+at its first call, LAPACK and BLAS from scipy's compiled modules with no
+scipy package imported. The commands that call none of them run with scipy
 blocked and write the bytes of an unblocked run. The scipy calls that
 stvar no longer makes (scipy.linalg's block_diag and cho_factor in
 `models.Gram`, pdist and squareform for the Sammon targets and the first
-decay rate) are held to their replacements bit for bit.
+decay rate, cdist for the predictive-process distances) are held to their
+replacements bit for bit.
 """
 
 import datetime as dt
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import stvar.cli
 import stvar.models
@@ -25,6 +29,7 @@ from stvar.data_model import GridSpec, RawSeries, save_series
 from stvar.errors import SingularDesign
 from stvar.mcmc import McmcConfig, _Sampler
 from stvar.models import (
+    MODEL_ALIASES,
     Gram,
     KnotGrid,
     ModelSpec,
@@ -48,12 +53,92 @@ def run_child(argv: list[str], block_scipy: bool) -> subprocess.CompletedProcess
                           text=True)
 
 
+SCIPY_PACKAGES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def run_code(code: str, *args) -> str:
+    """Standard output of `code` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=src_env(),
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def test_import_loads_no_scipy():
-    code = ("import sys, stvar, stvar.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_code(f"import sys, stvar, stvar.cli; print({SCIPY_PACKAGES})") == "[]"
+
+
+@pytest.mark.parametrize("walk", [
+    "from stvar.cli import dispatch\n"
+    "assert dispatch(['simulate', '--model', 'model11', '--days', '300', '--cells', '4',\n"
+    "                 '--out', sys.argv[1]]) == 0",
+    "from stvar.synthetic import default_tessellation, ladder_truth, simulate_var\n"
+    "tess = default_tessellation(4)\n"
+    "simulate_var(ladder_truth('model11', tess=tess), 300, tess=tess, seed=1)",
+], ids=["cli", "library"])
+def test_simulate_loads_no_scipy_package(tmp_path, walk):
+    # model11's walk solves with scipy's compiled LAPACK, loaded from its
+    # file, and measures its knot distances and cells in numpy
+    code = (f"import sys\n{walk}\nfrom stvar import _lapack\n"
+            f"print(type(_lapack._POTRS).__name__, {SCIPY_PACKAGES})")
+    assert run_code(code, tmp_path).splitlines()[-1] == "fortran []"
+
+
+BOUND = """
+import sys
+import numpy as np
+from stvar import _lapack
+
+def scipys():
+    import scipy.linalg
+    return (*scipy.linalg.get_lapack_funcs(("potrf", "potrs", "trtrs"), dtype=np.float64),
+            *scipy.linalg.get_blas_funcs(("trsm", "trmm"), dtype=np.float64))
+
+if sys.argv[1] == "scipy":
+    theirs = scipys()
+_lapack.cholesky(np.eye(2))
+if sys.argv[1] == "stvar":
+    theirs = scipys()
+ours = (_lapack._POTRF, _lapack._POTRS, _lapack._TRTRS, _lapack.trsm, _lapack.trmm)
+import scipy.linalg
+print([a is b for a, b in zip(ours, theirs)],
+      scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"],
+      scipy.linalg._fblas is sys.modules["scipy.linalg._fblas"],
+      scipy.linalg._flapack.dpotrf is _lapack._POTRF)
+"""
+
+
+@pytest.mark.parametrize("first", ["stvar", "scipy"])
+def test_bound_routines_are_scipys_own(first):
+    # the routines stvar binds are the objects scipy.linalg hands out,
+    # whether scipy.linalg is imported before the binding or after it
+    assert run_code(BOUND, first) == "[True, True, True, True, True] True True True"
+
+
+def test_missing_scipy_fails_as_its_import(tmp_path):
+    # an interpreter that finds numpy but no scipy: the first LAPACK call
+    # raises what `import scipy.linalg` raises
+    for path in Path(np.__file__).parents[1].glob("numpy*"):
+        if path.is_dir() and not path.name.endswith("-info"):
+            (tmp_path / path.name).symlink_to(path)
+    code = """
+import numpy as np
+from stvar import _lapack
+
+def error(call):
+    try:
+        call()
+    except Exception as e:
+        return type(e).__name__, str(e), e.name
+
+def linalg():
+    import scipy.linalg
+
+print(error(lambda: _lapack.cholesky(np.eye(2))) == error(linalg), error(linalg))
+"""
+    env = src_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], str(tmp_path)])
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    assert out == "True ('ModuleNotFoundError', \"No module named 'scipy'\", 'scipy')"
 
 
 @pytest.fixture(scope="module")
@@ -81,12 +166,11 @@ NUMPY_ONLY = {
     "transitions": ["transitions", "--series", "{root}/series.planar", "--season", "DJF"],
     "lag-scan": ["lag-scan", "--series", "{root}/series.planar", "--max-lag", "3"],
     "maps": ["maps", "--som", "{root}/som.json", "--series", "{root}/series.state"],
-    # a cell model's walk finds each day's cell in numpy; model1 assigns its
-    # finished path through cdist, and model11's kriging needs scipy
-    "simulate-model3": ["simulate", "--model", "model3", "--cells", "4",
-                        "--start-date", "1990-01-01", "--days", "400"],
-    "simulate-model9": ["simulate", "--model", "model9", "--cells", "4",
-                        "--start-date", "1990-01-01", "--days", "400"],
+    # every walk finds each day's cell in numpy; model11's kriging needs
+    # scipy's compiled LAPACK (test_simulate_loads_no_scipy_package)
+    **{f"simulate-{model}": ["simulate", "--model", model, "--cells", "4",
+                             "--start-date", "1990-01-01", "--days", "400"]
+       for model in sorted(MODEL_ALIASES) if model != "model11"},
     "help": ["--help"],
 }
 
@@ -166,6 +250,28 @@ def distance_cases():
         if case % 5 == 0:
             x = -x
         yield x
+
+
+def planar_cases():
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((40, 2)), rng.standard_normal((25, 2))
+    yield "random", a, b
+    yield "repeated", np.vstack([a[:5], a[:5]]), a[:5]
+    for scale in 10.0 ** np.arange(-200, 201, 25):  # squares that underflow or overflow
+        yield f"scale {scale:g}", a * scale, b * scale
+    yield "shifted", a + 1e8, b + 1e8
+    yield "no rows", np.empty((0, 2)), b
+    yield "no columns", a, np.empty((0, 2))
+
+
+@pytest.mark.parametrize("a, b", [case[1:] for case in planar_cases()],
+                         ids=[case[0] for case in planar_cases()])
+def test_planar_distances_equal_cdist(a, b):
+    with np.errstate(over="ignore"):
+        got = stvar.models._distances(a, b)
+    want = cdist(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_cdist_equals_pdist_and_squareform():

@@ -1,4 +1,7 @@
-"""The package's public names."""
+"""The package's public names and the rules its modules keep."""
+
+import ast
+from pathlib import Path
 
 import stvar
 
@@ -14,7 +17,6 @@ def test_every_error_class_is_used():
     # other module names it: a class nothing raises is dead
     import inspect
     import re
-    from pathlib import Path
 
     classes = [cls for _, cls in inspect.getmembers(stvar.errors, inspect.isclass)
                if cls.__module__ == stvar.errors.__name__]
@@ -30,8 +32,6 @@ def test_every_error_class_is_used():
 def test_only_data_model_parses_dates():
     # data_model holds the one date parser: any other module that names
     # fromisoformat reads dates by a rule of its own
-    from pathlib import Path
-
     package = Path(stvar.__file__).parent
     parsers = [path.name for path in sorted(package.glob("*.py"))
                if path.name != "data_model.py" and "fromisoformat" in path.read_text()]
@@ -41,9 +41,41 @@ def test_only_data_model_parses_dates():
 def test_no_constructor_converts_its_own_arrays():
     # an array a caller passes is converted and checked by stvar._doc.reals:
     # a container that converts a field itself takes it around that rule
-    from pathlib import Path
-
     package = Path(stvar.__file__).parent
     converters = [path.name for path in sorted(package.glob("*.py"))
                   if "np.asarray(self." in path.read_text()]
     assert converters == []
+
+
+
+def _doors(path: Path) -> list[str]:
+    """What the module at `path` uses to reach scipy on its own: an import
+    of scipy or importlib, __import__, and in models and synthetic, cdist
+    from stvar._lapack."""
+    tree = ast.parse(path.read_text())
+    doors = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            doors.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            doors.add(node.module)
+        elif isinstance(node, ast.Name):
+            doors.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            doors.add(f"{node.value.id}.{node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module == "_lapack":
+            doors.update(f"_lapack.{alias.name}" for alias in node.names)
+    barred = {"scipy", "importlib", "__import__"}
+    if path.name in ("models.py", "synthetic.py"):
+        barred.add("_lapack.cdist")
+    return sorted(name for name in doors if name in barred or name.split(".")[0] in barred)
+
+
+def test_only_lapack_reaches_scipy():
+    # stvar._lapack is the one door to scipy: it alone imports scipy or
+    # loads modules by importlib, and models and synthetic measure their
+    # model geometry in numpy, not by cdist
+    package = Path(stvar.__file__).parent
+    doors = {path.name: _doors(path) for path in sorted(package.glob("*.py"))
+             if path.name != "_lapack.py"}
+    assert {name: found for name, found in doors.items() if found} == {}

@@ -201,10 +201,10 @@ class TestSimulateVar:
         with pytest.raises(UnlabeledDate, match=r"\(1,\)"):
             simulate_var(cell0, n_days=200, tess=tess, seed=5)
 
-    @pytest.mark.parametrize("model", ["model2", "model3", "model9", "model10"])
+    @pytest.mark.parametrize("model", sorted(MODEL_ALIASES))
     def test_walk_cells_are_the_assignment(self, model):
-        # a cell spec keeps the cells its walk found, one point at a time;
-        # they are the cells of one assign over the finished path
+        # every walk keeps the cells it found, one point at a time; they are
+        # the cells of one assign over the finished path
         tess = default_tessellation(12)
         truth = ladder_truth(model, tess=tess, start_date="1990-01-01", n_days=800)
         for seed in (0, 1, 2):
@@ -212,15 +212,19 @@ class TestSimulateVar:
             assert series.node_assignment.tolist() == tess.assign(series.points).tolist()
 
     def test_cell_walk_takes_no_cdist(self, monkeypatch):
+        # no path of simulate_var calls cdist: every walk given a
+        # tessellation finds its cells in numpy, and the spatial intercept
+        # measures its knot distances in numpy
         def refuse(*args, **kwargs):
             raise AssertionError("cdist called")
 
         monkeypatch.setattr(_lapack, "cdist", refuse)
         tess = default_tessellation(4)
-        truth = ladder_truth("model9", tess=tess, start_date="1990-01-01", n_days=400)
-        simulate_var(truth, 400, tess=tess, start_date="1990-01-01", seed=3)
-        with pytest.raises(AssertionError, match="cdist called"):  # the non-cell path
-            simulate_var(ladder_truth("model1"), 400, tess=tess, seed=3)
+        for model in sorted(MODEL_ALIASES):
+            truth = ladder_truth(model, tess=tess, start_date="1990-01-01", n_days=400)
+            simulate_var(truth, 400, tess=tess, start_date="1990-01-01", seed=3)
+            if not truth.spec.needs_cells:
+                simulate_var(truth, 400, start_date="1990-01-01", seed=3)
 
     def test_truth_without_cells_is_refused(self):
         # a cell spec laid out without a tessellation has no transition block
