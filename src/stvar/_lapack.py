@@ -1,5 +1,5 @@
-"""stvar's one door to scipy: LAPACK, BLAS, four special functions and cdist,
-each bound at its first call.
+"""stvar's one door to scipy: LAPACK, BLAS and four special functions, each
+bound at its first call, and cdist, written in numpy with scipy's bits.
 
 The sampler and the kriging make thousands of solves with factors of at most
 a few hundred rows, where scipy.linalg's Python wrappers (batch dispatch,
@@ -17,7 +17,7 @@ BLAS routines come from scipy.linalg's compiled modules _flapack and _fblas,
 loaded from their files with no Python code of scipy run: some milliseconds,
 against a few tenths of a second for `import scipy.linalg`, which also
 imports scipy.special and scipy.sparse. The special functions import
-scipy.special and cdist imports scipy.spatial.distance.
+scipy.special.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ def _bind_special() -> None:
     from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 
 
-def _bind_distance() -> None:
-    global cdist
-    from scipy.spatial.distance import cdist
-
-
 def _unbound(bind, name: str):
     """Stand-in for the routine `name` until `bind` replaces it."""
 
@@ -83,7 +78,31 @@ _POTRF, _POTRS, _TRTRS, trsm, trmm = (_unbound(_bind_linalg, name)
                                       for name in ("_POTRF", "_POTRS", "_TRTRS", "trsm", "trmm"))
 log1p, log_ndtr, ndtr, ndtri_exp = (_unbound(_bind_special, name)
                                     for name in ("log1p", "log_ndtr", "ndtr", "ndtri_exp"))
-cdist = _unbound(_bind_distance, "cdist")
+
+
+def cdist(a: np.ndarray, b: np.ndarray, metric: str = "euclidean") -> np.ndarray:
+    """scipy's cdist(a, b, metric) for metric "euclidean" or "sqeuclidean",
+    with its bits: a C-contiguous (n, m) array from float arrays of shape
+    (n, d) and (m, d), and no RuntimeWarning. Each pair's squared differences
+    are added one column at a time from the first, as scipy adds them, with
+    the longer point set along numpy's fast inner axis."""
+    flip = len(a) > len(b)
+    short, long = (x.T.copy() for x in ((b, a) if flip else (a, b)))  # contiguous columns
+    # columns squared at once, to bound the temporaries: two, or all that fill 65536 floats
+    step = max(2, 65536 // max(short.shape[1] * long.shape[1], 1))
+    total = None
+    with np.errstate(all="ignore"):  # cdist warns of no overflow or inf - inf
+        for j in range(0, short.shape[0], step):
+            squares = np.subtract(short[j:j + step, :, None], long[j:j + step, None, :])
+            squares *= squares
+            if total is not None:
+                squares[0] += total
+            total = squares[0]
+            for square in squares[1:]:
+                total += square
+        if metric == "euclidean":
+            np.sqrt(total, out=total)
+    return (total.T if flip else total).copy()
 
 
 def _check_finite(*arrays) -> None:

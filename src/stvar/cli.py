@@ -561,8 +561,6 @@ def cmd_evaluate(args, store: _Store) -> dict:
     chains = [store.load(load_chain, path) for path in chain_paths]
     for chain in chains:
         scored_draws(chain, args.draws)
-    if not 0.0 < args.level < 1.0:
-        raise DataError("level must be in (0, 1)")
     scores = []
     for path, chain in zip(chain_paths, chains):
         key = _prediction_key(path, args)
@@ -712,7 +710,7 @@ def cmd_pipeline(args, store: _Store) -> dict | None:
         if stage_args.cmd == "predict" and stage_args.chain and stage_args.series:
             store.expect(_prediction_key(stage_args.chain, stage_args))
 
-    args.out = out
+    args.out, args.seed = out, seed
     Path(out).mkdir(parents=True, exist_ok=True)
     for i, (label, stage_args) in enumerate(stages):
         code = _run(parser, stage_args, [], store, f"{kind}: {label}")

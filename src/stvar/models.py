@@ -662,22 +662,10 @@ def _check_decay(theta: float) -> None:
         raise NonPositiveDecay(f"decay rate must be positive, got {theta}")
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances from each of the (n, 2) points `a` to each of the
-    (m, 2) points `b`, shape (n, m): scipy's cdist adds the squared
-    differences of the two axes in this order, so these are its bits."""
-    d = np.subtract.outer(a[:, 0], b[:, 0])
-    dy = np.subtract.outer(a[:, 1], b[:, 1])
-    d *= d
-    dy *= dy
-    d += dy
-    return np.sqrt(d, out=d)
-
-
 def exp_corr(a: np.ndarray, b: np.ndarray, theta: float) -> np.ndarray:
     """exp(-theta * distance), elementwise over two planar point sets."""
     _check_decay(theta)
-    return np.exp(-theta * _distances(_points(a, "a"), _points(b, "b")))
+    return np.exp(-theta * _lapack.cdist(_points(a, "a"), _points(b, "b")))
 
 
 # Diagonal jitters tried, in order, on a correlation matrix that does not factor.
@@ -711,7 +699,7 @@ def _check_knots(knots: np.ndarray) -> np.ndarray:
     if len(knots) < 1:
         raise DataError("need at least one knot")
     if len(knots) > 1:
-        d = _distances(knots, knots)
+        d = _lapack.cdist(knots, knots)
         d[np.diag_indices_from(d)] = np.inf
         if d.min() == 0.0:
             raise DataError("knots must be distinct")
@@ -751,8 +739,8 @@ class PredictiveProcess:
 
     def __init__(self, knots: np.ndarray, points: np.ndarray):
         self.knots = _check_knots(knots)
-        self.d_knots = _distances(self.knots, self.knots)
-        self.d_points = _distances(self.knots, _points(points, "points"))
+        self.d_knots = _lapack.cdist(self.knots, self.knots)
+        self.d_points = _lapack.cdist(self.knots, _points(points, "points"))
         self._cross = None  # field's m x n buffer, made on its first call
 
     def factor(self, theta: float) -> tuple[np.ndarray, float]:
@@ -788,6 +776,8 @@ class PredictiveProcess:
 
 
 def domain_diameter(points: np.ndarray) -> float:
-    """Diagonal length of the bounding box of a point set."""
-    pts = np.asarray(points, dtype=float)
+    """Diagonal length of the bounding box of a non-empty point set."""
+    pts = _points(points, "points")
+    if len(pts) < 1:
+        raise DataError("a domain diameter needs at least one point")
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))

@@ -233,29 +233,7 @@ class Tessellation:
         return self.sites.shape[0]
 
     def assign(self, points: np.ndarray) -> np.ndarray:
-        return self._nearest(_points(points, "points"))
-
-    def _cell(self, point: np.ndarray) -> np.intp:
-        """Cell of one finite point, a (2,) float array, unchecked: every
-        walk of simulate_var, whose points are finite by construction, finds
-        its cells with this.
-
-        The point is measured in numpy, as dx*dx + dy*dy: cdist's bits, so
-        argmin gives its cell and ties go to the smallest index, without
-        importing scipy.spatial."""
-        d = self.sites - point
-        d *= d
-        return (d[:, 0] + d[:, 1]).argmin()
-
-    def _nearest(self, pts: np.ndarray) -> np.ndarray:
-        """Cells of an (N, 2) float array of finite points, unchecked.
-
-        One point goes to _cell. Every other count keeps cdist, which is
-        faster on many points; in numpy, the pipeline's many-point assigns
-        would also put off its import of scipy.spatial to a later stage,
-        whose peak memory it would raise."""
-        if pts.shape[0] == 1:
-            return np.array([self._cell(pts[0])])
+        pts = _points(points, "points")
         # blocks of points bound the distance matrix; each row's argmin is
         # the one a single (N, M) matrix gives
         cells = np.empty(pts.shape[0], dtype=np.intp)
@@ -264,6 +242,16 @@ class Tessellation:
             np.argmin(_lapack.cdist(pts[block], self.sites, "sqeuclidean"), axis=1,
                       out=cells[block])
         return cells
+
+    def _cell(self, point: np.ndarray) -> np.intp:
+        """Cell of one finite point, a (2,) float array, unchecked: every
+        walk of simulate_var finds its cells with this, a few microseconds a
+        day faster than assign. dx*dx + dy*dy are cdist's bits, so argmin
+        gives assign's cell and ties go to the smallest index."""
+        d = self.sites - point
+        d *= d
+        return (d[:, 0] + d[:, 1]).argmin()
+
 
 def _checked_tess(tess) -> Tessellation | None:
     """`tess` as an optional tessellation: a DataError unless it is None or

@@ -28,7 +28,6 @@ from .models import (
     SEASONS,
     _A_PARTS,
     _check_knots,
-    _distances,
     block_table,
     resolve_spec,
 )
@@ -127,10 +126,10 @@ def simulate_var(
     pair of finite reals.
 
     With `tess`, node_assignment holds each day's cell, found on the walk
-    one point at a time (in numpy, so without scipy.spatial): the cells
-    `tess.assign` gives the finished path. A spec with cell blocks takes
-    each day's transition block from its cell, and its truth may name no
-    cell past the tessellation's.
+    one point at a time by `Tessellation._cell`: the cells `tess.assign`
+    gives the finished path. A spec with cell blocks takes each day's
+    transition block from its cell, and its truth may name no cell past the
+    tessellation's.
     """
     if _doc.nonneg_int(n_days, "n_days") < 2:
         raise EmptySeries("need at least 2 days to simulate")
@@ -184,7 +183,7 @@ def simulate_var(
         if eta_of is not None:
             mean = mean + intercepts[eta_of[t]]
         if fields:
-            d = _distances(s[None, :], truth.knots)[0]
+            d = _lapack.cdist(s[None, :], truth.knots)[0]
             eta = np.array([np.exp(-theta * d) @ v for theta, v in fields])
             mean = mean + truth.q @ eta
         pts[t + 1] = mean + noise[t]

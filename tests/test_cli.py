@@ -339,6 +339,15 @@ class TestFitEvaluate:
         assert code == 2
         assert "level must be in (0, 1)" in capsys.readouterr().err
 
+    def test_infinite_level_meets_the_scoring_rule(self, fitted, tmp_path, capsys):
+        # evaluate has no level check of its own: score_model's refuses inf
+        code = run(
+            "evaluate", "--chain", fitted / "model1.chain",
+            "--series", fitted / "series.planar", "--level", "inf", "--out", tmp_path,
+        )
+        assert code == 2
+        assert "level must be a finite real number, got inf" in capsys.readouterr().err
+
     def test_evaluate_needs_a_chain(self, fitted, tmp_path):
         code = run(
             "evaluate", "--series", fitted / "series.planar", "--out", tmp_path
@@ -706,6 +715,8 @@ class TestPipeline:
             assert (out / name).exists(), name
         scores = json.loads((out / "scores.json").read_text())
         assert scores[0]["model"] == "model1"
+        # the pipeline's manifest records the seed its stages ran with
+        assert json.loads((out / "pipeline.manifest.json").read_text())["seed"] == 13
 
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
         cfg_blob = {

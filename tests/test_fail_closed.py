@@ -59,6 +59,7 @@ from stvar.models import (
     ModelSpec,
     PredictiveProcess,
     build_design,
+    domain_diameter,
     exp_corr,
     pp_basis,
     resolve_spec,
@@ -575,9 +576,9 @@ def _model9(cells, n_days=30, **kw):
 
 
 # values of the wrong shape: map schedules that are not two phases of two
-# values (or two counts), points no tessellation cell can hold, start points
-# and rectangles of the wrong length, and a truth with more cells than its
-# tessellation
+# values (or two counts), points no tessellation cell can hold or no domain
+# diameter can span, start points and rectangles of the wrong length, and a
+# truth with more cells than its tessellation
 SHAPE_PROBES = {
     "SomConfig.alpha": (lambda: SomConfig(n_nodes=4, alpha=((0.5, 0.05),)),
                         r"alpha must be two \(start, end\) phases"),
@@ -603,6 +604,12 @@ SHAPE_PROBES = {
                                           r"rect must have shape \(4\), got \(3,\)"),
     "KnotGrid.build-no-points": (lambda: KnotGrid().build(np.empty((0, 2))),
                                  "a knot grid needs at least one point to span"),
+    "domain_diameter-words": (lambda: domain_diameter([["a", "b"]]),
+                              "points must be an array of real numbers"),
+    "domain_diameter-no-points": (lambda: domain_diameter(np.empty((0, 2))),
+                                  "a domain diameter needs at least one point"),
+    "domain_diameter-nan": (lambda: domain_diameter([[0.0, 0.0], [math.nan, 1.0]]),
+                            r"points row 1 .* is not finite"),
 }
 
 

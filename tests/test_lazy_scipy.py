@@ -2,18 +2,19 @@
 
 `import stvar` loads numpy alone: `stvar._lapack` binds each scipy routine
 at its first call, LAPACK and BLAS from scipy's compiled modules with no
-scipy package imported. The commands that call none of them run with scipy
-blocked and write the bytes of an unblocked run. The scipy calls that
-stvar no longer makes (scipy.linalg's block_diag and cho_factor in
-`models.Gram`, pdist and squareform for the Sammon targets and the first
-decay rate, cdist for the predictive-process distances) are held to their
-replacements bit for bit.
+scipy package imported. The commands that call none of them, the tiny
+`fields` pipeline among them, run with scipy blocked and write the bytes of
+an unblocked run. The scipy calls that stvar no longer makes (scipy.linalg's
+block_diag and cho_factor in `models.Gram`, pdist and squareform for the
+Sammon targets and the first decay rate, cdist for the map, Sammon, cell and
+knot distances) are held to their replacements bit for bit.
 """
 
 import datetime as dt
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from stvar.models import (
     domain_diameter,
 )
 from stvar.synthetic import default_tessellation, ladder_truth, simulate_var
+from test_pipeline_pins import PINS, output_hashes, run_pipeline
 
 TESS = default_tessellation(4)
 
@@ -162,6 +164,12 @@ def inputs(tmp_path_factory):
 
 NUMPY_ONLY = {
     "standardize": ["standardize", "--series", "{root}/raw.series"],
+    "train-som": ["train-som", "--series", "{root}/series.state", "--nodes", "4",
+                  "--phase-steps", "3,5", "--seed", "1"],
+    "sammon": ["sammon", "--som", "{root}/som.json"],
+    "project": ["project", "--som", "{root}/som.json", "--series", "{root}/series.state"],
+    "transitions-som": ["transitions", "--series", "{root}/series.planar",
+                        "--som", "{root}/som.json"],
     "frequencies": ["frequencies", "--series", "{root}/series.planar", "--by", "season"],
     "transitions": ["transitions", "--series", "{root}/series.planar", "--season", "DJF"],
     "lag-scan": ["lag-scan", "--series", "{root}/series.planar", "--max-lag", "3"],
@@ -196,6 +204,20 @@ def test_numpy_only_command_runs_without_scipy(inputs, tmp_path, name):
         runs[block] = (proc.stdout, outputs(out))
     assert runs[True] == runs[False]
     assert name == "help" or runs[True][1]
+
+
+def test_fields_pipeline_runs_without_scipy(tmp_path):
+    # the map, the Sammon embedding, the projection and the cells measure
+    # their distances in numpy: the pinned bytes, with scipy blocked
+    run_pipeline("fields", tmp_path, "import sys; sys.modules['scipy'] = None\n")
+    assert output_hashes(tmp_path) == PINS["fields"]
+
+
+def test_ladder_pipeline_loads_no_scipy_package(tmp_path):
+    # its solves bind scipy's compiled LAPACK, loaded from its file
+    report = f"import atexit, sys; atexit.register(lambda: print({SCIPY_PACKAGES}))\n"
+    assert run_pipeline("ladder", tmp_path, report).splitlines()[-1] == "[]"
+    assert output_hashes(tmp_path) == PINS["ladder"]
 
 
 def design_of(model: str):
@@ -240,6 +262,19 @@ def test_bad_gram_fails_as_with_cho_factor(monkeypatch, xtx, error):
         scipy.linalg.cho_factor(xtx)
 
 
+SCALES = 10.0 ** np.arange(-200, 201, 25)  # squares that underflow or overflow
+METRICS = ("euclidean", "sqeuclidean")
+
+
+def quiet_cdist(a, b, metric):
+    """stvar's cdist, with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _lapack.cdist(a, b, metric)
+    assert got.flags.c_contiguous
+    return got
+
+
 def distance_cases():
     rng = np.random.default_rng(7)
     for case in range(300):
@@ -250,6 +285,10 @@ def distance_cases():
         if case % 5 == 0:
             x = -x
         yield x
+    for d in (1, 2, 3, 200):
+        for m in (1, 12):
+            x = rng.standard_normal((m, d))
+            yield from (x * scale for scale in SCALES)
 
 
 def planar_cases():
@@ -257,28 +296,48 @@ def planar_cases():
     a, b = rng.standard_normal((40, 2)), rng.standard_normal((25, 2))
     yield "random", a, b
     yield "repeated", np.vstack([a[:5], a[:5]]), a[:5]
-    for scale in 10.0 ** np.arange(-200, 201, 25):  # squares that underflow or overflow
+    for scale in SCALES:
         yield f"scale {scale:g}", a * scale, b * scale
     yield "shifted", a + 1e8, b + 1e8
     yield "no rows", np.empty((0, 2)), b
     yield "no columns", a, np.empty((0, 2))
 
 
-@pytest.mark.parametrize("a, b", [case[1:] for case in planar_cases()],
-                         ids=[case[0] for case in planar_cases()])
-def test_planar_distances_equal_cdist(a, b):
-    with np.errstate(over="ignore"):
-        got = stvar.models._distances(a, b)
-    want = cdist(a, b)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def cdist_cases():
+    """(id, a, b, metric, scales): the planar cases under both metrics, and
+    0, 1 and 8191-8193 points of 1, 2, 3 and 200 columns against 12 points,
+    at every scale (thousands of points of 200 columns at every fourth, from
+    the least to the greatest, which keeps these tests to a few seconds)."""
+    for name, a, b in planar_cases():
+        yield name, a, b, "euclidean", (1.0,)
+        yield f"{name} sqeuclidean", a, b, "sqeuclidean", (1.0,)
+    rng = np.random.default_rng(13)
+    for d in (1, 2, 3, 200):
+        for n in (0, 1, 8191, 8192, 8193):
+            a, b = rng.standard_normal((n, d)), rng.standard_normal((12, d))
+            scales = SCALES if n * d < 10 ** 5 else SCALES[::4]
+            for metric in METRICS:
+                yield f"d={d} rows={n} {metric}", a, b, metric, scales
+
+
+@pytest.mark.parametrize("a, b, metric, scales", [case[1:] for case in cdist_cases()],
+                         ids=[case[0] for case in cdist_cases()])
+def test_planar_distances_equal_cdist(a, b, metric, scales):
+    # scipy's own cdist is the reference, with `a` as the longer point set
+    # and as the shorter
+    for scale in scales:
+        for x, y in ((a * scale, b * scale), (b * scale, a * scale)):
+            got, want = quiet_cdist(x, y, metric), cdist(x, y, metric)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_cdist_equals_pdist_and_squareform():
     for x in distance_cases():
-        got = _lapack.cdist(x, x)
-        assert got.tobytes() == squareform(pdist(x)).tobytes()
-        assert got[np.triu_indices(x.shape[0], k=1)].tobytes() == pdist(x).tobytes()
+        for metric in METRICS:
+            got, want = quiet_cdist(x, x, metric), pdist(x, metric)
+            assert got.tobytes() == squareform(want).tobytes()
+            assert got[np.triu_indices(x.shape[0], k=1)].tobytes() == want.tobytes()
 
 
 def test_first_decay_rate_is_the_pdist_median():

@@ -48,10 +48,9 @@ def test_no_constructor_converts_its_own_arrays():
 
 
 
-def _doors(path: Path) -> list[str]:
-    """What the module at `path` uses to reach scipy on its own: an import
-    of scipy or importlib, __import__, and in models and synthetic, cdist
-    from stvar._lapack."""
+def _doors(path: Path, barred: set[str]) -> list[str]:
+    """What the module at `path` imports or names of the `barred` modules
+    and names, or of anything inside them."""
     tree = ast.parse(path.read_text())
     doors = set()
     for node in ast.walk(tree):
@@ -63,19 +62,16 @@ def _doors(path: Path) -> list[str]:
             doors.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             doors.add(f"{node.value.id}.{node.attr}")
-        if isinstance(node, ast.ImportFrom) and node.module == "_lapack":
-            doors.update(f"_lapack.{alias.name}" for alias in node.names)
-    barred = {"scipy", "importlib", "__import__"}
-    if path.name in ("models.py", "synthetic.py"):
-        barred.add("_lapack.cdist")
-    return sorted(name for name in doors if name in barred or name.split(".")[0] in barred)
+    return sorted(name for name in doors
+                  if any(name == bar or name.startswith(f"{bar}.") for bar in barred))
 
 
 def test_only_lapack_reaches_scipy():
     # stvar._lapack is the one door to scipy: it alone imports scipy or
-    # loads modules by importlib, and models and synthetic measure their
-    # model geometry in numpy, not by cdist
+    # loads modules by importlib, and no module, _lapack included, reaches
+    # scipy.spatial: _lapack.cdist is numpy
     package = Path(stvar.__file__).parent
-    doors = {path.name: _doors(path) for path in sorted(package.glob("*.py"))
-             if path.name != "_lapack.py"}
+    doors = {path.name: _doors(path, {"scipy.spatial"} if path.name == "_lapack.py"
+                               else {"scipy", "importlib", "__import__"})
+             for path in sorted(package.glob("*.py"))}
     assert {name: found for name, found in doors.items() if found} == {}

@@ -46,7 +46,7 @@ PINS = {
         "out/distance_quantiles.csv": "c7a8bd13377dd352530a922d2b2d13d554760369d5a0ac4485eda0783a145865",
         "out/frequencies.csv": "7a280304a00a0ff9e5f83f4fb2e7737594c8b614177adbc57d199476a279d88f",
         "out/frequencies.manifest.json": "773fb9392c86982c28e9f43178feb6323603b2a42fbb100e6b3224e75be9ba48",
-        "out/pipeline.manifest.json": "d6e66b766abcdcfa7da4fd0765d405655da724c1b6b5928df5cdfba6aca2107f",
+        "out/pipeline.manifest.json": "61ced2f318a1dc682167717fd058d9477a76d42ba473b2bada4d0bf24055f468",
         "out/project.manifest.json": "091f340ea835634adf4076bc53f98c69a8190cc146e989c7e9981ec2d3954808",
         "out/sammon.json": "52ca18aa9908f21f5402e80046f1d2beb47d0b2c84328568796b291b76de4ab7",
         "out/sammon.manifest.json": "facf52919aa3d7b4bd6e0d7156a4a05fc5054b5df80e58959dcbf6aeb171375e",
@@ -69,7 +69,7 @@ PINS = {
         "out/lag_scan.json": "d3382661e63d9423a6989a8ce41f5c354c8414b27e18524d3971b79130cdb2bd",
         "out/model1.chain": "7f216d2ab4d761319e3efadca969f096eb3981615a591ce3b75590b700cfa316",
         "out/model9.chain": "4cbcc56d2248b9280950a060e089037dc4af9e7a18c3f9cca76b451f7ff1c6fe",
-        "out/pipeline.manifest.json": "c7b152d31c46435c98eb13f456eeed6b1d920b201fc948d95c41058599db642d",
+        "out/pipeline.manifest.json": "3f0225bb5c41da5d97cf05fedce503f175c6ab54d116e11f6ce3d05c5d5b9ca3",
         "out/predict.manifest.json": "9303e3ada298214f956cbf46b141b5d438188a84b4732c513abef3ae5b27c60d",
         "out/predictions.csv": "5425cfc6bb7564b6945ac8724d67183a0655602c2c2fdfadb496239ef303a66c",
         "out/report.txt": "ec6a9c71b634345e979190df47ed78dfe7b4e8df09a4013851c36a9a5315f8da",
@@ -84,7 +84,7 @@ PINS = {
         "out/evaluate.manifest.json": "a506f3473d060e614a861cb3b8db7dc3f5c559d115eda8ea28b01fc5e7c0335f",
         "out/fit_model11.manifest.json": "2b6d2649dc26ab45dce7b868a437d8ea8d87b5759b385573c99042f982f9afad",
         "out/model11.chain": "ca2b77b0fb4c863cde8033754ba0cc60b4ea4c3d16e113f854e2a5ebc264172b",
-        "out/pipeline.manifest.json": "b2082e64249d113898b691cfd7968d73aa666f66cff2e80b6c825a4ca63e44ce",
+        "out/pipeline.manifest.json": "7744f4672cb6d5f51e46116ba1d752ee0456a1a649d96de51d64cf02bd0bcebf",
         "out/predict.manifest.json": "ae9f1a6a9ae09dba537bdbd031a7609ce00f5327c2b226d855a22ee5eeaa56b4",
         "out/predictions.csv": "b7b096d1bbf682ce62c650b5285eba9a68f217e07cdb683de7216e9fc6a76f7f",
         "out/report.txt": "6e02bfc653ed4fa02aaf22b6428a51006dfb62901961a38b9c1944c4a83f5751",
@@ -93,12 +93,18 @@ PINS = {
 }
 
 
-def run_hashes(workload: str, root: Path) -> dict[str, str]:
-    """sha256 of every file one run writes, keyed by its path under `root`."""
+def run_pipeline(workload: str, root: Path, prelude: str = "") -> str:
+    """Standard output of one run into `root`, with the code `prelude` run
+    first in its process."""
     env = dict(src_env(), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", RUN, str(PERFBENCH), workload, str(root)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", prelude + RUN, str(PERFBENCH), workload,
+                           str(root)], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def output_hashes(root: Path) -> dict[str, str]:
+    """sha256 of every file a run wrote, keyed by its path under `root`."""
     hashes = {}
     for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "config.json"):
         data = path.read_bytes()
@@ -112,4 +118,5 @@ def run_hashes(workload: str, root: Path) -> dict[str, str]:
 
 @pytest.mark.parametrize("workload", ["fields", "ladder", "spatial"])
 def test_pipeline_bytes_are_pinned(workload, tmp_path):
-    assert run_hashes(workload, tmp_path) == PINS[workload]
+    run_pipeline(workload, tmp_path)
+    assert output_hashes(tmp_path) == PINS[workload]

@@ -28,7 +28,6 @@ from stvar.projection import (
 from stvar.som import SomConfig, SomModel, lattice_coords
 
 import stvar.projection
-from stvar import _lapack
 from oracles import find_winner, sammon_stress, unique_rows, walk_by_agreement_loop
 
 
@@ -174,9 +173,10 @@ class TestTessellation:
         assert Tessellation(sites=sites).assign(np.empty((0, 2))).shape == (0,)
 
     def test_one_point_matches_cdist(self):
-        # one point is measured in numpy: on random points, on half-lattice
-        # points equidistant from two or four sites (ties to the smallest
-        # index) and on the sites themselves, its cell is cdist's argmin
+        # on random points, on half-lattice points equidistant from two or
+        # four sites (ties to the smallest index) and on the sites
+        # themselves, one point's cell, by assign and by the walk's _cell,
+        # is scipy's cdist argmin
         rng = np.random.default_rng(9)
         lattice = np.array([[x, y] for x in range(4) for y in range(3)], dtype=float)
         scattered = rng.normal(size=(12, 2)) * 3.0
@@ -185,26 +185,11 @@ class TestTessellation:
                            (lattice, lattice), (scattered, scattered)]:
             tess = Tessellation(sites=sites)
             for p in pts:
-                want = np.argmin(_lapack.cdist(p[None, :], sites, "sqeuclidean"), axis=1)
+                want = np.argmin(cdist(p[None, :], sites, "sqeuclidean"), axis=1)
                 got = tess.assign(p[None, :])
                 assert got.dtype == want.dtype and got.tolist() == want.tolist()
+                assert tess._cell(p) == want[0]
         assert Tessellation(sites=lattice).assign([0.5, 0.0]).tolist() == [0]  # sites 0 and 3
-
-    def test_more_than_one_point_takes_cdist(self, monkeypatch):
-        # only a single point leaves cdist: the pipeline's assigns of a whole
-        # path keep their path, and with it the time scipy.spatial is loaded
-        sizes = []
-
-        def spy(a, b, metric):
-            sizes.append(len(a))
-            return cdist(a, b, metric)
-
-        monkeypatch.setattr(_lapack, "cdist", spy)
-        tess = Tessellation(sites=lattice_coords(12))
-        pts = np.random.default_rng(2).normal(size=(7300, 2))
-        for n in (1, 2, 7300, 1):
-            tess.assign(pts[:n])
-        assert sizes == [2, 7300]
 
 
 class TestPlanarFiles:

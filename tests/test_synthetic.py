@@ -5,7 +5,6 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from stvar import _lapack
 from stvar.errors import (
     DataError,
     EmptySeries,
@@ -212,13 +211,13 @@ class TestSimulateVar:
             assert series.node_assignment.tolist() == tess.assign(series.points).tolist()
 
     def test_cell_walk_takes_no_cdist(self, monkeypatch):
-        # no path of simulate_var calls cdist: every walk given a
-        # tessellation finds its cells in numpy, and the spatial intercept
-        # measures its knot distances in numpy
+        # every walk given a tessellation finds its cells one point at a
+        # time, by Tessellation._cell: none goes through the cdist blocks of
+        # Tessellation.assign
         def refuse(*args, **kwargs):
-            raise AssertionError("cdist called")
+            raise AssertionError("cells found by cdist")
 
-        monkeypatch.setattr(_lapack, "cdist", refuse)
+        monkeypatch.setattr(Tessellation, "assign", refuse)
         tess = default_tessellation(4)
         for model in sorted(MODEL_ALIASES):
             truth = ladder_truth(model, tess=tess, start_date="1990-01-01", n_days=400)
